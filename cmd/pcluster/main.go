@@ -2,7 +2,7 @@
 // binary that runs any registered clustering algorithm — PROCLUS,
 // CLIQUE, ORCLUS or the full-dimensional k-medoids baseline — with one
 // shared flag surface. Flags an algorithm does not support (streaming
-// ORCLUS, a sketch tier on CLIQUE, a worker budget on the serial
+// ORCLUS, a kernel mode on CLIQUE, a worker budget on the serial
 // k-medoids descent, another algorithm's parameters) are rejected by
 // the registry with a clear error instead of being silently ignored.
 //
@@ -10,7 +10,7 @@
 //
 //	pcluster -list
 //	pcluster -algo proclus  -in data.bin -k 5 -l 7
-//	pcluster -algo proclus  -in data.bin -k 5 -l 7 -stream -sketch-dims 0 -kernel pruned
+//	pcluster -algo proclus  -in data.bin -k 5 -l 7 -stream -kernel pruned
 //	pcluster -algo clique   -in data.csv -labels -xi 10 -tau 0.005 -mdl
 //	pcluster -algo orclus   -in data.bin -k 3 -l 2 -outliers
 //	pcluster -algo kmedoids -in data.csv -labels -k 5
@@ -60,8 +60,6 @@ func run(args []string, out io.Writer) (retErr error) {
 		workers  = fs.Int("workers", 0, "goroutine budget for parallel passes (0 = GOMAXPROCS); results are identical for any value")
 		stream   = fs.Bool("stream", false, "cluster the input out of core (binary input; streaming-capable algorithms only)")
 		blockPts = fs.Int("block-points", 0, "points per streamed block (0 = default); only with -stream")
-		skDims   = fs.Int("sketch-dims", 0, "random-projection sketch dimensionality (proclus only; 0 = off)")
-		skMode   = fs.String("sketch-mode", "prune", "sketch tier mode: prune or approx")
 		kernel   = fs.String("kernel", "pruned", "exact distance-kernel tier: pruned or naive (proclus only)")
 
 		// CLIQUE grid parameters.
@@ -102,10 +100,6 @@ func run(args []string, out io.Writer) (retErr error) {
 		fs.Usage()
 		return fmt.Errorf("-algo and -in are required (or -list)")
 	}
-	sketchMode, err := core.ParseSketchMode(*skMode)
-	if err != nil {
-		return err
-	}
 	kernelMode, err := core.ParseKernelMode(*kernel)
 	if err != nil {
 		return err
@@ -121,7 +115,6 @@ func run(args []string, out io.Writer) (retErr error) {
 	}()
 	cfg := registry.Config{
 		K: *k, L: *l, Seed: *seed, Workers: *workers,
-		Sketch: core.SketchConfig{Dims: *skDims, Mode: sketchMode},
 		Kernel: kernelMode,
 		Clique: registry.CliqueParams{
 			Xi: *xi, Tau: *tau, MaxDims: *maxDims, FixedDims: *fixed,
@@ -238,7 +231,6 @@ func capsSummary(c registry.Caps) string {
 	add(c.TakesK, "k")
 	add(c.TakesL, "l")
 	add(c.Stream, "stream")
-	add(c.Sketch, "sketch")
 	add(c.Kernel, "kernel")
 	add(c.Series, "series")
 	add(c.Workers, "workers")

@@ -77,7 +77,6 @@ func TestRejectsUnsupportedCombos(t *testing.T) {
 		args []string
 	}{
 		{"clique", []string{"-algo", "clique", "-in", path, "-k", "3"}},
-		{"clique", []string{"-algo", "clique", "-in", path, "-sketch-dims", "4"}},
 		{"orclus", []string{"-algo", "orclus", "-in", path, "-k", "3", "-l", "2", "-stream"}},
 		{"orclus", []string{"-algo", "orclus", "-in", path, "-k", "3", "-l", "2", "-kernel", "naive"}},
 		{"kmedoids", []string{"-algo", "kmedoids", "-in", path, "-k", "3", "-workers", "4"}},

@@ -8,10 +8,9 @@
 //	proclus-bench -experiment all          # reduced scale, minutes
 //	proclus-bench -experiment table3
 //	proclus-bench -experiment fig7 -full   # paper-scale sizes (slow)
-//	proclus-bench -experiment table1,wide -n 5000
+//	proclus-bench -experiment table1,table2 -n 5000
 //	proclus-bench -experiment table1 -bench-json bench/
 //	proclus-bench -experiment table1 -archive runs/   # append capture to the run archive
-//	proclus-bench -experiment wide -sketch-dims 16
 //	proclus-bench -experiment all -progress -metrics-addr 127.0.0.1:9187
 package main
 
@@ -46,7 +45,7 @@ func run(args []string, out io.Writer) (retErr error) {
 	fs := flag.NewFlagSet("proclus-bench", flag.ContinueOnError)
 	fs.SetOutput(out)
 	var (
-		exp        = fs.String("experiment", "all", "comma-separated subset of table1..table5, fig7..fig9, lsweep, oriented, wide, or all")
+		exp        = fs.String("experiment", "all", "comma-separated subset of table1..table5, fig7..fig9, lsweep, oriented, or all")
 		full       = fs.Bool("full", false, "paper-scale workloads (N = 100k+; CLIQUE runs take minutes to hours)")
 		override   = fs.Int("n", 0, "override the workload size (0 = scale defaults)")
 		csvDir     = fs.String("csvdir", "", "also write each experiment's data as <csvdir>/<id>.csv")
@@ -56,8 +55,6 @@ func run(args []string, out io.Writer) (retErr error) {
 		benchJSON  = fs.String("bench-json", "", "write schema-versioned benchmark telemetry to this path (a directory gets BENCH_<timestamp>.json); diff two captures with benchcmp")
 		stream     = fs.Bool("stream", false, "run the accuracy tables and fig7 out of core: inputs spill to temporary binary files and the streamed engines cluster them in bounded memory")
 		blockPts   = fs.Int("block-points", 0, "points per streamed block (0 = default); only with -stream")
-		sketchDims = fs.Int("sketch-dims", 0, "enable the random-projection sketch tier at this sketch dimensionality on the accuracy tables (0 = off; the wide experiment always sketches)")
-		sketchMode = fs.String("sketch-mode", "prune", "sketch tier mode: prune (bit-identical output) or approx")
 		kernel     = fs.String("kernel", "pruned", "exact distance-kernel tier: pruned (early abandonment + packed medoid rows, bit-identical output) or naive (full evaluation)")
 	)
 	// -report here keeps its historical timing-array semantics, so the
@@ -66,16 +63,9 @@ func run(args []string, out io.Writer) (retErr error) {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	mode, err := core.ParseSketchMode(*sketchMode)
-	if err != nil {
-		return err
-	}
 	kernelMode, err := core.ParseKernelMode(*kernel)
 	if err != nil {
 		return err
-	}
-	if *stream && *sketchDims > 0 {
-		return fmt.Errorf("-sketch-dims is incompatible with -stream: the sketch tier projects the in-memory point matrix, which streamed runs never hold")
 	}
 	sess, err := obsFlags.Start(os.Stderr)
 	if err != nil {
@@ -126,7 +116,6 @@ func run(args []string, out io.Writer) (retErr error) {
 	caseParams := experiments.CaseParams{
 		N: caseN, Seed: *seed, Workers: *workers, Observer: sess.Observer,
 		Stream: *stream, BlockPoints: *blockPts,
-		SketchDims: *sketchDims, SketchMode: mode,
 		Kernel: kernelMode,
 	}
 
@@ -218,14 +207,6 @@ func run(args []string, out io.Writer) (retErr error) {
 				p.N = *override
 			}
 			d, r, err := experiments.Oriented(p)
-			return r, d, err
-		}},
-		{"wide", func(reg *metrics.Registry) (*experiments.Report, csvWriter, error) {
-			p := experiments.WideParams{
-				N: figN, SketchDims: *sketchDims, Seed: *seed, Workers: *workers,
-				Metrics: reg, Observer: sess.Observer, Kernel: kernelMode,
-			}
-			d, r, err := experiments.Wide(p)
 			return r, d, err
 		}},
 	}

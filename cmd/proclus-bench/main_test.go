@@ -76,6 +76,29 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
+// TestRunExperimentList exercises the comma-separated -experiment
+// spelling: both named experiments run, in registration order.
+func TestRunExperimentList(t *testing.T) {
+	var sb strings.Builder
+	if err := run([]string{"-experiment", "table2,table1", "-n", "2000"}, &sb); err != nil {
+		t.Fatal(err)
+	}
+	got := sb.String()
+	t1 := strings.Index(got, "== table1")
+	t2 := strings.Index(got, "== table2")
+	if t1 < 0 || t2 < 0 || t2 < t1 {
+		t.Fatalf("expected table1 then table2 in output:\n%s", got)
+	}
+}
+
+func TestRunExperimentListUnknownName(t *testing.T) {
+	var sb strings.Builder
+	err := run([]string{"-experiment", "table1,tablex", "-n", "2000"}, &sb)
+	if err == nil || !strings.Contains(err.Error(), "tablex") {
+		t.Fatalf("unknown name in list: err = %v, want it named", err)
+	}
+}
+
 func TestRunBadFlag(t *testing.T) {
 	var sb strings.Builder
 	if err := run([]string{"-zap"}, &sb); err == nil {

@@ -8,8 +8,6 @@
 //	proclus -in data.csv -labels -k 5 -l 7
 //	proclus -in data.bin -k 5 -l 7 -assign out.csv
 //	proclus -in data.bin -k 5 -sweepl 2:9     # try a range of l values
-//	proclus -in data.bin -k 5 -l 7 -sketch-dims 16            # JL pruning, identical output
-//	proclus -in data.bin -k 5 -l 7 -sketch-dims 16 -sketch-mode approx
 //	proclus -in data.bin -k 5 -l 7 -report run.json -trace trace.jsonl
 //	proclus -in data.bin -k 5 -l 7 -archive runs/   # append to the run archive
 //	proclus -in data.bin -k 5 -l 7 -metrics-addr 127.0.0.1:9187
@@ -58,8 +56,6 @@ func run(args []string, out io.Writer) (retErr error) {
 		assignOut = fs.String("assign", "", "optional path for a point→cluster assignment CSV")
 		stream    = fs.Bool("stream", false, "cluster the input out of core: binary input only, full-data passes stream in blocks so resident memory is O(sample + block) instead of O(N·d)")
 		blockPts  = fs.Int("block-points", 0, "points per streamed block (0 = default); only with -stream")
-		skDims    = fs.Int("sketch-dims", 0, "enable the random-projection sketch tier at this sketch dimensionality (0 = off); must stay below the data dimensionality")
-		skMode    = fs.String("sketch-mode", "prune", "sketch tier mode: prune (bit-identical output, fewer exact distance evaluations) or approx (bounded-error, larger speedup)")
 		kernel    = fs.String("kernel", "pruned", "exact distance-kernel tier: pruned (early abandonment + packed medoid rows, bit-identical output) or naive (full evaluation)")
 	)
 	obsFlags := cliflags.Register(fs)
@@ -74,10 +70,6 @@ func run(args []string, out io.Writer) (retErr error) {
 		fs.Usage()
 		return fmt.Errorf("one of -l or -sweepl is required")
 	}
-	sketchMode, err := core.ParseSketchMode(*skMode)
-	if err != nil {
-		return err
-	}
 	kernelMode, err := core.ParseKernelMode(*kernel)
 	if err != nil {
 		return err
@@ -88,8 +80,6 @@ func run(args []string, out io.Writer) (retErr error) {
 			return fmt.Errorf("-stream is incompatible with -normalize: rescaling needs the matrix in memory")
 		case *sweepL != "" || *sweepK != "":
 			return fmt.Errorf("-stream is incompatible with -sweepl/-sweepk: sweeps rerun over the in-memory dataset")
-		case *skDims > 0:
-			return fmt.Errorf("-stream is incompatible with -sketch-dims: the sketch tier projects the in-memory point matrix, which streamed runs never hold")
 		case strings.HasSuffix(strings.ToLower(*in), ".csv"):
 			return fmt.Errorf("-stream requires the binary dataset format (convert with datagen or dsstat)")
 		}
@@ -110,14 +100,12 @@ func run(args []string, out io.Writer) (retErr error) {
 	cfgFor := func() core.Config {
 		return core.Config{
 			K: *k, L: *l, Seed: *seed, Workers: *workers,
-			Sketch:   core.SketchConfig{Dims: *skDims, Mode: sketchMode},
 			Kernel:   kernelMode,
 			Observer: sess.Observer, Metrics: sess.Metrics, Series: sess.Series,
 		}
 	}
 	rcfg := registry.Config{
 		K: *k, L: *l, Seed: *seed, Workers: *workers,
-		Sketch:   core.SketchConfig{Dims: *skDims, Mode: sketchMode},
 		Kernel:   kernelMode,
 		Observer: sess.Observer, Metrics: sess.Metrics, Series: sess.Series,
 	}

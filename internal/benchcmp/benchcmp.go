@@ -142,13 +142,11 @@ type Options struct {
 	// seed, so any drift means the algorithm changed; the slack only
 	// absorbs intentional small reworks. (It was 0.1 before the
 	// incremental-evaluation engine made the counter pipeline
-	// worker-count exact end to end, then 0.02 until the sketch tier
-	// put the pruned distance-evaluation count under baseline guard —
-	// a 2% drift there would silently erase most of the pruning win.
-	// The kernel counters — coords_visited above all — sit under the
-	// same 1% gate: the early-abandonment win is measured in
-	// coordinates, and a quiet upward drift there is a real
-	// regression even when distance_evals holds steady.)
+	// worker-count exact end to end, then 0.02. The kernel counters —
+	// coords_visited above all — sit under the 1% gate: the
+	// early-abandonment win is measured in coordinates, and a quiet
+	// upward drift there is a real regression even when distance_evals
+	// holds steady.)
 	WorkThreshold float64
 	// MinSeconds is the noise floor for time metrics: when both sides
 	// measure below it, the pair is skipped (a 3 ms phase doubling to
@@ -321,12 +319,6 @@ func compareRecord(rep *Report, base, cand Record, opts Options) {
 		float64(base.Counters.DistCacheHits), float64(cand.Counters.DistCacheHits), opts.WorkThreshold)
 	classify("counters/distcache_recomputes", "work",
 		float64(base.Counters.DistCacheRecomputes), float64(cand.Counters.DistCacheRecomputes), opts.WorkThreshold)
-	classify("counters/sketch_evals", "work",
-		float64(base.Counters.SketchEvals), float64(cand.Counters.SketchEvals), opts.WorkThreshold)
-	classify("counters/sketch_prune_hits", "work",
-		float64(base.Counters.SketchPruneHits), float64(cand.Counters.SketchPruneHits), opts.WorkThreshold)
-	classify("counters/sketch_prune_misses", "work",
-		float64(base.Counters.SketchPruneMisses), float64(cand.Counters.SketchPruneMisses), opts.WorkThreshold)
 
 	// Quality indices invert the regression sense: a drop beyond
 	// threshold regresses, a rise improves. Keys present on only one

@@ -132,31 +132,6 @@ func TestCompareFlagsDistCacheCounters(t *testing.T) {
 	}
 }
 
-// TestCompareFlagsSketchCounters pins the sketch tier's counters into
-// the work comparison: fewer bound-resolved comparisons (and the
-// matching rise in exact re-checks) past the tight threshold means the
-// pruning tier got less effective, which must not move silently.
-func TestCompareFlagsSketchCounters(t *testing.T) {
-	base := fixtureFile()
-	cand := fixtureFile()
-	base.Records[0].Counters.SketchEvals = 200000
-	base.Records[0].Counters.SketchPruneHits = 120000
-	base.Records[0].Counters.SketchPruneMisses = 80000
-	cand.Records[0].Counters.SketchEvals = 200000
-	cand.Records[0].Counters.SketchPruneHits = 100000
-	cand.Records[0].Counters.SketchPruneMisses = 100000
-	rep, err := Compare(base, cand, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Regressions) != 1 || rep.Regressions[0].Metric != "counters/sketch_prune_misses" {
-		t.Fatalf("regressions: %+v", rep.Regressions)
-	}
-	if len(rep.Improvements) != 1 || rep.Improvements[0].Metric != "counters/sketch_prune_hits" {
-		t.Fatalf("improvements: %+v", rep.Improvements)
-	}
-}
-
 func TestCompareFlagsImprovement(t *testing.T) {
 	base := fixtureFile()
 	cand := fixtureFile()

@@ -120,23 +120,6 @@ type Config struct {
 	// equivalence baseline.
 	Kernel KernelMode
 
-	// Sketch configures the random-projection acceleration tier: a
-	// seeded sparse ±1 (Achlioptas-style) projection of the points into
-	// Sketch.Dims ≪ d dimensions whose projected L1 distances
-	// lower-bound the exact ones. The default SketchPrune mode filters
-	// the greedy farthest-first folds and the locality scans by sketch
-	// distance and re-checks survivors with the exact kernel, so output
-	// stays bit-identical to an unsketched run; SketchApprox skips the
-	// re-check, substituting the sketch distance for the exact
-	// full-dimensional metric in initialization and locality selection
-	// (assignment and the objective always use exact coordinates) for a
-	// bounded-error, large-speedup run on wide data. Dims = 0 — the
-	// default — disables the tier. The transform is derived from Seed
-	// through a private sub-stream, so enabling pruning perturbs no
-	// other randomized decision. Incompatible with RunStream, whose
-	// passes never hold the full point matrix.
-	Sketch SketchConfig
-
 	// Observer receives structured run events: run start/end, phase
 	// transitions, restart boundaries, hill-climbing iterations and
 	// medoid replacements. Nil — the default — disables event emission
@@ -173,59 +156,6 @@ type Config struct {
 	// the registry, the store does not participate in the algorithm:
 	// runs with and without one produce identical Results.
 	Series *series.Store
-}
-
-// SketchConfig parameterizes the random-projection tier; see
-// Config.Sketch.
-type SketchConfig struct {
-	// Dims is the sketch dimensionality d'. Zero disables the tier;
-	// positive values must stay below the data dimensionality.
-	Dims int
-	// Mode selects pruning (exact re-check, bit-identical output — the
-	// default) or approximation (no re-check); see the SketchMode
-	// constants.
-	Mode SketchMode
-}
-
-// enabled reports whether the tier is on.
-func (s SketchConfig) enabled() bool { return s.Dims > 0 }
-
-// SketchMode selects how sketch distances are used.
-type SketchMode int
-
-const (
-	// SketchPrune filters candidates by the sketch lower bound and
-	// re-checks survivors with the exact kernel: bit-identical output,
-	// fewer full-dimensional evaluations (the default).
-	SketchPrune SketchMode = iota
-	// SketchApprox uses the sketch distance as the full-dimensional
-	// metric in initialization and locality selection, skipping the
-	// exact re-check: bounded-error output, large speedups on wide
-	// data. Quality versus the exact engine is measured with the
-	// eval package's ARI/NMI and gated in CI.
-	SketchApprox
-)
-
-// String names the mode ("prune", "approx") for logs and reports.
-func (m SketchMode) String() string {
-	switch m {
-	case SketchPrune:
-		return "prune"
-	case SketchApprox:
-		return "approx"
-	}
-	return fmt.Sprintf("SketchMode(%d)", int(m))
-}
-
-// ParseSketchMode resolves a mode from its flag spelling.
-func ParseSketchMode(s string) (SketchMode, error) {
-	switch s {
-	case "", "prune":
-		return SketchPrune, nil
-	case "approx":
-		return SketchApprox, nil
-	}
-	return 0, fmt.Errorf("unknown sketch mode %q (want prune or approx)", s)
 }
 
 // InitMethod selects the initialization strategy.
@@ -386,13 +316,6 @@ func (cfg Config) validateShape(n, dims int) error {
 		return fmt.Errorf("proclus: %d points cannot form %d clusters", n, cfg.K)
 	case cfg.K*cfg.L > cfg.K*dims:
 		return fmt.Errorf("proclus: dimension budget %d exceeds available %d", cfg.K*cfg.L, cfg.K*dims)
-	case cfg.Sketch.Dims < 0:
-		return fmt.Errorf("proclus: negative Sketch.Dims %d", cfg.Sketch.Dims)
-	case cfg.Sketch.Dims >= dims && cfg.Sketch.Dims > 0:
-		return fmt.Errorf("proclus: Sketch.Dims = %d must stay below the %d-dimensional space (a sketch that wide cannot pay for itself)",
-			cfg.Sketch.Dims, dims)
-	case cfg.Sketch.Mode != SketchPrune && cfg.Sketch.Mode != SketchApprox:
-		return fmt.Errorf("proclus: unknown Sketch.Mode %d", int(cfg.Sketch.Mode))
 	case cfg.Kernel != KernelPruned && cfg.Kernel != KernelNaive:
 		return fmt.Errorf("proclus: unknown Kernel %d", int(cfg.Kernel))
 	}

@@ -15,19 +15,6 @@ package core
 // preserves the naive accumulation and tie-break order, and all
 // randomness flows through the unchanged climb loop. Only the
 // distance-evaluation and cache counters differ between engines.
-//
-// With the sketch tier on (Config.Sketch, see sketch.go) the cache
-// composes with the projection. In prune mode a refilled column first
-// holds sketch lower bounds, marked in colLB; the δ computation
-// force-upgrades the medoid-row entries it reads to exact values, and
-// the locality scan upgrades any entry whose bound falls below δ_i —
-// bounds at or above δ_i resolve the comparison alone, since the exact
-// distance they bound could not pass the strict < test either. Upgrades
-// are monotone (an exact entry never reverts while its medoid stays),
-// and every upgraded value is the same SegmentalAll float the
-// unsketched engine caches, so prune-mode Results stay bit-identical.
-// In approx mode the columns simply hold sketch distances and no
-// upgrade ever happens.
 
 import (
 	"math"
@@ -87,13 +74,6 @@ type incrementalEval struct {
 	// climb makes that |bad| columns per iteration.
 	colMedoid []int
 	changed   []int // positions recomputed by the current sync
-
-	// colLB flags cache entries currently holding a sketch lower bound
-	// rather than the exact distance (sketch prune mode only; nil
-	// otherwise). lbFlat is its backing array, N×k column-major like
-	// flat.
-	lbFlat []bool
-	colLB  [][]bool
 
 	// trialScratch: every buffer an evaluation pass writes, reused
 	// across iterations.
@@ -155,14 +135,6 @@ func newIncrementalEval(r *runner) *incrementalEval {
 		e.cols[i] = e.flat[i*n : (i+1)*n]
 		e.colMedoid[i] = -1
 	}
-	sk := r.sk
-	if sk != nil && !sk.approx {
-		e.lbFlat = make([]bool, n*k)
-		e.colLB = make([][]bool, k)
-		for i := range e.colLB {
-			e.colLB[i] = e.lbFlat[i*n : (i+1)*n]
-		}
-	}
 	s := &e.scratch
 	s.medoidPts = make([][]float64, k)
 	s.delta = make([]float64, k)
@@ -186,70 +158,26 @@ func newIncrementalEval(r *runner) *incrementalEval {
 	// One pass over the points, filling every invalidated column: each
 	// point row is read once however many medoids moved. Writes are
 	// disjoint per point, so results are identical for any worker count.
-	// In sketch prune mode the fill stores d'-dimensional lower bounds
-	// (flagged in colLB) and defers exact work to the upgrade sites; in
-	// approx mode it stores sketch distances outright.
-	switch {
-	case sk == nil:
-		e.fillFn = func(lo, hi int) {
-			for p := lo; p < hi; p++ {
-				pt := e.r.ds.Point(p)
-				for _, c := range e.changed {
-					e.cols[c][p] = dist.SegmentalAll(pt, s.medoidPts[c])
-				}
-			}
-		}
-	case sk.approx:
-		e.fillFn = func(lo, hi int) {
-			for p := lo; p < hi; p++ {
-				for _, c := range e.changed {
-					e.cols[c][p] = sk.distance(p, e.colMedoid[c])
-				}
-			}
-		}
-	default:
-		e.fillFn = func(lo, hi int) {
-			for p := lo; p < hi; p++ {
-				for _, c := range e.changed {
-					e.cols[c][p] = sk.lowerBound(p, e.colMedoid[c])
-					e.colLB[c][p] = true
-				}
+	e.fillFn = func(lo, hi int) {
+		for p := lo; p < hi; p++ {
+			pt := e.r.ds.Point(p)
+			for _, c := range e.changed {
+				e.cols[c][p] = dist.SegmentalAll(pt, s.medoidPts[c])
 			}
 		}
 	}
 	e.deltaFn = func(lo, hi int) {
 		m := e.cur.medoids
-		var upgrades int64
 		for i := lo; i < hi; i++ {
 			s.delta[i] = math.Inf(1)
 			for j := range m {
 				if i == j {
 					continue
 				}
-				d := e.cols[j][m[i]]
-				if e.colLB != nil && e.colLB[j][m[i]] {
-					// δ must be exact in prune mode — it is the threshold
-					// the bounds are filtered against. Each (j, m[i]) entry
-					// is touched by exactly one row i (medoids are
-					// distinct), so the upgrade writes race with nothing.
-					d = dist.SegmentalAll(e.r.ds.Point(m[i]), s.medoidPts[j])
-					e.cols[j][m[i]] = d
-					e.colLB[j][m[i]] = false
-					upgrades++
-				}
-				if d < s.delta[i] {
+				if d := e.cols[j][m[i]]; d < s.delta[i] {
 					s.delta[i] = d
 				}
 			}
-		}
-		if upgrades > 0 {
-			// Cache upgrades always evaluate fully — the cached value is
-			// reused against varying thresholds later, so abandoning
-			// against today's threshold would poison tomorrow's compare.
-			e.r.counters.DistanceEvals.Add(upgrades)
-			e.r.counters.DistanceEvalsFull.Add(upgrades)
-			e.r.counters.CoordsVisited.Add(upgrades * int64(e.d))
-			e.r.counters.DistCacheRecomputes.Add(upgrades)
 		}
 	}
 	// Column scans parallelize over medoids (disjoint lists, ascending
@@ -257,48 +185,16 @@ func newIncrementalEval(r *runner) *incrementalEval {
 	// this pass is a compare-and-append sweep, too cheap to justify the
 	// naive path's per-chunk list merging.
 	e.scanFn = func(lo, hi int) {
-		var hits, misses int64
 		for i := lo; i < hi; i++ {
 			lst := s.localities[i][:0]
 			col := e.cols[i]
 			di := s.delta[i]
-			if e.colLB == nil {
-				for p := 0; p < e.n; p++ {
-					if col[p] < di {
-						lst = append(lst, p)
-					}
-				}
-			} else {
-				flags := e.colLB[i]
-				mp := s.medoidPts[i]
-				for p := 0; p < e.n; p++ {
-					v := col[p]
-					if flags[p] {
-						if v >= di {
-							// The exact distance is at least the bound, so
-							// the strict < test below would fail anyway.
-							hits++
-							continue
-						}
-						v = dist.SegmentalAll(e.r.ds.Point(p), mp)
-						col[p] = v
-						flags[p] = false
-						misses++
-					}
-					if v < di {
-						lst = append(lst, p)
-					}
+			for p := 0; p < e.n; p++ {
+				if col[p] < di {
+					lst = append(lst, p)
 				}
 			}
 			s.localities[i] = lst
-		}
-		if hits+misses > 0 {
-			e.r.counters.SketchPruneHits.Add(hits)
-			e.r.counters.SketchPruneMisses.Add(misses)
-			e.r.counters.DistanceEvals.Add(misses)
-			e.r.counters.DistanceEvalsFull.Add(misses)
-			e.r.counters.CoordsVisited.Add(misses * int64(e.d))
-			e.r.counters.DistCacheRecomputes.Add(misses)
 		}
 	}
 	e.zrowFn = func(lo, hi int) {
@@ -354,10 +250,6 @@ func (e *incrementalEval) evaluate(medoids []int) *trialState {
 // trial serves from cache rather than recomputing (the unchanged
 // columns' N entries plus the k·(k−1) medoid-to-medoid reads served
 // below), DistCacheRecomputes the evaluations actually performed here.
-// With the sketch tier on, the refill work is projected-distance work
-// (SketchEvals): approx-mode columns never cost more than that, and
-// prune-mode columns defer their exact recomputes to the upgrade sites
-// in deltaFn/scanFn, which credit them as they happen.
 func (e *incrementalEval) sync(medoids []int) {
 	e.changed = e.changed[:0]
 	for i, m := range medoids {
@@ -371,23 +263,13 @@ func (e *incrementalEval) sync(medoids []int) {
 		parallel.For(e.n, e.r.innerWorkers, e.fillFn)
 	}
 	recomputed := int64(len(e.changed)) * int64(e.n)
-	switch {
-	case e.r.sk == nil:
-		// Column fills evaluate fully for every kernel tier: cached
-		// values are compared against many thresholds over the column's
-		// lifetime, so no single cutoff could justify abandoning.
-		e.r.counters.DistanceEvals.Add(recomputed)
-		e.r.counters.DistanceEvalsFull.Add(recomputed)
-		e.r.counters.CoordsVisited.Add(recomputed * int64(e.d))
-		e.r.counters.DistCacheRecomputes.Add(recomputed)
-	case e.r.sk.approx:
-		e.r.counters.SketchEvals.Add(recomputed)
-		e.r.counters.DistCacheRecomputes.Add(recomputed)
-	default:
-		// Prune fill: lower bounds only; exact recomputes are credited at
-		// upgrade time.
-		e.r.counters.SketchEvals.Add(recomputed)
-	}
+	// Column fills evaluate fully for every kernel tier: cached values
+	// are compared against many thresholds over the column's lifetime, so
+	// no single cutoff could justify abandoning.
+	e.r.counters.DistanceEvals.Add(recomputed)
+	e.r.counters.DistanceEvalsFull.Add(recomputed)
+	e.r.counters.CoordsVisited.Add(recomputed * int64(e.d))
+	e.r.counters.DistCacheRecomputes.Add(recomputed)
 	e.r.counters.DistCacheHits.Add(int64(e.k-len(e.changed))*int64(e.n) + int64(e.k)*int64(e.k-1))
 }
 

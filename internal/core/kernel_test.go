@@ -2,8 +2,8 @@ package core
 
 // Kernel-tier tests: the metamorphic suite pinning the early-abandoning
 // kernel (Config.Kernel, default KernelPruned) bit-identical to the
-// naive kernels across evaluation engines, sketch modes, worker counts
-// and both the in-memory and streaming entry points; the coordinate
+// naive kernels across evaluation engines, worker counts and both the
+// in-memory and streaming entry points; the coordinate
 // work-reduction guarantee on the paper's Case 1 shape; and the
 // steady-state allocation contract of the packed assignment path.
 
@@ -29,6 +29,33 @@ func kernelData(t *testing.T) *dataset.Dataset {
 		t.Fatal(err)
 	}
 	return ds
+}
+
+// assertSameRun fails unless a and b are the same run bit for bit:
+// clustering, objective, iteration count, medoids and trial trace.
+func assertSameRun(t *testing.T, a, b *Result, context string) {
+	t.Helper()
+	assertSameClustering(t, a, b, context)
+	if a.Objective != b.Objective {
+		t.Fatalf("%s: objectives differ bitwise: %v vs %v", context, a.Objective, b.Objective)
+	}
+	if a.Iterations != b.Iterations {
+		t.Fatalf("%s: iteration counts differ: %d vs %d", context, a.Iterations, b.Iterations)
+	}
+	for ci := range a.Clusters {
+		if a.Clusters[ci].Medoid != b.Clusters[ci].Medoid {
+			t.Fatalf("%s: cluster %d medoid differs: %d vs %d",
+				context, ci, a.Clusters[ci].Medoid, b.Clusters[ci].Medoid)
+		}
+	}
+	if len(a.Stats.ObjectiveTrace) != len(b.Stats.ObjectiveTrace) {
+		t.Fatalf("%s: objective trace lengths differ", context)
+	}
+	for i := range a.Stats.ObjectiveTrace {
+		if a.Stats.ObjectiveTrace[i] != b.Stats.ObjectiveTrace[i] {
+			t.Fatalf("%s: objective trace differs at trial %d", context, i)
+		}
+	}
 }
 
 // assertKernelCounters checks the split-counter contract between a
@@ -64,38 +91,30 @@ func assertKernelCounters(t *testing.T, pruned, naive obs.Snapshot, context stri
 // TestKernelPrunedBitIdentical is the tier's central contract: the
 // default pruned kernel must reproduce the naive kernels' run bit for
 // bit — same assignments, dimension sets, medoids, objective and trial
-// trace — for every evaluation engine, sketch mode and worker count.
+// trace — for every evaluation engine and worker count.
 func TestKernelPrunedBitIdentical(t *testing.T) {
 	ds := kernelData(t)
 	base := Config{K: 5, L: 7, Seed: 17, Restarts: 2}
-	sketches := map[string]SketchConfig{
-		"none":   {},
-		"prune":  {Dims: 8, Mode: SketchPrune},
-		"approx": {Dims: 8, Mode: SketchApprox},
-	}
 	for _, mode := range []EvalMode{EvalIncremental, EvalNaive} {
-		for sname, sk := range sketches {
-			cfg := base
-			cfg.IncrementalEval = mode
-			cfg.Sketch = sk
-			cfg.Workers = 1
-			cfg.Kernel = KernelNaive
-			naive, err := Run(ds, cfg)
+		cfg := base
+		cfg.IncrementalEval = mode
+		cfg.Workers = 1
+		cfg.Kernel = KernelNaive
+		naive, err := Run(ds, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 4} {
+			pcfg := cfg
+			pcfg.Workers = workers
+			pcfg.Kernel = KernelPruned
+			pruned, err := Run(ds, pcfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{1, 4} {
-				pcfg := cfg
-				pcfg.Workers = workers
-				pcfg.Kernel = KernelPruned
-				pruned, err := Run(ds, pcfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ctx := fmt.Sprintf("eval=%v sketch=%s workers=%d", mode, sname, workers)
-				assertSameRun(t, naive, pruned, ctx)
-				assertKernelCounters(t, pruned.Stats.Counters, naive.Stats.Counters, ctx)
-			}
+			ctx := fmt.Sprintf("eval=%v workers=%d", mode, workers)
+			assertSameRun(t, naive, pruned, ctx)
+			assertKernelCounters(t, pruned.Stats.Counters, naive.Stats.Counters, ctx)
 		}
 	}
 }

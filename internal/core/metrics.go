@@ -41,13 +41,6 @@ const (
 	MetricStreamBlocks       = "proclus_stream_blocks_total"
 	MetricStreamBytes        = "proclus_stream_bytes_total"
 	MetricStreamResidentPeak = "proclus_stream_resident_points_peak"
-	// The sketch series exist only when the random-projection tier is on
-	// (Config.Sketch): projected-distance evaluations, and the two
-	// outcomes of the sketch filter — comparisons the lower bound
-	// resolved alone versus survivors re-checked exactly.
-	MetricSketchEvals       = "proclus_sketch_projected_evals_total"
-	MetricSketchPruneHits   = "proclus_sketch_prune_hits_total"
-	MetricSketchPruneMisses = "proclus_sketch_prune_misses_total"
 )
 
 // runnerMetrics caches pre-resolved metric handles so instrumentation
@@ -79,13 +72,6 @@ type runnerMetrics struct {
 	streamBlocks       *metrics.Gauge
 	streamBytes        *metrics.Gauge
 	streamResidentPeak *metrics.Gauge
-
-	// Sketch handles are registered lazily by enableSketch, mirroring the
-	// stream series: unsketched runs' registries (and golden snapshots)
-	// stay untouched.
-	sketchEvals       *metrics.Gauge
-	sketchPruneHits   *metrics.Gauge
-	sketchPruneMisses *metrics.Gauge
 
 	// foldMu guards folded, the counter snapshot already credited to the
 	// registry. Folding deltas (rather than setting totals) keeps the
@@ -145,20 +131,6 @@ func (m *runnerMetrics) enableStream() {
 		"encoded point bytes delivered by out-of-core passes")
 	m.streamResidentPeak = m.reg.Gauge(MetricStreamResidentPeak,
 		"peak resident point storage of the streamed engine (sample + block buffers)")
-}
-
-// enableSketch registers the random-projection series. The runner calls
-// it once while building the sketch state, before any pruned pass runs.
-func (m *runnerMetrics) enableSketch() {
-	if m == nil {
-		return
-	}
-	m.sketchEvals = m.reg.Counter(MetricSketchEvals,
-		"projected-distance evaluations by the random-projection sketch tier")
-	m.sketchPruneHits = m.reg.Counter(MetricSketchPruneHits,
-		"candidate comparisons the sketch lower bound resolved without an exact evaluation")
-	m.sketchPruneMisses = m.reg.Counter(MetricSketchPruneMisses,
-		"sketch-filter survivors re-checked with the exact distance kernel")
 }
 
 func (m *runnerMetrics) observeStreamResidentPeak(points int) {
@@ -231,9 +203,6 @@ func (m *runnerMetrics) fold(c *obs.Counters) {
 		DistCacheRecomputes:    cur.DistCacheRecomputes - m.folded.DistCacheRecomputes,
 		StreamBlocks:           cur.StreamBlocks - m.folded.StreamBlocks,
 		StreamBytes:            cur.StreamBytes - m.folded.StreamBytes,
-		SketchEvals:            cur.SketchEvals - m.folded.SketchEvals,
-		SketchPruneHits:        cur.SketchPruneHits - m.folded.SketchPruneHits,
-		SketchPruneMisses:      cur.SketchPruneMisses - m.folded.SketchPruneMisses,
 	}
 	m.folded = cur
 	m.foldMu.Unlock()
@@ -263,15 +232,6 @@ func (m *runnerMetrics) fold(c *obs.Counters) {
 	}
 	if d.StreamBytes != 0 && m.streamBytes != nil {
 		m.streamBytes.Add(float64(d.StreamBytes))
-	}
-	if d.SketchEvals != 0 && m.sketchEvals != nil {
-		m.sketchEvals.Add(float64(d.SketchEvals))
-	}
-	if d.SketchPruneHits != 0 && m.sketchPruneHits != nil {
-		m.sketchPruneHits.Add(float64(d.SketchPruneHits))
-	}
-	if d.SketchPruneMisses != 0 && m.sketchPruneMisses != nil {
-		m.sketchPruneMisses.Add(float64(d.SketchPruneMisses))
 	}
 }
 

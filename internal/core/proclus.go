@@ -72,9 +72,6 @@ type runner struct {
 	// series records per-iteration and per-block trajectories; nil —
 	// the default, recording is opt-in via Config.Series — disables it.
 	series *runnerSeries
-	// sk is the random-projection sketch state; nil — the default, the
-	// tier is opt-in via Config.Sketch — leaves every pass exact.
-	sk *sketchState
 }
 
 // emit forwards an event to the attached observer. The nil check is
@@ -114,11 +111,6 @@ func (r *runner) run() (*Result, error) {
 	r.emit(obs.Event{Type: obs.EvPhaseStart, Phase: "initialize"})
 	start := time.Now()
 	r.innerWorkers = workers
-	// The projection of the full dataset is part of initialization work,
-	// so it runs inside the phase timer.
-	if err := r.enableSketch(); err != nil {
-		return nil, err
-	}
 	candidates, err := r.initialize()
 	if err != nil {
 		return nil, err
@@ -285,23 +277,8 @@ func (r *runner) initialize() ([]int, error) {
 	// KernelNaive it ignores the traversal's cutoff, which restores the
 	// full-evaluation behaviour while keeping the coordinate accounting.
 	bounded := r.greedyBounded(func(i int) []float64 { return r.ds.Point(s[i]) })
-	var picks []int
-	switch {
-	case r.sk == nil:
-		picks, err = greedy.FarthestFirstBounded(r.rng, len(s), medoidCount, r.innerWorkers,
-			bounded, nil, &r.counters)
-	case r.sk.approx:
-		// Approx mode: the sketch distance stands in for the exact metric
-		// outright, so every traversal evaluation is a sketch evaluation.
-		picks, err = greedy.FarthestFirstCounted(r.rng, len(s), medoidCount, r.innerWorkers,
-			func(i, j int) float64 { return r.sk.distance(s[i], s[j]) }, &r.counters.SketchEvals)
-	default:
-		// Prune mode: the sketch lower bound filters the distance folds,
-		// and survivors are re-checked with the bounded kernel — the
-		// picks stay bit-identical to the unsketched traversal.
-		picks, err = greedy.FarthestFirstBounded(r.rng, len(s), medoidCount, r.innerWorkers,
-			bounded, func(i, j int) float64 { return r.sk.lowerBound(s[i], s[j]) }, &r.counters)
-	}
+	picks, err := greedy.FarthestFirstBounded(r.rng, len(s), medoidCount, r.innerWorkers,
+		bounded, nil, &r.counters)
 	if err != nil {
 		return nil, fmt.Errorf("proclus: greedy medoid selection: %w", err)
 	}
@@ -432,10 +409,7 @@ func (r *runner) computeLocalities(medoids []int) [][]int {
 	delta := make([]float64, k)
 	// Each δ_i is an independent minimum over the other medoids, so the
 	// rows parallelize with disjoint writes and worker-count-independent
-	// results. Approx mode swaps the sketch distance in for the radii as
-	// well as the scan; prune mode keeps the radii exact — the filter
-	// below only works against exact thresholds.
-	approx := r.sk != nil && r.sk.approx
+	// results.
 	pruned := r.prunedKernel()
 	fullDims := int64(r.ds.Dims())
 	parallel.For(k, r.innerWorkers, func(lo, hi int) {
@@ -444,12 +418,6 @@ func (r *runner) computeLocalities(medoids []int) [][]int {
 			delta[i] = math.Inf(1)
 			for j := range medoids {
 				if i == j {
-					continue
-				}
-				if approx {
-					if d := r.sk.distance(medoids[i], medoids[j]); d < delta[i] {
-						delta[i] = d
-					}
 					continue
 				}
 				// Running-minimum fold with early abandonment: an
@@ -477,9 +445,6 @@ func (r *runner) computeLocalities(medoids []int) [][]int {
 		}
 		t.credit(&r.counters)
 	})
-	if approx {
-		r.counters.SketchEvals.Add(int64(k) * int64(k-1))
-	}
 	// Sharded scan: each worker fills per-chunk lists, concatenated in
 	// chunk order afterwards so the result is identical to a serial
 	// scan. Strict inequality keeps the nearest other medoid (at
@@ -499,89 +464,35 @@ func (r *runner) computeLocalities(medoids []int) [][]int {
 	var chunks []chunk
 	parallel.For(n, r.innerWorkers, func(lo, hi int) {
 		lists := make([][]int, k)
-		switch {
-		case r.sk == nil:
-			// One batched tally per chunk keeps the counters off the inner
-			// loop; the totals are exact and independent of Workers. A
-			// bounded evaluation abandoned against δ_i proved the strict <
-			// test below false, so the lists match the naive scan's.
-			var t kernelTally
-			for p := lo; p < hi; p++ {
-				pt := r.ds.Point(p)
-				for i := range medoidPoints {
-					if pruned {
-						d, v, ab := dist.SegmentalAllBounded(pt, medoidPoints[i], delta[i])
-						t.coords += int64(v)
-						if ab {
-							t.abandoned++
-							continue
-						}
-						t.full++
-						if d < delta[i] {
-							lists[i] = append(lists[i], p)
-						}
-					} else {
-						t.full++
-						t.coords += fullDims
-						if dist.SegmentalAll(pt, medoidPoints[i]) < delta[i] {
-							lists[i] = append(lists[i], p)
-						}
+		// One batched tally per chunk keeps the counters off the inner
+		// loop; the totals are exact and independent of Workers. A bounded
+		// evaluation abandoned against δ_i proved the strict < test below
+		// false, so the lists match the naive scan's.
+		var t kernelTally
+		for p := lo; p < hi; p++ {
+			pt := r.ds.Point(p)
+			for i := range medoidPoints {
+				if pruned {
+					d, v, ab := dist.SegmentalAllBounded(pt, medoidPoints[i], delta[i])
+					t.coords += int64(v)
+					if ab {
+						t.abandoned++
+						continue
 					}
-				}
-			}
-			t.credit(&r.counters)
-		case approx:
-			for p := lo; p < hi; p++ {
-				for i, m := range medoids {
-					if r.sk.distance(p, m) < delta[i] {
+					t.full++
+					if d < delta[i] {
+						lists[i] = append(lists[i], p)
+					}
+				} else {
+					t.full++
+					t.coords += fullDims
+					if dist.SegmentalAll(pt, medoidPoints[i]) < delta[i] {
 						lists[i] = append(lists[i], p)
 					}
 				}
 			}
-			r.counters.SketchEvals.Add(int64(hi-lo) * int64(k))
-		default:
-			// Prune mode: when the lower bound already reaches δ_i the
-			// exact distance cannot fall strictly below it, so the point is
-			// outside the locality without an exact evaluation. Survivors
-			// re-check exactly, so the lists stay bit-identical to the
-			// unsketched scan. The per-point outcomes depend on values
-			// only, never on chunking, so the batched totals are
-			// worker-count invariant.
-			var hits, misses int64
-			var t kernelTally
-			for p := lo; p < hi; p++ {
-				pt := r.ds.Point(p)
-				for i, m := range medoids {
-					if r.sk.lowerBound(p, m) >= delta[i] {
-						hits++
-						continue
-					}
-					misses++
-					if pruned {
-						d, v, ab := dist.SegmentalAllBounded(pt, medoidPoints[i], delta[i])
-						t.coords += int64(v)
-						if ab {
-							t.abandoned++
-							continue
-						}
-						t.full++
-						if d < delta[i] {
-							lists[i] = append(lists[i], p)
-						}
-					} else {
-						t.full++
-						t.coords += fullDims
-						if dist.SegmentalAll(pt, medoidPoints[i]) < delta[i] {
-							lists[i] = append(lists[i], p)
-						}
-					}
-				}
-			}
-			r.counters.SketchEvals.Add(int64(hi-lo) * int64(k))
-			r.counters.SketchPruneHits.Add(hits)
-			r.counters.SketchPruneMisses.Add(misses)
-			t.credit(&r.counters)
 		}
+		t.credit(&r.counters)
 		r.counters.PointsScanned.Add(int64(hi - lo))
 		mu.Lock()
 		chunks = append(chunks, chunk{lo: lo, lists: lists})

@@ -27,16 +27,11 @@ type ConfigReport struct {
 	// from reports) for in-memory runs.
 	Stream      bool `json:"stream,omitempty"`
 	BlockPoints int  `json:"block_points,omitempty"`
-	// SketchDims and SketchMode echo the random-projection tier; both
-	// stay absent while the tier is off, keeping unsketched reports
-	// byte-stable.
-	SketchDims int    `json:"sketch_dims,omitempty"`
-	SketchMode string `json:"sketch_mode,omitempty"`
 }
 
 // reportConfig builds the JSON-safe echo of cfg.
 func (cfg Config) reportConfig() ConfigReport {
-	rep := ConfigReport{
+	return ConfigReport{
 		K:              cfg.K,
 		L:              cfg.L,
 		SampleFactor:   cfg.SampleFactor,
@@ -53,11 +48,6 @@ func (cfg Config) reportConfig() ConfigReport {
 		Kernel:         cfg.Kernel.String(),
 		SkipRefinement: cfg.SkipRefinement,
 	}
-	if cfg.Sketch.enabled() {
-		rep.SketchDims = cfg.Sketch.Dims
-		rep.SketchMode = cfg.Sketch.Mode.String()
-	}
-	return rep
 }
 
 // Report assembles the machine-readable run report: effective config

@@ -55,12 +55,6 @@ func RunStream(ctx context.Context, src PointSource, cfg Config) (*Result, error
 	if err := cfg.validateShape(src.Len(), src.Dims()); err != nil {
 		return nil, err
 	}
-	if cfg.Sketch.enabled() {
-		// The projection wants one resident row per dataset point, which
-		// would break the streamed engine's O(sample + block) memory bound;
-		// the hill climb it accelerates already runs on the sample only.
-		return nil, fmt.Errorf("proclus: streamed execution is incompatible with the sketch tier (Config.Sketch)")
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = metrics.NewRegistry()

@@ -140,48 +140,6 @@ func SegmentalAll(x, y []float64) float64 {
 	return Manhattan(x, y) / float64(len(x))
 }
 
-// SegmentalSketch returns the sketch-space Manhattan segmental
-// distance between two projected rows, normalized by the ORIGINAL
-// dimensionality fullDims so that sketch distances and SegmentalAll
-// live on the same scale. The sketch tier's Approx mode substitutes it
-// for SegmentalAll wholesale.
-func SegmentalSketch(sx, sy []float64, fullDims int) float64 {
-	if fullDims <= 0 {
-		panic("dist: SegmentalSketch called with non-positive full dimensionality")
-	}
-	return Manhattan(sx, sy) / float64(fullDims)
-}
-
-// SegmentalSketchLB returns a guaranteed lower bound on
-// SegmentalAll(x, y) from the signed-pooling sketch rows sx, sy of x
-// and y (see package sketch): the projected Manhattan distance never
-// exceeds the original one by the triangle inequality, so the exact
-// value lower-bounds it. Two corrections make the bound hold for the
-// *computed* values too: guard, an ABSOLUTE error allowance subtracted
-// from the raw projected Manhattan distance, absorbs the rounding of
-// the pooled sums, which is proportional to the rows' magnitudes
-// rather than to their difference and therefore cannot be covered by
-// any relative factor under catastrophic cancellation; slack, a
-// relative factor a hair below 1, absorbs the remaining ulp-level
-// rounding of the comparison itself. A non-finite or non-positive
-// result clamps to 0, the bound that never prunes: NaN arises from
-// non-finite sketch coordinates, +Inf from pooled sums that overflowed
-// even though the exact distance may be finite, and negatives from the
-// guard exceeding a near-zero projected distance — none may reject
-// anything. Callers may therefore prune whenever lb reaches their
-// threshold without any input hygiene. It panics if fullDims is not
-// positive.
-func SegmentalSketchLB(sx, sy []float64, fullDims int, slack, guard float64) float64 {
-	if fullDims <= 0 {
-		panic("dist: SegmentalSketchLB called with non-positive full dimensionality")
-	}
-	lb := (Manhattan(sx, sy) - guard) / float64(fullDims) * slack
-	if !(lb > 0) || math.IsInf(lb, 1) { // NaN, negatives and overflow prune nothing
-		return 0
-	}
-	return lb
-}
-
 // Func is a full-dimensional distance function over two points.
 type Func func(x, y []float64) float64
 

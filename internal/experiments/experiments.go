@@ -106,13 +106,6 @@ type CaseParams struct {
 	// BlockPoints sets the streamed block granularity in points; zero
 	// selects dataset.DefaultBlockPoints. Ignored unless Stream is set.
 	BlockPoints int
-	// SketchDims, when positive, enables the random-projection sketch
-	// tier (core.Config.Sketch) on every PROCLUS run of the experiment
-	// at this sketch dimensionality; SketchMode selects pruning
-	// (bit-identical output, the default) or Approx. Incompatible with
-	// Stream — core.RunStream rejects sketched configurations.
-	SketchDims int
-	SketchMode core.SketchMode
 	// Kernel selects the exact distance-kernel tier
 	// (core.Config.Kernel): the early-abandoning pruned kernels (the
 	// zero value) or the naive full-evaluation ones. Results are

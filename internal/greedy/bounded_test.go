@@ -98,13 +98,26 @@ func TestFarthestFirstBoundedRequiresBound(t *testing.T) {
 	}
 }
 
-func TestFarthestFirstBoundedWithSketchFilter(t *testing.T) {
-	// Composing the sketch lower bound with abandonment must still match
+func TestFarthestFirstBoundedWithLowerBoundFilter(t *testing.T) {
+	// Composing a lower-bound pre-filter with abandonment must still match
 	// the plain traversal: the filter skips folds the plain fold would
 	// reject, and abandonment only drops candidates proved above the
-	// running minimum.
+	// running minimum. The bound here is the segmental sum over the first
+	// half of the coordinates: a prefix of the same non-negative terms,
+	// summed in the same order and divided by the same d, never exceeds
+	// the computed SegmentalAll.
 	const n, d, k = 400, 32, 12
-	exact, lb := prunedFixture(t, n, d, 8)
+	rng := randx.New(404)
+	pts := make([][]float64, n)
+	for i := range pts {
+		p := make([]float64, d)
+		for j := range p {
+			p[j] = rng.Uniform(-50, 50)
+		}
+		pts[i] = p
+	}
+	exact := func(i, j int) float64 { return dist.SegmentalAll(pts[i], pts[j]) }
+	lb := func(i, j int) float64 { return dist.Manhattan(pts[i][:d/2], pts[j][:d/2]) / d }
 	bounded := func(i, j int, cutoff float64) (float64, int, bool) {
 		v := exact(i, j)
 		return v, d, v > cutoff
@@ -113,8 +126,11 @@ func TestFarthestFirstBoundedWithSketchFilter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var c obs.Counters
-	got, err := FarthestFirstBounded(randx.New(6), n, k, 4, bounded, lb, &c)
+	var plain, filtered obs.Counters
+	if _, err := FarthestFirstBounded(randx.New(6), n, k, 4, bounded, nil, &plain); err != nil {
+		t.Fatal(err)
+	}
+	got, err := FarthestFirstBounded(randx.New(6), n, k, 4, bounded, lb, &filtered)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,12 +139,7 @@ func TestFarthestFirstBoundedWithSketchFilter(t *testing.T) {
 			t.Fatalf("pick %d = %d, want %d", i, got[i], want[i])
 		}
 	}
-	s := c.Snapshot()
-	if s.SketchEvals == 0 {
-		t.Fatal("no sketch evaluations recorded")
-	}
-	if s.SketchPruneHits+s.SketchPruneMisses != s.SketchEvals {
-		t.Fatalf("hits %d + misses %d != bound evals %d",
-			s.SketchPruneHits, s.SketchPruneMisses, s.SketchEvals)
+	if p, f := plain.DistanceEvals.Load(), filtered.DistanceEvals.Load(); f >= p {
+		t.Fatalf("filtered traversal started %d evaluations, unfiltered %d — the bound skipped nothing", f, p)
 	}
 }

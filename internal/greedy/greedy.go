@@ -9,7 +9,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"proclus/internal/obs"
 	"proclus/internal/parallel"
@@ -51,41 +50,7 @@ func FarthestFirst(r *randx.Rand, n, k int, d DistanceTo) ([]int, error) {
 // lower index exactly as the serial scan does. workers < 1 selects
 // GOMAXPROCS.
 func FarthestFirstParallel(r *randx.Rand, n, k, workers int, d DistanceTo) ([]int, error) {
-	return FarthestFirstCounted(r, n, k, workers, d, nil)
-}
-
-// FarthestFirstCounted is FarthestFirstParallel with batched
-// distance-evaluation accounting: each shard tallies its evaluations
-// locally and credits evals once per chunk, so the traversal pays one
-// atomic add per O(n/workers) distances instead of one per distance.
-// The totals are chunking-independent — which items get folded depends
-// only on the picks, and the picks are worker-count invariant — so the
-// recorded count is identical to per-call counting. A nil evals
-// disables accounting.
-func FarthestFirstCounted(r *randx.Rand, n, k, workers int, d DistanceTo, evals *atomic.Int64) ([]int, error) {
-	return farthestFirst(r, n, k, workers, d, nil, nil, evals, nil)
-}
-
-// FarthestFirstPruned is FarthestFirstCounted with a sketch filter on
-// the distance-fold pass: lb must lower-bound d (lb(i, j) ≤ d(i, j)
-// for all pairs), and each fold first evaluates lb — when the bound
-// already reaches the item's running minimum the exact distance cannot
-// lower it and the evaluation of d is skipped. The picks are identical
-// to the unpruned traversal for any worker count: a skipped fold is one
-// the unpruned fold would have rejected anyway, and the initial fill
-// and the arg-max scans are untouched. c, when non-nil, receives the
-// accounting: exact evaluations in DistanceEvals, bound evaluations in
-// SketchEvals, and the filter outcomes in SketchPruneHits/Misses —
-// batched per chunk and chunking-independent like the unpruned totals.
-func FarthestFirstPruned(r *randx.Rand, n, k, workers int, d, lb DistanceTo, c *obs.Counters) ([]int, error) {
-	if lb == nil {
-		return nil, fmt.Errorf("greedy: FarthestFirstPruned requires a lower-bound function")
-	}
-	var evals *atomic.Int64
-	if c != nil {
-		evals = &c.DistanceEvals
-	}
-	return farthestFirst(r, n, k, workers, d, nil, lb, evals, c)
+	return farthestFirst(r, n, k, workers, d, nil, nil, nil)
 }
 
 // FarthestFirstBounded is the early-abandoning traversal: each fold
@@ -95,20 +60,19 @@ func FarthestFirstPruned(r *randx.Rand, n, k, workers int, d, lb DistanceTo, c *
 // count — an abandoned fold is one the unpruned fold would have
 // rejected, because abandonment proves the distance strictly exceeds
 // the running minimum — and the initial fill always runs with cutoff
-// +Inf. lb, when non-nil, is a sketch lower bound applied before the
-// exact evaluation exactly as in FarthestFirstPruned. c, when non-nil,
-// receives the accounting: every started evaluation in DistanceEvals,
-// split into DistanceEvalsFull and DistanceEvalsAbandoned, with the
-// coordinates actually read in CoordsVisited.
+// +Inf. lb, when non-nil, must lower-bound the distance (lb(i, j) ≤
+// bd(i, j, +Inf) for all pairs); each fold first evaluates lb, and when
+// the bound already reaches the item's running minimum the fold is
+// skipped — the exact distance could not lower it either, so the picks
+// are unchanged. c, when non-nil, receives the accounting: every
+// started evaluation in DistanceEvals, split into DistanceEvalsFull and
+// DistanceEvalsAbandoned, with the coordinates actually read in
+// CoordsVisited, batched per chunk and chunking-independent.
 func FarthestFirstBounded(r *randx.Rand, n, k, workers int, bd BoundedDistanceTo, lb DistanceTo, c *obs.Counters) ([]int, error) {
 	if bd == nil {
 		return nil, fmt.Errorf("greedy: FarthestFirstBounded requires a bounded distance function")
 	}
-	var evals *atomic.Int64
-	if c != nil {
-		evals = &c.DistanceEvals
-	}
-	return farthestFirst(r, n, k, workers, nil, bd, lb, evals, c)
+	return farthestFirst(r, n, k, workers, nil, bd, lb, c)
 }
 
 // farthestFirst is the shared traversal. Exactly one of d and bd is
@@ -117,7 +81,7 @@ func FarthestFirstBounded(r *randx.Rand, n, k, workers int, bd BoundedDistanceTo
 // the initial fill never abandons (cutoff +Inf) and an abandoned fold
 // proves its distance strictly exceeds the running minimum, which is
 // precisely the plain fold's rejection condition.
-func farthestFirst(r *randx.Rand, n, k, workers int, d DistanceTo, bd BoundedDistanceTo, lb DistanceTo, evals *atomic.Int64, c *obs.Counters) ([]int, error) {
+func farthestFirst(r *randx.Rand, n, k, workers int, d DistanceTo, bd BoundedDistanceTo, lb DistanceTo, c *obs.Counters) ([]int, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("greedy: k = %d must be positive", k)
 	}
@@ -141,10 +105,8 @@ func farthestFirst(r *randx.Rand, n, k, workers int, d DistanceTo, bd BoundedDis
 				minDist[i] = d(i, first)
 			}
 		}
-		if evals != nil {
-			evals.Add(int64(hi - lo))
-		}
-		if c != nil && bd != nil {
+		if c != nil {
+			c.DistanceEvals.Add(int64(hi - lo))
 			c.DistanceEvalsFull.Add(int64(hi - lo))
 			c.CoordsVisited.Add(coords)
 		}
@@ -189,22 +151,17 @@ func farthestFirst(r *randx.Rand, n, k, workers int, d DistanceTo, bd BoundedDis
 		chosen[best] = true
 		pick := best
 		parallel.For(n, workers, func(lo, hi int) {
-			var folded, aband, coords, bounds, hits, misses int64
+			var folded, aband, coords int64
 			for i := lo; i < hi; i++ {
 				if chosen[i] {
 					continue
 				}
-				if lb != nil {
-					bounds++
-					if lb(i, pick) >= minDist[i] {
-						// The exact distance is at least the bound, so it
-						// cannot lower the running minimum — the fold below
-						// would reject it. Skipping keeps the minima, and
-						// hence every pick, bit-identical.
-						hits++
-						continue
-					}
-					misses++
+				if lb != nil && lb(i, pick) >= minDist[i] {
+					// The exact distance is at least the bound, so it cannot
+					// lower the running minimum — the fold below would reject
+					// it. Skipping keeps the minima, and hence every pick,
+					// bit-identical.
+					continue
 				}
 				if bd != nil {
 					nd, seen, ab := bd(i, pick, minDist[i])
@@ -219,18 +176,11 @@ func farthestFirst(r *randx.Rand, n, k, workers int, d DistanceTo, bd BoundedDis
 				}
 				folded++
 			}
-			if evals != nil {
-				evals.Add(folded)
-			}
-			if c != nil && bd != nil && folded > 0 {
+			if c != nil && folded > 0 {
+				c.DistanceEvals.Add(folded)
 				c.DistanceEvalsFull.Add(folded - aband)
 				c.DistanceEvalsAbandoned.Add(aband)
 				c.CoordsVisited.Add(coords)
-			}
-			if c != nil && bounds > 0 {
-				c.SketchEvals.Add(bounds)
-				c.SketchPruneHits.Add(hits)
-				c.SketchPruneMisses.Add(misses)
 			}
 		})
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"proclus/internal/dist"
+	"proclus/internal/obs"
 	"proclus/internal/randx"
 )
 
@@ -148,10 +149,10 @@ func TestFarthestFirstDuplicatePoints(t *testing.T) {
 	}
 }
 
-// TestFarthestFirstCountedTotals checks the batched accounting against
-// per-call counting: for every worker count the picks and the recorded
-// evaluation total must match a serial traversal whose distance
-// function counts each invocation itself.
+// TestFarthestFirstCountedTotals checks the bounded traversal's batched
+// accounting against per-call counting: for every worker count the
+// picks and the recorded evaluation total must match a serial traversal
+// whose distance function counts each invocation itself.
 func TestFarthestFirstCountedTotals(t *testing.T) {
 	rng := randx.New(21)
 	pts := make([][]float64, 80)
@@ -159,6 +160,7 @@ func TestFarthestFirstCountedTotals(t *testing.T) {
 		pts[i] = []float64{rng.Uniform(0, 100), rng.Uniform(0, 100), rng.Uniform(0, 100)}
 	}
 	d := pointsDistance(pts)
+	bounded := func(i, j int, _ float64) (float64, int, bool) { return d(i, j), 3, false }
 	const k = 9
 
 	var perCall atomic.Int64
@@ -182,21 +184,21 @@ func TestFarthestFirstCountedTotals(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 2, 3, 8} {
-		var batched atomic.Int64
-		picks, err := FarthestFirstCounted(randx.New(5), len(pts), k, workers, d, &batched)
+		var batched obs.Counters
+		picks, err := FarthestFirstBounded(randx.New(5), len(pts), k, workers, bounded, nil, &batched)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(picks, refPicks) {
 			t.Fatalf("workers=%d: picks %v differ from serial %v", workers, picks, refPicks)
 		}
-		if got := batched.Load(); got != want {
+		if got := batched.DistanceEvals.Load(); got != want {
 			t.Fatalf("workers=%d: batched count %d, per-call count %d", workers, got, want)
 		}
 	}
 
-	// nil counter must be accepted.
-	if _, err := FarthestFirstCounted(randx.New(5), len(pts), k, 2, d, nil); err != nil {
+	// nil counters must be accepted.
+	if _, err := FarthestFirstBounded(randx.New(5), len(pts), k, 2, bounded, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -246,7 +246,7 @@ func TestSaveBench(t *testing.T) {
 	bf := &benchcmp.File{
 		Schema:    benchcmp.SchemaVersion,
 		CreatedAt: stamp(5),
-		Config:    benchcmp.Config{Experiment: "table1,wide", Seed: 3},
+		Config:    benchcmp.Config{Experiment: "table1,table2", Seed: 3},
 		Records: []benchcmp.Record{
 			{
 				Experiment:   "table1",
@@ -255,9 +255,9 @@ func TestSaveBench(t *testing.T) {
 				Metrics:      metrics.Snapshot{},
 			},
 			{
-				Experiment:   "wide",
+				Experiment:   "table2",
 				PhaseSeconds: map[string]float64{"iterate": 0.5},
-				Counters:     obs.Snapshot{DistanceEvals: 50, SketchEvals: 25},
+				Counters:     obs.Snapshot{DistanceEvals: 50, PointsScanned: 25},
 			},
 		},
 	}
@@ -270,11 +270,11 @@ func TestSaveBench(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := rec.Manifest
-	if m.Kind != KindBench || m.Algorithm != "bench:table1,wide" || m.Seed != 3 {
+	if m.Kind != KindBench || m.Algorithm != "bench:table1,table2" || m.Seed != 3 {
 		t.Errorf("bench manifest = %+v", m)
 	}
 	// Counters and phases sum across the capture's records.
-	if m.Counters.DistanceEvals != 150 || m.Counters.SketchEvals != 25 ||
+	if m.Counters.DistanceEvals != 150 || m.Counters.PointsScanned != 25 ||
 		m.PhaseSeconds["iterate"] != 2.0 {
 		t.Errorf("bench rollup = %+v / %+v", m.Counters, m.PhaseSeconds)
 	}

@@ -40,26 +40,13 @@ type Counters struct {
 	DistCacheHits atomic.Int64
 	// DistCacheRecomputes counts point×medoid distances recomputed into
 	// the cache after a medoid swap invalidated their column. Every
-	// recompute is also a DistanceEvals evaluation — except under the
-	// sketch tier's Approx mode, where the cached metric is the
-	// projected distance and recomputes are SketchEvals instead.
+	// recompute is also a DistanceEvals evaluation.
 	DistCacheRecomputes atomic.Int64
 	// StreamBlocks counts blocks delivered by out-of-core passes over a
 	// PointSource (zero for fully in-memory runs).
 	StreamBlocks atomic.Int64
 	// StreamBytes counts the encoded point bytes those blocks carried.
 	StreamBytes atomic.Int64
-	// SketchEvals counts projected-distance evaluations in the random-
-	// projection tier (d'-dimensional, so each is d'/d the cost of a
-	// DistanceEvals evaluation). Zero when the sketch tier is off.
-	SketchEvals atomic.Int64
-	// SketchPruneHits counts candidate comparisons the sketch lower
-	// bound resolved alone — full-dimensional evaluations avoided.
-	SketchPruneHits atomic.Int64
-	// SketchPruneMisses counts candidates that survived the sketch
-	// filter and required the exact re-check (each re-check is also a
-	// DistanceEvals evaluation).
-	SketchPruneMisses atomic.Int64
 }
 
 // Snapshot returns a plain-integer copy of the counters. A nil
@@ -79,9 +66,6 @@ func (c *Counters) Snapshot() Snapshot {
 		DistCacheRecomputes:    c.DistCacheRecomputes.Load(),
 		StreamBlocks:           c.StreamBlocks.Load(),
 		StreamBytes:            c.StreamBytes.Load(),
-		SketchEvals:            c.SketchEvals.Load(),
-		SketchPruneHits:        c.SketchPruneHits.Load(),
-		SketchPruneMisses:      c.SketchPruneMisses.Load(),
 	}
 }
 
@@ -105,11 +89,6 @@ type Snapshot struct {
 	// omitempty keeps their reports byte-stable too.
 	StreamBlocks int64 `json:"stream_blocks,omitempty"`
 	StreamBytes  int64 `json:"stream_bytes,omitempty"`
-	// The sketch counters stay zero while the random-projection tier is
-	// off; omitempty keeps unsketched reports byte-stable.
-	SketchEvals       int64 `json:"sketch_evals,omitempty"`
-	SketchPruneHits   int64 `json:"sketch_prune_hits,omitempty"`
-	SketchPruneMisses int64 `json:"sketch_prune_misses,omitempty"`
 }
 
 // Merge adds o's counts into s, for aggregating several runs into one
@@ -125,7 +104,4 @@ func (s *Snapshot) Merge(o Snapshot) {
 	s.DistCacheRecomputes += o.DistCacheRecomputes
 	s.StreamBlocks += o.StreamBlocks
 	s.StreamBytes += o.StreamBytes
-	s.SketchEvals += o.SketchEvals
-	s.SketchPruneHits += o.SketchPruneHits
-	s.SketchPruneMisses += o.SketchPruneMisses
 }

@@ -20,7 +20,7 @@ func (proclusAlgo) Name() string { return "proclus" }
 func (proclusAlgo) Caps() Caps {
 	return Caps{
 		TakesK: true, TakesL: true,
-		Stream: true, Sketch: true, Kernel: true,
+		Stream: true, Kernel: true,
 		Metrics: true, Series: true, Workers: true,
 	}
 }
@@ -28,7 +28,7 @@ func (proclusAlgo) Caps() Caps {
 func (proclusAlgo) Fit(ctx context.Context, src Source, cfg Config) (Model, error) {
 	ccfg := core.Config{
 		K: cfg.K, L: cfg.L, Seed: cfg.Seed, Workers: cfg.Workers,
-		Sketch: cfg.Sketch, Kernel: cfg.Kernel,
+		Kernel:   cfg.Kernel,
 		Observer: cfg.Observer, Metrics: cfg.Metrics, Series: cfg.Series,
 	}
 	var (

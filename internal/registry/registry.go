@@ -10,9 +10,9 @@
 // the algorithm package's own Run/RunStream entry points with a direct
 // field-for-field translation of the shared Config, so registry-routed
 // runs are bit-identical to direct calls (the metamorphic suite pins
-// this for every worker count and kernel/sketch mode). What the
-// registry adds is the capability check — a combination an algorithm
-// does not support (streaming ORCLUS, sketched CLIQUE, a series store
+// this for every worker count and kernel mode). What the registry
+// adds is the capability check — a combination an algorithm does not
+// support (streaming ORCLUS, a kernel mode on CLIQUE, a series store
 // on k-medoids, CLIQUE grid parameters handed to PROCLUS, …) is
 // rejected with a clear error instead of being silently ignored.
 package registry
@@ -82,8 +82,6 @@ type Config struct {
 	// Workers bounds the goroutines of the parallel passes; values
 	// below 1 select GOMAXPROCS. Requires Caps.Workers when above 1.
 	Workers int
-	// Sketch enables the random-projection tier (PROCLUS only).
-	Sketch core.SketchConfig
 	// Kernel selects the exact distance-kernel tier (PROCLUS only).
 	Kernel core.KernelMode
 
@@ -138,8 +136,8 @@ type Caps struct {
 	TakesK, TakesL bool
 	// Stream: fitting from a Source.Stream block source.
 	Stream bool
-	// Sketch / Kernel: the PROCLUS distance tiers.
-	Sketch, Kernel bool
+	// Kernel: the PROCLUS distance-kernel tier.
+	Kernel bool
 	// Metrics / Series: internal telemetry recording.
 	Metrics, Series bool
 	// Workers: parallel execution (Workers > 1).
@@ -241,8 +239,6 @@ func checkCaps(name string, caps Caps, src Source, cfg Config) error {
 		return fmt.Errorf("registry: %s does not take a cluster count K (density-based)", name)
 	case cfg.L != 0 && !caps.TakesL:
 		return fmt.Errorf("registry: %s does not take a subspace dimensionality L", name)
-	case cfg.Sketch.Dims != 0 && !caps.Sketch:
-		return fmt.Errorf("registry: %s has no random-projection sketch tier; drop the sketch dims", name)
 	case cfg.Kernel != core.KernelPruned && !caps.Kernel:
 		return fmt.Errorf("registry: %s has no selectable distance-kernel tier; drop the kernel mode", name)
 	case cfg.Metrics != nil && !caps.Metrics:

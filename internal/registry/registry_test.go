@@ -79,8 +79,6 @@ func TestCapRejections(t *testing.T) {
 		{"k-clique", "clique", mem, Config{K: 3}},
 		{"l-clique", "clique", mem, Config{L: 3}},
 		{"l-kmedoids", "kmedoids", mem, Config{K: 3, L: 3}},
-		{"sketch-clique", "clique", mem, Config{Sketch: core.SketchConfig{Dims: 4}}},
-		{"sketch-orclus", "orclus", mem, Config{K: 3, L: 2, Sketch: core.SketchConfig{Dims: 4}}},
 		{"kernel-orclus", "orclus", mem, Config{K: 3, L: 2, Kernel: core.KernelNaive}},
 		{"kernel-kmedoids", "kmedoids", mem, Config{K: 3, Kernel: core.KernelNaive}},
 		{"metrics-orclus", "orclus", mem, Config{K: 3, L: 2, Metrics: metrics.NewRegistry()}},

@@ -111,17 +111,19 @@ func TestGoldenRoundTrip(t *testing.T) {
 }
 
 // TestTableWellFormed pins structural invariants of the suite itself:
-// scenario names and cell labels are unique, and every scenario holds
-// at least two cells so the suite always cross-compares algorithms.
+// scenario names and cell labels are unique, every scenario holds at
+// least one cell, and the suite as a whole covers at least two
+// algorithms so it always cross-compares them.
 func TestTableWellFormed(t *testing.T) {
 	names := map[string]bool{}
+	algos := map[string]bool{}
 	for _, sc := range Table() {
 		if names[sc.Name] {
 			t.Errorf("duplicate scenario name %q", sc.Name)
 		}
 		names[sc.Name] = true
-		if len(sc.Cells) < 2 {
-			t.Errorf("scenario %s has %d cells, want >= 2", sc.Name, len(sc.Cells))
+		if len(sc.Cells) == 0 {
+			t.Errorf("scenario %s has no cells", sc.Name)
 		}
 		labels := map[string]bool{}
 		for _, cell := range sc.Cells {
@@ -129,9 +131,13 @@ func TestTableWellFormed(t *testing.T) {
 				t.Errorf("scenario %s: duplicate cell label %q", sc.Name, cell.Label)
 			}
 			labels[cell.Label] = true
+			algos[cell.Algo] = true
 		}
 		if _, err := os.Stat(GoldenPath(sc.Name)); err != nil {
 			t.Errorf("scenario %s has no committed golden: %v", sc.Name, err)
 		}
+	}
+	if len(algos) < 2 {
+		t.Errorf("suite covers %d algorithms, want >= 2", len(algos))
 	}
 }

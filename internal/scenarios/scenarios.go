@@ -16,7 +16,6 @@ import (
 	"context"
 	"fmt"
 
-	"proclus/internal/core"
 	"proclus/internal/dataset"
 	"proclus/internal/eval"
 	"proclus/internal/obs"
@@ -25,8 +24,8 @@ import (
 )
 
 // Cell is one algorithm run within a scenario. Label distinguishes
-// multiple cells of the same algorithm (e.g. sketched vs exact
-// PROCLUS) and names the cell in goldens and gate failures.
+// multiple cells of the same algorithm (e.g. two PROCLUS
+// configurations) and names the cell in goldens and gate failures.
 type Cell struct {
 	Label string
 	Algo  string
@@ -137,10 +136,6 @@ func Table() []Scenario {
 			},
 			Cells: []Cell{
 				{Label: "proclus", Algo: "proclus", Cfg: registry.Config{K: 3, L: 5, Seed: 5}},
-				{Label: "proclus-sketch", Algo: "proclus", Cfg: registry.Config{
-					K: 3, L: 5, Seed: 5,
-					Sketch: core.SketchConfig{Dims: 16},
-				}},
 			},
 		},
 	}

@@ -288,27 +288,6 @@ const (
 	EvalNaive       = core.EvalNaive
 )
 
-// SketchConfig enables the random-projection sketch tier via
-// Config.Sketch: Dims selects the sketch dimensionality d' (0 disables
-// the tier) and Mode selects pruning (bit-identical, default) or Approx
-// (faster, approximate). Incompatible with RunStream.
-type SketchConfig = core.SketchConfig
-
-// SketchMode selects how the sketch tier is used.
-type SketchMode = core.SketchMode
-
-// Sketch modes: pruning with exact re-check (results bit-identical to
-// an unsketched run), or pure sketch-space distances (approximate,
-// gated by the ARI/NMI quality suite).
-const (
-	SketchPrune  = core.SketchPrune
-	SketchApprox = core.SketchApprox
-)
-
-// ParseSketchMode resolves a sketch mode from its conventional name
-// ("prune" or "approx"; empty = prune).
-func ParseSketchMode(name string) (SketchMode, error) { return core.ParseSketchMode(name) }
-
 // KernelMode selects the exact-distance kernel tier via Config.Kernel.
 type KernelMode = core.KernelMode
 
@@ -548,9 +527,9 @@ type Algorithm = registry.Algorithm
 type Model = registry.Model
 
 // FitConfig is the shared configuration of the registry's Fit entry
-// point: the common knobs (K, L, Seed, Workers, Sketch, Kernel,
-// observability sinks) plus per-algorithm parameter blocks. Knobs an
-// algorithm does not support are rejected with an error naming it.
+// point: the common knobs (K, L, Seed, Workers, Kernel, observability
+// sinks) plus per-algorithm parameter blocks. Knobs an algorithm does
+// not support are rejected with an error naming it.
 type FitConfig = registry.Config
 
 // FitSource selects a fit's input: exactly one of an in-memory Dataset

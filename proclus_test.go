@@ -235,64 +235,6 @@ func TestPublicAPITelemetry(t *testing.T) {
 	}
 }
 
-func TestPublicAPISketch(t *testing.T) {
-	// Signal-dense wide data, the regime the sketch tier targets: most
-	// dimensions carry cluster structure, so projected distances retain
-	// enough contrast to prune.
-	ds, _, err := proclus.Generate(proclus.GeneratorConfig{
-		N: 2000, Dims: 32, K: 3, FixedDims: 24, MinSizeFraction: 0.15, Seed: 11,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := proclus.Config{K: 3, L: 24, Seed: 4}
-
-	exact, err := proclus.Run(ds, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	pruneCfg := base
-	pruneCfg.Sketch = proclus.SketchConfig{Dims: 8, Mode: proclus.SketchPrune}
-	pruned, err := proclus.Run(ds, pruneCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The pruning mode's contract: bit-identical clustering output.
-	if exact.Objective != pruned.Objective ||
-		!reflect.DeepEqual(exact.Assignments, pruned.Assignments) {
-		t.Fatal("sketch prune mode diverged from the unsketched run")
-	}
-
-	mode, err := proclus.ParseSketchMode("approx")
-	if err != nil {
-		t.Fatal(err)
-	}
-	approxCfg := base
-	approxCfg.Sketch = proclus.SketchConfig{Dims: 8, Mode: mode}
-	approx, err := proclus.Run(ds, approxCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ari, err := proclus.AdjustedRandIndex(ds.Labels(), approx.Assignments)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ari < 0.5 {
-		t.Fatalf("approx mode ARI %.3f on well-separated data", ari)
-	}
-
-	if _, err := proclus.ParseSketchMode("nope"); err == nil {
-		t.Fatal("unknown sketch mode accepted")
-	}
-	// The sketch tier requires in-memory data; the streaming entry point
-	// must reject it rather than silently ignore it.
-	src := proclus.NewMemorySource(ds, 0)
-	if _, err := proclus.RunStream(context.Background(), src, pruneCfg); err == nil {
-		t.Fatal("RunStream accepted a sketch configuration")
-	}
-}
-
 func TestPublicAPIKernel(t *testing.T) {
 	ds, _, err := proclus.Generate(proclus.GeneratorConfig{
 		N: 1500, Dims: 20, K: 3, FixedDims: 7, MinSizeFraction: 0.15, Seed: 11,
