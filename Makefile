@@ -90,10 +90,13 @@ bench-smoke:
 # counts (a 1x run shows only one-time buffer setup). The steady-state
 # zero-alloc guarantee itself is enforced by
 # TestIncrementalSteadyStateAllocs; this target keeps -benchmem data in
-# the CI logs so allocation creep is visible at a glance.
+# the CI logs so allocation creep is visible at a glance. The dataset
+# I/O benchmarks (LoadFile, a no-op FileSource pass, the assignment CSV
+# writer, all at 10k×20) log the I/O layer's bytes/op and allocs/op.
 bench-allocs:
 	$(GO) test -run xxx -bench . -benchtime 100x -benchmem ./internal/dist/
 	$(GO) test -run xxx -bench 'BenchmarkAssign' -benchtime 1x -benchmem ./internal/core/
+	$(GO) test -run xxx -bench 'BenchmarkLoadFile|BenchmarkFileSourcePass|BenchmarkWriteAssignments' -benchtime 20x -benchmem ./internal/dataset/
 
 # Observability overhead: instrumented assignment pass (counters on,
 # observer nil) vs an uninstrumented replica. Compare medians; the

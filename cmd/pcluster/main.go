@@ -23,8 +23,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"strconv"
 	"strings"
 	"time"
 
@@ -206,7 +204,7 @@ func run(args []string, out io.Writer) (retErr error) {
 		if as == nil {
 			return fmt.Errorf("-assign: %s holds no per-point assignments for this source (streamed fit)", m.Algorithm())
 		}
-		if err := writeAssignments(*assignOut, as); err != nil {
+		if err := dataset.SaveAssignments(*assignOut, as); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "assignments written to %s\n", *assignOut)
@@ -238,32 +236,4 @@ func capsSummary(c registry.Caps) string {
 	add(c.OrclusParams, "k0factor/alpha")
 	add(c.MedoidParams, "max-neighbors/restarts")
 	return strings.Join(parts, " ")
-}
-
-// writeAssignments writes the assignment CSV atomically, mirroring the
-// proclus CLI: rows land in a temp file that replaces path only after a
-// complete write.
-func writeAssignments(path string, assignments []int) (retErr error) {
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if retErr != nil {
-			f.Close()
-			os.Remove(f.Name())
-		}
-	}()
-	if _, err := f.WriteString("point,cluster\n"); err != nil {
-		return err
-	}
-	for i, a := range assignments {
-		if _, err := f.WriteString(strconv.Itoa(i) + "," + strconv.Itoa(a) + "\n"); err != nil {
-			return err
-		}
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(f.Name(), path)
 }

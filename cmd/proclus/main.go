@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
@@ -182,7 +181,7 @@ func run(args []string, out io.Writer) (retErr error) {
 	}
 
 	if *assignOut != "" {
-		if err := writeAssignments(*assignOut, res.Assignments); err != nil {
+		if err := dataset.SaveAssignments(*assignOut, res.Assignments); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "\nassignments written to %s\n", *assignOut)
@@ -250,7 +249,7 @@ func runStreamed(ctx context.Context, out io.Writer, sess *cliflags.Session, in 
 	}
 
 	if assignOut != "" {
-		if err := writeAssignments(assignOut, res.Assignments); err != nil {
+		if err := dataset.SaveAssignments(assignOut, res.Assignments); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "\nassignments written to %s\n", assignOut)
@@ -343,35 +342,6 @@ func parseRange(spec string) (lo, hi int, err error) {
 		return 0, 0, fmt.Errorf("range %q: %w", spec, err)
 	}
 	return lo, hi, nil
-}
-
-// writeAssignments writes the assignment CSV atomically: the rows go to
-// a temporary file in the destination directory, which replaces path
-// only after a complete, synced write. An interrupted or failed run
-// never leaves a partial file at path.
-func writeAssignments(path string, assignments []int) (retErr error) {
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if retErr != nil {
-			f.Close()
-			os.Remove(f.Name())
-		}
-	}()
-	if _, err := f.WriteString("point,cluster\n"); err != nil {
-		return err
-	}
-	for i, a := range assignments {
-		if _, err := f.WriteString(strconv.Itoa(i) + "," + strconv.Itoa(a) + "\n"); err != nil {
-			return err
-		}
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(f.Name(), path)
 }
 
 func oneBased(dims []int) []int {

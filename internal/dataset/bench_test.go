@@ -2,6 +2,8 @@ package dataset
 
 import (
 	"bytes"
+	"context"
+	"os"
 	"path/filepath"
 	"testing"
 )
@@ -64,24 +66,57 @@ func BenchmarkReadCSV(b *testing.B) {
 	}
 }
 
-func BenchmarkScannerStream(b *testing.B) {
-	ds := benchDataset(b, 10000, 20)
+// benchFile writes the 10k×20 labeled bench dataset to a binary file and
+// returns its path and size.
+func benchFile(b *testing.B) (string, int64) {
+	b.Helper()
 	path := filepath.Join(b.TempDir(), "bench.bin")
-	if err := ds.SaveFile(path); err != nil {
+	if err := benchDataset(b, 10000, 20).SaveFile(path); err != nil {
 		b.Fatal(err)
 	}
+	info, err := os.Stat(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return path, info.Size()
+}
+
+func BenchmarkLoadFile(b *testing.B) {
+	path, size := benchFile(b)
+	b.SetBytes(size)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sc, err := OpenScanner(path)
-		if err != nil {
+		if _, err := LoadFile(path, false); err != nil {
 			b.Fatal(err)
 		}
-		for sc.Next() {
-		}
-		if err := sc.Err(); err != nil {
+	}
+}
+
+// BenchmarkFileSourcePass times one no-op block pass over the file, the
+// floor under every streamed pass.
+func BenchmarkFileSourcePass(b *testing.B) {
+	path, size := benchFile(b)
+	src, err := OpenFileSource(path, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(size)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := src.Blocks(context.Background(), func(*Block) error { return nil }); err != nil {
 			b.Fatal(err)
 		}
-		sc.Close()
+	}
+}
+
+func BenchmarkWriteAssignments(b *testing.B) {
+	assignments := benchDataset(b, 10000, 20).Labels()
+	path := filepath.Join(b.TempDir(), "assign.csv")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := SaveAssignments(path, assignments); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

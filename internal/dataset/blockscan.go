@@ -1,12 +1,8 @@
 package dataset
 
 import (
-	"bufio"
 	"context"
-	"encoding/binary"
 	"fmt"
-	"io"
-	"math"
 	"os"
 	"sync"
 )
@@ -17,7 +13,7 @@ import (
 // share that structure. BlockScanner streams a binary dataset file in
 // contiguous multi-point blocks with one block of read-ahead, so a pass
 // holds at most two blocks resident while the reader goroutine overlaps
-// decoding with the consumer's work. MemorySource and FileSource
+// reading with the consumer's work. MemorySource and FileSource
 // present the same block-pass shape over an in-memory Dataset and a
 // file, which is what lets the algorithms run identically against
 // either (see core.PointSource).
@@ -87,8 +83,10 @@ func (b *Block) Bytes() int64 { return int64(len(b.data)) * 8 }
 
 // BlockScanner streams the data section of a binary dataset file (the
 // format of Dataset.WriteBinary) block by block. A reader goroutine
-// decodes one block ahead of the consumer (double buffering), so I/O
-// and consumption overlap; total resident buffering is two blocks.
+// reads one block ahead of the consumer (double buffering), so I/O and
+// consumption overlap; total resident buffering is two blocks. Each
+// block is read from the file straight into its buffer (readFloat64s):
+// one copy from the page cache, no staging buffer.
 //
 //	sc, err := dataset.OpenBlockScanner(path, 4096)
 //	...
@@ -130,13 +128,12 @@ func OpenBlockScanner(path string, blockPoints int) (*BlockScanner, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dataset: opening %s: %w", path, err)
 	}
-	br := bufio.NewReaderSize(f, 1<<20)
-	dims, n, labeled, err := readBlockHeader(br)
+	dims, n, labeled, err := readBlockHeader(f)
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	if err := verifyDeclaredSize(f, dims, n, labeled); err != nil {
+	if _, err := verifyDeclaredSize(f, dims, n, labeled); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -152,23 +149,23 @@ func OpenBlockScanner(path string, blockPoints int) (*BlockScanner, error) {
 		done:        make(chan struct{}),
 	}
 	// Two buffers total: the consumer works on one while the reader
-	// decodes the next.
+	// fills the next.
 	for i := 0; i < 2; i++ {
 		s.free <- &Block{dims: dims, data: make([]float64, bp*dims)}
 	}
-	go s.read(f, br)
+	go s.read(f)
 	return s, nil
 }
 
-// read is the reader goroutine: it fills recycled buffers from the file
-// and hands them to the consumer until the data section ends, an error
-// occurs, or Close aborts it. s.err is published before blocks closes,
-// so the consumer observes it after the channel-closed signal.
-func (s *BlockScanner) read(f *os.File, br *bufio.Reader) {
+// read is the reader goroutine: it fills recycled buffers from f, which
+// is positioned just past the header, and hands them to the consumer
+// until the data section ends, an error occurs, or Close aborts it.
+// s.err is published before blocks closes, so the consumer observes it
+// after the channel-closed signal.
+func (s *BlockScanner) read(f *os.File) {
 	defer close(s.done)
 	defer close(s.blocks)
 	defer f.Close()
-	raw := make([]byte, 8*s.blockPoints*s.dims)
 	for idx := 0; idx < s.n; {
 		var buf *Block
 		select {
@@ -180,15 +177,11 @@ func (s *BlockScanner) read(f *os.File, br *bufio.Reader) {
 		if rest := s.n - idx; count > rest {
 			count = rest
 		}
-		rb := raw[:8*count*s.dims]
-		if _, err := io.ReadFull(br, rb); err != nil {
-			s.err = fmt.Errorf("dataset: reading block at point %d: %w", idx, err)
-			return
-		}
 		buf.start = idx
 		buf.data = buf.data[:count*s.dims]
-		for j := range buf.data {
-			buf.data[j] = math.Float64frombits(binary.LittleEndian.Uint64(rb[8*j:]))
+		if err := readFloat64s(f, buf.data); err != nil {
+			s.err = fmt.Errorf("dataset: reading block at point %d: %w", idx, err)
+			return
 		}
 		select {
 		case s.blocks <- buf:
@@ -255,62 +248,26 @@ func (s *BlockScanner) Close() error {
 	return nil
 }
 
-// readBlockHeader parses and validates the binary-format header,
-// returning the declared shape. It enforces the same allocation guards
-// as ReadBinary: a header cannot demand memory proportional to its own
-// declared (possibly lying) size.
-func readBlockHeader(r io.Reader) (dims, n int, labeled bool, err error) {
-	var magic [4]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return 0, 0, false, fmt.Errorf("dataset: reading binary magic: %w", err)
-	}
-	if magic != binaryMagic {
-		return 0, 0, false, fmt.Errorf("dataset: bad binary magic %q", magic[:])
-	}
-	var version, dims32 uint32
-	var n64 uint64
-	var labeled8 uint8
-	for _, v := range []any{&version, &dims32, &n64, &labeled8} {
-		if err := binary.Read(r, binary.LittleEndian, v); err != nil {
-			return 0, 0, false, fmt.Errorf("dataset: reading binary header: %w", err)
-		}
-	}
-	if version != binaryVersion {
-		return 0, 0, false, fmt.Errorf("dataset: unsupported binary version %d", version)
-	}
-	if dims32 == 0 {
-		return 0, 0, false, fmt.Errorf("dataset: binary header declares zero dims")
-	}
-	const maxDims = 1 << 20
-	if dims32 > maxDims {
-		return 0, 0, false, fmt.Errorf("dataset: binary header declares %d dims (limit %d)", dims32, maxDims)
-	}
-	const maxPoints = 1 << 40
-	if n64 > maxPoints {
-		return 0, 0, false, fmt.Errorf("dataset: binary header declares %d points (limit %d)", n64, maxPoints)
-	}
-	return int(dims32), int(n64), labeled8 == 1, nil
-}
-
 // verifyDeclaredSize cross-checks the header's declared payload against
 // the file's actual size, so a header lying about n or dims fails here
 // rather than mid-stream (or, worse, after a giant allocation). The
 // arithmetic is carried in uint64: the header guards bound n·dims·8 at
-// 2^63, which cannot overflow. Irregular files (pipes) skip the check.
-func verifyDeclaredSize(f *os.File, dims, n int, labeled bool) error {
+// 2^63, which cannot overflow. Irregular files (pipes) skip the check;
+// sized reports whether it ran and passed.
+func verifyDeclaredSize(f *os.File, dims, n int, labeled bool) (sized bool, err error) {
 	info, err := f.Stat()
 	if err != nil || !info.Mode().IsRegular() {
-		return nil
+		return false, nil
 	}
 	need := uint64(binaryHeaderSize) + uint64(n)*uint64(dims)*8
 	if labeled {
 		need += uint64(n) * 8
 	}
 	if size := uint64(info.Size()); size < need {
-		return fmt.Errorf("dataset: %s declares %d×%d points (%d bytes) but holds only %d bytes",
+		return false, fmt.Errorf("dataset: %s declares %d×%d points (%d bytes) but holds only %d bytes",
 			info.Name(), n, dims, need, size)
 	}
-	return nil
+	return true, nil
 }
 
 // MemorySource adapts an in-memory Dataset to block-pass consumption.
@@ -391,11 +348,11 @@ func OpenFileSource(path string, blockPoints int) (*FileSource, error) {
 		return nil, fmt.Errorf("dataset: opening %s: %w", path, err)
 	}
 	defer f.Close()
-	dims, n, labeled, err := readBlockHeader(bufio.NewReaderSize(f, 4096))
+	dims, n, labeled, err := readBlockHeader(f)
 	if err != nil {
 		return nil, err
 	}
-	if err := verifyDeclaredSize(f, dims, n, labeled); err != nil {
+	if _, err := verifyDeclaredSize(f, dims, n, labeled); err != nil {
 		return nil, err
 	}
 	return &FileSource{path: path, dims: dims, n: n, labeled: labeled,

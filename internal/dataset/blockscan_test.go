@@ -104,7 +104,11 @@ func TestBlockScannerTruncatedFile(t *testing.T) {
 	}
 }
 
-func TestBlockScannerHeaderLies(t *testing.T) {
+// headerLieFiles writes copies of a valid 5×3 binary file whose headers
+// lie, keyed by the lie. Every reader must reject each of them without
+// any allocation proportional to the lie.
+func headerLieFiles(t *testing.T) map[string]string {
+	t.Helper()
 	ds := randomDataset(34, 5, 3, false)
 	path := writeTempBinary(t, ds)
 	raw, err := os.ReadFile(path)
@@ -120,7 +124,7 @@ func TestBlockScannerHeaderLies(t *testing.T) {
 		}
 		return p
 	}
-	cases := map[string]string{
+	return map[string]string{
 		// Declares 2^39 points: must fail the size cross-check at open
 		// instead of attempting any n-proportional work.
 		"huge n": lie(func(b []byte) { binary.LittleEndian.PutUint64(b[12:], 1<<39) }),
@@ -133,7 +137,68 @@ func TestBlockScannerHeaderLies(t *testing.T) {
 		"bad magic":   lie(func(b []byte) { b[0] = 'X' }),
 		"bad version": lie(func(b []byte) { binary.LittleEndian.PutUint32(b[4:], 99) }),
 	}
-	for name, p := range cases {
+}
+
+func TestBlockScannerHeaderLies(t *testing.T) {
+	for name, p := range headerLieFiles(t) {
+		if sc, err := OpenBlockScanner(p, 16); err == nil {
+			sc.Close()
+			t.Errorf("%s: opened without error", name)
+		}
+	}
+}
+
+// TestLoadFileHeaderLies runs the header-lie table and a truncated file
+// through LoadFile, which allocates the data section at its declared
+// size: the size check must reject every lie before that allocation.
+func TestLoadFileHeaderLies(t *testing.T) {
+	files := headerLieFiles(t)
+	raw, err := os.ReadFile(writeTempBinary(t, randomDataset(43, 50, 4, true)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	files["truncated"] = filepath.Join(t.TempDir(), "short.bin")
+	if err := os.WriteFile(files["truncated"], raw[:len(raw)-9], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, p := range files {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		_, err := LoadFile(p, false)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: loaded without error", name)
+		}
+		// The huge-n file declares 2^39×3 values (12 TiB); a rejected
+		// file may cost an open and a header read, nothing near that.
+		if delta := after.TotalAlloc - before.TotalAlloc; delta > 1<<20 {
+			t.Errorf("%s: LoadFile allocated %d bytes before failing", name, delta)
+		}
+	}
+}
+
+func TestBlockScannerRejectsBadFiles(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := OpenBlockScanner(filepath.Join(dir, "missing.bin"), 16); err == nil {
+		t.Fatal("missing file accepted")
+	}
+	raw, err := os.ReadFile(writeTempBinary(t, randomDataset(44, 3, 2, false)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Garbage shorter than a header, a header cut short, and a bare
+	// magic: each must fail at open.
+	for name, content := range map[string][]byte{
+		"garbage":    []byte("garbage!"),
+		"cut header": raw[:binaryHeaderSize-1],
+		"magic only": raw[:4],
+		"empty":      nil,
+	} {
+		p := filepath.Join(dir, "bad.bin")
+		if err := os.WriteFile(p, content, 0o644); err != nil {
+			t.Fatal(err)
+		}
 		if sc, err := OpenBlockScanner(p, 16); err == nil {
 			sc.Close()
 			t.Errorf("%s: opened without error", name)

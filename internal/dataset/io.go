@@ -7,8 +7,12 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"os"
+	"path/filepath"
+	"slices"
 	"strconv"
+	"unsafe"
 )
 
 // CSV layout: one row per point, coordinates as decimal floats. When the
@@ -161,71 +165,155 @@ func (ds *Dataset) WriteBinary(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadBinary reads a dataset previously written by WriteBinary.
-func ReadBinary(r io.Reader) (*Dataset, error) {
-	br := bufio.NewReader(r)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("dataset: reading binary magic: %w", err)
+// binaryHeaderSize is the byte length of the binary format's fixed
+// header: magic(4) + version(4) + dims(4) + n(8) + labeled(1).
+const binaryHeaderSize = 4 + 4 + 4 + 8 + 1
+
+// readBlockHeader parses and validates the binary-format header with one
+// 21-byte read, returning the declared shape. Its limits keep a header
+// from demanding memory proportional to its own declared (possibly
+// lying) size before the size is checked or the data is read.
+func readBlockHeader(r io.Reader) (dims, n int, labeled bool, err error) {
+	var h [binaryHeaderSize]byte
+	got, err := io.ReadFull(r, h[:])
+	if got >= len(binaryMagic) && [4]byte(h[:4]) != binaryMagic {
+		return 0, 0, false, fmt.Errorf("dataset: bad binary magic %q", h[:4])
 	}
-	if magic != binaryMagic {
-		return nil, fmt.Errorf("dataset: bad binary magic %q", magic[:])
+	if err != nil {
+		return 0, 0, false, fmt.Errorf("dataset: reading binary header: %w", err)
 	}
-	var version, dims uint32
-	var n uint64
-	var labeled uint8
-	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
-		return nil, fmt.Errorf("dataset: reading binary version: %w", err)
-	}
+	version := binary.LittleEndian.Uint32(h[4:])
+	dims32 := binary.LittleEndian.Uint32(h[8:])
+	n64 := binary.LittleEndian.Uint64(h[12:])
 	if version != binaryVersion {
-		return nil, fmt.Errorf("dataset: unsupported binary version %d", version)
+		return 0, 0, false, fmt.Errorf("dataset: unsupported binary version %d", version)
 	}
-	if err := binary.Read(br, binary.LittleEndian, &dims); err != nil {
-		return nil, fmt.Errorf("dataset: reading binary dims: %w", err)
+	if dims32 == 0 {
+		return 0, 0, false, fmt.Errorf("dataset: binary header declares zero dims")
 	}
-	if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
-		return nil, fmt.Errorf("dataset: reading binary count: %w", err)
-	}
-	if err := binary.Read(br, binary.LittleEndian, &labeled); err != nil {
-		return nil, fmt.Errorf("dataset: reading binary label flag: %w", err)
-	}
-	if dims == 0 {
-		return nil, fmt.Errorf("dataset: binary header declares zero dims")
-	}
-	// Guard header-driven allocations: a corrupted or adversarial header
-	// must not be able to demand arbitrary memory before any data is
-	// read (found by FuzzReadBinary). Points are read one at a time and
-	// the backing array grows with actual file content, so a header
-	// declaring billions of points fails at EOF after a small
-	// allocation rather than up-front exhaustion.
 	const maxDims = 1 << 20
-	if dims > maxDims {
-		return nil, fmt.Errorf("dataset: binary header declares %d dims (limit %d)", dims, maxDims)
+	if dims32 > maxDims {
+		return 0, 0, false, fmt.Errorf("dataset: binary header declares %d dims (limit %d)", dims32, maxDims)
 	}
 	const maxPoints = 1 << 40
-	if n > maxPoints {
-		return nil, fmt.Errorf("dataset: binary header declares %d points (limit %d)", n, maxPoints)
+	if n64 > maxPoints {
+		return 0, 0, false, fmt.Errorf("dataset: binary header declares %d points (limit %d)", n64, maxPoints)
 	}
-	ds := New(int(dims))
-	rowBuf := make([]byte, 8*int(dims))
-	for i := uint64(0); i < n; i++ {
-		if _, err := io.ReadFull(br, rowBuf); err != nil {
-			return nil, fmt.Errorf("dataset: reading binary data: %w", err)
-		}
-		for j := 0; j < int(dims); j++ {
-			ds.data = append(ds.data, math.Float64frombits(binary.LittleEndian.Uint64(rowBuf[8*j:])))
-		}
+	return int(dims32), int(n64), h[20] == 1, nil
+}
+
+// littleEndianHost reports whether float64s in memory share the binary
+// format's byte order, so file bytes can land in them unchanged.
+var littleEndianHost = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// readFloat64s fills dst with the next len(dst) little-endian float64s
+// of r, reading straight into dst's own memory: the file bytes are
+// copied once, from the reader into the destination, with no staging
+// buffer and no per-value decode. The byte view aliases dst only for the
+// duration of the read and covers exactly its 8·len(dst) bytes. On a
+// little-endian host those bytes are already the values; on a
+// big-endian host swapFloat64s then reverses each value in place. On
+// error dst holds a partial read.
+func readFloat64s(r io.Reader, dst []float64) error {
+	if len(dst) == 0 {
+		return nil
 	}
-	if labeled == 1 {
-		buf := make([]byte, 8)
-		for i := uint64(0); i < n; i++ {
-			if _, err := io.ReadFull(br, buf); err != nil {
-				return nil, fmt.Errorf("dataset: reading binary labels: %w", err)
-			}
-			ds.labels = append(ds.labels, int(int64(binary.LittleEndian.Uint64(buf))))
+	raw := unsafe.Slice((*byte)(unsafe.Pointer(&dst[0])), 8*len(dst))
+	if _, err := io.ReadFull(r, raw); err != nil {
+		return err
+	}
+	if !littleEndianHost {
+		swapFloat64s(dst)
+	}
+	return nil
+}
+
+// swapFloat64s reverses the byte order of every value in dst: on a
+// big-endian host it turns little-endian file bytes read into dst into
+// the values they encode.
+func swapFloat64s(dst []float64) {
+	for i, v := range dst {
+		dst[i] = math.Float64frombits(bits.ReverseBytes64(math.Float64bits(v)))
+	}
+}
+
+// binaryChunk bounds, in values, each read of an input whose declared
+// size could not be checked against a file size.
+const binaryChunk = 1 << 16
+
+// appendFloat64s appends the next count little-endian float64s of r to
+// dst, growing dst one chunk of at most binaryChunk values at a time, so
+// memory follows the bytes actually present rather than a count a
+// header declared (found by FuzzReadBinary).
+func appendFloat64s(r io.Reader, dst []float64, count int) ([]float64, error) {
+	for count > 0 {
+		c := min(count, binaryChunk)
+		dst = slices.Grow(dst, c)
+		if err := readFloat64s(r, dst[len(dst):len(dst)+c]); err != nil {
+			return nil, err
+		}
+		dst, count = dst[:len(dst)+c], count-c
+	}
+	return dst, nil
+}
+
+// readLabels reads the next n little-endian int64 labels of r in chunks
+// of at most binaryChunk labels. The result starts at capacity capHint,
+// which a caller sets to n once the file size has vouched for it; from
+// less, it grows only with the bytes actually read.
+func readLabels(r io.Reader, n, capHint int) ([]int, error) {
+	dst := make([]int, 0, capHint)
+	buf := make([]byte, 8*min(n, binaryChunk))
+	for n > 0 {
+		b := buf[:8*min(n, binaryChunk)]
+		if _, err := io.ReadFull(r, b); err != nil {
+			return nil, err
+		}
+		for i := 0; i < len(b); i += 8 {
+			dst = append(dst, int(int64(binary.LittleEndian.Uint64(b[i:]))))
+		}
+		n -= len(b) / 8
+	}
+	return dst, nil
+}
+
+// readBinaryBody reads the data and label sections that follow a header
+// declaring n points of dims coordinates. When sized is true the caller
+// has checked the declared size against the file, so each section is
+// allocated once at its final size and the data arrives in one read;
+// otherwise both grow chunk by chunk with the input, and a lying header
+// fails at EOF after a small allocation.
+func readBinaryBody(r io.Reader, dims, n int, labeled, sized bool) (*Dataset, error) {
+	ds := New(dims)
+	var err error
+	labelCap := 0
+	if sized {
+		ds.data = make([]float64, n*dims)
+		err = readFloat64s(r, ds.data)
+		labelCap = n
+	} else {
+		ds.data, err = appendFloat64s(r, nil, n*dims)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("dataset: reading binary data: %w", err)
+	}
+	if labeled && n > 0 {
+		if ds.labels, err = readLabels(r, n, labelCap); err != nil {
+			return nil, fmt.Errorf("dataset: reading binary labels: %w", err)
 		}
 	}
 	return ds, ds.Validate()
+}
+
+// ReadBinary reads a dataset previously written by WriteBinary. A plain
+// reader has no size to check the header against, so the dataset grows
+// with the content read; LoadFile allocates it exactly instead.
+func ReadBinary(r io.Reader) (*Dataset, error) {
+	dims, n, labeled, err := readBlockHeader(r)
+	if err != nil {
+		return nil, err
+	}
+	return readBinaryBody(r, dims, n, labeled, false)
 }
 
 // SaveFile writes the dataset to path; the format is chosen by file
@@ -246,9 +334,51 @@ func (ds *Dataset) SaveFile(path string) error {
 	return f.Close()
 }
 
+// SaveAssignments writes a point→cluster assignment CSV to path: a
+// "point,cluster" header, then one row per point, with -1 for outliers.
+// The replace is atomic but not durable. The rows go to a temporary file
+// in path's directory, which is renamed over path only after every byte
+// has been written and the file closed, so a failed or interrupted write
+// never leaves a partial file at path. The file is not fsynced: a system
+// crash soon after the rename can still lose it, and syncing would put
+// disk latency into every run.
+func SaveAssignments(path string, assignments []int) (retErr error) {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if retErr != nil {
+			f.Close()
+			os.Remove(f.Name())
+		}
+	}()
+	// bufio.Writer errors are sticky: a failed write makes every later
+	// write a no-op, and Flush reports it.
+	w := bufio.NewWriterSize(f, 64<<10)
+	w.WriteString("point,cluster\n")
+	row := make([]byte, 0, 48)
+	for i, a := range assignments {
+		row = strconv.AppendInt(row[:0], int64(i), 10)
+		row = append(row, ',')
+		row = strconv.AppendInt(row, int64(a), 10)
+		row = append(row, '\n')
+		w.Write(row)
+	}
+	if err := w.Flush(); err != nil {
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	return os.Rename(f.Name(), path)
+}
+
 // LoadFile reads a dataset from path; the format is chosen by file
 // extension (".csv" → CSV with a label column expected iff hasLabels,
-// anything else → binary, which is self-describing).
+// anything else → binary, which is self-describing). A binary file's
+// header is checked against the file's size before the data is
+// allocated, exactly, and read in one call.
 func LoadFile(path string, hasLabels bool) (*Dataset, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -258,7 +388,15 @@ func LoadFile(path string, hasLabels bool) (*Dataset, error) {
 	if hasCSVExt(path) {
 		return ReadCSV(f, hasLabels)
 	}
-	return ReadBinary(f)
+	dims, n, labeled, err := readBlockHeader(f)
+	if err != nil {
+		return nil, err
+	}
+	sized, err := verifyDeclaredSize(f, dims, n, labeled)
+	if err != nil {
+		return nil, err
+	}
+	return readBinaryBody(f, dims, n, labeled, sized)
 }
 
 func hasCSVExt(path string) bool {

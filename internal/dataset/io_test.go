@@ -2,7 +2,9 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -196,5 +198,97 @@ func TestSaveLoadFileBinary(t *testing.T) {
 func TestLoadFileMissing(t *testing.T) {
 	if _, err := LoadFile(filepath.Join(t.TempDir(), "absent.bin"), false); err == nil {
 		t.Fatal("loading a missing file should error")
+	}
+}
+
+// TestSwapFloat64sDecodesBigEndianView runs readFloat64s's big-endian
+// branch on any host. A big-endian host that reads the little-endian
+// file bytes of v into a float64 holds the value whose big-endian
+// encoding those bytes are; swapFloat64s must turn that back into v,
+// bit for bit.
+func TestSwapFloat64sDecodesBigEndianView(t *testing.T) {
+	want := []float64{0, math.Copysign(0, -1), 1, -2.5, math.Pi, math.MaxFloat64,
+		math.SmallestNonzeroFloat64, math.Inf(-1), math.Float64frombits(0x7ff8000000000123)}
+	got := make([]float64, len(want))
+	var b [8]byte
+	for i, v := range want {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		got[i] = math.Float64frombits(binary.BigEndian.Uint64(b[:]))
+	}
+	swapFloat64s(got)
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Errorf("value %d: got bits %#x, want %#x", i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+		}
+	}
+}
+
+func TestReadFloat64sShortInput(t *testing.T) {
+	dst := make([]float64, 3)
+	if err := readFloat64s(bytes.NewReader(make([]byte, 23)), dst); err == nil {
+		t.Fatal("23 bytes read into 3 values without error")
+	}
+	if err := readFloat64s(bytes.NewReader(nil), nil); err != nil {
+		t.Fatalf("empty read: %v", err)
+	}
+}
+
+// TestReadBinaryGrowsInChunks reads a dataset larger than one read chunk
+// through the unsized path, so the chunk boundaries are crossed.
+func TestReadBinaryGrowsInChunks(t *testing.T) {
+	ds := randomDataset(8, binaryChunk/3+7, 3, true)
+	var buf bytes.Buffer
+	if err := ds.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadBinary(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	datasetsEqual(t, ds, got)
+}
+
+func TestSaveAssignmentsGolden(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "assign.csv")
+	// A stale file at path is replaced whole.
+	if err := os.WriteFile(path, []byte("stale contents that are longer than the new file\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveAssignments(path, []int{0, -1, 2, 1, -1, 10}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "point,cluster\n0,0\n1,-1\n2,2\n3,1\n4,-1\n5,10\n"
+	if string(got) != want {
+		t.Fatalf("assignment CSV:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+func TestSaveAssignmentsFailureLeavesNothing(t *testing.T) {
+	dir := t.TempDir()
+	// The rename over a directory fails after every row is written.
+	blocked := filepath.Join(dir, "assign.csv")
+	if err := os.Mkdir(blocked, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveAssignments(blocked, []int{0, 1, -1}); err == nil {
+		t.Fatal("rename over a directory succeeded")
+	}
+	if info, err := os.Stat(blocked); err != nil || !info.IsDir() {
+		t.Fatalf("path after failed write: %v, %v", info, err)
+	}
+	// The temp file cannot even be created in a missing directory.
+	if err := SaveAssignments(filepath.Join(dir, "missing", "assign.csv"), []int{0}); err == nil {
+		t.Fatal("write into a missing directory succeeded")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("directory holds %d entries after failed writes, want only the blocking directory: %v", len(entries), entries)
 	}
 }

@@ -1,192 +1,65 @@
 package dataset
 
 import (
-	"bufio"
-	"encoding/binary"
+	"context"
 	"fmt"
 	"io"
 	"math"
 	"os"
 )
 
-// Scanner streams points from a binary dataset file without loading it
-// into memory, one block at a time. The PROCLUS paper's phases are
-// deliberately structured as single passes over disk-resident data (its
-// experiments ran against a SCSI drive); Scanner is the out-of-core
-// counterpart of Dataset.Each for datasets too large to hold in RAM.
-//
-//	sc, err := dataset.OpenScanner(path)
-//	...
-//	defer sc.Close()
-//	for sc.Next() {
-//		p := sc.Point() // valid until the next call to Next
-//	}
-//	err = sc.Err()
-type Scanner struct {
-	f       *os.File
-	r       *bufio.Reader
-	dims    int
-	n       int
-	labeled bool
-
-	idx   int
-	point []float64
-	label int
-	buf   []byte
-	err   error
-}
-
-// OpenScanner opens a binary dataset file (the format of
-// Dataset.WriteBinary) for streaming.
-func OpenScanner(path string) (*Scanner, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("dataset: opening %s: %w", path, err)
-	}
-	r := bufio.NewReaderSize(f, 1<<20)
-	var magic [4]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("dataset: reading scan magic: %w", err)
-	}
-	if magic != binaryMagic {
-		f.Close()
-		return nil, fmt.Errorf("dataset: bad binary magic %q", magic[:])
-	}
-	var version, dims uint32
-	var n uint64
-	var labeled uint8
-	for _, v := range []any{&version, &dims, &n, &labeled} {
-		if err := binary.Read(r, binary.LittleEndian, v); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("dataset: reading scan header: %w", err)
-		}
-	}
-	if version != binaryVersion {
-		f.Close()
-		return nil, fmt.Errorf("dataset: unsupported binary version %d", version)
-	}
-	if dims == 0 {
-		f.Close()
-		return nil, fmt.Errorf("dataset: scan header declares zero dims")
-	}
-	const maxDims = 1 << 20
-	if dims > maxDims {
-		f.Close()
-		return nil, fmt.Errorf("dataset: scan header declares %d dims (limit %d)", dims, maxDims)
-	}
-	return &Scanner{
-		f:       f,
-		r:       r,
-		dims:    int(dims),
-		n:       int(n),
-		labeled: labeled == 1,
-		point:   make([]float64, dims),
-		label:   Outlier,
-		buf:     make([]byte, 8*dims),
-	}, nil
-}
-
-// Dims returns the dimensionality of the streamed points.
-func (s *Scanner) Dims() int { return s.dims }
-
-// Len returns the number of points the file header declares.
-func (s *Scanner) Len() int { return s.n }
-
-// Labeled reports whether the file carries ground-truth labels. Labels
-// are stored after all points in the binary layout, so a streaming
-// scanner cannot surface per-point labels; Label support requires
-// LoadFile.
-func (s *Scanner) Labeled() bool { return s.labeled }
-
-// Next advances to the next point. It returns false at the end of the
-// data section or on error; check Err afterwards.
-func (s *Scanner) Next() bool {
-	if s.err != nil || s.idx >= s.n {
-		return false
-	}
-	if _, err := io.ReadFull(s.r, s.buf); err != nil {
-		s.err = fmt.Errorf("dataset: scanning point %d: %w", s.idx, err)
-		return false
-	}
-	for j := 0; j < s.dims; j++ {
-		s.point[j] = math.Float64frombits(binary.LittleEndian.Uint64(s.buf[8*j:]))
-	}
-	s.idx++
-	return true
-}
-
-// Point returns the current point. The slice is reused; callers must
-// copy it to retain it across Next calls.
-func (s *Scanner) Point() []float64 { return s.point }
-
-// Index returns the 0-based index of the current point.
-func (s *Scanner) Index() int { return s.idx - 1 }
-
-// Err returns the first error encountered while scanning, if any.
-func (s *Scanner) Err() error { return s.err }
-
-// Close releases the underlying file.
-func (s *Scanner) Close() error { return s.f.Close() }
-
-// binaryHeaderSize is the byte length of the binary format's fixed
-// header: magic(4) + version(4) + dims(4) + n(8) + labeled(1).
-const binaryHeaderSize = 4 + 4 + 4 + 8 + 1
+// Out-of-core summaries of a binary dataset file. They read the file
+// through the same header parser and block reader as every streamed
+// pass, and never hold the data section in memory.
 
 // ScanLabelHistogram returns the ground-truth label counts of a labeled
-// binary dataset file without reading the data section: it seeks
-// directly to the label block. It returns an error for unlabeled files.
+// binary dataset file without reading the data section (see ScanLabels).
+// It returns an error for unlabeled files.
 func ScanLabelHistogram(path string) (map[int]int, error) {
-	sc, err := OpenScanner(path)
+	labels, err := ScanLabels(path)
 	if err != nil {
 		return nil, err
 	}
-	defer sc.Close()
-	if !sc.labeled {
-		return nil, fmt.Errorf("dataset: %s carries no labels", path)
-	}
-	offset := int64(binaryHeaderSize) + int64(sc.n)*int64(sc.dims)*8
-	if _, err := sc.f.Seek(offset, io.SeekStart); err != nil {
-		return nil, fmt.Errorf("dataset: seeking to label block: %w", err)
-	}
-	r := bufio.NewReader(sc.f)
 	counts := make(map[int]int)
-	buf := make([]byte, 8)
-	for i := 0; i < sc.n; i++ {
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, fmt.Errorf("dataset: reading label %d: %w", i, err)
-		}
-		counts[int(int64(binary.LittleEndian.Uint64(buf)))]++
+	for _, l := range labels {
+		counts[l]++
 	}
 	return counts, nil
 }
 
 // ScanLabels returns the full ground-truth label slice of a labeled
-// binary dataset file without reading the data section: like
-// ScanLabelHistogram it seeks directly to the label block. Streamed
-// runs use it to evaluate against ground truth without materializing
-// the points. It returns an error for unlabeled files.
+// binary dataset file without reading the data section: it seeks
+// directly to the label block, which it reads in bulk. Streamed runs use
+// it to evaluate against ground truth without materializing the points.
+// It returns an error for unlabeled files.
 func ScanLabels(path string) ([]int, error) {
-	sc, err := OpenScanner(path)
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("dataset: opening %s: %w", path, err)
+	}
+	defer f.Close()
+	dims, n, labeled, err := readBlockHeader(f)
 	if err != nil {
 		return nil, err
 	}
-	defer sc.Close()
-	if !sc.labeled {
+	if !labeled {
 		return nil, fmt.Errorf("dataset: %s carries no labels", path)
 	}
-	offset := int64(binaryHeaderSize) + int64(sc.n)*int64(sc.dims)*8
-	if _, err := sc.f.Seek(offset, io.SeekStart); err != nil {
+	sized, err := verifyDeclaredSize(f, dims, n, labeled)
+	if err != nil {
+		return nil, err
+	}
+	offset := int64(binaryHeaderSize) + int64(n)*int64(dims)*8
+	if _, err := f.Seek(offset, io.SeekStart); err != nil {
 		return nil, fmt.Errorf("dataset: seeking to label block: %w", err)
 	}
-	r := bufio.NewReader(sc.f)
-	labels := make([]int, sc.n)
-	buf := make([]byte, 8)
-	for i := range labels {
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, fmt.Errorf("dataset: reading label %d: %w", i, err)
-		}
-		labels[i] = int(int64(binary.LittleEndian.Uint64(buf)))
+	capHint := 0
+	if sized {
+		capHint = n
+	}
+	labels, err := readLabels(f, n, capHint)
+	if err != nil {
+		return nil, fmt.Errorf("dataset: reading labels: %w", err)
 	}
 	return labels, nil
 }
@@ -198,14 +71,14 @@ type ColumnStats struct {
 
 // ScanStats computes per-dimension statistics of a binary dataset file
 // in one streaming pass (Welford's algorithm for the variance), without
-// loading the data into memory.
+// loading the data into memory. The blocks arrive in point order, so the
+// updates run in file order whatever the block size.
 func ScanStats(path string) (n int, stats []ColumnStats, err error) {
-	sc, err := OpenScanner(path)
+	src, err := OpenFileSource(path, 0)
 	if err != nil {
 		return 0, nil, err
 	}
-	defer sc.Close()
-	d := sc.Dims()
+	d := src.Dims()
 	stats = make([]ColumnStats, d)
 	means := make([]float64, d)
 	m2 := make([]float64, d)
@@ -213,22 +86,24 @@ func ScanStats(path string) (n int, stats []ColumnStats, err error) {
 		stats[j].Min = math.Inf(1)
 		stats[j].Max = math.Inf(-1)
 	}
-	for sc.Next() {
-		n++
-		p := sc.Point()
-		for j, v := range p {
-			if v < stats[j].Min {
-				stats[j].Min = v
+	err = src.Blocks(context.TODO(), func(b *Block) error {
+		for i := 0; i < b.Len(); i++ {
+			n++
+			for j, v := range b.Point(i) {
+				if v < stats[j].Min {
+					stats[j].Min = v
+				}
+				if v > stats[j].Max {
+					stats[j].Max = v
+				}
+				delta := v - means[j]
+				means[j] += delta / float64(n)
+				m2[j] += delta * (v - means[j])
 			}
-			if v > stats[j].Max {
-				stats[j].Max = v
-			}
-			delta := v - means[j]
-			means[j] += delta / float64(n)
-			m2[j] += delta * (v - means[j])
 		}
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return 0, nil, err
 	}
 	if n == 0 {

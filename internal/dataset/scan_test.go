@@ -16,98 +16,6 @@ func writeTempBinary(t *testing.T, ds *Dataset) string {
 	return path
 }
 
-func TestScannerStreamsAllPoints(t *testing.T) {
-	ds := randomDataset(21, 137, 5, true)
-	path := writeTempBinary(t, ds)
-	sc, err := OpenScanner(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
-	if sc.Dims() != 5 || sc.Len() != 137 || !sc.Labeled() {
-		t.Fatalf("header: dims=%d len=%d labeled=%v", sc.Dims(), sc.Len(), sc.Labeled())
-	}
-	count := 0
-	for sc.Next() {
-		p := sc.Point()
-		want := ds.Point(sc.Index())
-		for j := range p {
-			if p[j] != want[j] {
-				t.Fatalf("point %d dim %d: %v vs %v", sc.Index(), j, p[j], want[j])
-			}
-		}
-		count++
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if count != 137 {
-		t.Fatalf("streamed %d points, want 137", count)
-	}
-	// Next after exhaustion stays false without error.
-	if sc.Next() {
-		t.Fatal("Next returned true after exhaustion")
-	}
-}
-
-func TestScannerPointIsReused(t *testing.T) {
-	ds := randomDataset(22, 3, 2, false)
-	path := writeTempBinary(t, ds)
-	sc, err := OpenScanner(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
-	if !sc.Next() {
-		t.Fatal("no first point")
-	}
-	first := sc.Point()
-	v := first[0]
-	if !sc.Next() {
-		t.Fatal("no second point")
-	}
-	if first[0] == v && ds.Point(0)[0] != ds.Point(1)[0] {
-		t.Fatal("Point buffer not reused as documented")
-	}
-}
-
-func TestScannerRejectsBadFiles(t *testing.T) {
-	dir := t.TempDir()
-	bad := filepath.Join(dir, "bad.bin")
-	if err := os.WriteFile(bad, []byte("garbage!"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenScanner(bad); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	if _, err := OpenScanner(filepath.Join(dir, "missing.bin")); err == nil {
-		t.Fatal("missing file accepted")
-	}
-}
-
-func TestScannerTruncatedData(t *testing.T) {
-	ds := randomDataset(23, 20, 4, false)
-	path := writeTempBinary(t, ds)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trunc := filepath.Join(t.TempDir(), "trunc.bin")
-	if err := os.WriteFile(trunc, data[:len(data)-17], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	sc, err := OpenScanner(trunc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
-	for sc.Next() {
-	}
-	if sc.Err() == nil {
-		t.Fatal("truncated file scanned without error")
-	}
-}
-
 func TestScanStatsMatchesInMemory(t *testing.T) {
 	ds := randomDataset(24, 500, 3, false)
 	path := writeTempBinary(t, ds)
