@@ -152,11 +152,11 @@ archive-smoke:
 	rm -rf $(ARCHIVE_SMOKE)
 	@mkdir -p archive
 	$(GO) run ./cmd/datagen -n 2000 -dims 10 -k 3 -avgdims 4 -seed 9 -o $(ARCHIVE_SMOKE)-data.bin
-	$(GO) run ./cmd/proclus -in $(ARCHIVE_SMOKE)-data.bin -k 3 -l 4 -seed 5 -archive $(ARCHIVE_SMOKE)
-	$(GO) run ./cmd/proclus -in $(ARCHIVE_SMOKE)-data.bin -k 3 -l 4 -seed 5 -archive $(ARCHIVE_SMOKE)
+	$(GO) run ./cmd/pcluster -algo proclus -in $(ARCHIVE_SMOKE)-data.bin -k 3 -l 4 -seed 5 -archive $(ARCHIVE_SMOKE)
+	$(GO) run ./cmd/pcluster -algo proclus -in $(ARCHIVE_SMOKE)-data.bin -k 3 -l 4 -seed 5 -archive $(ARCHIVE_SMOKE)
 	$(GO) run ./cmd/runlens ls -archive $(ARCHIVE_SMOKE)
 	$(GO) run ./cmd/runlens diff -archive $(ARCHIVE_SMOKE) @1 @0
-	$(GO) run ./cmd/proclus -in $(ARCHIVE_SMOKE)-data.bin -k 4 -l 4 -seed 5 -archive $(ARCHIVE_SMOKE)
+	$(GO) run ./cmd/pcluster -algo proclus -in $(ARCHIVE_SMOKE)-data.bin -k 4 -l 4 -seed 5 -archive $(ARCHIVE_SMOKE)
 	@if $(GO) run ./cmd/runlens diff -archive $(ARCHIVE_SMOKE) @1 @0 >/dev/null 2>&1; then \
 		echo "archive-smoke: perturbed-config diff exited 0, want non-zero" >&2; \
 		exit 1; \

@@ -1,19 +1,26 @@
-// Command pcluster is the umbrella CLI over the algorithm registry: one
-// binary that runs any registered clustering algorithm — PROCLUS,
-// CLIQUE, ORCLUS or the full-dimensional k-medoids baseline — with one
-// shared flag surface. Flags an algorithm does not support (streaming
+// Command pcluster runs any registered clustering algorithm — PROCLUS,
+// CLIQUE, ORCLUS or the full-dimensional k-medoids baseline — on a
+// dataset file through the algorithm registry, with one shared flag
+// surface. Flags the selected algorithm does not support (streaming
 // ORCLUS, a kernel mode on CLIQUE, a worker budget on the serial
-// k-medoids descent, another algorithm's parameters) are rejected by
-// the registry with a clear error instead of being silently ignored.
+// k-medoids descent, a series file or stall watchdog on an algorithm
+// that emits no progress, another algorithm's parameters) are rejected
+// with a clear error instead of being silently ignored.
+//
+// The summary lists every cluster with its dimension set. On labeled
+// input it adds the evaluation of §4.2 of the paper: the confusion
+// matrix and purity for the partitioning algorithms, average overlap and
+// coverage for CLIQUE, and ARI/NMI for all of them.
 //
 // Usage:
 //
 //	pcluster -list
 //	pcluster -algo proclus  -in data.bin -k 5 -l 7
+//	pcluster -algo proclus  -in data.bin -k 5 -sweepl 2:9    # try a range of l values
 //	pcluster -algo proclus  -in data.bin -k 5 -l 7 -stream -kernel pruned
-//	pcluster -algo clique   -in data.csv -labels -xi 10 -tau 0.005 -mdl
+//	pcluster -algo clique   -in data.csv -labels -xi 10 -tau 0.005 -mdl -v
 //	pcluster -algo orclus   -in data.bin -k 3 -l 2 -outliers
-//	pcluster -algo kmedoids -in data.csv -labels -k 5
+//	pcluster -algo kmedoids -in data.csv -labels -k 5 -normalize zscore
 //	pcluster -algo proclus  -in data.bin -k 5 -l 7 -report run.json -archive runs/
 package main
 
@@ -23,12 +30,15 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 
+	"proclus/internal/clique"
 	"proclus/internal/core"
 	"proclus/internal/dataset"
 	"proclus/internal/eval"
+	"proclus/internal/obs"
 	"proclus/internal/obs/cliflags"
 	"proclus/internal/registry"
 )
@@ -48,6 +58,7 @@ func run(args []string, out io.Writer) (retErr error) {
 		list      = fs.Bool("list", false, "list the registered algorithms and exit")
 		in        = fs.String("in", "", "input dataset (.csv or binary); required")
 		hasLabels = fs.Bool("labels", false, "CSV input has a trailing ground-truth label column")
+		normalize = fs.String("normalize", "", "rescale dimensions before clustering: minmax or zscore (in memory only)")
 
 		// Shared knobs. Zero means "not set": algorithms that do not
 		// take a knob reject any non-zero value, so nothing is silently
@@ -60,6 +71,10 @@ func run(args []string, out io.Writer) (retErr error) {
 		blockPts = fs.Int("block-points", 0, "points per streamed block (0 = default); only with -stream")
 		kernel   = fs.String("kernel", "pruned", "exact distance-kernel tier: pruned or naive (proclus only)")
 
+		// PROCLUS parameter sweeps (§4.3 of the paper).
+		sweepL = fs.String("sweepl", "", "proclus: fit every l in a min:max range, print the objective curve and keep the suggested l")
+		sweepK = fs.String("sweepk", "", "proclus: fit every k in a min:max range, print the objective curve and keep the suggested k")
+
 		// CLIQUE grid parameters.
 		xi      = fs.Int("xi", 0, "clique: intervals per dimension ξ (0 = default)")
 		tau     = fs.Float64("tau", 0, "clique: density threshold τ as a fraction of N (0 = default)")
@@ -68,6 +83,7 @@ func run(args []string, out io.Writer) (retErr error) {
 		maximal = fs.Bool("maximal", false, "clique: report only maximal dense subspaces")
 		highest = fs.Bool("highest", false, "clique: report only the highest dimensionality reached")
 		mdl     = fs.Bool("mdl", false, "clique: enable MDL subspace pruning")
+		verbose = fs.Bool("v", false, "clique: list every cluster's region description")
 
 		// ORCLUS loop parameters.
 		k0Factor = fs.Int("k0factor", 0, "orclus: initial-seed multiplier k0 = k0factor·k (0 = default)")
@@ -98,9 +114,42 @@ func run(args []string, out io.Writer) (retErr error) {
 		fs.Usage()
 		return fmt.Errorf("-algo and -in are required (or -list)")
 	}
+	a, err := registry.Get(*algo)
+	if err != nil {
+		return err
+	}
 	kernelMode, err := core.ParseKernelMode(*kernel)
 	if err != nil {
 		return err
+	}
+	// Reject the combinations the registry cannot see before the session
+	// opens, so a refused run leaves no -series, trace or profile file.
+	sweepParam, sweepSpec := "l", *sweepL
+	if *sweepK != "" {
+		sweepParam, sweepSpec = "k", *sweepK
+	}
+	stall := obsFlags.StallIters > 0 || obsFlags.StallDeadline > 0 || obsFlags.StallCancel
+	switch {
+	case *sweepL != "" && *sweepK != "":
+		return fmt.Errorf("-sweepl and -sweepk are exclusive")
+	case sweepSpec != "" && *algo != "proclus":
+		return fmt.Errorf("-sweep%s is proclus only, not %s", sweepParam, *algo)
+	case *verbose && *algo != "clique":
+		return fmt.Errorf("-v lists CLIQUE regions; %s has none", *algo)
+	case *normalize != "" && *normalize != "minmax" && *normalize != "zscore":
+		return fmt.Errorf("unknown -normalize mode %q (want minmax or zscore)", *normalize)
+	case obsFlags.Series != "" && !a.Caps().Series:
+		return fmt.Errorf("-series is unsupported: %s records no convergence series", *algo)
+	case stall && !a.Caps().Series:
+		return fmt.Errorf("-stall-iters/-stall-deadline/-stall-cancel are unsupported: %s emits no progress events for the watchdog", *algo)
+	case *blockPts != 0 && !*stream:
+		return fmt.Errorf("-block-points applies only with -stream")
+	case *stream && *normalize != "":
+		return fmt.Errorf("-stream is incompatible with -normalize: rescaling needs the matrix in memory")
+	case *stream && sweepSpec != "":
+		return fmt.Errorf("-stream is incompatible with -sweep%s: sweeps refit the in-memory dataset", sweepParam)
+	case *stream && strings.HasSuffix(strings.ToLower(*in), ".csv"):
+		return fmt.Errorf("-stream requires the binary dataset format (convert with datagen or dsstat)")
 	}
 	sess, err := obsFlags.Start(os.Stderr)
 	if err != nil {
@@ -126,83 +175,87 @@ func run(args []string, out io.Writer) (retErr error) {
 	}
 
 	var (
-		src     registry.Source
-		labels  []int
-		labeled bool
+		src    registry.Source
+		ds     *dataset.Dataset
+		labels []int // nil for unlabeled input
 	)
 	if *stream {
-		if strings.HasSuffix(strings.ToLower(*in), ".csv") {
-			return fmt.Errorf("-stream requires the binary dataset format (convert with datagen or dsstat)")
-		}
 		fsrc, err := dataset.OpenFileSource(*in, *blockPts)
 		if err != nil {
 			return err
 		}
 		src.Stream = fsrc
-		labeled = fsrc.Labeled()
-		if labeled {
+		if fsrc.Labeled() {
 			if labels, err = dataset.ScanLabels(*in); err != nil {
 				return err
 			}
 		}
 	} else {
-		ds, err := dataset.LoadFile(*in, *hasLabels)
-		if err != nil {
+		if ds, err = dataset.LoadFile(*in, *hasLabels); err != nil {
 			return err
 		}
+		switch *normalize {
+		case "minmax":
+			if _, _, err := ds.MinMaxScale(0, 100); err != nil {
+				return err
+			}
+		case "zscore":
+			ds.Standardize()
+		}
 		src.Dataset = ds
-		labeled = ds.Labeled()
-		if labeled {
+		if ds.Labeled() {
 			labels = ds.Labels()
 		}
 	}
 
 	ctx, cancel := sess.Context(context.Background())
 	defer cancel()
+	var (
+		m     registry.Model
+		res   *core.Result // the suggested fit of a sweep
+		curve strings.Builder
+	)
 	start := time.Now()
-	m, err := registry.Fit(ctx, *algo, src, cfg)
+	if sweepSpec != "" {
+		// Sweeps refit the dataset through core.SweepL/SweepK, with the
+		// registry adapter's field-for-field core.Config translation.
+		res, err = sweep(&curve, ds, core.Config{
+			K: cfg.K, L: cfg.L, Seed: cfg.Seed, Workers: cfg.Workers, Kernel: cfg.Kernel,
+			Observer: cfg.Observer, Metrics: cfg.Metrics, Series: cfg.Series,
+		}, sweepParam, sweepSpec)
+	} else {
+		m, err = registry.Fit(ctx, *algo, src, cfg)
+	}
 	if err != nil {
 		return err
 	}
 	elapsed := time.Since(start)
 
-	rep := m.Report()
+	var (
+		rep  *obs.RunReport
+		as   []int
+		cres *clique.Result
+	)
+	if m != nil {
+		rep, as = m.Report(), m.Assignments()
+		cres, _ = m.Unwrap().(*clique.Result)
+	} else {
+		rep, as = res.Report(), res.Assignments
+	}
 	rep.Dataset.Source = *in
-	rep.Dataset.Labeled = labeled
+	rep.Dataset.Labeled = labels != nil
 
 	fmt.Fprintf(out, "%s: %d points × %d dims — %s\n",
-		m.Algorithm(), rep.Dataset.Points, rep.Dataset.Dims, elapsed.Round(time.Millisecond))
-	if rep.Objective != 0 {
-		fmt.Fprintf(out, "objective: %.4f\n", rep.Objective)
-	}
-	fmt.Fprintf(out, "clusters: %d\n", m.NumClusters())
-	for _, cl := range rep.Clusters {
-		fmt.Fprintf(out, "  cluster %3d: %6d points\n", cl.ID+1, cl.Size)
-	}
-	if rep.Outliers > 0 {
-		fmt.Fprintf(out, "  outliers: %d\n", rep.Outliers)
-	}
-
-	var quality map[string]float64
-	as := m.Assignments()
-	if labeled && as != nil {
-		quality = map[string]float64{}
-		if ari, err := eval.AdjustedRandIndex(labels, as); err == nil {
-			fmt.Fprintf(out, "ARI: %.3f", ari)
-			quality["ari"] = ari
-		}
-		if nmi, err := eval.NormalizedMutualInfo(labels, as); err == nil {
-			fmt.Fprintf(out, "   NMI: %.3f", nmi)
-			quality["nmi"] = nmi
-		}
-		fmt.Fprintln(out)
-	} else if labeled {
-		fmt.Fprintln(out, "quality: skipped (streamed fit holds no per-point assignments)")
+		*algo, rep.Dataset.Points, rep.Dataset.Dims, elapsed.Round(time.Millisecond))
+	io.WriteString(out, curve.String())
+	quality, err := summarize(out, rep, as, cres, labels, *verbose)
+	if err != nil {
+		return err
 	}
 
 	if *assignOut != "" {
 		if as == nil {
-			return fmt.Errorf("-assign: %s holds no per-point assignments for this source (streamed fit)", m.Algorithm())
+			return fmt.Errorf("-assign: %s holds no per-point assignments for this source (streamed fit)", *algo)
 		}
 		if err := dataset.SaveAssignments(*assignOut, as); err != nil {
 			return err
@@ -216,6 +269,177 @@ func run(args []string, out io.Writer) (retErr error) {
 	}
 	_, err = sess.ArchiveRun(rep, quality)
 	return err
+}
+
+// summarize prints the fit's objective, clusters and dimension sets and,
+// when labels are known, its quality against them, and returns the
+// quality indices for the archive. as is nil for a streamed fit without
+// per-point assignments, labels nil for unlabeled input. cres is set for
+// CLIQUE fits, whose clusters overlap and so get average overlap and
+// coverage instead of a confusion matrix.
+func summarize(out io.Writer, rep *obs.RunReport, as []int, cres *clique.Result, labels []int, verbose bool) (map[string]float64, error) {
+	if rep.Objective != 0 {
+		fmt.Fprintf(out, "objective: %.4f\n", rep.Objective)
+	}
+	if rep.Levels > 0 {
+		fmt.Fprintf(out, "dense units per subspace dimensionality: %v (levels reached: %d)\n",
+			rep.DenseBySubspaceDim, rep.Levels)
+	}
+	fmt.Fprintf(out, "clusters: %d\n", len(rep.Clusters))
+	for i, cl := range rep.Clusters {
+		fmt.Fprintf(out, "  cluster %3d: %6d points", cl.ID+1, cl.Size)
+		if len(cl.Dimensions) > 0 {
+			fmt.Fprintf(out, "  dims %v", oneBased(cl.Dimensions))
+		}
+		fmt.Fprintln(out)
+		if verbose {
+			for _, reg := range clique.Describe(cres.Clusters[i]) {
+				fmt.Fprintf(out, "      region %s\n", reg)
+			}
+		}
+	}
+	if rep.Outliers > 0 {
+		fmt.Fprintf(out, "  outliers: %d\n", rep.Outliers)
+	}
+
+	quality := map[string]float64{}
+	if cres != nil && as != nil {
+		// The partition view places every covered point, so the sum of
+		// the cluster sizes over the covered points is eval.AverageOverlap
+		// and the covered share of the true cluster points is
+		// eval.Coverage, without rebuilding the overlapping memberships.
+		var sizes, covered, truePts, hit int
+		for _, cl := range rep.Clusters {
+			sizes += cl.Size
+		}
+		for p, a := range as {
+			if a >= 0 {
+				covered++
+			}
+			if labels != nil && labels[p] >= 0 {
+				truePts++
+				if a >= 0 {
+					hit++
+				}
+			}
+		}
+		if covered > 0 {
+			fmt.Fprintf(out, "average overlap: %.2f\n", float64(sizes)/float64(covered))
+		}
+		if truePts > 0 {
+			cov := float64(hit) / float64(truePts)
+			fmt.Fprintf(out, "cluster-point coverage: %.1f%%\n", 100*cov)
+			quality["coverage"] = cov
+		}
+	}
+	switch {
+	case labels != nil && as != nil:
+		if cres == nil {
+			cm, err := eval.NewConfusion(labels, as, len(rep.Clusters), numLabels(labels))
+			if err != nil {
+				return nil, err
+			}
+			fmt.Fprintf(out, "confusion matrix (output rows × input columns):\n%s", cm)
+			fmt.Fprintf(out, "purity: %.3f   ", cm.Purity())
+			quality["purity"] = cm.Purity()
+		}
+		if ari, err := eval.AdjustedRandIndex(labels, as); err == nil {
+			fmt.Fprintf(out, "ARI: %.3f", ari)
+			quality["ari"] = ari
+		}
+		if nmi, err := eval.NormalizedMutualInfo(labels, as); err == nil {
+			fmt.Fprintf(out, "   NMI: %.3f", nmi)
+			quality["nmi"] = nmi
+		}
+		fmt.Fprintln(out)
+	case labels != nil:
+		fmt.Fprintln(out, "quality: skipped (streamed fit holds no per-point assignments)")
+	}
+	return quality, nil
+}
+
+// sweep fits PROCLUS for every value of param ("l" or "k") in the
+// min:max range spec, writes the objective curve to w, and returns the
+// fit at the suggested value: the objective elbow for l (§4.3 of the
+// paper), the knee for k.
+func sweep(w io.Writer, ds *dataset.Dataset, cfg core.Config, param, spec string) (*core.Result, error) {
+	lo, hi, err := parseRange(spec)
+	if err != nil {
+		return nil, err
+	}
+	var (
+		values    []int
+		fits      []*core.Result
+		suggested int
+	)
+	if param == "l" {
+		points, err := core.SweepL(ds, cfg, lo, hi)
+		if err != nil {
+			return nil, err
+		}
+		if suggested, err = core.SuggestL(points); err != nil {
+			return nil, err
+		}
+		for _, p := range points {
+			values, fits = append(values, p.L), append(fits, p.Result)
+		}
+	} else {
+		points, err := core.SweepK(ds, cfg, lo, hi)
+		if err != nil {
+			return nil, err
+		}
+		if suggested, err = core.SuggestK(points); err != nil {
+			return nil, err
+		}
+		for _, p := range points {
+			values, fits = append(values, p.K), append(fits, p.Result)
+		}
+	}
+	fmt.Fprintf(w, "%6s %12s %10s\n", param, "objective", "outliers")
+	var best *core.Result
+	for i, res := range fits {
+		marker := ""
+		if values[i] == suggested {
+			marker, best = "  ← suggested", res
+		}
+		fmt.Fprintf(w, "%6d %12.4f %10d%s\n", values[i], res.Objective, res.NumOutliers(), marker)
+	}
+	fmt.Fprintf(w, "suggested %s: %d\n", param, suggested)
+	return best, nil
+}
+
+func parseRange(spec string) (lo, hi int, err error) {
+	parts := strings.SplitN(spec, ":", 2)
+	if len(parts) != 2 {
+		return 0, 0, fmt.Errorf("range %q must be min:max", spec)
+	}
+	lo, err = strconv.Atoi(parts[0])
+	if err != nil {
+		return 0, 0, fmt.Errorf("range %q: %w", spec, err)
+	}
+	hi, err = strconv.Atoi(parts[1])
+	if err != nil {
+		return 0, 0, fmt.Errorf("range %q: %w", spec, err)
+	}
+	return lo, hi, nil
+}
+
+func oneBased(dims []int) []int {
+	out := make([]int, len(dims))
+	for i, d := range dims {
+		out[i] = d + 1
+	}
+	return out
+}
+
+// numLabels is the number of ground-truth clusters: one past the largest
+// label, outliers (negative labels) aside.
+func numLabels(labels []int) int {
+	n := 0
+	for _, l := range labels {
+		n = max(n, l+1)
+	}
+	return n
 }
 
 // capsSummary renders an algorithm's capability set for -list.
