@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -140,5 +141,54 @@ func TestRunReportAndTrace(t *testing.T) {
 	}
 	if !strings.Contains(string(tr), `"run_end"`) {
 		t.Errorf("trace missing run_end:\n%s", tr)
+	}
+}
+
+// TestRunOverflowingCoordinates pins the hostile-input contract for
+// coordinates that pass validation but whose covariance overflows:
+// pcluster exits 1 with ORCLUS's error on stderr and writes no -assign
+// file, whether the failure comes in a merge phase or in the final
+// bases (-k0factor 1 runs no merge).
+func TestRunOverflowingCoordinates(t *testing.T) {
+	dir := t.TempDir()
+	var csv strings.Builder
+	for i := 0; i < 60; i++ {
+		for j := 0; j < 3; j++ {
+			v := float64((i*7+j*5)%9+1) * 1e200
+			if (i+j)%2 == 1 {
+				v = -v
+			}
+			if j > 0 {
+				csv.WriteByte(',')
+			}
+			csv.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
+		}
+		csv.WriteByte('\n')
+	}
+	path := filepath.Join(dir, "huge.csv")
+	if err := os.WriteFile(path, []byte(csv.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{nil, "has a finite union energy"},
+		{[]string{"-k0factor", "1"}, "orclus: basis of"},
+	} {
+		assign := filepath.Join(dir, "assign.csv")
+		var sb strings.Builder
+		err := run(append([]string{"-in", path, "-k", "2", "-l", "1", "-assign", assign}, tc.args...), &sb)
+		if err == nil {
+			t.Errorf("%v: accepted:\n%s", tc.args, sb.String())
+			continue
+		}
+		msg := err.Error()
+		if !strings.HasPrefix(msg, "exit status 1: pcluster: orclus: ") || !strings.Contains(msg, tc.want) {
+			t.Errorf("%v: error %q, want exit status 1 and %q", tc.args, msg, tc.want)
+		}
+		if _, err := os.Stat(assign); !os.IsNotExist(err) {
+			t.Errorf("%v: failed run left an -assign file (stat: %v)", tc.args, err)
+		}
 	}
 }

@@ -225,10 +225,17 @@ func ProjectOffset(p, origin []float64, basis [][]float64) []float64 {
 
 // ProjectedDistance returns the Euclidean distance between p and origin
 // measured inside the subspace spanned by the orthonormal basis — the
-// projected energy metric of generalized projected clustering.
+// projected energy metric of generalized projected clustering. It does
+// not allocate for up to 64 dimensions.
 func ProjectedDistance(p, origin []float64, basis [][]float64) float64 {
 	var s float64
-	diff := make([]float64, len(p))
+	var buf [64]float64
+	var diff []float64
+	if len(p) <= len(buf) {
+		diff = buf[:len(p)]
+	} else {
+		diff = make([]float64, len(p))
+	}
 	for i := range p {
 		diff[i] = p[i] - origin[i]
 	}

@@ -165,6 +165,55 @@ func TestProjectOffsetAndDistance(t *testing.T) {
 	}
 }
 
+// heapProjectedDistance is ProjectedDistance as first written, with a
+// heap-allocated difference vector: the reference for bit equality.
+func heapProjectedDistance(p, origin []float64, basis [][]float64) float64 {
+	var s float64
+	diff := make([]float64, len(p))
+	for i := range p {
+		diff[i] = p[i] - origin[i]
+	}
+	for _, b := range basis {
+		d := Dot(diff, b)
+		s += d * d
+	}
+	return math.Sqrt(s)
+}
+
+func TestProjectedDistanceMatchesHeapFormula(t *testing.T) {
+	// Dimensions above 64 take the heap fallback; both paths must keep
+	// the float operation order bit for bit.
+	r := randx.New(7)
+	for trial := 0; trial < 500; trial++ {
+		d := 1 + r.Intn(100)
+		m := 1 + r.Intn(d)
+		p, origin := make([]float64, d), make([]float64, d)
+		for i := range p {
+			p[i] = r.Uniform(-1e3, 1e3)
+			origin[i] = r.Uniform(-1e3, 1e3)
+		}
+		basis := RandomOrthonormal(d, m, r.NormFloat64)
+		got, want := ProjectedDistance(p, origin, basis), heapProjectedDistance(p, origin, basis)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("d=%d m=%d: %v != %v", d, m, got, want)
+		}
+	}
+}
+
+func TestProjectedDistanceAllocFree(t *testing.T) {
+	r := randx.New(9)
+	for _, d := range []int{1, 12, 64} {
+		p, origin := make([]float64, d), make([]float64, d)
+		for i := range p {
+			p[i], origin[i] = r.Float64(), r.Float64()
+		}
+		basis := RandomOrthonormal(d, (d+1)/2, r.NormFloat64)
+		if n := testing.AllocsPerRun(100, func() { ProjectedDistance(p, origin, basis) }); n != 0 {
+			t.Errorf("d=%d: %v allocs per call, want 0", d, n)
+		}
+	}
+}
+
 func TestRandomOrthonormal(t *testing.T) {
 	r := randx.New(9)
 	for trial := 0; trial < 20; trial++ {

@@ -18,6 +18,7 @@
 package orclus
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -49,11 +50,12 @@ type Config struct {
 	// centroid, and a point is an outlier iff it exceeds Δ_i for every
 	// cluster i.
 	HandleOutliers bool
-	// Workers bounds the goroutines the assignment passes may use;
-	// values below 1 select GOMAXPROCS. Results are identical for any
-	// value: each point's nearest seed is a pure function of the point,
-	// and the member lists are rebuilt serially in ascending point
-	// order afterwards.
+	// Workers bounds the goroutines the assignment passes and the
+	// merge phases' pair scoring may use; values below 1 select
+	// GOMAXPROCS. Results are identical for any value: each point's
+	// nearest seed is a pure function of the point, each pair's union
+	// energy a pure function of the pair, and the member lists and the
+	// choice of pair to merge are made serially afterwards.
 	Workers int
 	// Seed drives all randomness.
 	Seed uint64
@@ -143,8 +145,22 @@ type state struct {
 	members []int
 }
 
+// errNoBasis is wrapped by the error Run returns when a basis it needs
+// cannot be computed: no candidate merge has a finite union energy, or
+// a final cluster's covariance has no eigendecomposition. Coordinates
+// whose squares overflow float64 cause both.
+var errNoBasis = errors.New("covariance has no eigendecomposition (do squared coordinates overflow float64?)")
+
+// mergeFunc is the signature of merge. run takes the merge step as a
+// parameter so that tests can substitute a reference implementation.
+type mergeFunc func(ds *dataset.Dataset, clusters []*state, kNew, lc, workers int) ([]*state, int, error)
+
 // Run executes ORCLUS on ds.
 func Run(ds *dataset.Dataset, cfg Config) (*Result, error) {
+	return run(ds, cfg, merge)
+}
+
+func run(ds *dataset.Dataset, cfg Config, mergeStep mergeFunc) (*Result, error) {
 	if err := ds.Validate(); err != nil {
 		return nil, err
 	}
@@ -187,19 +203,26 @@ func Run(ds *dataset.Dataset, cfg Config) (*Result, error) {
 		assign(ds, clusters, cfg.Workers, &counters)
 		recenter(ds, clusters)
 		lcNew := math.Max(float64(cfg.L), lc*beta)
-		recomputeBases(ds, clusters, int(math.Round(lcNew)))
+		// A cluster whose covariance has no eigendecomposition keeps its
+		// previous basis here; only the final bases must exist.
+		_ = recomputeBases(ds, clusters, int(math.Round(lcNew)))
 		if kc == cfg.K {
 			break
 		}
 		kNew := int(math.Max(float64(cfg.K), cfg.Alpha*float64(kc)))
-		clusters = merge(ds, clusters, kNew, int(math.Round(lcNew)))
+		clusters, _, err = mergeStep(ds, clusters, kNew, int(math.Round(lcNew)), cfg.Workers)
+		if err != nil {
+			return nil, err
+		}
 		kc = len(clusters)
 		lc = lcNew
 	}
 	// Final polish: one more assignment against the final bases.
 	assign(ds, clusters, cfg.Workers, &counters)
 	recenter(ds, clusters)
-	recomputeBases(ds, clusters, cfg.L)
+	if err := recomputeBases(ds, clusters, cfg.L); err != nil {
+		return nil, err
+	}
 	assign(ds, clusters, cfg.Workers, &counters)
 	if cfg.HandleOutliers {
 		stripOutliers(ds, clusters, &counters)
@@ -297,9 +320,12 @@ func recenter(ds *dataset.Dataset, clusters []*state) {
 
 // recomputeBases sets each cluster's basis to the lc eigenvectors of
 // least eigenvalue of its covariance. Clusters with fewer than two
-// members keep their previous basis truncated to lc.
-func recomputeBases(ds *dataset.Dataset, clusters []*state, lc int) {
-	for _, c := range clusters {
+// members keep their previous basis truncated to lc. A cluster whose
+// covariance has no eigendecomposition keeps its previous basis
+// untruncated, and the error names the first such cluster.
+func recomputeBases(ds *dataset.Dataset, clusters []*state, lc int) error {
+	var first error
+	for i, c := range clusters {
 		if len(c.members) < 2 {
 			if len(c.basis) > lc {
 				c.basis = c.basis[:lc]
@@ -307,10 +333,15 @@ func recomputeBases(ds *dataset.Dataset, clusters []*state, lc int) {
 			continue
 		}
 		basis, err := leastSpreadBasis(ds, c.members, lc)
-		if err == nil {
-			c.basis = basis
+		if err != nil {
+			if first == nil {
+				first = fmt.Errorf("orclus: basis of %d-point cluster %d: %w: %w", len(c.members), i, errNoBasis, err)
+			}
+			continue
 		}
+		c.basis = basis
 	}
+	return first
 }
 
 // leastSpreadBasis returns the lc least-eigenvalue eigenvectors of the
@@ -331,17 +362,50 @@ func leastSpreadBasis(ds *dataset.Dataset, members []int, lc int) ([][]float64, 
 // pair with the smallest projected energy of the union, evaluated in
 // the union's own lc-dimensional least-spread basis (ORCLUS's merging
 // criterion).
-func merge(ds *dataset.Dataset, clusters []*state, kNew, lc int) []*state {
+//
+// A pair's union energy depends only on the two member lists, and a
+// merge leaves every other cluster untouched and in order, so each
+// pair is scored once per call: every pair up front, then after each
+// merge only the pairs with the new cluster, which is appended last.
+// The scores compute on up to workers goroutines into index-addressed
+// slots. The argmin scan stays serial, over the pairs a < b in list
+// order with a strict <, so every pick and tie-break is that of
+// rescoring all pairs after every merge, for any worker count.
+//
+// merge also returns the number of union energies it computed. It
+// fails when no pair has a finite energy.
+func merge(ds *dataset.Dataset, clusters []*state, kNew, lc, workers int) ([]*state, int, error) {
+	energies := make(map[[2]*state]float64)
+	var pending [][2]*state
+	for a, ca := range clusters {
+		for _, cb := range clusters[a+1:] {
+			pending = append(pending, [2]*state{ca, cb})
+		}
+	}
+	evals := 0
 	for len(clusters) > kNew {
+		scores := make([]float64, len(pending))
+		parallel.Each(len(pending), workers, func(i int) {
+			scores[i] = unionEnergy(ds, pending[i][0], pending[i][1], lc)
+		})
+		for i, pair := range pending {
+			energies[pair] = scores[i]
+		}
+		evals += len(pending)
+
 		bestA, bestB := -1, -1
 		bestEnergy := math.Inf(1)
 		for a := 0; a < len(clusters); a++ {
 			for b := a + 1; b < len(clusters); b++ {
-				e := unionEnergy(ds, clusters[a], clusters[b], lc)
+				e := energies[[2]*state{clusters[a], clusters[b]}]
 				if e < bestEnergy {
 					bestA, bestB, bestEnergy = a, b, e
 				}
 			}
+		}
+		if bestA < 0 {
+			return nil, evals, fmt.Errorf("orclus: no pair of %d clusters has a finite union energy: %w",
+				len(clusters), errNoBasis)
 		}
 		merged := &state{
 			members: append(append([]int(nil), clusters[bestA].members...), clusters[bestB].members...),
@@ -360,14 +424,16 @@ func merge(ds *dataset.Dataset, clusters []*state, kNew, lc int) []*state {
 			merged.basis = clusters[bestA].basis
 		}
 		next := make([]*state, 0, len(clusters)-1)
+		pending = pending[:0]
 		for i, c := range clusters {
 			if i != bestA && i != bestB {
 				next = append(next, c)
+				pending = append(pending, [2]*state{c, merged})
 			}
 		}
 		clusters = append(next, merged)
 	}
-	return clusters
+	return clusters, evals, nil
 }
 
 // stripOutliers removes from every cluster the members outside all

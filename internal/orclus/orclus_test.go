@@ -1,13 +1,18 @@
 package orclus
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"proclus/internal/dataset"
 	"proclus/internal/eval"
 	"proclus/internal/linalg"
 	"proclus/internal/obs"
+	"proclus/internal/randx"
 	"proclus/internal/synth"
 )
 
@@ -171,41 +176,324 @@ func TestDeterministic(t *testing.T) {
 }
 
 func TestDeterministicAcrossWorkers(t *testing.T) {
-	// The assignment pass fans out over parallel.For, but each point's
-	// nearest seed is a pure function of the point and the member lists
-	// are rebuilt serially afterwards, so the Result must be identical
-	// for any goroutine budget.
+	// The assignment passes and the merge phases' pair scoring fan out
+	// over goroutines, but each point's nearest seed and each pair's
+	// union energy are pure functions of their inputs, and member lists
+	// and merge picks are made serially afterwards, so the Result must
+	// be identical, bit for bit, for any goroutine budget.
 	ds, _ := orientedData(t, 19)
-	base, err := Run(ds, Config{K: 3, L: 2, Seed: 7, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{2, 4, 7} {
-		res, err := Run(ds, Config{K: 3, L: 2, Seed: 7, Workers: w})
+	for _, outliers := range []bool{false, true} {
+		cfg := Config{K: 3, L: 2, Seed: 7, HandleOutliers: outliers, Workers: 1}
+		base, err := Run(ds, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.TotalEnergy != base.TotalEnergy {
-			t.Fatalf("workers=%d: energy %v != serial %v", w, res.TotalEnergy, base.TotalEnergy)
-		}
-		for i := range base.Assignments {
-			if res.Assignments[i] != base.Assignments[i] {
-				t.Fatalf("workers=%d: assignment %d differs", w, i)
+		for _, w := range []int{2, 4, 7} {
+			cfg.Workers = w
+			res, err := Run(ds, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if msg := diffResults(base, res); msg != "" {
+				t.Fatalf("outliers=%v workers=%d: %s", outliers, w, msg)
 			}
 		}
-		if len(res.Clusters) != len(base.Clusters) {
-			t.Fatalf("workers=%d: %d clusters != %d", w, len(res.Clusters), len(base.Clusters))
+	}
+}
+
+// diffResults describes the first difference between two results'
+// assignments, total energies and clusters (members, energy, and the
+// bits of every centroid and basis coordinate), or returns "".
+func diffResults(want, got *Result) string {
+	if math.Float64bits(got.TotalEnergy) != math.Float64bits(want.TotalEnergy) {
+		return fmt.Sprintf("energy %v != %v", got.TotalEnergy, want.TotalEnergy)
+	}
+	if !slices.Equal(got.Assignments, want.Assignments) {
+		return "assignments differ"
+	}
+	if len(got.Clusters) != len(want.Clusters) {
+		return fmt.Sprintf("%d clusters != %d", len(got.Clusters), len(want.Clusters))
+	}
+	for ci, w := range want.Clusters {
+		g := got.Clusters[ci]
+		switch {
+		case !slices.Equal(g.Members, w.Members):
+			return fmt.Sprintf("cluster %d members differ", ci)
+		case math.Float64bits(g.Energy) != math.Float64bits(w.Energy):
+			return fmt.Sprintf("cluster %d energy %v != %v", ci, g.Energy, w.Energy)
+		case !sameBits(g.Centroid, w.Centroid):
+			return fmt.Sprintf("cluster %d centroid differs", ci)
+		case !sameBasis(g.Basis, w.Basis):
+			return fmt.Sprintf("cluster %d basis differs", ci)
 		}
-		for ci := range base.Clusters {
-			bm, rm := base.Clusters[ci].Members, res.Clusters[ci].Members
-			if len(bm) != len(rm) {
-				t.Fatalf("workers=%d: cluster %d size %d != %d", w, ci, len(rm), len(bm))
-			}
-			for j := range bm {
-				if bm[j] != rm[j] {
-					t.Fatalf("workers=%d: cluster %d member %d differs", w, ci, j)
+	}
+	return ""
+}
+
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool {
+		return math.Float64bits(x) == math.Float64bits(y)
+	})
+}
+
+func sameBasis(a, b [][]float64) bool {
+	return slices.EqualFunc(a, b, sameBits)
+}
+
+// referenceMerge is the all-pairs merge that the per-phase pair cache
+// replaced: after every merge it rescores every pair. It is kept as
+// the oracle the cached merge must match exactly, and it also returns
+// the number of union energies it computed.
+func referenceMerge(ds *dataset.Dataset, clusters []*state, kNew, lc int) ([]*state, int) {
+	evals := 0
+	for len(clusters) > kNew {
+		bestA, bestB := -1, -1
+		bestEnergy := math.Inf(1)
+		for a := 0; a < len(clusters); a++ {
+			for b := a + 1; b < len(clusters); b++ {
+				e := unionEnergy(ds, clusters[a], clusters[b], lc)
+				evals++
+				if e < bestEnergy {
+					bestA, bestB, bestEnergy = a, b, e
 				}
 			}
+		}
+		merged := &state{
+			members: append(append([]int(nil), clusters[bestA].members...), clusters[bestB].members...),
+		}
+		if len(merged.members) > 0 {
+			merged.seed = ds.Centroid(merged.members)
+		} else {
+			merged.seed = clusters[bestA].seed
+		}
+		if len(merged.members) >= 2 {
+			if basis, err := leastSpreadBasis(ds, merged.members, lc); err == nil {
+				merged.basis = basis
+			}
+		}
+		if merged.basis == nil {
+			merged.basis = clusters[bestA].basis
+		}
+		next := make([]*state, 0, len(clusters)-1)
+		for i, c := range clusters {
+			if i != bestA && i != bestB {
+				next = append(next, c)
+			}
+		}
+		clusters = append(next, merged)
+	}
+	return clusters, evals
+}
+
+// diffStates describes the first difference between two merge outputs:
+// cluster order, members, and the bits of every seed and basis
+// coordinate.
+func diffStates(want, got []*state) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d clusters != %d", len(got), len(want))
+	}
+	for i, w := range want {
+		g := got[i]
+		switch {
+		case !slices.Equal(g.members, w.members):
+			return fmt.Sprintf("cluster %d members differ", i)
+		case !sameBits(g.seed, w.seed):
+			return fmt.Sprintf("cluster %d seed differs", i)
+		case !sameBasis(g.basis, w.basis):
+			return fmt.Sprintf("cluster %d basis differs", i)
+		}
+	}
+	return ""
+}
+
+// cloneStates deep-copies merge output, which later assignment passes
+// overwrite in place.
+func cloneStates(in []*state) []*state {
+	out := make([]*state, len(in))
+	for i, c := range in {
+		basis := make([][]float64, len(c.basis))
+		for j, v := range c.basis {
+			basis[j] = slices.Clone(v)
+		}
+		out[i] = &state{seed: slices.Clone(c.seed), basis: basis, members: slices.Clone(c.members)}
+	}
+	return out
+}
+
+// duplicateData returns n points at eight distinct sites in 8
+// dimensions. Seeds drawn from it coincide, so clusters end up empty or
+// holding copies of one point, and many unions tie at zero energy: the
+// merge picks then hinge on the tie-break.
+func duplicateData(t *testing.T, n int) *dataset.Dataset {
+	t.Helper()
+	r := randx.New(4)
+	sites := make([][]float64, 8)
+	for i := range sites {
+		sites[i] = make([]float64, 8)
+		for j := range sites[i] {
+			sites[i][j] = r.Uniform(0, 100)
+		}
+	}
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = sites[r.Intn(len(sites))]
+	}
+	ds, err := dataset.FromRows(rows, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds
+}
+
+func TestMergeMatchesAllPairsReference(t *testing.T) {
+	// A run that merges with the reference records every phase's output.
+	// Runs with the cached merge at each worker count must then produce
+	// the same output phase by phase, and the same Result.
+	inputs := []*dataset.Dataset{duplicateData(t, 300)}
+	for seed := uint64(31); seed <= 33; seed++ {
+		ds, _, err := synth.Generate(synth.Config{
+			N: 300, Dims: 8, K: 3, FixedDims: 3, MinSizeFraction: 0.1, Seed: seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs = append(inputs, ds)
+	}
+	for i, ds := range inputs {
+		seed := uint64(i + 1)
+		for _, k0f := range []int{2, 5, 8} {
+			for _, alpha := range []float64{0.3, 0.5, 0.7} {
+				cfg := Config{K: 2, L: 3, K0Factor: k0f, Alpha: alpha, Seed: seed}
+				var phases [][]*state
+				recorded := func(ds *dataset.Dataset, clusters []*state, kNew, lc, _ int) ([]*state, int, error) {
+					out, n := referenceMerge(ds, clusters, kNew, lc)
+					phases = append(phases, cloneStates(out))
+					return out, n, nil
+				}
+				want, err := run(ds, cfg, recorded)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, w := range []int{1, 2, 7} {
+					cfg.Workers = w
+					label := fmt.Sprintf("seed=%d k0factor=%d alpha=%v workers=%d", seed, k0f, alpha, w)
+					phase := 0
+					checked := func(ds *dataset.Dataset, clusters []*state, kNew, lc, workers int) ([]*state, int, error) {
+						got, n, err := merge(ds, clusters, kNew, lc, workers)
+						if err != nil {
+							t.Fatalf("%s: phase %d: %v", label, phase, err)
+						}
+						if phase == len(phases) {
+							t.Fatalf("%s: more merge phases than the reference's %d", label, len(phases))
+						}
+						if msg := diffStates(phases[phase], got); msg != "" {
+							t.Fatalf("%s: phase %d: %s", label, phase, msg)
+						}
+						phase++
+						return got, n, nil
+					}
+					got, err := run(ds, cfg, checked)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if phase != len(phases) {
+						t.Fatalf("%s: %d merge phases, reference had %d", label, phase, len(phases))
+					}
+					if msg := diffResults(want, got); msg != "" {
+						t.Fatalf("%s: result: %s", label, msg)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestMergeScoresEachPairOncePerPhase(t *testing.T) {
+	// k0 = 25 clusters merge 25 → 12 → 6 → 5 at alpha 0.5. Rescoring
+	// every pair after every merge costs sum over m of m(m-1)/2 union
+	// energies (2,580); scoring every pair once per phase and then only
+	// the new cluster's pairs costs 300+210 + 66+40 + 15 = 631.
+	ds, _, err := synth.Generate(synth.Config{
+		N: 250, Dims: 12, K: 5, FixedDims: 4, MinSizeFraction: 0.1, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{K: 5, L: 4, K0Factor: 5, Alpha: 0.5, Seed: 9}
+	var refEvals int
+	reference := func(ds *dataset.Dataset, clusters []*state, kNew, lc, _ int) ([]*state, int, error) {
+		out, n := referenceMerge(ds, clusters, kNew, lc)
+		refEvals += n
+		return out, n, nil
+	}
+	if _, err := run(ds, cfg, reference); err != nil {
+		t.Fatal(err)
+	}
+	var evals int
+	counted := func(ds *dataset.Dataset, clusters []*state, kNew, lc, workers int) ([]*state, int, error) {
+		out, n, err := merge(ds, clusters, kNew, lc, workers)
+		evals += n
+		return out, n, err
+	}
+	if _, err := run(ds, cfg, counted); err != nil {
+		t.Fatal(err)
+	}
+	if refEvals != 2580 {
+		t.Errorf("all-pairs reference computed %d union energies, want 2580", refEvals)
+	}
+	if evals != 631 {
+		t.Errorf("cached merge computed %d union energies, want 631", evals)
+	}
+}
+
+// hugeData returns 60 points in 3 dimensions whose coordinates are
+// multiples of ±1e200: finite, so Validate accepts them, but the
+// covariance of any two of them overflows.
+func hugeData(t *testing.T) *dataset.Dataset {
+	t.Helper()
+	rows := make([][]float64, 60)
+	for i := range rows {
+		rows[i] = make([]float64, 3)
+		for j := range rows[i] {
+			v := float64((i*7+j*5)%9+1) * 1e200
+			if (i+j)%2 == 1 {
+				v = -v
+			}
+			rows[i][j] = v
+		}
+	}
+	ds, err := dataset.FromRows(rows, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds
+}
+
+func TestOverflowingCovarianceErrors(t *testing.T) {
+	ds := hugeData(t)
+	if err := ds.Validate(); err != nil {
+		t.Fatalf("hostile input must pass Validate to reach ORCLUS: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		// Every union of two or more of these points has an infinite
+		// energy, so the first merge phase runs out of finite pairs
+		// before it reaches k.
+		{"merge", Config{K: 2, L: 1, Seed: 1}, "has a finite union energy"},
+		// k0 = k: no merge runs, and the final basis cannot be computed.
+		{"final basis", Config{K: 2, L: 1, K0Factor: 1, Seed: 1}, "orclus: basis of"},
+	} {
+		res, err := Run(ds, tc.cfg)
+		if err == nil {
+			t.Errorf("%s: no error; cluster 0 basis has %d vectors for L = 1, energy %v",
+				tc.name, len(res.Clusters[0].Basis), res.Clusters[0].Energy)
+			continue
+		}
+		if !errors.Is(err, errNoBasis) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q, want %q wrapping errNoBasis", tc.name, err, tc.want)
 		}
 	}
 }
