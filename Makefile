@@ -93,13 +93,15 @@ bench-smoke:
 # the CI logs so allocation creep is visible at a glance. The dataset
 # I/O benchmarks (LoadFile, a no-op FileSource pass, the assignment CSV
 # writer, all at 10k×20) log the I/O layer's bytes/op and allocs/op.
-# BenchmarkRun logs a whole ORCLUS fit's allocs/op on the benchmark
-# ledger's baselines shape, at one worker and at GOMAXPROCS.
+# BenchmarkRun logs a whole ORCLUS fit's and a whole CLIQUE fit's
+# allocs/op on the benchmark ledger's baselines shape, at one worker and
+# at GOMAXPROCS.
 bench-allocs:
 	$(GO) test -run xxx -bench . -benchtime 100x -benchmem ./internal/dist/
 	$(GO) test -run xxx -bench 'BenchmarkAssign' -benchtime 1x -benchmem ./internal/core/
 	$(GO) test -run xxx -bench 'BenchmarkLoadFile|BenchmarkFileSourcePass|BenchmarkWriteAssignments' -benchtime 20x -benchmem ./internal/dataset/
 	$(GO) test -run xxx -bench 'BenchmarkRun' -benchtime 3x -benchmem ./internal/orclus/
+	$(GO) test -run xxx -bench 'BenchmarkRun' -benchtime 3x -benchmem ./internal/clique/
 
 # Observability overhead: instrumented assignment pass (counters on,
 # observer nil) vs an uninstrumented replica. Compare medians; the

@@ -10,16 +10,9 @@ import "fmt"
 // never resident, and it is what the algorithm registry's CLIQUE model
 // serves Assign from.
 type PointAssigner struct {
-	res  *Result
-	g    *grid
-	refs []assignerRef
-}
-
-// assignerRef groups one subspace's dense units: a point computes its
-// interval vector once per subspace and looks the unit up.
-type assignerRef struct {
-	dims  []int
-	units map[string]int // unitKey -> cluster index
+	res   *Result
+	g     *grid
+	index []subspaceClusters
 }
 
 // NewPointAssigner builds an assigner from a completed run's result.
@@ -27,57 +20,29 @@ func NewPointAssigner(res *Result) (*PointAssigner, error) {
 	if len(res.GridMin) == 0 || len(res.GridMin) != len(res.GridMax) {
 		return nil, fmt.Errorf("clique: result carries no grid bounds (produced by an older run?)")
 	}
-	xi := res.Xi
-	if xi == 0 {
-		xi = 10
-	}
-	a := &PointAssigner{res: res, g: newGridBounds(res.GridMin, res.GridMax, xi)}
-	bySub := map[string]int{} // subspaceKey -> index into refs
-	for ci := range res.Clusters {
-		skey := subspaceKey(res.Clusters[ci].Dims)
-		ri, ok := bySub[skey]
-		if !ok {
-			ri = len(a.refs)
-			bySub[skey] = ri
-			a.refs = append(a.refs, assignerRef{
-				dims:  res.Clusters[ci].Dims,
-				units: map[string]int{},
-			})
-		}
-		for _, u := range res.Clusters[ci].Units {
-			a.refs[ri].units[unitKey(u.Intervals)] = ci
-		}
-	}
-	return a, nil
+	return newPointAssigner(res, newGridBounds(res.GridMin, res.GridMax, res.xi())), nil
+}
+
+func newPointAssigner(res *Result, g *grid) *PointAssigner {
+	return &PointAssigner{res: res, g: g, index: indexClusters(res.Clusters, g.xi)}
 }
 
 // Dims returns the dimensionality of points the assigner accepts.
-func (a *PointAssigner) Dims() int { return len(a.res.GridMin) }
+func (a *PointAssigner) Dims() int { return len(a.g.min) }
 
 // Assign returns the index of the preferred cluster covering p, or -1
 // when no cluster's dense units contain it. For points of the fitted
 // dataset the answer matches PartitionView entry for entry; out-of-
 // domain coordinates clamp into the boundary intervals, exactly as the
-// streamed counting passes treat them.
+// streamed counting passes treat them. Assign does not allocate.
 func (a *PointAssigner) Assign(p []float64) int {
 	if len(p) != a.Dims() {
 		return -1
 	}
 	best := -1
-	buf := make([]int, 16)
-	for _, rf := range a.refs {
-		if cap(buf) < len(rf.dims) {
-			buf = make([]int, len(rf.dims))
-		}
-		ivs := buf[:len(rf.dims)]
-		for i, d := range rf.dims {
-			ivs[i] = a.g.interval(d, p[d])
-		}
-		ci, ok := rf.units[unitKey(ivs)]
-		if !ok {
-			continue
-		}
-		if best == -1 || a.res.prefer(ci, best) {
+	for _, sc := range a.index {
+		ci, ok := sc.units[a.g.key(sc.dims, p)]
+		if ok && (best == -1 || a.res.prefer(ci, best)) {
 			best = ci
 		}
 	}

@@ -89,3 +89,22 @@ func TestPointAssignerOutOfDomainClamps(t *testing.T) {
 		t.Fatalf("far-out corner point assigned out of range: %d", got)
 	}
 }
+
+// TestPointAssignerAssignDoesNotAllocate pins Assign at zero
+// allocations per call: the streamed assignment path calls it once per
+// point.
+func TestPointAssignerAssignDoesNotAllocate(t *testing.T) {
+	ds := assignerData(t)
+	res, err := Run(ds, Config{Xi: 10, Tau: 0.02})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := NewPointAssigner(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := ds.Point(0)
+	if allocs := testing.AllocsPerRun(100, func() { a.Assign(p) }); allocs != 0 {
+		t.Fatalf("Assign made %v allocations per call, want 0", allocs)
+	}
+}

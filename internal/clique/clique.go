@@ -23,6 +23,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -36,8 +38,13 @@ import (
 
 // Config holds the CLIQUE parameters.
 type Config struct {
-	// Xi is the number of intervals per dimension (the paper's ξ).
-	// Default 10.
+	// Xi is the number of intervals per dimension (the paper's ξ),
+	// between 2 and 255. Default 10. A unit of a q-dimensional subspace
+	// is keyed by a uint64 holding its q interval indices as base-Xi
+	// digits, so the search reaches level q only while Xi^q ≤ 2^64: up
+	// to level 19 at Xi = 10, level 8 at Xi = 255. A run whose lattice
+	// would go higher fails with an error that names the level; set
+	// MaxDims to stop below it.
 	Xi int
 	// Tau is the density threshold as a fraction of N (the paper's τ):
 	// a unit is dense when it holds more than Tau·N points. Default
@@ -79,9 +86,10 @@ type Config struct {
 	// Workers bounds the goroutines used by the full-dataset passes: the
 	// 1-dimensional histogram (sharded by points, merged with commuting
 	// integer adds), the per-level candidate counting pass and the
-	// cluster-size pass (both sharded by subspace, so each subspace's
-	// counters belong to exactly one worker). Results are identical for
-	// every worker count. Values below 1 select GOMAXPROCS.
+	// cluster-size pass (both compute each block's interval cells
+	// sharded by points, then count sharded by subspace, so each
+	// subspace's counters belong to exactly one worker). Results are
+	// identical for every worker count. Values below 1 select GOMAXPROCS.
 	Workers int
 
 	// Observer receives structured run events: run start/end, phase
@@ -127,6 +135,9 @@ func (cfg Config) validate(dims int) error {
 	switch {
 	case cfg.Xi < 2:
 		return fmt.Errorf("clique: Xi = %d must be at least 2", cfg.Xi)
+	case cfg.Xi > 255:
+		// Interval indices are stored one byte per cell.
+		return fmt.Errorf("clique: Xi = %d exceeds the supported maximum 255", cfg.Xi)
 	case cfg.Tau <= 0 || cfg.Tau >= 1:
 		return fmt.Errorf("clique: Tau = %v outside (0, 1)", cfg.Tau)
 	case cfg.MaxDims < 0:
@@ -220,6 +231,25 @@ func (g *grid) interval(j int, v float64) int {
 		iv = g.xi - 1
 	}
 	return iv
+}
+
+// key returns the key of the unit of subspace dims that holds p.
+func (g *grid) key(dims []int, p []float64) uint64 {
+	var k uint64
+	for _, d := range dims {
+		k = k*uint64(g.xi) + uint64(g.interval(d, p[d]))
+	}
+	return k
+}
+
+// cellKey returns the key of the unit of subspace dims that holds the
+// point whose interval indices, one per dimension, are row.
+func cellKey(dims []int, row []uint8, xi uint64) uint64 {
+	var k uint64
+	for _, d := range dims {
+		k = k*xi + uint64(row[d])
+	}
+	return k
 }
 
 // Run executes CLIQUE on ds. It routes through the same block-pass
@@ -316,6 +346,10 @@ type searcher struct {
 	// series records per-level and per-block trajectories; nil — the
 	// default, recording is opt-in via Config.Series — disables it.
 	series *searcherSeries
+	// cells holds the interval index of every point of the current block
+	// on every dimension, row by row; the counting passes reuse it from
+	// block to block.
+	cells []uint8
 }
 
 // emit forwards an event to the attached observer. The nil check is the
@@ -327,26 +361,75 @@ func (s *searcher) emit(e obs.Event) {
 	}
 }
 
-// unitKey encodes a unit's intervals within a known subspace as a
-// compact string usable as a map key. Interval indices fit in a byte
-// because Xi is far below 256 in every realistic configuration; the
-// validate step would need extending before supporting Xi > 255.
-func unitKey(intervals []int) string {
-	b := make([]byte, len(intervals))
-	for i, iv := range intervals {
-		b[i] = byte(iv)
-	}
-	return string(b)
-}
-
 // subspaceKey encodes a dimension set as a map key.
 func subspaceKey(dims []int) string {
-	b := make([]byte, 2*len(dims))
-	for i, d := range dims {
-		b[2*i] = byte(d >> 8)
-		b[2*i+1] = byte(d)
+	return string(appendSubspaceKey(nil, dims...))
+}
+
+// appendSubspaceKey appends the subspaceKey encoding of dims to b. A
+// lookup through m[string(b)] does not allocate.
+func appendSubspaceKey(b []byte, dims ...int) []byte {
+	for _, d := range dims {
+		b = append(b, byte(d>>8), byte(d))
 	}
-	return string(b)
+	return b
+}
+
+// Unit keys. A unit of a q-dimensional subspace is keyed by a uint64
+// holding its q interval indices as base-Xi digits, most significant
+// first. Within one subspace every key has q digits, so numeric order
+// is the lexicographic order of the interval vectors.
+
+// packKey returns the key of the unit with the given intervals.
+func packKey(intervals []int, xi int) uint64 {
+	var k uint64
+	for _, iv := range intervals {
+		k = k*uint64(xi) + uint64(iv)
+	}
+	return k
+}
+
+// unpackKey writes the len(intervals) interval indices held by key
+// into intervals.
+func unpackKey(intervals []int, key uint64, xi int) {
+	for i := len(intervals) - 1; i >= 0; i-- {
+		intervals[i] = int(key % uint64(xi))
+		key /= uint64(xi)
+	}
+}
+
+// digitWeights returns, for each digit position i of a q-digit key,
+// xi^(q−1−i): the step that moves interval i by one.
+func digitWeights(q, xi int) []uint64 {
+	w := make([]uint64, q)
+	for i, p := q-1, uint64(1); i >= 0; i-- {
+		w[i] = p
+		p *= uint64(xi)
+	}
+	return w
+}
+
+// dropDigit removes the digit of weight w from key, shifting the more
+// significant digits down one place.
+func dropDigit(key, w uint64, xi int) uint64 {
+	return key/w/uint64(xi)*w + key%w
+}
+
+// keyDigits returns the most base-xi digits a uint64 key holds: the
+// largest q with xi^q ≤ 2^64.
+func keyDigits(xi int) int {
+	q, p := 0, uint64(1)
+	for {
+		hi, lo := bits.Mul64(p, uint64(xi))
+		if hi != 0 {
+			if hi == 1 && lo == 0 { // xi^(q+1) == 2^64 exactly
+				q++
+			}
+			return q
+		}
+		p = lo
+		q++
+	}
 }
 
 // level holds all dense units of one lattice level, grouped by subspace.
@@ -357,7 +440,7 @@ type level struct {
 
 type subspaceUnits struct {
 	dims  []int
-	units map[string]int // unitKey -> count
+	units map[uint64]int // unit key -> count
 }
 
 // eachBlock sweeps the source once under a pass name, crediting stream
@@ -428,9 +511,6 @@ func (s *searcher) computeGrid() error {
 }
 
 func (s *searcher) run() (*Result, error) {
-	if s.cfg.Xi > 255 {
-		return nil, fmt.Errorf("clique: Xi = %d exceeds the supported maximum 255", s.cfg.Xi)
-	}
 	if err := s.computeGrid(); err != nil {
 		return nil, err
 	}
@@ -610,10 +690,10 @@ func (s *searcher) denseOneDim() (*level, error) {
 	}
 	lv := &level{q: 1, subspaces: map[string]*subspaceUnits{}}
 	for j := 0; j < d; j++ {
-		su := &subspaceUnits{dims: []int{j}, units: map[string]int{}}
+		su := &subspaceUnits{dims: []int{j}, units: map[uint64]int{}}
 		for iv, c := range counts[j] {
 			if c > s.minCount {
-				su.units[unitKey([]int{iv})] = c
+				su.units[uint64(iv)] = c
 			}
 		}
 		if len(su.units) > 0 {
@@ -623,62 +703,78 @@ func (s *searcher) denseOneDim() (*level, error) {
 	return lv, nil
 }
 
+// joinPrefix identifies the (q−1)-units that share their first q−2
+// (dimension, interval) pairs: the subspaceKey of those dimensions and
+// the key of those intervals, which is the unit key divided by Xi.
+type joinPrefix struct {
+	subspace string
+	key      uint64
+}
+
+// joinSuffix is a (q−1)-unit's last (dimension, interval) pair: its
+// subspace's last dimension and its unit key modulo Xi.
+type joinSuffix struct {
+	dim, interval int
+}
+
 // candidates generates the level-q candidate units from the dense
 // (q−1)-units by the apriori join: two units whose first q−2
 // (dimension, interval) pairs coincide and whose last dimensions differ
 // join into a q-unit, which is kept only if all its (q−1)-projections
-// are dense.
+// are dense. Each candidate arises from exactly one pair of parents.
 func (s *searcher) candidates(prev *level, q int) (*level, error) {
 	next := &level{q: q, subspaces: map[string]*subspaceUnits{}}
 	total := 0
+	xi := uint64(s.cfg.Xi)
 
-	// Index previous-level units by their "prefix": all but the last
-	// (dim, interval) pair.
-	type suffix struct {
-		dim, interval int
+	type group struct {
+		dims []int // the prefix's dimensions
+		sufs []joinSuffix
 	}
-	prefixIndex := map[string][]suffix{}
+	groups := map[joinPrefix]*group{}
 	for _, su := range prev.subspaces {
+		psub := subspaceKey(su.dims[:q-2])
 		for key := range su.units {
-			intervals := decodeKey(key)
-			pref := prefixKey(su.dims[:q-2], intervals[:q-2])
-			prefixIndex[pref] = append(prefixIndex[pref], suffix{
-				dim:      su.dims[q-2],
-				interval: intervals[q-2],
-			})
+			pk := joinPrefix{psub, key / xi}
+			g := groups[pk]
+			if g == nil {
+				g = &group{dims: su.dims[:q-2]}
+				groups[pk] = g
+			}
+			g.sufs = append(g.sufs, joinSuffix{dim: su.dims[q-2], interval: int(key % xi)})
 		}
 	}
-	for pref, sufs := range prefixIndex {
-		sort.Slice(sufs, func(a, b int) bool {
-			if sufs[a].dim != sufs[b].dim {
-				return sufs[a].dim < sufs[b].dim
-			}
-			return sufs[a].interval < sufs[b].interval
-		})
-		prefDims, prefIntervals := decodePrefix(pref, q-2)
-		for a := 0; a < len(sufs); a++ {
-			for b := a + 1; b < len(sufs); b++ {
-				if sufs[a].dim == sufs[b].dim {
+	weights := digitWeights(q-2, s.cfg.Xi)
+	maxQ := keyDigits(s.cfg.Xi)
+	var buf []byte
+	for pk, g := range groups {
+		for a := 0; a < len(g.sufs); a++ {
+			for b := a + 1; b < len(g.sufs); b++ {
+				lo, hi := g.sufs[a], g.sufs[b]
+				if lo.dim == hi.dim {
 					continue // same dimension, different interval: no join
 				}
-				dims := append(append([]int(nil), prefDims...), sufs[a].dim, sufs[b].dim)
-				intervals := append(append([]int(nil), prefIntervals...), sufs[a].interval, sufs[b].interval)
-				if !s.allProjectionsDense(prev, dims, intervals) {
+				if lo.dim > hi.dim {
+					lo, hi = hi, lo
+				}
+				if !s.allProjectionsDense(prev, pk, weights, lo, hi) {
 					continue
 				}
-				skey := subspaceKey(dims)
-				su := next.subspaces[skey]
-				if su == nil {
-					su = &subspaceUnits{dims: dims, units: map[string]int{}}
-					next.subspaces[skey] = su
+				if q > maxQ {
+					return nil, fmt.Errorf("clique: level %d exceeds the unit key capacity of %d dimensions at Xi = %d; set MaxDims to at most %d",
+						q, maxQ, s.cfg.Xi, maxQ)
 				}
-				ukey := unitKey(intervals)
-				if _, dup := su.units[ukey]; !dup {
-					su.units[ukey] = 0
-					total++
-					if s.cfg.MaxUnitsPerLevel > 0 && total > s.cfg.MaxUnitsPerLevel {
-						return nil, fmt.Errorf("clique: level %d candidate set exceeds %d units; raise Tau or set MaxDims", q, s.cfg.MaxUnitsPerLevel)
-					}
+				buf = appendSubspaceKey(append(buf[:0], pk.subspace...), lo.dim, hi.dim)
+				su := next.subspaces[string(buf)]
+				if su == nil {
+					dims := append(append(make([]int, 0, q), g.dims...), lo.dim, hi.dim)
+					su = &subspaceUnits{dims: dims, units: map[uint64]int{}}
+					next.subspaces[string(buf)] = su
+				}
+				su.units[(pk.key*xi+uint64(lo.interval))*xi+uint64(hi.interval)] = 0
+				total++
+				if s.cfg.MaxUnitsPerLevel > 0 && total > s.cfg.MaxUnitsPerLevel {
+					return nil, fmt.Errorf("clique: level %d candidate set exceeds %d units; raise Tau or set MaxDims", q, s.cfg.MaxUnitsPerLevel)
 				}
 			}
 		}
@@ -687,43 +783,55 @@ func (s *searcher) candidates(prev *level, q int) (*level, error) {
 }
 
 // allProjectionsDense applies the apriori pruning rule: every
-// (q−1)-dimensional projection of the candidate must be a dense unit of
-// the previous level. Projections dropping one of the last two
-// dimensions correspond to the joined parents and are re-checked for
-// uniformity; the remaining q−2 checks do the real pruning.
-func (s *searcher) allProjectionsDense(prev *level, dims, intervals []int) bool {
-	q := len(dims)
-	projDims := make([]int, 0, q-1)
-	projIntervals := make([]int, 0, q-1)
-	for skip := 0; skip < q; skip++ {
-		projDims = projDims[:0]
-		projIntervals = projIntervals[:0]
-		for i := 0; i < q; i++ {
-			if i == skip {
-				continue
-			}
-			projDims = append(projDims, dims[i])
-			projIntervals = append(projIntervals, intervals[i])
-		}
-		// dims is sorted except possibly the last two entries relative
-		// to the prefix; sort the projection pairwise.
-		sortPairs(projDims, projIntervals)
-		su := prev.subspaces[subspaceKey(projDims)]
+// (q−1)-dimensional projection of the candidate pref, lo, hi must be a
+// dense unit of the previous level. The two projections that drop lo or
+// hi are the joined parents, dense by construction; the q−2 that drop a
+// prefix position, of digit weight weights[i], do the pruning. No key
+// of q digits is formed, so the check is exact even at a level past the
+// key's capacity.
+func (s *searcher) allProjectionsDense(prev *level, pref joinPrefix, weights []uint64, lo, hi joinSuffix) bool {
+	xi := uint64(s.cfg.Xi)
+	var buf [128]byte
+	for i, w := range weights {
+		sk := append(append(buf[:0], pref.subspace[:2*i]...), pref.subspace[2*i+2:]...)
+		su := prev.subspaces[string(appendSubspaceKey(sk, lo.dim, hi.dim))]
 		if su == nil {
 			return false
 		}
-		if _, ok := su.units[unitKey(projIntervals)]; !ok {
+		key := (dropDigit(pref.key, w, s.cfg.Xi)*xi+uint64(lo.interval))*xi + uint64(hi.interval)
+		if _, ok := su.units[key]; !ok {
 			return false
 		}
 	}
 	return true
 }
 
+// fillCells computes the interval index of every point of b on every
+// dimension into the searcher's reused cell buffer, sharded by points,
+// and returns the block's rows.
+func (s *searcher) fillCells(b *dataset.Block) []uint8 {
+	n := b.Len() * s.d
+	if cap(s.cells) < n {
+		s.cells = make([]uint8, n)
+	}
+	cells := s.cells[:n]
+	parallel.For(b.Len(), s.cfg.Workers, func(lo, hi int) {
+		for pi := lo; pi < hi; pi++ {
+			row := cells[pi*s.d : (pi+1)*s.d]
+			for j, v := range b.Point(pi) {
+				row[j] = uint8(s.grid.interval(j, v))
+			}
+		}
+	})
+	return cells
+}
+
 // countPass fills in candidate unit counts as a block pass. Within each
-// block, work shards by subspace: each worker scans the block's points
-// and updates only its own subspaces' counters, so no locking is needed
-// and the integer totals are identical for every block size and worker
-// count.
+// block, every point's interval cells are computed once; then work
+// shards by subspace: each worker folds each point's unit key from its
+// row and updates only its own subspaces' counters, so no locking is
+// needed and the integer totals are identical for every block size and
+// worker count.
 func (s *searcher) countPass(cands *level) error {
 	// Stable iteration order is unnecessary for counting; determinism of
 	// the final result comes from sorting when reporting.
@@ -737,21 +845,14 @@ func (s *searcher) countPass(cands *level) error {
 	// size.
 	s.counters.PointsScanned.Add(int64(s.n))
 	s.counters.DenseUnitProbes.Add(int64(s.n) * int64(len(subspaces)))
+	xi := uint64(s.cfg.Xi)
 	return s.eachBlock("count", func(b *dataset.Block) error {
+		cells := s.fillCells(b)
 		parallel.For(len(subspaces), s.cfg.Workers, func(lo, hi int) {
 			shard := subspaces[lo:hi]
-			buf := make([]int, 16)
-			for pi := 0; pi < b.Len(); pi++ {
-				p := b.Point(pi)
+			for row := cells; len(row) > 0; row = row[s.d:] {
 				for _, su := range shard {
-					if cap(buf) < len(su.dims) {
-						buf = make([]int, len(su.dims))
-					}
-					ivs := buf[:len(su.dims)]
-					for i, d := range su.dims {
-						ivs[i] = s.grid.interval(d, p[d])
-					}
-					key := unitKey(ivs)
+					key := cellKey(su.dims, row, xi)
 					if c, ok := su.units[key]; ok {
 						su.units[key] = c + 1
 					}
@@ -765,7 +866,7 @@ func (s *searcher) countPass(cands *level) error {
 func pruneSparse(cands *level, minCount int) *level {
 	out := &level{q: cands.q, subspaces: map[string]*subspaceUnits{}}
 	for skey, su := range cands.subspaces {
-		kept := &subspaceUnits{dims: su.dims, units: map[string]int{}}
+		kept := &subspaceUnits{dims: su.dims, units: map[uint64]int{}}
 		for key, c := range su.units {
 			if c > minCount {
 				kept.units[key] = c
@@ -783,50 +884,47 @@ func pruneSparse(cands *level, minCount int) *level {
 // equal on all dimensions but one, where they differ by exactly 1).
 func (s *searcher) connect(lv *level) []Cluster {
 	var clusters []Cluster
+	q, xi := lv.q, uint64(s.cfg.Xi)
+	weights := digitWeights(q, s.cfg.Xi)
 	for _, su := range lv.subspaces {
-		visited := map[string]bool{}
-		keys := make([]string, 0, len(su.units))
+		visited := make(map[uint64]bool, len(su.units))
+		keys := make([]uint64, 0, len(su.units))
 		for k := range su.units {
 			keys = append(keys, k)
 		}
-		sort.Strings(keys)
+		slices.Sort(keys)
 		for _, start := range keys {
 			if visited[start] {
 				continue
 			}
 			// BFS over face-adjacent units.
-			component := []string{}
-			queue := []string{start}
+			component := []uint64{start}
 			visited[start] = true
-			for len(queue) > 0 {
-				k := queue[0]
-				queue = queue[1:]
-				component = append(component, k)
-				ivs := decodeKey(k)
-				for pos := range ivs {
-					for _, delta := range []int{-1, 1} {
-						niv := ivs[pos] + delta
-						if niv < 0 || niv >= s.cfg.Xi {
-							continue
-						}
-						ivs[pos] = niv
-						nk := unitKey(ivs)
-						ivs[pos] -= delta
-						if _, dense := su.units[nk]; dense && !visited[nk] {
-							visited[nk] = true
-							queue = append(queue, nk)
-						}
+			visit := func(nk uint64) {
+				if _, dense := su.units[nk]; dense && !visited[nk] {
+					visited[nk] = true
+					component = append(component, nk)
+				}
+			}
+			for head := 0; head < len(component); head++ {
+				k := component[head]
+				for _, w := range weights {
+					digit := k / w % xi
+					if digit > 0 {
+						visit(k - w)
+					}
+					if digit < xi-1 {
+						visit(k + w)
 					}
 				}
 			}
-			sort.Strings(component)
-			cl := Cluster{Dims: append([]int(nil), su.dims...)}
-			for _, k := range component {
-				cl.Units = append(cl.Units, Unit{
-					Dims:      cl.Dims,
-					Intervals: decodeKey(k),
-					Count:     su.units[k],
-				})
+			slices.Sort(component)
+			cl := Cluster{Dims: append([]int(nil), su.dims...), Units: make([]Unit, len(component))}
+			intervals := make([]int, q*len(component))
+			for i, k := range component {
+				ivs := intervals[i*q : (i+1)*q : (i+1)*q]
+				unpackKey(ivs, k, s.cfg.Xi)
+				cl.Units[i] = Unit{Dims: cl.Dims, Intervals: ivs, Count: su.units[k]}
 			}
 			clusters = append(clusters, cl)
 		}
@@ -834,53 +932,52 @@ func (s *searcher) connect(lv *level) []Cluster {
 	return clusters
 }
 
+// subspaceClusters indexes the clusters of one subspace by unit: a
+// point's unit key in dims maps to the cluster holding that unit.
+type subspaceClusters struct {
+	dims  []int
+	units map[uint64]int // unit key -> cluster index
+}
+
+// indexClusters groups clusters by subspace, in order of first
+// appearance, so a point needs one key per subspace to find every
+// cluster that covers it.
+func indexClusters(clusters []Cluster, xi int) []subspaceClusters {
+	var index []subspaceClusters
+	pos := map[string]int{}
+	for ci, cl := range clusters {
+		skey := subspaceKey(cl.Dims)
+		i, ok := pos[skey]
+		if !ok {
+			i = len(index)
+			pos[skey] = i
+			index = append(index, subspaceClusters{dims: cl.Dims, units: map[uint64]int{}})
+		}
+		for _, u := range cl.Units {
+			index[i].units[packKey(u.Intervals, xi)] = ci
+		}
+	}
+	return index
+}
+
 // countClusterSizes computes, in one pass, the number of points covered
-// by each cluster (a point counts once per cluster even if several of
-// the cluster's units are projections of it, which cannot happen within
-// a single subspace anyway: a point lies in exactly one unit per
-// subspace).
+// by each cluster (a point lies in exactly one unit per subspace, so it
+// counts once per cluster).
 func (s *searcher) countClusterSizes(clusters []Cluster) error {
-	type clusterRef struct {
-		dims  []int
-		units map[string]int // unitKey -> cluster index
-	}
-	// Group clusters by subspace for a single interval computation per
-	// (point, subspace).
-	bySub := map[string]*clusterRef{}
-	for ci := range clusters {
-		skey := subspaceKey(clusters[ci].Dims)
-		ref := bySub[skey]
-		if ref == nil {
-			ref = &clusterRef{dims: clusters[ci].Dims, units: map[string]int{}}
-			bySub[skey] = ref
-		}
-		for _, u := range clusters[ci].Units {
-			ref.units[unitKey(u.Intervals)] = ci
-		}
-	}
-	refs := make([]*clusterRef, 0, len(bySub))
-	for _, ref := range bySub {
-		refs = append(refs, ref)
-	}
+	index := indexClusters(clusters, s.cfg.Xi)
 	s.counters.PointsScanned.Add(int64(s.n))
-	s.counters.DenseUnitProbes.Add(int64(s.n) * int64(len(refs)))
+	s.counters.DenseUnitProbes.Add(int64(s.n) * int64(len(index)))
+	xi := uint64(s.cfg.Xi)
 	// Shard by subspace within each block: every cluster lives in exactly
 	// one subspace, so each worker increments a disjoint set of Size
 	// fields.
 	return s.eachBlock("sizes", func(b *dataset.Block) error {
-		parallel.For(len(refs), s.cfg.Workers, func(lo, hi int) {
-			buf := make([]int, 16)
-			for pi := 0; pi < b.Len(); pi++ {
-				p := b.Point(pi)
-				for _, ref := range refs[lo:hi] {
-					if cap(buf) < len(ref.dims) {
-						buf = make([]int, len(ref.dims))
-					}
-					ivs := buf[:len(ref.dims)]
-					for i, d := range ref.dims {
-						ivs[i] = s.grid.interval(d, p[d])
-					}
-					if ci, ok := ref.units[unitKey(ivs)]; ok {
+		cells := s.fillCells(b)
+		parallel.For(len(index), s.cfg.Workers, func(lo, hi int) {
+			shard := index[lo:hi]
+			for row := cells; len(row) > 0; row = row[s.d:] {
+				for _, sc := range shard {
+					if ci, ok := sc.units[cellKey(sc.dims, row, xi)]; ok {
 						clusters[ci].Size++
 					}
 				}
@@ -890,47 +987,24 @@ func (s *searcher) countClusterSizes(clusters []Cluster) error {
 	})
 }
 
+// xi returns the grid resolution the run used.
+func (res *Result) xi() int {
+	if res.Xi == 0 {
+		return 10
+	}
+	return res.Xi
+}
+
 // Membership returns, for each cluster in res, the indices of the points
 // it covers. It is a separate pass because full membership lists are
 // only needed by the evaluation harness.
 func Membership(ds *dataset.Dataset, res *Result) [][]int {
-	xi := res.Xi
-	if xi == 0 {
-		xi = 10
-	}
-	g := newGrid(ds, xi)
-	type ref struct {
-		dims  []int
-		units map[string]int
-	}
-	bySub := map[string]*ref{}
-	for ci := range res.Clusters {
-		skey := subspaceKey(res.Clusters[ci].Dims)
-		rf := bySub[skey]
-		if rf == nil {
-			rf = &ref{dims: res.Clusters[ci].Dims, units: map[string]int{}}
-			bySub[skey] = rf
-		}
-		for _, u := range res.Clusters[ci].Units {
-			rf.units[unitKey(u.Intervals)] = ci
-		}
-	}
-	refs := make([]*ref, 0, len(bySub))
-	for _, rf := range bySub {
-		refs = append(refs, rf)
-	}
+	g := newGrid(ds, res.xi())
+	index := indexClusters(res.Clusters, res.xi())
 	members := make([][]int, len(res.Clusters))
-	buf := make([]int, 16)
 	ds.Each(func(pi int, p []float64) {
-		for _, rf := range refs {
-			if cap(buf) < len(rf.dims) {
-				buf = make([]int, len(rf.dims))
-			}
-			ivs := buf[:len(rf.dims)]
-			for i, d := range rf.dims {
-				ivs[i] = g.interval(d, p[d])
-			}
-			if ci, ok := rf.units[unitKey(ivs)]; ok {
+		for _, sc := range index {
+			if ci, ok := sc.units[g.key(sc.dims, p)]; ok {
 				members[ci] = append(members[ci], pi)
 			}
 		}
@@ -945,19 +1019,10 @@ func Membership(ds *dataset.Dataset, res *Result) [][]int {
 // then the cluster holding more points, then the lower cluster index —
 // and uncovered points get -1. The choice is deterministic.
 func PartitionView(ds *dataset.Dataset, res *Result) []int {
-	members := Membership(ds, res)
-	assign := make([]int, ds.Len())
-	for i := range assign {
-		assign[i] = -1
-	}
-	for ci, m := range members {
-		for _, p := range m {
-			if assign[p] == -1 || res.prefer(ci, assign[p]) {
-				assign[p] = ci
-			}
-		}
-	}
-	return assign
+	a := newPointAssigner(res, newGrid(ds, res.xi()))
+	view := make([]int, ds.Len())
+	ds.Each(func(pi int, p []float64) { view[pi] = a.Assign(p) })
+	return view
 }
 
 // prefer reports whether cluster a wins over cluster b when a point is
@@ -1015,45 +1080,6 @@ func countUnits(lv *level) int {
 		n += len(su.units)
 	}
 	return n
-}
-
-func decodeKey(key string) []int {
-	out := make([]int, len(key))
-	for i := 0; i < len(key); i++ {
-		out[i] = int(key[i])
-	}
-	return out
-}
-
-// prefixKey encodes a (dims, intervals) prefix pair as a map key.
-func prefixKey(dims, intervals []int) string {
-	b := make([]byte, 3*len(dims))
-	for i := range dims {
-		b[3*i] = byte(dims[i] >> 8)
-		b[3*i+1] = byte(dims[i])
-		b[3*i+2] = byte(intervals[i])
-	}
-	return string(b)
-}
-
-func decodePrefix(key string, n int) (dims, intervals []int) {
-	dims = make([]int, n)
-	intervals = make([]int, n)
-	for i := 0; i < n; i++ {
-		dims[i] = int(key[3*i])<<8 | int(key[3*i+1])
-		intervals[i] = int(key[3*i+2])
-	}
-	return dims, intervals
-}
-
-// sortPairs sorts dims ascending, permuting intervals alongside.
-func sortPairs(dims, intervals []int) {
-	for i := 1; i < len(dims); i++ {
-		for j := i; j > 0 && dims[j] < dims[j-1]; j-- {
-			dims[j], dims[j-1] = dims[j-1], dims[j]
-			intervals[j], intervals[j-1] = intervals[j-1], intervals[j]
-		}
-	}
 }
 
 func sortClusters(clusters []Cluster) {

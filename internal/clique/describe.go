@@ -79,6 +79,26 @@ func Describe(cl Cluster) []Region {
 	return minimizeCover(regions)
 }
 
+// unitKey encodes a unit's intervals as a string map key, one byte per
+// interval. Describe runs off the fit path and probes one interval past
+// the grid's last (Hi+1 == Xi, still a byte since Xi ≤ 255), so it keys
+// units by intervals alone rather than by the fit's base-Xi keys.
+func unitKey(intervals []int) string {
+	b := make([]byte, len(intervals))
+	for i, iv := range intervals {
+		b[i] = byte(iv)
+	}
+	return string(b)
+}
+
+func decodeKey(key string) []int {
+	out := make([]int, len(key))
+	for i := 0; i < len(key); i++ {
+		out[i] = int(key[i])
+	}
+	return out
+}
+
 // growRegion grows a region greedily from a seed unit: for each
 // dimension in turn it extends the region downward and upward as long as
 // every unit in the extended slab is dense.

@@ -111,8 +111,8 @@ func TestMDLPruneKeepsAllOnUniformCoverage(t *testing.T) {
 	// nothing is pruned.
 	lv := &level{q: 1, subspaces: map[string]*subspaceUnits{}}
 	for j := 0; j < 6; j++ {
-		su := &subspaceUnits{dims: []int{j}, units: map[string]int{}}
-		su.units[unitKey([]int{0})] = 100
+		su := &subspaceUnits{dims: []int{j}, units: map[uint64]int{}}
+		su.units[0] = 100
 		lv.subspaces[subspaceKey(su.dims)] = su
 	}
 	out := mdlPrune(lv)
@@ -126,12 +126,12 @@ func TestMDLPruneCutsBimodalCoverage(t *testing.T) {
 	// two-group code beats keep-all and the tail is pruned.
 	lv := &level{q: 1, subspaces: map[string]*subspaceUnits{}}
 	for j := 0; j < 6; j++ {
-		su := &subspaceUnits{dims: []int{j}, units: map[string]int{}}
+		su := &subspaceUnits{dims: []int{j}, units: map[uint64]int{}}
 		cov := 1000 + j // slight variation so deviations are nonzero
 		if j >= 3 {
 			cov = 10 + j
 		}
-		su.units[unitKey([]int{0})] = cov
+		su.units[0] = cov
 		lv.subspaces[subspaceKey(su.dims)] = su
 	}
 	out := mdlPrune(lv)
@@ -243,7 +243,7 @@ func TestPartitionViewDeterministic(t *testing.T) {
 func TestMDLPruneSmallLevelsUntouched(t *testing.T) {
 	lv := &level{q: 1, subspaces: map[string]*subspaceUnits{}}
 	for j := 0; j < 2; j++ {
-		su := &subspaceUnits{dims: []int{j}, units: map[string]int{unitKey([]int{0}): 5}}
+		su := &subspaceUnits{dims: []int{j}, units: map[uint64]int{0: 5}}
 		lv.subspaces[subspaceKey(su.dims)] = su
 	}
 	if out := mdlPrune(lv); len(out.subspaces) != 2 {
