@@ -1,15 +1,14 @@
 GO ?= go
 
-.PHONY: check ci build vet test test-race cover bench bench-smoke bench-allocs bench-obs bench-record bench-baseline bench-check fuzz-smoke lens-golden staticcheck archive-smoke scenario-gate ledger-test
+.PHONY: check ci build vet test test-race cover bench bench-smoke bench-allocs bench-obs fuzz-smoke lens-golden staticcheck archive-smoke scenario-gate ledger-test
 
 check: vet build test-race fuzz-smoke lens-golden scenario-gate ledger-test
 
 # ci mirrors .github/workflows/ci.yml: formatting gate, vet, build,
 # race-enabled tests, the benchmark ledger module's vet and tests,
-# coverage, the benchmark smoke run, the telemetry diff against the
-# committed baseline, the scenario robustness gate, the runlens golden
-# diff, and the run-archive smoke.
-ci: fmt-check vet staticcheck build test-race ledger-test cover bench-smoke bench-check scenario-gate lens-golden archive-smoke
+# coverage, the benchmark smoke run, the scenario robustness gate, the
+# runlens golden diff, and the run-archive smoke.
+ci: fmt-check vet staticcheck build test-race ledger-test cover bench-smoke scenario-gate lens-golden archive-smoke
 
 .PHONY: fmt-check
 fmt-check:
@@ -108,34 +107,6 @@ bench-allocs:
 # instrumented path must stay within ~2%.
 bench-obs:
 	$(GO) test -run xxx -bench 'BenchmarkAssign' -count 5 ./internal/core/
-
-# Pinned small configuration for benchmark telemetry: table1 at reduced
-# N with a fixed seed. The work counters (distance evaluations, their
-# full/abandoned split, coordinates visited, points scanned, cache hits
-# and recomputes) are bit-for-bit reproducible for this configuration
-# on any machine; only the wall times vary with hardware.
-BENCH_CONFIG   = -experiment table1 -n 3000 -seed 3
-BENCH_BASELINE = bench/baseline.json
-
-# bench-record captures a timestamped telemetry file under bench/
-# (BENCH_<timestamp>.json) for ad-hoc before/after comparisons, and
-# appends the same capture to the local run archive so `runlens trend`
-# sees benchmark history alongside run history.
-bench-record:
-	$(GO) run ./cmd/proclus-bench $(BENCH_CONFIG) -bench-json bench/ -archive archive/
-
-# bench-baseline refreshes the committed baseline after an intentional
-# performance-relevant change.
-bench-baseline:
-	$(GO) run ./cmd/proclus-bench $(BENCH_CONFIG) -bench-json $(BENCH_BASELINE)
-
-# bench-check records a fresh capture and diffs it against the
-# committed baseline. Work counters are held to the tight default
-# threshold; wall times get a wide 3x allowance because the baseline
-# was recorded on different hardware and the pinned run is short.
-bench-check:
-	$(GO) run ./cmd/proclus-bench $(BENCH_CONFIG) -bench-json bench/current.json
-	$(GO) run ./cmd/benchcmp -time-threshold 3.0 $(BENCH_BASELINE) bench/current.json
 
 # lens-golden runs the trace analyzer against the checked-in golden
 # trace and series snapshot plus the archive subcommands (ls, diff,

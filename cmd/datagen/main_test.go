@@ -83,6 +83,16 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-badflag"}, &sb); err == nil {
 		t.Error("unknown flag accepted")
 	}
+	// datagen archives no run, so it does not offer -archive.
+	archiveDir := filepath.Join(t.TempDir(), "runs")
+	err := run([]string{"-n", "100", "-dims", "4", "-k", "2", "-fixeddims", "2",
+		"-o", filepath.Join(t.TempDir(), "a.bin"), "-archive", archiveDir}, &sb)
+	if err == nil || !strings.Contains(err.Error(), "not defined: -archive") {
+		t.Errorf("-archive: err = %v, want an unknown-flag error", err)
+	}
+	if _, err := os.Stat(archiveDir); !os.IsNotExist(err) {
+		t.Errorf("rejected -archive still touched %s (stat: %v)", archiveDir, err)
+	}
 }
 
 func TestRunDeterministicFiles(t *testing.T) {

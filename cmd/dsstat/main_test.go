@@ -65,6 +65,15 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-in", filepath.Join(t.TempDir(), "nope.bin")}, &sb); err == nil {
 		t.Error("missing file accepted")
 	}
+	// dsstat archives no run, so it does not offer -archive.
+	archiveDir := filepath.Join(t.TempDir(), "runs")
+	err := run([]string{"-in", writeSample(t, ".bin"), "-archive", archiveDir}, &sb)
+	if err == nil || !strings.Contains(err.Error(), "not defined: -archive") {
+		t.Errorf("-archive: err = %v, want an unknown-flag error", err)
+	}
+	if _, err := os.Stat(archiveDir); !os.IsNotExist(err) {
+		t.Errorf("rejected -archive still touched %s (stat: %v)", archiveDir, err)
+	}
 }
 
 func TestRunReport(t *testing.T) {

@@ -96,7 +96,7 @@ func run(args []string, out io.Writer) (retErr error) {
 
 		assignOut = fs.String("assign", "", "optional path for a point→cluster assignment CSV")
 	)
-	obsFlags := cliflags.Register(fs)
+	obsFlags := cliflags.Register(fs, cliflags.WithArchive())
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

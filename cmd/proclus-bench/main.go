@@ -9,8 +9,6 @@
 //	proclus-bench -experiment table3
 //	proclus-bench -experiment fig7 -full   # paper-scale sizes (slow)
 //	proclus-bench -experiment table1,table2 -n 5000
-//	proclus-bench -experiment table1 -bench-json bench/
-//	proclus-bench -experiment table1 -archive runs/   # append capture to the run archive
 //	proclus-bench -experiment all -progress -metrics-addr 127.0.0.1:9187
 package main
 
@@ -21,15 +19,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
 
-	"proclus/internal/benchcmp"
 	"proclus/internal/core"
 	"proclus/internal/experiments"
-	"proclus/internal/obs/archive"
 	"proclus/internal/obs/cliflags"
 	"proclus/internal/obs/metrics"
 )
@@ -52,7 +47,6 @@ func run(args []string, out io.Writer) (retErr error) {
 		seed       = fs.Uint64("seed", 3, "random seed")
 		workers    = fs.Int("workers", 0, "goroutine budget per PROCLUS/CLIQUE run (0 = GOMAXPROCS); results are identical for any value")
 		reportPath = fs.String("report", "", "write per-experiment timing records as a JSON array to this path")
-		benchJSON  = fs.String("bench-json", "", "write schema-versioned benchmark telemetry to this path (a directory gets BENCH_<timestamp>.json); diff two captures with benchcmp")
 		stream     = fs.Bool("stream", false, "run the accuracy tables and fig7 out of core: inputs spill to temporary binary files and the streamed engines cluster them in bounded memory")
 		blockPts   = fs.Int("block-points", 0, "points per streamed block (0 = default); only with -stream")
 		kernel     = fs.String("kernel", "pruned", "exact distance-kernel tier: pruned (early abandonment + packed medoid rows, bit-identical output) or naive (full evaluation)")
@@ -94,8 +88,8 @@ func run(args []string, out io.Writer) (retErr error) {
 		return f.Close()
 	}
 
-	// Each runner receives a fresh metric registry so one experiment's
-	// histograms never blur into another's telemetry record.
+	// Each runner receives its own metric registry (nil when nothing
+	// reads it) so one experiment's histograms never blur into another's.
 	type runner struct {
 		id  string
 		run func(reg *metrics.Registry) (*experiments.Report, csvWriter, error)
@@ -211,9 +205,8 @@ func run(args []string, out io.Writer) (retErr error) {
 		}},
 	}
 
-	// -experiment accepts a comma-separated subset so one invocation
-	// (and one telemetry capture) can cover several experiments without
-	// paying for all of them.
+	// -experiment accepts a comma-separated subset so one invocation can
+	// cover several experiments without paying for all of them.
 	want := strings.ToLower(*exp)
 	wanted := map[string]bool{}
 	for _, name := range strings.Split(want, ",") {
@@ -224,18 +217,18 @@ func run(args []string, out io.Writer) (retErr error) {
 	all := wanted["all"]
 	delete(wanted, "all")
 	var records []benchRecord
-	var benchRecords []benchcmp.Record
 	for _, r := range runners {
 		if !all && !wanted[r.id] {
 			continue
 		}
 		delete(wanted, r.id)
-		// Each experiment records into its own registry so histograms never
-		// blur across telemetry records. With a live monitoring server that
-		// registry is a scoped child of the shared one: /metrics folds every
-		// experiment in under an experiment="<id>" label, while the child's
-		// own snapshot stays byte-identical to a fresh registry's.
-		reg := metrics.NewRegistry()
+		// With a live monitoring server each experiment records into a
+		// scoped child of the shared registry: /metrics folds every
+		// experiment in under an experiment="<id>" label, while the
+		// child's own snapshot stays byte-identical to a fresh
+		// registry's. Without one nothing reads the metrics, so the
+		// experiment records none.
+		var reg *metrics.Registry
 		if sess.Metrics != nil {
 			reg = sess.Metrics.Scope(metrics.L("experiment", r.id))
 		}
@@ -266,9 +259,6 @@ func run(args []string, out io.Writer) (retErr error) {
 			RefineSeconds:  rep.Timing.Refine.Seconds(),
 			PhaseSeconds:   rep.Timing.Total().Seconds(),
 		})
-		if *benchJSON != "" || sess.Archive != nil {
-			benchRecords = append(benchRecords, telemetryRecord(r.id, wall, rep, reg))
-		}
 		if err := exportCSV(r.id, data); err != nil {
 			return fmt.Errorf("%s: exporting CSV: %w", r.id, err)
 		}
@@ -285,85 +275,9 @@ func run(args []string, out io.Writer) (retErr error) {
 		return fmt.Errorf("no experiments selected by -experiment %q", *exp)
 	}
 	if *reportPath != "" {
-		if err := writeBenchReport(*reportPath, records); err != nil {
-			return err
-		}
-	}
-	if *benchJSON != "" || sess.Archive != nil {
-		file := &benchcmp.File{
-			Schema:    benchcmp.SchemaVersion,
-			CreatedAt: time.Now().UTC(),
-			GitRev:    archive.GitRev(),
-			GoVersion: runtime.Version(),
-			MaxProcs:  runtime.GOMAXPROCS(0),
-			Config: benchcmp.Config{
-				Experiment: want, N: *override, Full: *full, Seed: *seed, Workers: *workers,
-			},
-			Records: benchRecords,
-		}
-		if *benchJSON != "" {
-			path, err := writeBenchJSON(*benchJSON, file)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "benchmark telemetry written to %s\n", path)
-		}
-		if sess.Archive != nil {
-			id, err := sess.Archive.SaveBench(file)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "benchmark telemetry archived as %s in %s\n", id, sess.Archive.Dir())
-		}
+		return writeBenchReport(*reportPath, records)
 	}
 	return nil
-}
-
-// telemetryRecord folds one experiment's outcome into the benchcmp
-// schema: wall and per-phase seconds, deterministic work counters,
-// ns per PROCLUS run, and the metric-registry snapshot.
-func telemetryRecord(id string, wall time.Duration, rep *experiments.Report, reg *metrics.Registry) benchcmp.Record {
-	rec := benchcmp.Record{
-		Experiment:  id,
-		WallSeconds: wall.Seconds(),
-		Runs:        rep.Timing.Runs,
-		Counters:    rep.Timing.Counters,
-		Metrics:     reg.Snapshot(),
-	}
-	if t := rep.Timing; t.Runs > 0 {
-		rec.PhaseSeconds = map[string]float64{
-			"init":    t.Init.Seconds(),
-			"iterate": t.Iterate.Seconds(),
-			"refine":  t.Refine.Seconds(),
-		}
-		rec.NsPerOp = float64(t.Total().Nanoseconds()) / float64(t.Runs)
-	}
-	return rec
-}
-
-// writeBenchJSON writes the telemetry file; a directory target (or a
-// trailing separator) selects the canonical BENCH_<timestamp>.json
-// name inside it.
-func writeBenchJSON(target string, file *benchcmp.File) (string, error) {
-	path := target
-	if info, err := os.Stat(target); (err == nil && info.IsDir()) ||
-		strings.HasSuffix(target, string(os.PathSeparator)) {
-		path = filepath.Join(target, benchcmp.DefaultFileName(file.CreatedAt))
-	}
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return "", err
-		}
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return "", err
-	}
-	if err := file.WriteJSON(f); err != nil {
-		f.Close()
-		return "", err
-	}
-	return path, f.Close()
 }
 
 // benchRecord is one experiment's machine-readable timing summary.

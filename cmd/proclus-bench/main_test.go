@@ -6,9 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"proclus/internal/benchcmp"
-	"proclus/internal/core"
 )
 
 func TestRunSingleTableSmall(t *testing.T) {
@@ -104,6 +101,15 @@ func TestRunBadFlag(t *testing.T) {
 	if err := run([]string{"-zap"}, &sb); err == nil {
 		t.Fatal("unknown flag accepted")
 	}
+	// proclus-bench archives no run, so it does not offer -archive.
+	archiveDir := filepath.Join(t.TempDir(), "runs")
+	err := run([]string{"-experiment", "table1", "-n", "3000", "-archive", archiveDir}, &sb)
+	if err == nil || !strings.Contains(err.Error(), "not defined: -archive") {
+		t.Errorf("-archive: err = %v, want an unknown-flag error", err)
+	}
+	if _, err := os.Stat(archiveDir); !os.IsNotExist(err) {
+		t.Errorf("rejected -archive still touched %s (stat: %v)", archiveDir, err)
+	}
 }
 
 func TestRunWritesBenchReport(t *testing.T) {
@@ -134,69 +140,6 @@ func TestRunWritesBenchReport(t *testing.T) {
 	r := records[0]
 	if r.ProclusRuns <= 0 || r.PhaseSeconds <= 0 || r.WallSeconds < r.PhaseSeconds {
 		t.Errorf("timing record inconsistent: %+v", r)
-	}
-}
-
-func TestRunWritesBenchJSON(t *testing.T) {
-	dir := t.TempDir()
-	var sb strings.Builder
-	if err := run([]string{"-experiment", "table1", "-n", "3000", "-bench-json", dir}, &sb); err != nil {
-		t.Fatal(err)
-	}
-	matches, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
-	if err != nil || len(matches) != 1 {
-		t.Fatalf("BENCH files: %v (%v)", matches, err)
-	}
-	f, err := benchcmp.Load(matches[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Schema != benchcmp.SchemaVersion {
-		t.Errorf("schema = %d", f.Schema)
-	}
-	if f.Config.Experiment != "table1" || f.Config.N != 3000 {
-		t.Errorf("config echo: %+v", f.Config)
-	}
-	if len(f.Records) != 1 {
-		t.Fatalf("records: %+v", f.Records)
-	}
-	rec := f.Records[0]
-	if rec.Experiment != "table1" || rec.Runs != 1 || rec.WallSeconds <= 0 || rec.NsPerOp <= 0 {
-		t.Errorf("record not populated: %+v", rec)
-	}
-	if rec.Counters.DistanceEvals <= 0 {
-		t.Errorf("counters not folded: %+v", rec.Counters)
-	}
-	if rec.PhaseSeconds["iterate"] <= 0 {
-		t.Errorf("phase seconds: %+v", rec.PhaseSeconds)
-	}
-	if len(rec.Metrics) == 0 {
-		t.Error("metric snapshot missing")
-	}
-	if h := rec.Metrics.Find(core.MetricPhaseSeconds); h == nil || h.Histogram == nil || h.Histogram.Count == 0 {
-		t.Errorf("phase histogram missing from telemetry: %+v", h)
-	}
-	// A capture diffed against itself must be regression-free.
-	rep, err := benchcmp.Compare(f, f, benchcmp.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.HasRegressions() {
-		t.Errorf("self-comparison regressed: %+v", rep.Regressions)
-	}
-}
-
-func TestRunBenchJSONExplicitPath(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "capture.json")
-	var sb strings.Builder
-	if err := run([]string{"-experiment", "table1", "-n", "3000", "-bench-json", path}, &sb); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := benchcmp.Load(path); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "benchmark telemetry written to "+path) {
-		t.Errorf("output:\n%s", sb.String())
 	}
 }
 

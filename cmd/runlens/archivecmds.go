@@ -1,7 +1,7 @@
 package main
 
 // Archive subcommands: `runlens ls`, `runlens diff` and `runlens
-// trend` consume the append-only run archive the CLIs write with
+// trend` consume the append-only run archive pcluster writes with
 // -archive, turning single-run analysis into cross-run analysis —
 // what changed between two runs, and when a counter first moved
 // across the archive's history.
@@ -15,7 +15,6 @@ import (
 	"strconv"
 	"strings"
 
-	"proclus/internal/benchcmp"
 	"proclus/internal/obs"
 	"proclus/internal/obs/archive"
 )
@@ -70,7 +69,7 @@ func printProblems(out io.Writer, probs []archive.Problem) {
 func runLs(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("runlens ls", flag.ContinueOnError)
 	fs.SetOutput(out)
-	dir := fs.String("archive", "", "run archive directory (written by the CLIs' -archive)")
+	dir := fs.String("archive", "", "run archive directory (written by pcluster -archive)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -96,31 +95,19 @@ func runLs(args []string, out io.Writer) error {
 	return nil
 }
 
-// manifestRecord adapts an archived manifest to the benchcmp record
-// schema so CompareRecords can diff two runs. Only the manifest is
-// needed: counters, phase seconds and quality all live there, so diff
-// works even when an entry's report file is missing or damaged.
-func manifestRecord(m archive.Manifest) benchcmp.Record {
-	return benchcmp.Record{
-		Experiment:   m.Algorithm,
-		PhaseSeconds: m.PhaseSeconds,
-		Counters:     m.Counters,
-		Quality:      m.Quality,
-	}
-}
-
-// runDiff compares two archived runs' manifests: deterministic work
-// counters and quality indices under the tight threshold, phase times
-// under the (by default effectively disabled) time threshold. Any
-// delta makes the command exit non-zero, so CI can assert that two
-// identical-seed runs reproduce exactly.
+// runDiff compares two archived runs' manifests: every deterministic
+// work counter and every quality index, under one relative threshold.
+// Phase times are not compared, since wall time is not reproducible.
+// Any delta makes the command exit non-zero, so CI can assert that two
+// identical-seed runs reproduce exactly. Only the manifests are read,
+// so diff works even when an entry's report file is missing or
+// damaged.
 func runDiff(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("runlens diff", flag.ContinueOnError)
 	fs.SetOutput(out)
 	var (
-		dir     = fs.String("archive", "", "run archive directory (written by the CLIs' -archive)")
-		workThr = fs.Float64("work-threshold", 0, "relative tolerance for counters and quality indices (0 = benchcmp default)")
-		timeThr = fs.Float64("time-threshold", 1e12, "relative slowdown beyond which phase times are flagged; the huge default keeps nondeterministic wall time out of the exit code")
+		dir     = fs.String("archive", "", "run archive directory (written by pcluster -archive)")
+		workThr = fs.Float64("work-threshold", 0.01, "relative tolerance for counters and quality indices")
 		quiet   = fs.Bool("q", false, "suppress the run headers, print only the deltas")
 	)
 	fs.Usage = func() {
@@ -168,17 +155,85 @@ func runDiff(args []string, out io.Writer) error {
 		}
 		fmt.Fprintln(out)
 	}
-	rep := benchcmp.CompareRecords(manifestRecord(base), manifestRecord(cand), benchcmp.Options{
-		WorkThreshold: *workThr,
-		TimeThreshold: *timeThr,
-	})
-	if err := rep.WriteText(out); err != nil {
-		return err
+	regressions, improvements := compareManifests(base, cand, *workThr)
+	writeDeltas := func(header string, ds []delta) {
+		if len(ds) == 0 {
+			return
+		}
+		fmt.Fprintln(out, header)
+		for _, d := range ds {
+			var ratio float64
+			if d.base > 0 {
+				ratio = d.cand / d.base
+			}
+			fmt.Fprintf(out, "  %-10s %-28s %12.4g -> %-12.4g (%.2fx)\n",
+				cand.Algorithm, d.metric, d.base, d.cand, ratio)
+		}
 	}
-	if n := len(rep.Regressions) + len(rep.Improvements); n > 0 {
+	writeDeltas("REGRESSIONS:", regressions)
+	writeDeltas("improvements:", improvements)
+	if len(regressions) == 0 {
+		// testdata/golden_diff.txt pins this line byte for byte.
+		fmt.Fprintln(out, "no regressions across 1 experiment(s)")
+	}
+	fmt.Fprintln(out)
+	if n := len(regressions) + len(improvements); n > 0 {
 		return fmt.Errorf("runs differ: %d metric(s) moved beyond threshold", n)
 	}
 	return nil
+}
+
+// delta is one metric whose value moved beyond threshold between two
+// archived runs.
+type delta struct {
+	metric     string
+	base, cand float64
+}
+
+// compareManifests diffs cand against base. Every counter counterValues
+// yields is compared, so new counters join the diff as they join the
+// trend; a rise beyond threshold is a regression. Quality indices
+// present on both sides invert the sense: a drop is the regression.
+func compareManifests(base, cand archive.Manifest, threshold float64) (regressions, improvements []delta) {
+	classify := func(metric string, b, c float64, higherIsBetter bool) {
+		if b == 0 && c == 0 {
+			return
+		}
+		worse, better := c > b*(1+threshold), b > c*(1+threshold)
+		if higherIsBetter {
+			worse, better = better, worse
+		}
+		d := delta{metric: metric, base: b, cand: c}
+		switch {
+		case worse:
+			regressions = append(regressions, d)
+		case better:
+			improvements = append(improvements, d)
+		}
+	}
+	bc, cc := counterValues(base.Counters), counterValues(cand.Counters)
+	for _, name := range sortedKeys(bc, cc) {
+		classify("counters/"+name, bc[name], cc[name], false)
+	}
+	for _, name := range sortedKeys(base.Quality, cand.Quality) {
+		b, okB := base.Quality[name]
+		c, okC := cand.Quality[name]
+		if okB && okC {
+			classify("quality/"+name, b, c, true)
+		}
+	}
+	return regressions, improvements
+}
+
+// sortedKeys returns the union of the maps' keys in sorted order.
+func sortedKeys(maps ...map[string]float64) []string {
+	set := map[string]bool{}
+	for _, m := range maps {
+		for name := range m {
+			set[name] = true
+		}
+	}
+	return sortedNames(set)
 }
 
 func jsonEqual(a, b json.RawMessage) bool {
@@ -213,7 +268,7 @@ func runTrend(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("runlens trend", flag.ContinueOnError)
 	fs.SetOutput(out)
 	var (
-		dir     = fs.String("archive", "", "run archive directory (written by the CLIs' -archive)")
+		dir     = fs.String("archive", "", "run archive directory (written by pcluster -archive)")
 		last    = fs.Int("last", 0, "only the newest N entries (0 = all)")
 		algo    = fs.String("algorithm", "", "only entries from this algorithm (e.g. proclus)")
 		workThr = fs.Float64("work-threshold", 0.01, "relative change in a counter that counts as movement")

@@ -12,18 +12,18 @@ import (
 	"proclus/internal/obs/archive"
 )
 
-// buildArchive writes a three-entry archive with fixed timestamps so
-// run IDs — and therefore every subcommand's output — are fully
-// deterministic: two identical-seed twins followed by a perturbed run
-// whose distance-evaluation count and ARI moved.
-func buildArchive(t *testing.T) string {
+// archiveOf writes one archive entry per counter snapshot, with fixed
+// timestamps (second n for the nth entry) so run IDs — and therefore
+// every subcommand's output — are fully deterministic. Objective and
+// ARI are taken per entry; everything else is shared.
+func archiveOf(t *testing.T, counters []obs.Snapshot, objective, ari []float64) string {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "runs")
 	st, err := archive.Open(dir, archive.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	save := func(n int, evals int64, objective, ari float64) {
+	for i, c := range counters {
 		rep := &obs.RunReport{
 			Algorithm: "proclus",
 			Dataset:   obs.DatasetInfo{Points: 1000, Dims: 20},
@@ -33,22 +33,33 @@ func buildArchive(t *testing.T) string {
 				{Name: "initialize", Seconds: 0.1},
 				{Name: "iterate", Seconds: 0.5},
 			},
-			Objective: objective,
+			Objective: objective[i],
+			Counters:  c,
 		}
-		rep.Counters.DistanceEvals = evals
-		rep.Counters.PointsScanned = 500
 		run := archive.FromReport(rep)
-		run.CreatedAt = time.Date(2026, 8, 8, 12, 0, n, 0, time.UTC)
+		run.CreatedAt = time.Date(2026, 8, 8, 12, 0, i+1, 0, time.UTC)
 		run.GitRev = "abc1234"
-		run.Quality = map[string]float64{"ari": ari, "nmi": 0.8}
+		run.Quality = map[string]float64{"ari": ari[i], "nmi": 0.8}
 		if _, err := st.SaveRun(run); err != nil {
 			t.Fatal(err)
 		}
 	}
-	save(1, 2000, 12.5, 0.9)
-	save(2, 2000, 12.5, 0.9)
-	save(3, 2600, 13.0, 0.7)
 	return dir
+}
+
+// buildArchive writes the three-entry archive the goldens pin: two
+// identical-seed twins followed by a perturbed run whose
+// distance-evaluation count and ARI moved.
+func buildArchive(t *testing.T) string {
+	t.Helper()
+	return archiveOf(t,
+		[]obs.Snapshot{
+			{DistanceEvals: 2000, PointsScanned: 500},
+			{DistanceEvals: 2000, PointsScanned: 500},
+			{DistanceEvals: 2600, PointsScanned: 500},
+		},
+		[]float64{12.5, 12.5, 13.0},
+		[]float64{0.9, 0.9, 0.7})
 }
 
 // TestArchiveGoldens locks the ls, identical-run diff, and trend
@@ -97,29 +108,77 @@ func TestDiffIdenticalRunsExitZero(t *testing.T) {
 	if !strings.Contains(buf.String(), "no regressions") {
 		t.Errorf("diff output missing the all-clear line:\n%s", buf.String())
 	}
+	// The perturbed run moved distance_evals by 30% and ARI by 22%:
+	// within a 50% -work-threshold, it diffs clean.
+	buf.Reset()
+	if err := run([]string{"diff", "-archive", dir, "-work-threshold", "0.5", "@1", "@0"}, &buf); err != nil {
+		t.Fatalf("deltas within -work-threshold reported: %v\n%s", err, buf.String())
+	}
 }
 
 func TestDiffDetectsCounterAndQualityDeltas(t *testing.T) {
 	dir := buildArchive(t)
-	var buf bytes.Buffer
-	err := run([]string{"diff", "-archive", dir, "@1", "@0"}, &buf)
-	if err == nil {
-		t.Fatalf("perturbed run diffed clean:\n%s", buf.String())
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"REGRESSIONS:",
-		"counters/distance_evals",
-		"quality/ari",
+	// Stream counters are deterministic for a fixed block size, so a
+	// move in stream_blocks alone is a difference like any other.
+	streamed := obs.Snapshot{DistanceEvals: 2000, PointsScanned: 500, StreamBlocks: 4, StreamBytes: 160000}
+	moved := streamed
+	moved.StreamBlocks = 5
+	streamDir := archiveOf(t, []obs.Snapshot{streamed, moved},
+		[]float64{12.5, 12.5}, []float64{0.9, 0.9})
+
+	for _, tc := range []struct {
+		name string
+		args []string
+		// section is the header the wanted metrics must appear under.
+		section string
+		want    []string
+	}{
+		{
+			name:    "perturbed",
+			args:    []string{"-archive", dir, "@1", "@0"},
+			section: "REGRESSIONS:",
+			want:    []string{"counters/distance_evals", "quality/ari"},
+		},
+		{
+			// The same pair reversed: fewer evaluations and a higher ARI
+			// are improvements, and still a difference.
+			name:    "reversed",
+			args:    []string{"-archive", dir, "@0", "@1"},
+			section: "improvements:",
+			want:    []string{"counters/distance_evals", "quality/ari"},
+		},
+		{
+			name:    "stream_blocks only",
+			args:    []string{"-archive", streamDir, "@1", "@0"},
+			section: "REGRESSIONS:",
+			want:    []string{"counters/stream_blocks"},
+		},
 	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("diff output missing %q:\n%s", want, out)
-		}
-	}
-	// Wall-time deltas stay out of the exit code by default: only the
-	// two deterministic movements are reported.
-	if strings.Contains(out, "phase_seconds/") {
-		t.Errorf("diff flagged nondeterministic phase time:\n%s", out)
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			err := run(append([]string{"diff"}, tc.args...), &buf)
+			out := buf.String()
+			if err == nil {
+				t.Fatalf("differing runs diffed clean:\n%s", out)
+			}
+			_, section, ok := strings.Cut(out, tc.section+"\n")
+			if !ok {
+				t.Fatalf("diff output has no %q section:\n%s", tc.section, out)
+			}
+			for _, want := range tc.want {
+				if !strings.Contains(section, want) {
+					t.Errorf("%q missing under %q:\n%s", want, tc.section, out)
+				}
+			}
+			if tc.section == "improvements:" && strings.Contains(out, "REGRESSIONS:") {
+				t.Errorf("improvements reported as regressions:\n%s", out)
+			}
+			// Only counters and quality indices are compared, never the
+			// nondeterministic phase times.
+			if strings.Contains(out, "phase_seconds/") {
+				t.Errorf("diff flagged nondeterministic phase time:\n%s", out)
+			}
+		})
 	}
 }
 

@@ -6,7 +6,7 @@
 // of each streamed pass, any stalls the watchdog flagged, and the
 // recorded series.
 //
-// With a run archive (written by the CLIs' -archive flag) it also
+// With a run archive (written by pcluster's -archive flag) it also
 // analyzes runs *over time*: `runlens ls` lists the archive, `runlens
 // diff` compares two archived runs' deterministic counters and quality
 // indices (exiting non-zero when they differ), and `runlens trend`

@@ -172,10 +172,11 @@ func TestKernelCountersWorkerInvariant(t *testing.T) {
 }
 
 // TestKernelCoordsReduction pins the tier's raison d'être on the
-// pinned benchmark shape (Case 1: d = 20, l = 7): the pruned kernel
-// must read at least 25% fewer coordinates than the naive tier's
-// distance_evals × |dims| product — the same bound the CI benchcmp
-// gate enforces on bench/baseline.json.
+// table1 shape (Case 1: d = 20, l = 7): the pruned kernel must read at
+// least 25% fewer coordinates than the naive tier's
+// distance_evals × |dims| product. The exact coordinate count of the
+// table1 run itself is pinned by TestTable1WorkCountersExact in
+// internal/experiments.
 func TestKernelCoordsReduction(t *testing.T) {
 	ds := kernelData(t)
 	cfg := Config{K: 5, L: 7, Seed: 3, Restarts: 2, Workers: 1}

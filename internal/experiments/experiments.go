@@ -47,8 +47,8 @@ type Timing struct {
 	// Counters sums hot-path work counters over every clustering run in
 	// the experiment — PROCLUS runs folded by Add, plus any CLIQUE
 	// baseline runs folded by AddCounters. Unlike the durations, the
-	// counts are deterministic for a fixed seed, which lets benchmark
-	// diffing hold them to a much tighter noise threshold.
+	// counts are deterministic for a fixed seed, so tests can pin them
+	// exactly (TestTable1WorkCountersExact).
 	Counters obs.Snapshot
 }
 

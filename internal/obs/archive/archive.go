@@ -1,10 +1,10 @@
 // Package archive is the persistent run store of the observability
 // stack: an append-only on-disk archive that accumulates completed
-// runs — and benchmark-telemetry captures — so the system's observable
-// unit becomes *runs over time*, not one process lifetime. Each entry
-// is a directory named by its run ID holding a manifest (schema
-// version, provenance, config echo, work counters) plus the run's
-// report, metrics snapshot and series snapshot as separate JSON files.
+// runs, so the system's observable unit becomes *runs over time*, not
+// one process lifetime. Each entry is a directory named by its run ID
+// holding a manifest (schema version, provenance, config echo, work
+// counters) plus the run's report, metrics snapshot and series
+// snapshot as separate JSON files.
 //
 // Layout:
 //
@@ -12,10 +12,9 @@
 //	  index.json                 deterministic listing, regenerated on save
 //	  <run-id>/
 //	    manifest.json            always present; diff/trend need only this
-//	    report.json              full obs.RunReport (run entries)
+//	    report.json              full obs.RunReport
 //	    metrics.json             metric-registry snapshot, when recorded
 //	    series.json              time-series snapshot, when recorded
-//	    bench.json               full benchcmp capture (bench entries)
 //
 // Loading is corruption-tolerant: entries whose manifest is missing or
 // unparseable are skipped and reported, never fatal, so one truncated
@@ -35,7 +34,6 @@ import (
 	"sync"
 	"time"
 
-	"proclus/internal/benchcmp"
 	"proclus/internal/obs"
 	"proclus/internal/obs/metrics"
 	"proclus/internal/obs/series"
@@ -45,16 +43,6 @@ import (
 // from a future schema rather than misread them.
 const SchemaVersion = 1
 
-// Kind discriminates archive entries.
-type Kind string
-
-const (
-	// KindRun is one algorithm run: a report plus its telemetry.
-	KindRun Kind = "run"
-	// KindBench is one proclus-bench telemetry capture (bench.json).
-	KindBench Kind = "bench"
-)
-
 // File names inside an entry directory.
 const (
 	indexFile    = "index.json"
@@ -62,7 +50,6 @@ const (
 	reportFile   = "report.json"
 	metricsFile  = "metrics.json"
 	seriesFile   = "series.json"
-	benchFile    = "bench.json"
 )
 
 // Manifest is the always-present summary of one archived entry. It
@@ -72,9 +59,7 @@ const (
 type Manifest struct {
 	Schema int    `json:"schema"`
 	RunID  string `json:"run_id"`
-	Kind   Kind   `json:"kind"`
-	// Algorithm names the producer ("proclus", "clique", …); for bench
-	// entries it is the experiment selection.
+	// Algorithm names the producer ("proclus", "clique", …).
 	Algorithm string    `json:"algorithm,omitempty"`
 	CreatedAt time.Time `json:"created_at"`
 	// GitRev is the recording checkout's revision, when known.
@@ -82,9 +67,9 @@ type Manifest struct {
 	// Seed is the effective random seed of the run.
 	Seed uint64 `json:"seed,omitempty"`
 	// Config echoes the effective configuration as recorded (the run
-	// report's config echo, or the bench invocation's Config).
+	// report's config echo).
 	Config json.RawMessage `json:"config,omitempty"`
-	// Objective is the run's final quality measure (0 for bench entries).
+	// Objective is the run's final quality measure.
 	Objective float64 `json:"objective,omitempty"`
 	// PhaseSeconds maps phase name to wall seconds.
 	PhaseSeconds map[string]float64 `json:"phase_seconds,omitempty"`
@@ -207,7 +192,6 @@ func (s *Store) SaveRun(run Run) (string, error) {
 	}
 	m := Manifest{
 		Schema:       SchemaVersion,
-		Kind:         KindRun,
 		Algorithm:    run.Algorithm,
 		CreatedAt:    at.UTC(),
 		GitRev:       run.GitRev,
@@ -234,44 +218,10 @@ func (s *Store) SaveRun(run Run) (string, error) {
 	if len(run.Series) > 0 {
 		files[seriesFile] = run.Series
 	}
-	return s.save(m, run.Algorithm, files)
-}
 
-// SaveBench archives one benchmark-telemetry capture. The manifest's
-// counters and phase seconds sum the capture's records, so bench
-// entries participate in `runlens trend` exactly like run entries; the
-// full capture is kept as bench.json for benchcmp-level diffs.
-func (s *Store) SaveBench(f *benchcmp.File) (string, error) {
-	m := Manifest{
-		Schema:    SchemaVersion,
-		Kind:      KindBench,
-		Algorithm: "bench:" + f.Config.Experiment,
-		CreatedAt: f.CreatedAt.UTC(),
-		GitRev:    f.GitRev,
-		Seed:      f.Config.Seed,
-	}
-	raw, err := json.Marshal(f.Config)
-	if err != nil {
-		return "", fmt.Errorf("archive: encoding bench config: %w", err)
-	}
-	m.Config = raw
-	phases := map[string]float64{}
-	for _, r := range f.Records {
-		m.Counters.Merge(r.Counters)
-		for name, secs := range r.PhaseSeconds {
-			phases[name] += secs
-		}
-	}
-	if len(phases) > 0 {
-		m.PhaseSeconds = phases
-	}
-	return s.save(m, "bench", map[string]any{benchFile: f})
-}
-
-func (s *Store) save(m Manifest, slug string, files map[string]any) (string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m.RunID = s.newRunID(m.CreatedAt, slug)
+	m.RunID = s.newRunID(m.CreatedAt, run.Algorithm)
 
 	tmp, err := os.MkdirTemp(s.dir, ".tmp-*")
 	if err != nil {
@@ -367,7 +317,6 @@ type Record struct {
 	Report   *obs.RunReport       `json:"report,omitempty"`
 	Metrics  metrics.Snapshot     `json:"metrics,omitempty"`
 	Series   series.StoreSnapshot `json:"series,omitempty"`
-	Bench    *benchcmp.File       `json:"bench,omitempty"`
 	Problems []string             `json:"problems,omitempty"`
 }
 
@@ -398,19 +347,10 @@ func (s *Store) Load(id string) (*Record, error) {
 			rec.Problems = append(rec.Problems, fmt.Sprintf("%s: %v", name, err))
 		}
 	}
-	switch m.Kind {
-	case KindBench:
-		var bf benchcmp.File
-		load(benchFile, &bf, true)
-		if bf.Schema != 0 {
-			rec.Bench = &bf
-		}
-	default:
-		var rep obs.RunReport
-		load(reportFile, &rep, true)
-		if rep.Algorithm != "" {
-			rec.Report = &rep
-		}
+	var rep obs.RunReport
+	load(reportFile, &rep, true)
+	if rep.Algorithm != "" {
+		rec.Report = &rep
 	}
 	load(metricsFile, &rec.Metrics, false)
 	load(seriesFile, &rec.Series, false)
@@ -449,7 +389,6 @@ type Index struct {
 // IndexEntry is one index line.
 type IndexEntry struct {
 	RunID     string    `json:"run_id"`
-	Kind      Kind      `json:"kind"`
 	Algorithm string    `json:"algorithm,omitempty"`
 	CreatedAt time.Time `json:"created_at"`
 	Seed      uint64    `json:"seed,omitempty"`
@@ -465,7 +404,7 @@ func (s *Store) writeIndexLocked() error {
 	idx := Index{Schema: SchemaVersion, Runs: make([]IndexEntry, 0, len(ms))}
 	for _, m := range ms {
 		idx.Runs = append(idx.Runs, IndexEntry{
-			RunID: m.RunID, Kind: m.Kind, Algorithm: m.Algorithm,
+			RunID: m.RunID, Algorithm: m.Algorithm,
 			CreatedAt: m.CreatedAt, Seed: m.Seed, GitRev: m.GitRev,
 			Objective: m.Objective,
 		})

@@ -8,9 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"proclus/internal/benchcmp"
 	"proclus/internal/obs"
-	"proclus/internal/obs/metrics"
 )
 
 // stamp returns a fixed, distinct timestamp per sequence number so
@@ -59,7 +57,7 @@ func TestSaveLoadRoundtrip(t *testing.T) {
 		t.Errorf("clean entry loaded with problems: %v", rec.Problems)
 	}
 	m := rec.Manifest
-	if m.Schema != SchemaVersion || m.Kind != KindRun || m.Algorithm != "proclus" ||
+	if m.Schema != SchemaVersion || m.Algorithm != "proclus" ||
 		m.Seed != 1 || m.Objective != 1 {
 		t.Errorf("manifest = %+v", m)
 	}
@@ -238,48 +236,65 @@ func TestRetentionGC(t *testing.T) {
 	}
 }
 
-func TestSaveBench(t *testing.T) {
-	st, err := Open(t.TempDir(), Options{})
+// TestOlderManifestsStillList pins how manifests from other writers
+// load. One carrying a field this version no longer writes (the
+// "kind" of the retired benchmark entries) still lists, and a missing
+// report degrades to a Problem on Load. One from a newer schema is
+// skipped and reported.
+func TestOlderManifestsStillList(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bf := &benchcmp.File{
-		Schema:    benchcmp.SchemaVersion,
-		CreatedAt: stamp(5),
-		Config:    benchcmp.Config{Experiment: "table1,table2", Seed: 3},
-		Records: []benchcmp.Record{
-			{
-				Experiment:   "table1",
-				PhaseSeconds: map[string]float64{"iterate": 1.5},
-				Counters:     obs.Snapshot{DistanceEvals: 100},
-				Metrics:      metrics.Snapshot{},
-			},
-			{
-				Experiment:   "table2",
-				PhaseSeconds: map[string]float64{"iterate": 0.5},
-				Counters:     obs.Snapshot{DistanceEvals: 50, PointsScanned: 25},
-			},
-		},
-	}
-	id, err := st.SaveBench(bf)
+	legacy, err := st.SaveRun(testRun(1, "proclus"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := st.Load(id)
+	future, err := st.SaveRun(testRun(2, "proclus"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := rec.Manifest
-	if m.Kind != KindBench || m.Algorithm != "bench:table1,table2" || m.Seed != 3 {
-		t.Errorf("bench manifest = %+v", m)
+	rewrite := func(id string, edit func(map[string]any)) {
+		path := filepath.Join(dir, id, "manifest.json")
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc map[string]any
+		if err := json.Unmarshal(data, &doc); err != nil {
+			t.Fatal(err)
+		}
+		edit(doc)
+		if data, err = json.Marshal(doc); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Counters and phases sum across the capture's records.
-	if m.Counters.DistanceEvals != 150 || m.Counters.PointsScanned != 25 ||
-		m.PhaseSeconds["iterate"] != 2.0 {
-		t.Errorf("bench rollup = %+v / %+v", m.Counters, m.PhaseSeconds)
+	rewrite(legacy, func(doc map[string]any) { doc["kind"] = "bench" })
+	if err := os.Remove(filepath.Join(dir, legacy, "report.json")); err != nil {
+		t.Fatal(err)
 	}
-	if rec.Bench == nil || len(rec.Bench.Records) != 2 {
-		t.Errorf("bench capture not round-tripped: %+v", rec.Bench)
+	rewrite(future, func(doc map[string]any) { doc["schema"] = SchemaVersion + 1 })
+
+	ms, probs, err := st.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ms) != 1 || ms[0].RunID != legacy || ms[0].Counters.DistanceEvals != 2000 {
+		t.Errorf("listing = %+v, want only the legacy entry with its counters", ms)
+	}
+	if len(probs) != 1 || probs[0].RunID != future || !strings.Contains(probs[0].Err, "newer") {
+		t.Errorf("problems = %+v, want the newer-schema entry", probs)
+	}
+	rec, err := st.Load(legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Report != nil || len(rec.Problems) != 1 || rec.Problems[0] != "report.json: missing" {
+		t.Errorf("legacy record = report %v, problems %v", rec.Report, rec.Problems)
 	}
 }
 

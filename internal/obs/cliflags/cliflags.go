@@ -63,7 +63,8 @@ type Flags struct {
 	StallCancel bool
 	// Archive is the -archive directory: an append-only run store that
 	// accumulates completed runs' manifests, reports and telemetry for
-	// cross-run analysis (runlens diff/trend, serve's /runs).
+	// cross-run analysis (runlens diff/trend, serve's /runs). Empty
+	// unless the owning CLI registered WithArchive.
 	Archive string
 	// ArchiveKeep is -archive-keep: retain only the newest N archive
 	// entries, garbage-collecting older ones. Zero keeps everything.
@@ -74,8 +75,9 @@ type Flags struct {
 }
 
 type options struct {
-	report bool
-	serve  bool
+	report  bool
+	serve   bool
+	archive bool
 }
 
 // Option adjusts which flags Register installs.
@@ -88,6 +90,11 @@ func WithoutReport() Option { return func(o *options) { o.report = false } }
 // WithoutServe suppresses -metrics-addr, for short-lived CLIs where a
 // monitoring server has nothing to watch.
 func WithoutServe() Option { return func(o *options) { o.serve = false } }
+
+// WithArchive installs -archive and -archive-keep, for CLIs that save
+// their completed runs with Session.ArchiveRun. Elsewhere the flags
+// would be accepted and do nothing, so they are off by default.
+func WithArchive() Option { return func(o *options) { o.archive = true } }
 
 // Register installs the observability flags on fs and returns the
 // destination values, to be read after fs.Parse.
@@ -110,8 +117,10 @@ func Register(fs *flag.FlagSet, opts ...Option) *Flags {
 	fs.IntVar(&f.StallIters, "stall-iters", 0, "emit a stall event when a restart's objective fails to improve for this many consecutive iterations (0 disables)")
 	fs.DurationVar(&f.StallDeadline, "stall-deadline", 0, "emit a stall event when no progress event arrives for this long (0 disables)")
 	fs.BoolVar(&f.StallCancel, "stall-cancel", false, "cancel the run on the first stall instead of only reporting it")
-	fs.StringVar(&f.Archive, "archive", "", "append this run's report and telemetry to the run archive at this directory (inspect with runlens ls/diff/trend)")
-	fs.IntVar(&f.ArchiveKeep, "archive-keep", 0, "retain only the newest N archive entries, deleting older ones after each save (0 keeps everything)")
+	if o.archive {
+		fs.StringVar(&f.Archive, "archive", "", "append this run's report and telemetry to the run archive at this directory (inspect with runlens ls/diff/trend)")
+		fs.IntVar(&f.ArchiveKeep, "archive-keep", 0, "retain only the newest N archive entries, deleting older ones after each save (0 keeps everything)")
+	}
 	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a CPU profile to this path")
 	fs.StringVar(&f.MemProfile, "memprofile", "", "write a heap profile to this path on exit")
 	return f
@@ -140,8 +149,7 @@ type Session struct {
 	// (empty without -metrics-addr).
 	Addr string
 	// Archive is the run store -archive opened, nil without the flag.
-	// Completed runs land in it via ArchiveRun; proclus-bench appends
-	// telemetry captures with its SaveBench.
+	// Completed runs land in it via ArchiveRun.
 	Archive *archive.Store
 
 	seriesPath string

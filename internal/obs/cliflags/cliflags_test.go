@@ -48,17 +48,35 @@ func TestRegisterDefaults(t *testing.T) {
 }
 
 func TestRegisterOptions(t *testing.T) {
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	Register(fs, WithoutReport(), WithoutServe())
-	for _, name := range []string{"report", "metrics-addr"} {
-		if fs.Lookup(name) != nil {
-			t.Errorf("-%s registered despite Without option", name)
+	for _, tc := range []struct {
+		name            string
+		opts            []Option
+		absent, present []string
+	}{
+		{
+			name:    "WithoutReport+WithoutServe",
+			opts:    []Option{WithoutReport(), WithoutServe()},
+			absent:  []string{"report", "metrics-addr", "archive", "archive-keep"},
+			present: []string{"trace", "progress", "chrometrace", "cpuprofile", "memprofile"},
+		},
+		{
+			name:    "WithArchive",
+			opts:    []Option{WithArchive()},
+			present: []string{"report", "metrics-addr", "archive", "archive-keep"},
+		},
+	} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		Register(fs, tc.opts...)
+		for _, name := range tc.absent {
+			if fs.Lookup(name) != nil {
+				t.Errorf("%s: -%s registered", tc.name, name)
+			}
 		}
-	}
-	for _, name := range []string{"trace", "progress", "chrometrace", "cpuprofile", "memprofile"} {
-		if fs.Lookup(name) == nil {
-			t.Errorf("-%s missing", name)
+		for _, name := range tc.present {
+			if fs.Lookup(name) == nil {
+				t.Errorf("%s: -%s missing", tc.name, name)
+			}
 		}
 	}
 }
@@ -237,7 +255,7 @@ func TestSessionWatchdogObserveOnly(t *testing.T) {
 
 func TestSessionArchive(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "runs")
-	f := parse(t, []string{"-archive", dir, "-archive-keep", "2"})
+	f := parse(t, []string{"-archive", dir, "-archive-keep", "2"}, WithArchive())
 	sess, err := f.Start(io.Discard)
 	if err != nil {
 		t.Fatal(err)

@@ -12,11 +12,11 @@ import (
 	"proclus/internal/obs"
 )
 
-// CounterTolerance is the benchcmp-style relative drift allowed on
-// every pinned work counter before the gate fails. The counters are
-// bit-for-bit deterministic for a fixed seed, so any drift means the
-// code changed; the tolerance absorbs small deliberate tweaks without
-// a golden regen while still catching real work regressions.
+// CounterTolerance is the relative drift allowed on every pinned work
+// counter before the gate fails. The counters are bit-for-bit
+// deterministic for a fixed seed, so any drift means the code changed;
+// the tolerance absorbs small deliberate tweaks without a golden regen
+// while still catching real work regressions.
 const CounterTolerance = 0.05
 
 // floorMargin is how far below the measured quality the regenerated
@@ -127,7 +127,7 @@ func CompareCell(g GoldenCell, got Outcome) []string {
 }
 
 // compareCounters diffs two counter snapshots field by field with the
-// benchcmp-style relative tolerance. A counter that was zero in the
+// relative tolerance CounterTolerance. A counter that was zero in the
 // golden must stay zero: work appearing on a formerly idle counter is a
 // behaviour change, not drift.
 func compareCounters(label string, want, got obs.Snapshot) []string {

@@ -5,8 +5,8 @@
 // each run through a set of registry-routed algorithm cells. Every
 // scenario×algorithm cell pins seeded quality floors (ARI/NMI/purity)
 // and the deterministic work counters in a committed golden
-// (golden/*.json), diffed with benchcmp-style thresholds by the
-// scenario gate (`make scenario-gate`). A quality drop below a floor or
+// (golden/*.json), diffed with relative thresholds by the scenario
+// gate (`make scenario-gate`). A quality drop below a floor or
 // a counter drift beyond the tolerance fails the gate; deliberate
 // changes regenerate the goldens with
 // `go test ./internal/scenarios -run '^TestScenarioGate$' -update`.

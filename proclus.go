@@ -221,9 +221,9 @@ func StartProfiles(cpuPath, memPath string) (stop func() error, err error) {
 	return obs.StartProfiles(cpuPath, memPath)
 }
 
-// RunArchive is the append-only on-disk run store: each saved run (or
-// benchmark capture) becomes a directory holding a manifest plus the
-// run's report, metrics and series snapshots. Loading is
+// RunArchive is the append-only on-disk run store: each saved run
+// becomes a directory holding a manifest plus the run's report,
+// metrics and series snapshots. Loading is
 // corruption-tolerant and retention by count garbage-collects the
 // oldest entries. Inspect an archive with `runlens ls/diff/trend`.
 type RunArchive = archive.Store
@@ -237,8 +237,8 @@ type RunArchiveOptions = archive.Options
 type ArchiveManifest = archive.Manifest
 
 // ArchiveRecord is one loaded archive entry: its manifest plus
-// whichever sibling artifacts (report, metrics, series, bench capture)
-// were recorded and still parse.
+// whichever sibling artifacts (report, metrics, series) were recorded
+// and still parse.
 type ArchiveRecord = archive.Record
 
 // ArchivedRun bundles one completed run's artifacts for
