@@ -17,20 +17,6 @@ import (
 	"proclus/internal/synth"
 )
 
-// kernelData is a table1-shaped dataset: 20-dimensional points, five
-// clusters each tight in 7 dimensions — the paper's Case 1 regime the
-// pinned benchmark configuration runs on.
-func kernelData(t *testing.T) *dataset.Dataset {
-	t.Helper()
-	ds, _, err := synth.Generate(synth.Config{
-		N: 2500, Dims: 20, K: 5, FixedDims: 7, MinSizeFraction: 0.1, Seed: 31,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ds
-}
-
 // assertSameRun fails unless a and b are the same run bit for bit:
 // clustering, objective, iteration count, medoids and trial trace.
 func assertSameRun(t *testing.T, a, b *Result, context string) {
