@@ -54,11 +54,11 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Short coverage-guided fuzz runs over the binary reader, the block
-# scanner, the early-abandoning distance kernel and the confusion
-# matrix. The checked-in corpora under */testdata/fuzz replay on every
-# plain `go test`; this target additionally mutates for FUZZTIME per
-# target to catch fresh regressions. Each -fuzz invocation must name
-# exactly one target, hence one run per target.
+# scanner, the bounded distance kernels the benchmark ledger replays and
+# the confusion matrix. The checked-in corpora under */testdata/fuzz
+# replay on every plain `go test`; this target additionally mutates for
+# FUZZTIME per target to catch fresh regressions. Each -fuzz invocation
+# must name exactly one target, hence one run per target.
 FUZZTIME ?= 5s
 
 fuzz-smoke:

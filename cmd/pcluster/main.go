@@ -2,7 +2,7 @@
 // CLIQUE, ORCLUS or the full-dimensional k-medoids baseline — on a
 // dataset file through the algorithm registry, with one shared flag
 // surface. Flags the selected algorithm does not support (streaming
-// ORCLUS, a kernel mode on CLIQUE, a worker budget on the serial
+// ORCLUS, a cluster count on CLIQUE, a worker budget on the serial
 // k-medoids descent, a series file or stall watchdog on an algorithm
 // that emits no progress, another algorithm's parameters) are rejected
 // with a clear error instead of being silently ignored.
@@ -17,7 +17,7 @@
 //	pcluster -list
 //	pcluster -algo proclus  -in data.bin -k 5 -l 7
 //	pcluster -algo proclus  -in data.bin -k 5 -sweepl 2:9    # try a range of l values
-//	pcluster -algo proclus  -in data.bin -k 5 -l 7 -stream -kernel pruned
+//	pcluster -algo proclus  -in data.bin -k 5 -l 7 -stream
 //	pcluster -algo clique   -in data.csv -labels -xi 10 -tau 0.005 -mdl -v
 //	pcluster -algo orclus   -in data.bin -k 3 -l 2 -outliers
 //	pcluster -algo kmedoids -in data.csv -labels -k 5 -normalize zscore
@@ -69,7 +69,6 @@ func run(args []string, out io.Writer) (retErr error) {
 		workers  = fs.Int("workers", 0, "goroutine budget for parallel passes (0 = GOMAXPROCS); results are identical for any value")
 		stream   = fs.Bool("stream", false, "cluster the input out of core (binary input; streaming-capable algorithms only)")
 		blockPts = fs.Int("block-points", 0, "points per streamed block (0 = default); only with -stream")
-		kernel   = fs.String("kernel", "pruned", "exact distance-kernel tier: pruned or naive (proclus only)")
 
 		// PROCLUS parameter sweeps (§4.3 of the paper).
 		sweepL = fs.String("sweepl", "", "proclus: fit every l in a min:max range, print the objective curve and keep the suggested l")
@@ -118,10 +117,6 @@ func run(args []string, out io.Writer) (retErr error) {
 	if err != nil {
 		return err
 	}
-	kernelMode, err := core.ParseKernelMode(*kernel)
-	if err != nil {
-		return err
-	}
 	// Reject the combinations the registry cannot see before the session
 	// opens, so a refused run leaves no -series, trace or profile file.
 	sweepParam, sweepSpec := "l", *sweepL
@@ -162,7 +157,6 @@ func run(args []string, out io.Writer) (retErr error) {
 	}()
 	cfg := registry.Config{
 		K: *k, L: *l, Seed: *seed, Workers: *workers,
-		Kernel: kernelMode,
 		Clique: registry.CliqueParams{
 			Xi: *xi, Tau: *tau, MaxDims: *maxDims, FixedDims: *fixed,
 			ReportMaximal: *maximal, ReportHighest: *highest, MDLPruning: *mdl,
@@ -220,7 +214,7 @@ func run(args []string, out io.Writer) (retErr error) {
 		// Sweeps refit the dataset through core.SweepL/SweepK, with the
 		// registry adapter's field-for-field core.Config translation.
 		res, err = sweep(&curve, ds, core.Config{
-			K: cfg.K, L: cfg.L, Seed: cfg.Seed, Workers: cfg.Workers, Kernel: cfg.Kernel,
+			K: cfg.K, L: cfg.L, Seed: cfg.Seed, Workers: cfg.Workers,
 			Observer: cfg.Observer, Metrics: cfg.Metrics, Series: cfg.Series,
 		}, sweepParam, sweepSpec)
 	} else {
@@ -278,7 +272,7 @@ func run(args []string, out io.Writer) (retErr error) {
 // CLIQUE fits, whose clusters overlap and so get average overlap and
 // coverage instead of a confusion matrix.
 func summarize(out io.Writer, rep *obs.RunReport, as []int, cres *clique.Result, labels []int, verbose bool) (map[string]float64, error) {
-	if rep.Objective != 0 {
+	if cres == nil {
 		fmt.Fprintf(out, "objective: %.4f\n", rep.Objective)
 	}
 	if rep.Levels > 0 {
@@ -453,7 +447,6 @@ func capsSummary(c registry.Caps) string {
 	add(c.TakesK, "k")
 	add(c.TakesL, "l")
 	add(c.Stream, "stream")
-	add(c.Kernel, "kernel")
 	add(c.Series, "series")
 	add(c.Workers, "workers")
 	add(c.CliqueParams, "xi/tau")

@@ -112,6 +112,26 @@ func TestRunEachAlgorithm(t *testing.T) {
 				t.Errorf("%s output missing %q:\n%s", tc.algo, want, got)
 			}
 		}
+		if tc.algo == "clique" && strings.Contains(got, "objective:") {
+			t.Errorf("clique has no objective, yet its summary prints one:\n%s", got)
+		}
+	}
+
+	// On 200 copies of one point every partitioning fit reaches
+	// objective 0, and the summary must still print it.
+	dup := filepath.Join(t.TempDir(), "dup.csv")
+	if err := os.WriteFile(dup, []byte(strings.Repeat("1,2,3,4\n", 200)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-algo", "proclus", "-k", "3", "-l", "2"},
+		{"-algo", "orclus", "-k", "3", "-l", "2"},
+		{"-algo", "kmedoids", "-k", "3"},
+	} {
+		got := runOK(t, append(args, "-in", dup)...)
+		if !strings.Contains(got, "\nobjective: 0.0000\n") {
+			t.Errorf("%v: summary lacks \"objective: 0.0000\":\n%s", args, got)
+		}
 	}
 }
 
@@ -133,7 +153,6 @@ func TestRejectsUnsupportedCombos(t *testing.T) {
 	}{
 		{[]string{"-algo", "clique", "-in", path, "-k", "3"}, "clique"},
 		{[]string{"-algo", "orclus", "-in", path, "-k", "3", "-l", "2", "-stream"}, "orclus"},
-		{[]string{"-algo", "orclus", "-in", path, "-k", "3", "-l", "2", "-kernel", "naive"}, "orclus"},
 		{[]string{"-algo", "kmedoids", "-in", path, "-k", "3", "-workers", "4"}, "kmedoids"},
 		{[]string{"-algo", "proclus", "-in", path, "-k", "3", "-l", "3", "-xi", "8"}, "proclus"},
 		{[]string{"-algo", "proclus", "-in", path, "-k", "3", "-l", "3", "-restarts", "2"}, "proclus"},

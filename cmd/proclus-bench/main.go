@@ -23,7 +23,6 @@ import (
 	"strings"
 	"time"
 
-	"proclus/internal/core"
 	"proclus/internal/experiments"
 	"proclus/internal/obs/cliflags"
 	"proclus/internal/obs/metrics"
@@ -49,16 +48,11 @@ func run(args []string, out io.Writer) (retErr error) {
 		reportPath = fs.String("report", "", "write per-experiment timing records as a JSON array to this path")
 		stream     = fs.Bool("stream", false, "run the accuracy tables and fig7 out of core: inputs spill to temporary binary files and the streamed engines cluster them in bounded memory")
 		blockPts   = fs.Int("block-points", 0, "points per streamed block (0 = default); only with -stream")
-		kernel     = fs.String("kernel", "pruned", "exact distance-kernel tier: pruned (early abandonment + packed medoid rows, bit-identical output) or naive (full evaluation)")
 	)
 	// -report here keeps its historical timing-array semantics, so the
 	// shared flag set skips its own -report.
 	obsFlags := cliflags.Register(fs, cliflags.WithoutReport())
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	kernelMode, err := core.ParseKernelMode(*kernel)
-	if err != nil {
 		return err
 	}
 	sess, err := obsFlags.Start(os.Stderr)
@@ -110,7 +104,6 @@ func run(args []string, out io.Writer) (retErr error) {
 	caseParams := experiments.CaseParams{
 		N: caseN, Seed: *seed, Workers: *workers, Observer: sess.Observer,
 		Stream: *stream, BlockPoints: *blockPts,
-		Kernel: kernelMode,
 	}
 
 	runners := []runner{

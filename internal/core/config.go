@@ -108,18 +108,6 @@ type Config struct {
 	// differ).
 	IncrementalEval EvalMode
 
-	// Kernel selects the distance-kernel tier of the full-data passes;
-	// see the KernelMode constants. The default, KernelPruned, runs the
-	// assignment, locality, refinement and greedy-initialization scans
-	// through early-abandoning kernels over packed medoid rows with
-	// best-first candidate ordering, visiting a fraction of the
-	// coordinates the naive kernels touch while producing bit-identical
-	// Results (only the distance_evals_full/abandoned and
-	// coords_visited counters differ). KernelNaive runs every
-	// evaluation to completion; it exists as an escape hatch and as the
-	// equivalence baseline.
-	Kernel KernelMode
-
 	// Observer receives structured run events: run start/end, phase
 	// transitions, restart boundaries, hill-climbing iterations and
 	// medoid replacements. Nil — the default — disables event emission
@@ -204,42 +192,6 @@ func (m EvalMode) String() string {
 	return fmt.Sprintf("EvalMode(%d)", int(m))
 }
 
-// KernelMode selects the distance-kernel tier of the full-data passes.
-type KernelMode int
-
-const (
-	// KernelPruned evaluates candidates through the early-abandoning
-	// packed kernels with best-first ordering (the default). Output is
-	// bit-identical to KernelNaive.
-	KernelPruned KernelMode = iota
-	// KernelNaive runs every distance evaluation over every coordinate
-	// of its dimension set. Escape hatch and equivalence baseline for
-	// KernelPruned.
-	KernelNaive
-)
-
-// String names the mode ("pruned", "naive") for logs and reports.
-func (m KernelMode) String() string {
-	switch m {
-	case KernelPruned:
-		return "pruned"
-	case KernelNaive:
-		return "naive"
-	}
-	return fmt.Sprintf("KernelMode(%d)", int(m))
-}
-
-// ParseKernelMode resolves a mode from its flag spelling.
-func ParseKernelMode(s string) (KernelMode, error) {
-	switch s {
-	case "", "pruned":
-		return KernelPruned, nil
-	case "naive":
-		return KernelNaive, nil
-	}
-	return 0, fmt.Errorf("unknown kernel mode %q (want pruned or naive)", s)
-}
-
 // AssignMetric selects the point-to-medoid distance.
 type AssignMetric int
 
@@ -314,10 +266,6 @@ func (cfg Config) validateShape(n, dims int) error {
 		return fmt.Errorf("proclus: MinDeviation = %v outside [0, 1)", cfg.MinDeviation)
 	case n < cfg.K:
 		return fmt.Errorf("proclus: %d points cannot form %d clusters", n, cfg.K)
-	case cfg.K*cfg.L > cfg.K*dims:
-		return fmt.Errorf("proclus: dimension budget %d exceeds available %d", cfg.K*cfg.L, cfg.K*dims)
-	case cfg.Kernel != KernelPruned && cfg.Kernel != KernelNaive:
-		return fmt.Errorf("proclus: unknown Kernel %d", int(cfg.Kernel))
 	}
 	return nil
 }

@@ -90,13 +90,6 @@ type incrementalEval struct {
 	zrowFn   func(lo, hi int)
 	assignFn func(lo, hi int)
 
-	// pk is the pruned kernel tier's packed-row scratch (nil under
-	// KernelNaive), repacked each evaluate: medoid rows before the
-	// assignment pass, centroid rows inside the objective pass. The
-	// buffer reaches the K·L dimension budget once and is then reused,
-	// so steady-state repacking allocates nothing.
-	pk *packedRows
-
 	// cur is the trial view handed to the climb; it aliases scratch and
 	// is overwritten by the next evaluate. best is the adopt target,
 	// deep-copied so it survives subsequent iterations.
@@ -202,15 +195,8 @@ func newIncrementalEval(r *runner) *incrementalEval {
 			e.r.zRowInto(e.cur.medoids[i], s.localities[i], s.x[i], s.z[i])
 		}
 	}
-	if r.prunedKernel() {
-		e.pk = newPackedRows(k)
-		e.assignFn = func(lo, hi int) {
-			e.r.assignChunkPruned(e.pk, e.cur.dims, s.assign, lo, hi)
-		}
-	} else {
-		e.assignFn = func(lo, hi int) {
-			e.r.assignChunk(s.medoidPts, e.cur.dims, e.metric, s.assign, lo, hi)
-		}
+	e.assignFn = func(lo, hi int) {
+		e.r.assignChunk(s.medoidPts, e.cur.dims, e.metric, s.assign, lo, hi)
 	}
 	return e
 }
@@ -226,18 +212,12 @@ func (e *incrementalEval) evaluate(medoids []int) *trialState {
 	e.localities()
 	t.dims = e.findDimensions()
 	passStart := time.Now()
-	if e.pk != nil {
-		// Pack the medoid rows once per trial; the prebuilt chunk
-		// closures then read sequential rows. The same scratch is
-		// repacked with centroid rows by the objective pass below.
-		e.pk.pack(e.scratch.medoidPts, t.dims)
-	}
 	parallel.For(e.n, e.r.innerWorkers, e.assignFn)
 	// One Rate observation per pass, as in the naive assignment path.
 	e.r.metrics.observeAssign(int64(e.n), time.Since(passStart).Seconds())
 	tallySizes(e.scratch.assign, e.scratch.sizes)
 	t.objective = e.r.evaluateClustersInto(e.scratch.assign, e.scratch.sizes, t.dims,
-		e.scratch.centroids, e.scratch.devs, e.pk)
+		e.scratch.centroids, e.scratch.devs)
 	t.assign = e.scratch.assign
 	t.sizes = e.scratch.sizes
 	t.badMedoids = nil
@@ -263,12 +243,7 @@ func (e *incrementalEval) sync(medoids []int) {
 		parallel.For(e.n, e.r.innerWorkers, e.fillFn)
 	}
 	recomputed := int64(len(e.changed)) * int64(e.n)
-	// Column fills evaluate fully for every kernel tier: cached values
-	// are compared against many thresholds over the column's lifetime, so
-	// no single cutoff could justify abandoning.
-	e.r.counters.DistanceEvals.Add(recomputed)
-	e.r.counters.DistanceEvalsFull.Add(recomputed)
-	e.r.counters.CoordsVisited.Add(recomputed * int64(e.d))
+	e.r.creditEvals(recomputed, recomputed*int64(e.d))
 	e.r.counters.DistCacheRecomputes.Add(recomputed)
 	e.r.counters.DistCacheHits.Add(int64(e.k-len(e.changed))*int64(e.n) + int64(e.k)*int64(e.k-1))
 }

@@ -17,11 +17,12 @@ const (
 	MetricAssignRate     = "proclus_assign_points_per_second"
 	MetricDistanceEvals  = "proclus_distance_evals_total"
 	MetricPointsScanned  = "proclus_points_scanned_total"
-	// The kernel series split proclus_distance_evals_total by how each
-	// evaluation ended — run to completion versus cut short by the early
-	// abandonment cutoff — and count the coordinates the exact kernels
-	// actually read (the pruned tier's work measure; the naive tier
-	// reports the full evals × |dims| product).
+	// The evaluation series split proclus_distance_evals_total by how
+	// each evaluation ended and count the coordinates the evaluations
+	// read. Every PROCLUS evaluation runs to completion, so the full
+	// series equals proclus_distance_evals_total, the abandoned series
+	// stays at zero, and the coordinate series is the Σ evals × |dims|
+	// product.
 	MetricDistanceEvalsFull      = "proclus_distance_evals_full_total"
 	MetricDistanceEvalsAbandoned = "proclus_distance_evals_abandoned_total"
 	MetricCoordsVisited          = "proclus_coords_visited_total"
@@ -104,9 +105,9 @@ func newRunnerMetrics(reg *metrics.Registry) *runnerMetrics {
 	m.distanceEvalsFull = reg.Counter(MetricDistanceEvalsFull,
 		"distance evaluations run to completion")
 	m.distanceEvalsAband = reg.Counter(MetricDistanceEvalsAbandoned,
-		"distance evaluations cut short by the early-abandonment cutoff")
+		"distance evaluations cut short by an early-abandonment cutoff (none in PROCLUS)")
 	m.coordsVisited = reg.Counter(MetricCoordsVisited,
-		"coordinates read by exact distance kernels")
+		"coordinates read by distance evaluations")
 	m.pointsScanned = reg.Counter(MetricPointsScanned,
 		"data-point visits by full-dataset passes")
 	m.distCacheHits = reg.Counter(MetricDistCacheHits,

@@ -272,13 +272,9 @@ func (r *runner) initialize() ([]int, error) {
 		medoidCount = len(s)
 	}
 	// The traversal batches its own evaluation accounting per chunk, so
-	// the distance closures stay free of per-call atomics. The bounded
-	// closure abandons folds against the running minima; under
-	// KernelNaive it ignores the traversal's cutoff, which restores the
-	// full-evaluation behaviour while keeping the coordinate accounting.
-	bounded := r.greedyBounded(func(i int) []float64 { return r.ds.Point(s[i]) })
+	// the distance closure stays free of per-call atomics.
 	picks, err := greedy.FarthestFirstBounded(r.rng, len(s), medoidCount, r.innerWorkers,
-		bounded, nil, &r.counters)
+		fullDistance(func(i int) []float64 { return r.ds.Point(s[i]) }), nil, &r.counters)
 	if err != nil {
 		return nil, fmt.Errorf("proclus: greedy medoid selection: %w", err)
 	}
@@ -406,44 +402,25 @@ func (r *runner) evaluateMedoids(medoids []int) *trialState {
 // at least its own medoid.
 func (r *runner) computeLocalities(medoids []int) [][]int {
 	k := len(medoids)
+	fullDims := int64(r.ds.Dims())
 	delta := make([]float64, k)
 	// Each δ_i is an independent minimum over the other medoids, so the
 	// rows parallelize with disjoint writes and worker-count-independent
 	// results.
-	pruned := r.prunedKernel()
-	fullDims := int64(r.ds.Dims())
 	parallel.For(k, r.innerWorkers, func(lo, hi int) {
-		var t kernelTally
 		for i := lo; i < hi; i++ {
 			delta[i] = math.Inf(1)
 			for j := range medoids {
 				if i == j {
 					continue
 				}
-				// Running-minimum fold with early abandonment: an
-				// abandoned candidate proved itself above the current
-				// minimum, so the resulting δ_i is the exact naive one.
-				if pruned {
-					d, v, ab := dist.SegmentalAllBounded(r.ds.Point(medoids[i]), r.ds.Point(medoids[j]), delta[i])
-					t.coords += int64(v)
-					if ab {
-						t.abandoned++
-						continue
-					}
-					t.full++
-					if d < delta[i] {
-						delta[i] = d
-					}
-				} else {
-					t.full++
-					t.coords += fullDims
-					if d := dist.SegmentalAll(r.ds.Point(medoids[i]), r.ds.Point(medoids[j])); d < delta[i] {
-						delta[i] = d
-					}
+				if d := dist.SegmentalAll(r.ds.Point(medoids[i]), r.ds.Point(medoids[j])); d < delta[i] {
+					delta[i] = d
 				}
 			}
 		}
-		t.credit(&r.counters)
+		evals := int64(hi-lo) * int64(k-1)
+		r.creditEvals(evals, evals*fullDims)
 	})
 	// Sharded scan: each worker fills per-chunk lists, concatenated in
 	// chunk order afterwards so the result is identical to a serial
@@ -464,35 +441,18 @@ func (r *runner) computeLocalities(medoids []int) [][]int {
 	var chunks []chunk
 	parallel.For(n, r.innerWorkers, func(lo, hi int) {
 		lists := make([][]int, k)
-		// One batched tally per chunk keeps the counters off the inner
-		// loop; the totals are exact and independent of Workers. A bounded
-		// evaluation abandoned against δ_i proved the strict < test below
-		// false, so the lists match the naive scan's.
-		var t kernelTally
 		for p := lo; p < hi; p++ {
 			pt := r.ds.Point(p)
 			for i := range medoidPoints {
-				if pruned {
-					d, v, ab := dist.SegmentalAllBounded(pt, medoidPoints[i], delta[i])
-					t.coords += int64(v)
-					if ab {
-						t.abandoned++
-						continue
-					}
-					t.full++
-					if d < delta[i] {
-						lists[i] = append(lists[i], p)
-					}
-				} else {
-					t.full++
-					t.coords += fullDims
-					if dist.SegmentalAll(pt, medoidPoints[i]) < delta[i] {
-						lists[i] = append(lists[i], p)
-					}
+				if dist.SegmentalAll(pt, medoidPoints[i]) < delta[i] {
+					lists[i] = append(lists[i], p)
 				}
 			}
 		}
-		t.credit(&r.counters)
+		// One batched add per chunk keeps the counters off the inner
+		// loop; the totals are exact and independent of Workers.
+		evals := int64(hi-lo) * int64(k)
+		r.creditEvals(evals, evals*fullDims)
 		r.counters.PointsScanned.Add(int64(hi - lo))
 		mu.Lock()
 		chunks = append(chunks, chunk{lo: lo, lists: lists})
@@ -518,35 +478,19 @@ func (r *runner) assignPoints(medoids []int, dims [][]int) (assign []int, sizes 
 	for i, m := range medoids {
 		medoidPoints[i] = r.ds.Point(m)
 	}
-	assign = make([]int, r.ds.Len())
-	sizes = make([]int, len(medoids))
-	r.assignPointsInto(medoidPoints, dims, r.pointMetric(), assign, sizes)
-	return assign, sizes
-}
-
-// assignPointsInto is assignPoints writing into caller-owned buffers
-// (len(assign) = N, len(sizes) = k); the incremental engine reuses
-// them — and a pre-built metric closure — across hill-climb
-// iterations.
-func (r *runner) assignPointsInto(medoidPoints [][]float64, dims [][]int,
-	metric func(pt, medoid []float64, dims []int) float64, assign, sizes []int) {
 	n := r.ds.Len()
+	assign = make([]int, n)
+	sizes = make([]int, len(medoids))
+	metric := r.pointMetric()
 	passStart := time.Now()
-	if r.prunedKernel() {
-		pk := newPackedRows(len(medoidPoints))
-		pk.pack(medoidPoints, dims)
-		parallel.For(n, r.innerWorkers, func(lo, hi int) {
-			r.assignChunkPruned(pk, dims, assign, lo, hi)
-		})
-	} else {
-		parallel.For(n, r.innerWorkers, func(lo, hi int) {
-			r.assignChunk(medoidPoints, dims, metric, assign, lo, hi)
-		})
-	}
+	parallel.For(n, r.innerWorkers, func(lo, hi int) {
+		r.assignChunk(medoidPoints, dims, metric, assign, lo, hi)
+	})
 	// One Rate observation per pass (two clock reads), far below the
 	// assignment path's ~2% overhead budget.
 	r.metrics.observeAssign(int64(n), time.Since(passStart).Seconds())
 	tallySizes(assign, sizes)
+	return assign, sizes
 }
 
 // assignChunk is one worker's share of the assignment pass: nearest
@@ -566,11 +510,36 @@ func (r *runner) assignChunk(medoidPoints [][]float64, dims [][]int,
 		}
 		assign[p] = bestIdx
 	}
-	evals := int64(hi-lo) * int64(len(medoidPoints))
+	r.creditEvals(int64(hi-lo)*int64(len(medoidPoints)), int64(hi-lo)*dimsTotal(dims))
+	r.counters.PointsScanned.Add(int64(hi - lo))
+}
+
+// creditEvals adds a batch of distance evaluations, which read coords
+// coordinates in all, to the run counters. Every evaluation runs over
+// its whole dimension set, so each one is also a full evaluation.
+func (r *runner) creditEvals(evals, coords int64) {
 	r.counters.DistanceEvals.Add(evals)
 	r.counters.DistanceEvalsFull.Add(evals)
-	r.counters.CoordsVisited.Add(int64(hi-lo) * dimsTotal(dims))
-	r.counters.PointsScanned.Add(int64(hi - lo))
+	r.counters.CoordsVisited.Add(coords)
+}
+
+// dimsTotal is the summed dimension-set size Σᵢ |dims[i]| — the
+// coordinate cost of one full k-way evaluation.
+func dimsTotal(dims [][]int) int64 {
+	var t int64
+	for _, d := range dims {
+		t += int64(len(d))
+	}
+	return t
+}
+
+// fullDistance is the full-dimensional segmental distance the greedy
+// farthest-first traversal folds with, over the points selected by at.
+// It ignores the traversal's cutoff, so every evaluation runs in full.
+func fullDistance(at func(i int) []float64) greedy.BoundedDistanceTo {
+	return func(i, j int, _ float64) (float64, int, bool) {
+		return dist.SegmentalAllBounded(at(i), at(j), math.Inf(1))
+	}
 }
 
 // tallySizes recounts cluster sizes from an assignment vector.
@@ -606,22 +575,14 @@ func (r *runner) evaluateClusters(assign []int, sizes []int, dims [][]int) float
 	for i := range centroids {
 		centroids[i] = make([]float64, d)
 	}
-	var pk *packedRows
-	if r.prunedKernel() {
-		pk = newPackedRows(k)
-	}
-	return r.evaluateClustersInto(assign, sizes, dims, centroids, make([]float64, k), pk)
+	return r.evaluateClustersInto(assign, sizes, dims, centroids, make([]float64, k))
 }
 
 // evaluateClustersInto is evaluateClusters accumulating into
 // caller-owned buffers (k centroid rows of ds.Dims() each, k deviation
-// slots), which the incremental engine reuses across iterations. A
-// non-nil pk (the pruned tier) gathers each centroid's coordinates over
-// its dimension set into packed rows before the deviation pass — the
-// same floats in the same order, so the objective is bit-identical,
-// but the inner loop reads sequentially instead of double-indirecting.
+// slots), which the incremental engine reuses across iterations.
 func (r *runner) evaluateClustersInto(assign []int, sizes []int, dims [][]int,
-	centroids [][]float64, devs []float64, pk *packedRows) float64 {
+	centroids [][]float64, devs []float64) float64 {
 	// This pass stays serial: floating-point accumulation order must not
 	// depend on the worker count, or the hill climb's accept/reject
 	// decisions (and hence the whole result) could differ between runs
@@ -656,30 +617,15 @@ func (r *runner) evaluateClustersInto(assign []int, sizes []int, dims [][]int,
 	for i := range devs {
 		devs[i] = 0
 	}
-	if pk != nil {
-		pk.pack(centroids, dims)
-		for p := 0; p < n; p++ {
-			pt := r.ds.Point(p)
-			i := assign[p]
-			row := pk.rows[i]
-			di := dims[i]
-			var s float64
-			for j, jj := range di {
-				s += math.Abs(pt[jj] - row[j])
-			}
-			devs[i] += s / float64(len(di))
+	for p := 0; p < n; p++ {
+		pt := r.ds.Point(p)
+		i := assign[p]
+		c := centroids[i]
+		var s float64
+		for _, j := range dims[i] {
+			s += math.Abs(pt[j] - c[j])
 		}
-	} else {
-		for p := 0; p < n; p++ {
-			pt := r.ds.Point(p)
-			i := assign[p]
-			c := centroids[i]
-			var s float64
-			for _, j := range dims[i] {
-				s += math.Abs(pt[j] - c[j])
-			}
-			devs[i] += s / float64(len(dims[i]))
-		}
+		devs[i] += s / float64(len(dims[i]))
 	}
 	var total float64
 	for i := range devs {
@@ -757,97 +703,68 @@ func (r *runner) refine(best *trialState) *Result {
 	// Sphere of influence: Δ_i = min over other medoids of the segmental
 	// distance w.r.t. D_i. A point is an outlier iff it exceeds Δ_i for
 	// every medoid i.
-	pruned := r.prunedKernel()
-	delta := make([]float64, k)
-	{
-		var t kernelTally
-		for i := range best.medoids {
-			pi := r.ds.Point(best.medoids[i])
-			delta[i] = math.Inf(1)
-			for j := range best.medoids {
-				if i == j {
-					continue
-				}
-				pj := r.ds.Point(best.medoids[j])
-				if pruned {
-					// The running minimum is the cutoff: an abandoned
-					// candidate proved it cannot lower Δ_i.
-					d, v, ab := dist.SegmentalBounded(pi, pj, dims[i], delta[i])
-					t.coords += int64(v)
-					if ab {
-						t.abandoned++
-						continue
-					}
-					t.full++
-					if d < delta[i] {
-						delta[i] = d
-					}
-				} else {
-					t.full++
-					t.coords += int64(len(dims[i]))
-					if d := dist.Segmental(pi, pj, dims[i]); d < delta[i] {
-						delta[i] = d
-					}
-				}
-			}
-		}
-		t.credit(&r.counters)
-	}
 	medoidPoints := make([][]float64, k)
 	for i, m := range best.medoids {
 		medoidPoints[i] = r.ds.Point(m)
 	}
-	var pk *packedRows
-	if pruned {
-		pk = newPackedRows(k)
-		pk.pack(medoidPoints, dims)
-	}
+	delta := r.sphereRadii(medoidPoints, dims)
 	parallel.For(r.ds.Len(), r.innerWorkers, func(lo, hi int) {
-		// The early break makes the per-point distance count
+		// The early exit makes the per-point distance count
 		// data-dependent, so accumulate locally and add once per chunk.
 		// Each point's count is chunking-independent, so the total still
 		// matches a serial scan exactly.
-		var t kernelTally
+		var evals, coords int64
 		for p := lo; p < hi; p++ {
-			pt := r.ds.Point(p)
-			outlier := true
-			for i := range medoidPoints {
-				if pruned {
-					// Abandonment proves d > Δ_i — the "outside the
-					// sphere" outcome — so the probe sequence and the
-					// break point match the naive scan; a completed
-					// evaluation still tests its exact value.
-					d, v, ab := dist.SegmentalPackedBounded(pt, pk.rows[i], dims[i], delta[i])
-					t.coords += int64(v)
-					if ab {
-						t.abandoned++
-						continue
-					}
-					t.full++
-					if d <= delta[i] {
-						outlier = false
-						break
-					}
-					continue
-				}
-				t.full++
-				t.coords += int64(len(dims[i]))
-				if dist.Segmental(pt, medoidPoints[i], dims[i]) <= delta[i] {
-					outlier = false
-					break
-				}
-			}
+			outlier, e, c := outsideSpheres(r.ds.Point(p), medoidPoints, dims, delta)
+			evals += e
+			coords += c
 			if outlier {
 				assign[p] = OutlierID
 			}
 		}
-		t.credit(&r.counters)
+		r.creditEvals(evals, coords)
 		r.counters.PointsScanned.Add(int64(hi - lo))
 	})
 
 	res := r.packageResult(best.medoids, dims, assign)
 	res.Objective = r.finalObjective(res)
 	return res
+}
+
+// sphereRadii returns every medoid's sphere-of-influence radius Δ_i:
+// the smallest segmental distance over D_i from medoid i to any other
+// medoid (paper §2.3).
+func (r *runner) sphereRadii(medoidPoints [][]float64, dims [][]int) []float64 {
+	k := len(medoidPoints)
+	delta := make([]float64, k)
+	for i := range medoidPoints {
+		delta[i] = math.Inf(1)
+		for j := range medoidPoints {
+			if i == j {
+				continue
+			}
+			if d := dist.Segmental(medoidPoints[i], medoidPoints[j], dims[i]); d < delta[i] {
+				delta[i] = d
+			}
+		}
+	}
+	r.creditEvals(int64(k)*int64(k-1), int64(k-1)*dimsTotal(dims))
+	return delta
+}
+
+// outsideSpheres reports whether pt lies outside every medoid's sphere
+// of influence, that is, whether its segmental distance over D_i exceeds
+// Δ_i for every medoid i. The scan stops at the first sphere that holds
+// pt; evals and coords count the distance work it did.
+func outsideSpheres(pt []float64, medoidPoints [][]float64, dims [][]int, delta []float64) (outlier bool, evals, coords int64) {
+	for i := range medoidPoints {
+		evals++
+		coords += int64(len(dims[i]))
+		if dist.Segmental(pt, medoidPoints[i], dims[i]) <= delta[i] {
+			return false, evals, coords
+		}
+	}
+	return true, evals, coords
 }
 
 // packageResult assembles a Result from a medoid set, per-medoid

@@ -20,7 +20,6 @@ type ConfigReport struct {
 	InitMethod     string  `json:"init_method"`
 	AssignMetric   string  `json:"assign_metric"`
 	EvalMode       string  `json:"eval_mode"`
-	Kernel         string  `json:"kernel"`
 	SkipRefinement bool    `json:"skip_refinement,omitempty"`
 	// Stream and BlockPoints echo the out-of-core execution parameters
 	// when the run came through RunStream; both stay zero (and absent
@@ -45,7 +44,6 @@ func (cfg Config) reportConfig() ConfigReport {
 		InitMethod:     cfg.InitMethod.String(),
 		AssignMetric:   cfg.AssignMetric.String(),
 		EvalMode:       cfg.IncrementalEval.String(),
-		Kernel:         cfg.Kernel.String(),
 		SkipRefinement: cfg.SkipRefinement,
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"proclus/internal/dataset"
-	"proclus/internal/dist"
 	"proclus/internal/greedy"
 	"proclus/internal/obs"
 	"proclus/internal/obs/metrics"
@@ -240,9 +239,8 @@ func (s *streamRunner) initialize() ([]int, error) {
 		}
 		return cands, nil
 	}
-	bounded := r.greedyBounded(func(i int) []float64 { return sampleDS.Point(i) })
 	picks, err := greedy.FarthestFirstBounded(r.rng, m, medoidCount, r.innerWorkers,
-		bounded, nil, &r.counters)
+		fullDistance(sampleDS.Point), nil, &r.counters)
 	if err != nil {
 		return nil, fmt.Errorf("proclus: greedy medoid selection: %w", err)
 	}
@@ -283,41 +281,11 @@ func (s *streamRunner) refine(best *trialState) (*Result, error) {
 	}
 	metric := r.pointMetric()
 
-	pruned := r.prunedKernel()
-
 	// Sphere of influence Δ_i over the medoids' own dimension sets,
 	// computed from the resident sample coordinates.
 	var delta []float64
 	if !r.cfg.SkipRefinement {
-		delta = make([]float64, k)
-		var t kernelTally
-		for i := range medoidPoints {
-			delta[i] = math.Inf(1)
-			for j := range medoidPoints {
-				if i == j {
-					continue
-				}
-				if pruned {
-					d, v, ab := dist.SegmentalBounded(medoidPoints[i], medoidPoints[j], dims[i], delta[i])
-					t.coords += int64(v)
-					if ab {
-						t.abandoned++
-						continue
-					}
-					t.full++
-					if d < delta[i] {
-						delta[i] = d
-					}
-				} else {
-					t.full++
-					t.coords += int64(len(dims[i]))
-					if d := dist.Segmental(medoidPoints[i], medoidPoints[j], dims[i]); d < delta[i] {
-						delta[i] = d
-					}
-				}
-			}
-		}
-		t.credit(&r.counters)
+		delta = r.sphereRadii(medoidPoints, dims)
 	}
 
 	n, d := s.src.Len(), s.src.Dims()
@@ -327,113 +295,40 @@ func (s *streamRunner) refine(best *trialState) (*Result, error) {
 		sums[i] = make([]float64, d)
 	}
 	sizes := make([]int, k)
-
-	// The pruned tier packs the medoid rows once for the whole pass; the
-	// per-point decisions below depend on coordinate values only, never
-	// on block or chunk boundaries, so assignments stay block-size and
-	// worker-count invariant.
-	var pk *packedRows
-	if pruned {
-		pk = newPackedRows(k)
-		pk.pack(medoidPoints, dims)
-	}
-	manhattan := r.cfg.AssignMetric == MetricManhattan
 	fullCoords := dimsTotal(dims)
 
 	// Pass A: per-point nearest medoid and outlier flag (parallel within
 	// the block), then centroid accumulation (serial, in point order).
+	// The per-point decisions depend on coordinate values only, never on
+	// block or chunk boundaries, so assignments stay block-size and
+	// worker-count invariant.
 	err := s.pass("assign", func(b *dataset.Block) error {
 		bn := b.Len()
 		parallel.For(bn, r.innerWorkers, func(lo, hi int) {
-			// The outlier test's early break makes the distance count
+			// The outlier test's early exit makes the distance count
 			// data-dependent; accumulate locally and add once per chunk, as
 			// in the in-memory refinement pass.
-			var t kernelTally
+			evals := int64(hi-lo) * int64(k)
+			coords := int64(hi-lo) * fullCoords
 			for i := lo; i < hi; i++ {
 				pt := b.Point(i)
-				var a int
-				if pruned {
-					// Streamed points have no previous assignment to seed
-					// from, so the best-first probe starts at medoid 0 —
-					// the naive scan's own order — and the lexicographic
-					// (distance, index) update keeps the winner identical.
-					bestIdx := 0
-					var bestDist float64
-					var v int
-					if manhattan {
-						bestDist, v, _ = dist.ManhattanPackedBounded(pt, pk.rows[0], dims[0], math.Inf(1))
-					} else {
-						bestDist, v, _ = dist.SegmentalPackedBounded(pt, pk.rows[0], dims[0], math.Inf(1))
+				a, bestDist := 0, math.Inf(1)
+				for m := range medoidPoints {
+					if dd := metric(pt, medoidPoints[m], dims[m]); dd < bestDist {
+						a, bestDist = m, dd
 					}
-					t.full++
-					t.coords += int64(v)
-					for c := 1; c < k; c++ {
-						var dd float64
-						var ab bool
-						if manhattan {
-							dd, v, ab = dist.ManhattanPackedBounded(pt, pk.rows[c], dims[c], bestDist)
-						} else {
-							dd, v, ab = dist.SegmentalPackedBounded(pt, pk.rows[c], dims[c], bestDist)
-						}
-						t.coords += int64(v)
-						if ab {
-							t.abandoned++
-							continue
-						}
-						t.full++
-						if dd < bestDist || (dd == bestDist && c < bestIdx) {
-							bestIdx, bestDist = c, dd
-						}
-					}
-					a = bestIdx
-					if delta != nil {
-						outlier := true
-						for c := range medoidPoints {
-							dd, v, ab := dist.SegmentalPackedBounded(pt, pk.rows[c], dims[c], delta[c])
-							t.coords += int64(v)
-							if ab {
-								t.abandoned++
-								continue
-							}
-							t.full++
-							if dd <= delta[c] {
-								outlier = false
-								break
-							}
-						}
-						if outlier {
-							a = OutlierID
-						}
-					}
-				} else {
-					bestIdx, bestDist := 0, math.Inf(1)
-					for c := range medoidPoints {
-						dd := metric(pt, medoidPoints[c], dims[c])
-						if dd < bestDist {
-							bestIdx, bestDist = c, dd
-						}
-					}
-					t.full += int64(k)
-					t.coords += fullCoords
-					a = bestIdx
-					if delta != nil {
-						outlier := true
-						for c := range medoidPoints {
-							t.full++
-							t.coords += int64(len(dims[c]))
-							if dist.Segmental(pt, medoidPoints[c], dims[c]) <= delta[c] {
-								outlier = false
-								break
-							}
-						}
-						if outlier {
-							a = OutlierID
-						}
+				}
+				if delta != nil {
+					outlier, e, c := outsideSpheres(pt, medoidPoints, dims, delta)
+					evals += e
+					coords += c
+					if outlier {
+						a = OutlierID
 					}
 				}
 				assign[b.Index(i)] = a
 			}
-			t.credit(&r.counters)
+			r.creditEvals(evals, coords)
 			r.counters.PointsScanned.Add(int64(hi - lo))
 		})
 		for i := 0; i < bn; i++ {

@@ -1,11 +1,12 @@
-// Early-abandoning variants of the segmental kernels. Every full-data
-// PROCLUS pass scans all k candidate medoids per point but keeps only
-// the closest; once a running best distance exists, a candidate whose
-// partial sum already proves it farther can be abandoned mid-loop
-// without changing any output.
+// Early-abandoning variants of the segmental kernels: once a running
+// best distance exists, a candidate whose partial sum already proves it
+// farther can be abandoned mid-loop without changing any output. No
+// clustering pass abandons any more — PROCLUS evaluates every distance
+// in full, and its greedy traversal calls SegmentalAllBounded with
+// cutoff +Inf — but bench/ledger still times these kernels and replays
+// a bounded traversal, so they stay until that benchmark drops them.
 //
-// Exactness argument, relied on by the bit-identity suites in
-// internal/core: the partial sums s_0 ≤ s_1 ≤ … ≤ s_w are
+// Exactness argument: the partial sums s_0 ≤ s_1 ≤ … ≤ s_w are
 // non-decreasing even in floating point (IEEE round-to-nearest is
 // monotone and every term is non-negative, so fl(s+t) ≥ s), and
 // dividing by the positive weight w is also rounding-monotone.
@@ -29,34 +30,13 @@ package dist
 
 import "math"
 
-// SegmentalBounded is Segmental with early abandonment: it accumulates
-// |x[j]−y[j]| in dims order and bails as soon as the partial
-// normalized distance strictly exceeds cutoff. With cutoff = +Inf (or
-// NaN) it never abandons and returns exactly Segmental(x, y, dims).
-// It panics if dims is empty.
-func SegmentalBounded(x, y []float64, dims []int, cutoff float64) (value float64, visited int, abandoned bool) {
-	if len(dims) == 0 {
-		panic("dist: SegmentalBounded called with empty dimension set")
-	}
-	w := float64(len(dims))
-	trigger := cutoff * w
-	var s float64
-	for i, j := range dims {
-		s += math.Abs(x[j] - y[j])
-		if s > trigger { // cheap sum-space pre-filter, ±1 ulp
-			if v := s / w; v > cutoff { // exact normalized confirm
-				return v, i + 1, true
-			}
-		}
-	}
-	return s / w, len(dims), false
-}
-
-// SegmentalPackedBounded is SegmentalBounded against a packed medoid
-// row: packed[i] must hold y[dims[i]] (see PackDims), so the inner
-// loop reads the medoid sequentially instead of through the dims
-// indirection. It is bit-identical to SegmentalBounded(x, y, dims,
-// cutoff) — same terms, same order, only the memory layout changes.
+// SegmentalPackedBounded is Segmental with early abandonment, against
+// a packed medoid row: packed[i] must hold y[dims[i]] (see PackDims),
+// so the inner loop reads the medoid sequentially instead of through
+// the dims indirection. It accumulates |x[j]−packed[i]| in dims order
+// and bails as soon as the partial normalized distance strictly
+// exceeds cutoff. With cutoff = +Inf (or NaN) it never abandons and
+// returns exactly Segmental(x, y, dims). It panics if dims is empty.
 func SegmentalPackedBounded(x, packed []float64, dims []int, cutoff float64) (value float64, visited int, abandoned bool) {
 	if len(dims) == 0 {
 		panic("dist: SegmentalPackedBounded called with empty dimension set")
@@ -73,29 +53,6 @@ func SegmentalPackedBounded(x, packed []float64, dims []int, cutoff float64) (va
 		}
 	}
 	return s / w, len(dims), false
-}
-
-// ManhattanPackedBounded is the early-abandoning form of the
-// non-normalized ablation metric Segmental(x, y, dims)·|dims| (core's
-// MetricManhattan), against a packed row. The value is computed as
-// fl(fl(s/w)·w) exactly like the unbounded metric composes it, and the
-// abandonment confirm tests that same expression, which is monotone in
-// s for the reasons documented at the top of this file.
-func ManhattanPackedBounded(x, packed []float64, dims []int, cutoff float64) (value float64, visited int, abandoned bool) {
-	if len(dims) == 0 {
-		panic("dist: ManhattanPackedBounded called with empty dimension set")
-	}
-	w := float64(len(dims))
-	var s float64
-	for i, j := range dims {
-		s += math.Abs(x[j] - packed[i])
-		if s > cutoff { // the scaled value is within ulps of s itself
-			if v := s / w * w; v > cutoff {
-				return v, i + 1, true
-			}
-		}
-	}
-	return s / w * w, len(dims), false
 }
 
 // SegmentalAllBounded is SegmentalAll with early abandonment. The

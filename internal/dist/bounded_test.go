@@ -7,12 +7,6 @@ import (
 	"proclus/internal/randx"
 )
 
-// refScaled is the unbounded MetricManhattan composition the packed
-// kernel must reproduce bit-for-bit.
-func refScaled(x, y []float64, dims []int) float64 {
-	return Segmental(x, y, dims) * float64(len(dims))
-}
-
 // TestBoundedUnbounded pins the cutoff = +Inf (and NaN) behaviour:
 // no abandonment, every coordinate visited, and the value bit-identical
 // to the corresponding unbounded kernel.
@@ -24,17 +18,9 @@ func TestBoundedUnbounded(t *testing.T) {
 		dims := randDims(r, n)
 		packed := PackDims(y, dims, make([]float64, len(dims)))
 		for _, cutoff := range []float64{math.Inf(1), math.NaN()} {
-			v, seen, ab := SegmentalBounded(x, y, dims, cutoff)
-			if ab || seen != len(dims) || v != Segmental(x, y, dims) {
-				t.Fatalf("SegmentalBounded(cutoff=%v) = (%v,%d,%v), want full %v", cutoff, v, seen, ab, Segmental(x, y, dims))
-			}
-			v, seen, ab = SegmentalPackedBounded(x, packed, dims, cutoff)
+			v, seen, ab := SegmentalPackedBounded(x, packed, dims, cutoff)
 			if ab || seen != len(dims) || v != Segmental(x, y, dims) {
 				t.Fatalf("SegmentalPackedBounded(cutoff=%v) = (%v,%d,%v), want full %v", cutoff, v, seen, ab, Segmental(x, y, dims))
-			}
-			v, seen, ab = ManhattanPackedBounded(x, packed, dims, cutoff)
-			if ab || seen != len(dims) || v != refScaled(x, y, dims) {
-				t.Fatalf("ManhattanPackedBounded(cutoff=%v) = (%v,%d,%v), want full %v", cutoff, v, seen, ab, refScaled(x, y, dims))
 			}
 			v, seen, ab = SegmentalAllBounded(x, y, cutoff)
 			if ab || seen != len(x) || v != SegmentalAll(x, y) {
@@ -55,6 +41,7 @@ func TestBoundedClassification(t *testing.T) {
 		n := 1 + r.Intn(16)
 		x, y := randVec(r, n), randVec(r, n)
 		dims := randDims(r, n)
+		packed := PackDims(y, dims, make([]float64, len(dims)))
 		full := Segmental(x, y, dims)
 		cutoffs := []float64{
 			full,               // exact tie: must not abandon
@@ -65,7 +52,7 @@ func TestBoundedClassification(t *testing.T) {
 			r.Float64() * 4,
 		}
 		for _, c := range cutoffs {
-			v, seen, ab := SegmentalBounded(x, y, dims, c)
+			v, seen, ab := SegmentalPackedBounded(x, packed, dims, c)
 			if ab {
 				if !(full > c) {
 					t.Fatalf("abandoned at cutoff %v but full %v ≤ cutoff", c, full)
@@ -91,9 +78,10 @@ func TestBoundedClassification(t *testing.T) {
 	}
 }
 
-// TestPackedVariantsAgree pins the packed kernels bit-for-bit against
-// the unpacked ones across random cutoffs, including the scaled
-// MetricManhattan form against its unbounded composition.
+// TestPackedVariantsAgree pins both bounded kernels against their
+// unbounded references across random cutoffs: the packed segmental
+// kernel against Segmental, the all-dimensions kernel against
+// SegmentalAll.
 func TestPackedVariantsAgree(t *testing.T) {
 	r := randx.New(11)
 	for trial := 0; trial < 2000; trial++ {
@@ -102,23 +90,14 @@ func TestPackedVariantsAgree(t *testing.T) {
 		dims := randDims(r, n)
 		packed := PackDims(y, dims, make([]float64, len(dims)))
 		c := r.Float64() * 3
-		v1, s1, a1 := SegmentalBounded(x, y, dims, c)
-		v2, s2, a2 := SegmentalPackedBounded(x, packed, dims, c)
-		if v1 != v2 || s1 != s2 || a1 != a2 {
-			t.Fatalf("packed (%v,%d,%v) != unpacked (%v,%d,%v)", v2, s2, a2, v1, s1, a1)
-		}
-		fullScaled := refScaled(x, y, dims)
-		v, seen, ab := ManhattanPackedBounded(x, packed, dims, c*float64(len(dims)))
-		sc := c * float64(len(dims))
+		full := Segmental(x, y, dims)
+		v, seen, ab := SegmentalPackedBounded(x, packed, dims, c)
 		if ab {
-			if !(fullScaled > sc) || !(v > sc) {
-				t.Fatalf("scaled abandon at cutoff %v: value %v, full %v", sc, v, fullScaled)
+			if !(full > c) || !(v > c) || v > full {
+				t.Fatalf("SegmentalPackedBounded abandon at %v: value %v, full %v", c, v, full)
 			}
-		} else if v != fullScaled || seen != len(dims) {
-			t.Fatalf("scaled unabandoned (%v,%d) != full (%v,%d)", v, seen, fullScaled, len(dims))
-		}
-		if vt, _, abt := ManhattanPackedBounded(x, packed, dims, fullScaled); abt {
-			t.Fatalf("scaled cutoff == full %v abandoned (value %v)", fullScaled, vt)
+		} else if v != full || seen != len(dims) {
+			t.Fatalf("SegmentalPackedBounded unabandoned (%v,%d) != full (%v,%d)", v, seen, full, len(dims))
 		}
 		fullAll := SegmentalAll(x, y)
 		v, seen, ab = SegmentalAllBounded(x, y, c)
@@ -141,7 +120,8 @@ func TestBoundedAbandonsEarly(t *testing.T) {
 	x := []float64{100, 0, 0, 0}
 	y := []float64{0, 0, 0, 0}
 	dims := []int{0, 1, 2, 3}
-	v, seen, ab := SegmentalBounded(x, y, dims, 1)
+	packed := PackDims(y, dims, make([]float64, len(dims)))
+	v, seen, ab := SegmentalPackedBounded(x, packed, dims, 1)
 	if !ab || seen != 1 {
 		t.Fatalf("got (%v,%d,%v), want abandonment after 1 coordinate", v, seen, ab)
 	}

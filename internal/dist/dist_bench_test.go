@@ -90,22 +90,13 @@ func BenchmarkLp(b *testing.B) {
 
 // The bounded kernels pay a compare per coordinate when the cutoff
 // never bites (worst case) and win by skipping coordinates when it
-// does; both regimes are pinned here against the unbounded Segmental.
+// does; compare both regimes with BenchmarkSegmental7of20, the
+// unbounded Segmental over the same dimensions.
 func BenchmarkSegmentalBounded7of20(b *testing.B) {
 	x, y := benchPair(b)
 	dims := []int{1, 3, 5, 7, 11, 13, 17}
 	full := Segmental(x, y, dims)
 	packed := PackDims(y, dims, make([]float64, len(dims)))
-	b.Run("NoAbandon", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			benchSink, _, _ = SegmentalBounded(x, y, dims, full)
-		}
-	})
-	b.Run("Abandon", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			benchSink, _, _ = SegmentalBounded(x, y, dims, full/4)
-		}
-	})
 	b.Run("PackedNoAbandon", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			benchSink, _, _ = SegmentalPackedBounded(x, packed, dims, full)

@@ -106,11 +106,6 @@ type CaseParams struct {
 	// BlockPoints sets the streamed block granularity in points; zero
 	// selects dataset.DefaultBlockPoints. Ignored unless Stream is set.
 	BlockPoints int
-	// Kernel selects the exact distance-kernel tier
-	// (core.Config.Kernel): the early-abandoning pruned kernels (the
-	// zero value) or the naive full-evaluation ones. Results are
-	// bit-identical either way; only the work counters differ.
-	Kernel core.KernelMode
 	// Metrics, when non-nil, is a shared registry every clustering run of
 	// the experiment records into (core.Config.Metrics); it accumulates
 	// phase-latency histograms and counter series across the experiment.

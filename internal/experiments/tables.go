@@ -43,7 +43,6 @@ func runCase(ds *dataset.Dataset, l int, p CaseParams) (*core.Result, error) {
 	cfg := core.Config{
 		K: caseK, L: l, Seed: p.Seed + 1, Workers: p.Workers,
 		Metrics: p.Metrics, Observer: p.Observer,
-		Kernel: p.Kernel,
 	}
 	if p.Stream {
 		return streamProclus(ds, cfg, p.BlockPoints)

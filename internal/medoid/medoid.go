@@ -33,13 +33,6 @@ type Config struct {
 	Distance dist.Func
 	// Seed drives all randomness.
 	Seed uint64
-
-	// boundedAssign records that Distance defaulted to the segmental
-	// metric, whose bounded kernel lets assignAll abandon candidates
-	// early. Function values cannot be compared, so the default is
-	// flagged where it is installed; a caller-supplied dist.Func —
-	// even dist.SegmentalAll itself — takes the generic path.
-	boundedAssign bool
 }
 
 func (cfg Config) withDefaults() Config {
@@ -51,7 +44,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.Distance == nil {
 		cfg.Distance = dist.SegmentalAll
-		cfg.boundedAssign = true
 	}
 	return cfg
 }
@@ -66,10 +58,8 @@ type Result struct {
 	Cost float64
 	// Stats carries the run's work counters, aggregated over every
 	// restart and swap trial (including trials that were rejected). The
-	// pass is serial, so the tallies are exact; under the default
-	// bounded segmental metric the full/abandoned split records the
-	// early-abandoning kernel's win, and a caller-supplied dist.Func
-	// counts whole-row evaluations (d coordinates each).
+	// pass is serial, so the tallies are exact: every evaluation reads
+	// the whole row, d coordinates.
 	Stats Stats
 }
 
@@ -115,13 +105,7 @@ func localSearch(ds *dataset.Dataset, cfg Config, rng *randx.Rand, counters *obs
 	if err != nil {
 		return nil, fmt.Errorf("medoid: initial medoids: %w", err)
 	}
-	assignFn := func(medoids []int) ([]int, float64) {
-		if cfg.boundedAssign {
-			return assignAllBounded(ds, medoids, counters)
-		}
-		return assignAll(ds, cfg.Distance, medoids, counters)
-	}
-	assign, cost := assignFn(medoids)
+	assign, cost := assignAll(ds, cfg.Distance, medoids, counters)
 	inSet := make(map[int]bool, cfg.K)
 	for _, m := range medoids {
 		inSet[m] = true
@@ -138,7 +122,7 @@ func localSearch(ds *dataset.Dataset, cfg Config, rng *randx.Rand, counters *obs
 		}
 		old := medoids[pos]
 		medoids[pos] = cand
-		newAssign, newCost := assignFn(medoids)
+		newAssign, newCost := assignAll(ds, cfg.Distance, medoids, counters)
 		if newCost < cost {
 			delete(inSet, old)
 			inSet[cand] = true
@@ -172,58 +156,12 @@ func assignAll(ds *dataset.Dataset, d dist.Func, medoids []int, counters *obs.Co
 		assign[p] = bestIdx
 		cost += bestDist
 	})
-	// A generic dist.Func always walks every coordinate: n·k full
-	// evaluations of d coordinates each, batched in one add per pass.
+	// Every evaluation walks every coordinate: n·k full evaluations of
+	// d coordinates each, batched in one add per pass.
 	n, k, dims := int64(ds.Len()), int64(len(medoids)), int64(ds.Dims())
 	counters.PointsScanned.Add(n)
 	counters.DistanceEvals.Add(n * k)
 	counters.DistanceEvalsFull.Add(n * k)
 	counters.CoordsVisited.Add(n * k * dims)
-	return assign, cost
-}
-
-// assignAllBounded is assignAll over the default segmental metric, with
-// each candidate evaluation bounded by the running best: an abandoned
-// candidate proved itself strictly above the current minimum, so the
-// winner — and its fully-evaluated distance, and hence the cost bits —
-// are identical to the generic scan's. The first candidate runs with
-// cutoff +Inf, exactly like the generic scan's comparison against the
-// initial infinity.
-func assignAllBounded(ds *dataset.Dataset, medoids []int, counters *obs.Counters) ([]int, float64) {
-	assign := make([]int, ds.Len())
-	var cost float64
-	var full, abandoned, coords int64
-	medoidPts := make([][]float64, len(medoids))
-	for i, m := range medoids {
-		medoidPts[i] = ds.Point(m)
-	}
-	ds.Each(func(p int, pt []float64) {
-		bestIdx := 0
-		bestDist, visited, _ := dist.SegmentalAllBounded(pt, medoidPts[0], math.Inf(1))
-		full++
-		coords += int64(visited)
-		for i := 1; i < len(medoidPts); i++ {
-			dd, visited, ab := dist.SegmentalAllBounded(pt, medoidPts[i], bestDist)
-			coords += int64(visited)
-			if ab {
-				abandoned++
-				continue
-			}
-			full++
-			if dd < bestDist {
-				bestIdx, bestDist = i, dd
-			}
-		}
-		assign[p] = bestIdx
-		cost += bestDist
-	})
-	// The pass is serial, so the data-dependent full/abandoned split and
-	// the coordinates the bounded kernel actually touched tally exactly;
-	// one batched add per pass keeps the hot loop clean.
-	counters.PointsScanned.Add(int64(ds.Len()))
-	counters.DistanceEvals.Add(full + abandoned)
-	counters.DistanceEvalsFull.Add(full)
-	counters.DistanceEvalsAbandoned.Add(abandoned)
-	counters.CoordsVisited.Add(coords)
 	return assign, cost
 }

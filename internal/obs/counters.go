@@ -10,22 +10,22 @@ import "sync/atomic"
 //
 // Counters must not be copied after first use.
 type Counters struct {
-	// DistanceEvals counts point-to-point distance evaluations started,
-	// whether or not the early-abandoning kernels ran them to
-	// completion; it always equals DistanceEvalsFull +
-	// DistanceEvalsAbandoned wherever the split is credited, so totals
-	// stay comparable across kernel tiers.
+	// DistanceEvals counts point-to-point distance evaluations. It
+	// always equals DistanceEvalsFull + DistanceEvalsAbandoned wherever
+	// the split is credited.
 	DistanceEvals atomic.Int64
 	// DistanceEvalsFull counts evaluations that visited every
-	// coordinate of their dimension set.
+	// coordinate of their dimension set. Every clustering pass
+	// evaluates in full, so wherever it is credited it equals
+	// DistanceEvals.
 	DistanceEvalsFull atomic.Int64
-	// DistanceEvalsAbandoned counts evaluations the bounded kernels cut
-	// short once the partial sum proved the candidate could not win.
+	// DistanceEvalsAbandoned counts evaluations an early-abandoning
+	// kernel cut short once the partial sum proved the candidate could
+	// not win. No clustering pass abandons, so it stays zero in every
+	// run.
 	DistanceEvalsAbandoned atomic.Int64
-	// CoordsVisited counts the coordinates the exact distance kernels
-	// actually touched. Without abandonment it equals the full
-	// Σ evals × |dims| product; the gap between the two is the pruned
-	// kernel tier's win.
+	// CoordsVisited counts the coordinates the distance evaluations
+	// read: the Σ evals × |dims| product over every evaluation.
 	CoordsVisited atomic.Int64
 	// PointsScanned counts data-point visits by full-dataset passes
 	// (assignment and outlier passes in PROCLUS, histogram and counting
@@ -73,9 +73,10 @@ func (c *Counters) Snapshot() Snapshot {
 // Stats records and run reports.
 type Snapshot struct {
 	DistanceEvals int64 `json:"distance_evals"`
-	// The kernel-tier split and coordinate-visit counters stay zero for
-	// algorithms that never route through the bounded kernels (CLIQUE);
-	// omitempty keeps their reports byte-stable.
+	// The full/abandoned split and the coordinate count stay zero for
+	// algorithms that compute no distances (CLIQUE); omitempty keeps
+	// their reports byte-stable, and drops the abandoned count, which
+	// no clustering pass credits.
 	DistanceEvalsFull      int64 `json:"distance_evals_full,omitempty"`
 	DistanceEvalsAbandoned int64 `json:"distance_evals_abandoned,omitempty"`
 	CoordsVisited          int64 `json:"coords_visited,omitempty"`

@@ -15,8 +15,7 @@ import (
 
 // The registry is a pure router: for every algorithm, a registry-routed
 // run must be bit-identical to the direct Run/RunStream call with the
-// translated config — across worker counts, kernel modes and source
-// kinds. These tests pin that property on the deterministic
+// translated config — across worker counts and source kinds. These tests pin that property on the deterministic
 // result fields (assignments, clusters, objectives, work counters);
 // wall-time fields are excluded, since two runs of anything differ
 // there.
@@ -68,23 +67,19 @@ func assertProclusIdentical(t *testing.T, direct, routed *core.Result, label str
 func TestProclusRoutedBitIdentical(t *testing.T) {
 	ds := metamorphicData(t)
 	for _, workers := range []int{1, 3} {
-		for _, kernel := range []core.KernelMode{core.KernelPruned, core.KernelNaive} {
-			direct, err := core.Run(ds, core.Config{
-				K: 3, L: 3, Seed: 13, Workers: workers, Kernel: kernel,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			routed := fitUnwrap[core.Result](t, "proclus", Source{Dataset: ds}, Config{
-				K: 3, L: 3, Seed: 13, Workers: workers, Kernel: kernel,
-			})
-			assertProclusIdentical(t, direct, routed, labelFmt("proclus", workers, int(kernel)))
+		direct, err := core.Run(ds, core.Config{K: 3, L: 3, Seed: 13, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
 		}
+		routed := fitUnwrap[core.Result](t, "proclus", Source{Dataset: ds}, Config{
+			K: 3, L: 3, Seed: 13, Workers: workers,
+		})
+		assertProclusIdentical(t, direct, routed, labelFmt("proclus", workers))
 	}
 }
 
-func labelFmt(algo string, workers, kernel int) string {
-	return algo + "/workers=" + itoa(workers) + "/kernel=" + itoa(kernel)
+func labelFmt(algo string, workers int) string {
+	return algo + "/workers=" + itoa(workers)
 }
 
 func itoa(v int) string {
@@ -113,7 +108,7 @@ func TestProclusStreamRoutedBitIdentical(t *testing.T) {
 		routed := fitUnwrap[core.Result](t, "proclus",
 			Source{Stream: dataset.NewMemorySource(ds, 300)},
 			Config{K: 3, L: 3, Seed: 13, Workers: workers})
-		assertProclusIdentical(t, direct, routed, labelFmt("proclus-stream", workers, 0))
+		assertProclusIdentical(t, direct, routed, labelFmt("proclus-stream", workers))
 	}
 }
 
@@ -129,7 +124,7 @@ func TestCliqueRoutedBitIdentical(t *testing.T) {
 		}
 		routed := fitUnwrap[clique.Result](t, "clique", Source{Dataset: ds},
 			Config{Clique: params, Workers: workers})
-		assertCliqueIdentical(t, direct, routed, labelFmt("clique", workers, 0))
+		assertCliqueIdentical(t, direct, routed, labelFmt("clique", workers))
 
 		directStream, err := clique.RunStream(context.Background(),
 			dataset.NewMemorySource(ds, 300), ccfg)
@@ -140,7 +135,7 @@ func TestCliqueRoutedBitIdentical(t *testing.T) {
 			Source{Stream: dataset.NewMemorySource(ds, 300)},
 			Config{Clique: params, Workers: workers})
 		assertCliqueIdentical(t, directStream, routedStream,
-			labelFmt("clique-stream", workers, 0))
+			labelFmt("clique-stream", workers))
 		// Streaming must not change the discovered structure either.
 		assertCliqueIdentical(t, direct, &clique.Result{
 			Clusters:           routedStream.Clusters,
@@ -151,7 +146,7 @@ func TestCliqueRoutedBitIdentical(t *testing.T) {
 			GridMax:            routedStream.GridMax,
 			Config:             direct.Config,
 			Stats:              direct.Stats,
-		}, labelFmt("clique-stream-vs-mem", workers, 0))
+		}, labelFmt("clique-stream-vs-mem", workers))
 	}
 }
 
@@ -188,7 +183,7 @@ func TestOrclusRoutedBitIdentical(t *testing.T) {
 		}
 		routed := fitUnwrap[orclus.Result](t, "orclus", Source{Dataset: ds},
 			Config{K: 3, L: 2, Seed: 7, Workers: workers})
-		label := labelFmt("orclus", workers, 0)
+		label := labelFmt("orclus", workers)
 		if !reflect.DeepEqual(direct.Assignments, routed.Assignments) {
 			t.Fatalf("%s: assignments differ", label)
 		}

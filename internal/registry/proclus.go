@@ -12,7 +12,7 @@ import (
 func init() { Register(proclusAlgo{}) }
 
 // proclusAlgo adapts the PROCLUS core. It supports the full shared
-// surface: streaming, both distance tiers, telemetry, and parallelism.
+// surface: streaming, telemetry, and parallelism.
 type proclusAlgo struct{}
 
 func (proclusAlgo) Name() string { return "proclus" }
@@ -20,7 +20,7 @@ func (proclusAlgo) Name() string { return "proclus" }
 func (proclusAlgo) Caps() Caps {
 	return Caps{
 		TakesK: true, TakesL: true,
-		Stream: true, Kernel: true,
+		Stream:  true,
 		Metrics: true, Series: true, Workers: true,
 	}
 }
@@ -28,7 +28,6 @@ func (proclusAlgo) Caps() Caps {
 func (proclusAlgo) Fit(ctx context.Context, src Source, cfg Config) (Model, error) {
 	ccfg := core.Config{
 		K: cfg.K, L: cfg.L, Seed: cfg.Seed, Workers: cfg.Workers,
-		Kernel:   cfg.Kernel,
 		Observer: cfg.Observer, Metrics: cfg.Metrics, Series: cfg.Series,
 	}
 	var (

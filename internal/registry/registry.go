@@ -10,11 +10,11 @@
 // the algorithm package's own Run/RunStream entry points with a direct
 // field-for-field translation of the shared Config, so registry-routed
 // runs are bit-identical to direct calls (the metamorphic suite pins
-// this for every worker count and kernel mode). What the registry
-// adds is the capability check — a combination an algorithm does not
-// support (streaming ORCLUS, a kernel mode on CLIQUE, a series store
-// on k-medoids, CLIQUE grid parameters handed to PROCLUS, …) is
-// rejected with a clear error instead of being silently ignored.
+// this for every worker count). What the registry adds is the
+// capability check — a combination an algorithm does not support
+// (streaming ORCLUS, a cluster count K on CLIQUE, a series store on
+// k-medoids, CLIQUE grid parameters handed to PROCLUS, …) is rejected
+// with a clear error instead of being silently ignored.
 package registry
 
 import (
@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"sort"
 
-	"proclus/internal/core"
 	"proclus/internal/dataset"
 	"proclus/internal/obs"
 	"proclus/internal/obs/metrics"
@@ -82,8 +81,6 @@ type Config struct {
 	// Workers bounds the goroutines of the parallel passes; values
 	// below 1 select GOMAXPROCS. Requires Caps.Workers when above 1.
 	Workers int
-	// Kernel selects the exact distance-kernel tier (PROCLUS only).
-	Kernel core.KernelMode
 
 	// Clique carries the CLIQUE grid parameters.
 	Clique CliqueParams
@@ -136,8 +133,6 @@ type Caps struct {
 	TakesK, TakesL bool
 	// Stream: fitting from a Source.Stream block source.
 	Stream bool
-	// Kernel: the PROCLUS distance-kernel tier.
-	Kernel bool
 	// Metrics / Series: internal telemetry recording.
 	Metrics, Series bool
 	// Workers: parallel execution (Workers > 1).
@@ -239,8 +234,6 @@ func checkCaps(name string, caps Caps, src Source, cfg Config) error {
 		return fmt.Errorf("registry: %s does not take a cluster count K (density-based)", name)
 	case cfg.L != 0 && !caps.TakesL:
 		return fmt.Errorf("registry: %s does not take a subspace dimensionality L", name)
-	case cfg.Kernel != core.KernelPruned && !caps.Kernel:
-		return fmt.Errorf("registry: %s has no selectable distance-kernel tier; drop the kernel mode", name)
 	case cfg.Metrics != nil && !caps.Metrics:
 		return fmt.Errorf("registry: %s does not record into a metrics registry", name)
 	case cfg.Series != nil && !caps.Series:

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"proclus/internal/core"
 	"proclus/internal/dataset"
 	"proclus/internal/obs/metrics"
 	"proclus/internal/obs/series"
@@ -79,8 +78,6 @@ func TestCapRejections(t *testing.T) {
 		{"k-clique", "clique", mem, Config{K: 3}},
 		{"l-clique", "clique", mem, Config{L: 3}},
 		{"l-kmedoids", "kmedoids", mem, Config{K: 3, L: 3}},
-		{"kernel-orclus", "orclus", mem, Config{K: 3, L: 2, Kernel: core.KernelNaive}},
-		{"kernel-kmedoids", "kmedoids", mem, Config{K: 3, Kernel: core.KernelNaive}},
 		{"metrics-orclus", "orclus", mem, Config{K: 3, L: 2, Metrics: metrics.NewRegistry()}},
 		{"series-orclus", "orclus", mem, Config{K: 3, L: 2, Series: series.NewStore(0)}},
 		{"series-kmedoids", "kmedoids", mem, Config{K: 3, Series: series.NewStore(0)}},

@@ -288,22 +288,6 @@ const (
 	EvalNaive       = core.EvalNaive
 )
 
-// KernelMode selects the exact-distance kernel tier via Config.Kernel.
-type KernelMode = core.KernelMode
-
-// Kernel tiers: the early-abandoning kernels (packed medoid rows,
-// coordinate-level pruning, best-first medoid ordering; default), or
-// the naive full-evaluation loops (escape hatch and equivalence
-// baseline). Both produce bit-identical Results.
-const (
-	KernelPruned = core.KernelPruned
-	KernelNaive  = core.KernelNaive
-)
-
-// ParseKernelMode resolves a kernel tier from its conventional name
-// ("pruned" or "naive"; empty = pruned).
-func ParseKernelMode(name string) (KernelMode, error) { return core.ParseKernelMode(name) }
-
 // Run executes PROCLUS on ds.
 func Run(ds *Dataset, cfg Config) (*Result, error) { return core.Run(ds, cfg) }
 
@@ -527,9 +511,9 @@ type Algorithm = registry.Algorithm
 type Model = registry.Model
 
 // FitConfig is the shared configuration of the registry's Fit entry
-// point: the common knobs (K, L, Seed, Workers, Kernel, observability
-// sinks) plus per-algorithm parameter blocks. Knobs an algorithm does
-// not support are rejected with an error naming it.
+// point: the common knobs (K, L, Seed, Workers, observability sinks)
+// plus per-algorithm parameter blocks. Knobs an algorithm does not
+// support are rejected with an error naming it.
 type FitConfig = registry.Config
 
 // FitSource selects a fit's input: exactly one of an in-memory Dataset

@@ -235,50 +235,6 @@ func TestPublicAPITelemetry(t *testing.T) {
 	}
 }
 
-func TestPublicAPIKernel(t *testing.T) {
-	ds, _, err := proclus.Generate(proclus.GeneratorConfig{
-		N: 1500, Dims: 20, K: 3, FixedDims: 7, MinSizeFraction: 0.15, Seed: 11,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := proclus.Config{K: 3, L: 7, Seed: 4}
-
-	pruned, err := proclus.Run(ds, base) // KernelPruned is the default
-	if err != nil {
-		t.Fatal(err)
-	}
-	mode, err := proclus.ParseKernelMode("naive")
-	if err != nil {
-		t.Fatal(err)
-	}
-	naiveCfg := base
-	naiveCfg.Kernel = mode
-	naive, err := proclus.Run(ds, naiveCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The kernel tier's contract: bit-identical clustering output, with
-	// the same number of started evaluations and strictly fewer
-	// coordinates read.
-	if pruned.Objective != naive.Objective ||
-		!reflect.DeepEqual(pruned.Assignments, naive.Assignments) {
-		t.Fatal("pruned kernel tier diverged from the naive kernels")
-	}
-	pc, nc := pruned.Stats.Counters, naive.Stats.Counters
-	if pc.DistanceEvals != nc.DistanceEvals {
-		t.Fatalf("started evaluations differ: pruned %d, naive %d", pc.DistanceEvals, nc.DistanceEvals)
-	}
-	if pc.CoordsVisited >= nc.CoordsVisited {
-		t.Fatalf("pruned kernels visited %d coordinates, naive %d — no reduction",
-			pc.CoordsVisited, nc.CoordsVisited)
-	}
-
-	if _, err := proclus.ParseKernelMode("nope"); err == nil {
-		t.Fatal("unknown kernel mode accepted")
-	}
-}
-
 // TestPublicAPIRunArchive exercises the archive facade the way a
 // downstream service would: run twice into scoped children of one
 // shared registry, archive both reports, and read them back.
