@@ -94,13 +94,15 @@ bench-smoke:
 # writer, all at 10k×20) log the I/O layer's bytes/op and allocs/op.
 # BenchmarkRun logs a whole ORCLUS fit's and a whole CLIQUE fit's
 # allocs/op on the benchmark ledger's baselines shape, at one worker and
-# at GOMAXPROCS.
+# at GOMAXPROCS, and a whole k-medoids fit's on the same shape at its
+# one worker.
 bench-allocs:
 	$(GO) test -run xxx -bench . -benchtime 100x -benchmem ./internal/dist/
 	$(GO) test -run xxx -bench 'BenchmarkAssign' -benchtime 1x -benchmem ./internal/core/
 	$(GO) test -run xxx -bench 'BenchmarkLoadFile|BenchmarkFileSourcePass|BenchmarkWriteAssignments' -benchtime 20x -benchmem ./internal/dataset/
 	$(GO) test -run xxx -bench 'BenchmarkRun' -benchtime 3x -benchmem ./internal/orclus/
 	$(GO) test -run xxx -bench 'BenchmarkRun' -benchtime 3x -benchmem ./internal/clique/
+	$(GO) test -run xxx -bench 'BenchmarkRun' -benchtime 3x -benchmem ./internal/medoid/
 
 # Observability overhead: instrumented assignment pass (counters on,
 # observer nil) vs an uninstrumented replica. Compare medians; the

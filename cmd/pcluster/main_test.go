@@ -204,6 +204,8 @@ func TestRunErrors(t *testing.T) {
 		{"-algo", "clique", "-in", blob, "-xi", "1"},
 		{"-algo", "orclus", "-in", path, "-k", "2"},
 		{"-algo", "orclus", "-in", path, "-k", "2", "-l", "99"},
+		{"-algo", "kmedoids", "-in", path, "-k", "3", "-restarts", "-1"},
+		{"-algo", "kmedoids", "-in", path, "-k", "3", "-max-neighbors", "-1"},
 	}
 	for _, args := range cases {
 		var sb strings.Builder

@@ -31,6 +31,12 @@ func TestRunValidates(t *testing.T) {
 	if _, err := Run(ds, Config{K: 1000}); err == nil {
 		t.Error("K>N accepted")
 	}
+	if _, err := Run(ds, Config{K: 3, Restarts: -1}); err == nil {
+		t.Error("negative Restarts accepted")
+	}
+	if _, err := Run(ds, Config{K: 3, MaxNeighbors: -1}); err == nil {
+		t.Error("negative MaxNeighbors accepted")
+	}
 	bad := dataset.New(1)
 	bad.Append([]float64{math.NaN()})
 	if _, err := Run(bad, Config{K: 1}); err == nil {
@@ -123,25 +129,42 @@ func TestCustomDistance(t *testing.T) {
 	}
 }
 
-// TestCountersBoundedAndGeneric pins the k-medoids work counters:
-// every evaluation reads the whole row, so none is abandoned and the
-// coordinates visited are exactly evaluations × d.
+// TestCountersBoundedAndGeneric pins the k-medoids work counters to
+// the shape of the descent, whose restarts, swap attempts and accepted
+// swaps referenceRun counts. Each restart and each accepted swap
+// refills every point's nearest and second-nearest medoid, n·k
+// evaluations; each swap attempt evaluates the candidate against every
+// point, n evaluations. Every evaluation reads the whole row, so none
+// is abandoned and the coordinates visited are exactly evaluations ×
+// d.
 func TestCountersBoundedAndGeneric(t *testing.T) {
 	ds := threeBlobs(t)
-	generic, err := Run(ds, Config{K: 3, Seed: 5, Distance: dist.SegmentalAll})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := generic.Stats.Counters
-	if g.DistanceEvals == 0 || g.PointsScanned == 0 {
-		t.Fatalf("counters not threaded: %+v", g)
-	}
-	if g.DistanceEvalsFull != g.DistanceEvals || g.DistanceEvalsAbandoned != 0 {
-		t.Fatalf("generic scan cannot abandon: %+v", g)
-	}
-	if g.CoordsVisited != g.DistanceEvals*int64(ds.Dims()) {
-		t.Fatalf("generic coords_visited %d != %d evals × %d dims",
-			g.CoordsVisited, g.DistanceEvals, ds.Dims())
+	n, d := int64(ds.Len()), int64(ds.Dims())
+	for _, cfg := range []Config{
+		{K: 3, Seed: 5},
+		{K: 1, Seed: 5},
+		{K: 4, MaxNeighbors: 30, Restarts: 3, Seed: 8, Distance: dist.Euclidean},
+	} {
+		res, err := Run(ds, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, tl := referenceRun(t, ds, cfg)
+		if tl.attempts == 0 || (cfg.K > 1 && tl.accepts == 0) {
+			t.Fatalf("K=%d: descent too short to pin counters: %+v", cfg.K, tl)
+		}
+		g := res.Stats.Counters
+		evals := (tl.restarts+tl.accepts)*n*int64(cfg.K) + tl.attempts*n
+		if g.DistanceEvals != evals || g.DistanceEvalsFull != evals || g.DistanceEvalsAbandoned != 0 {
+			t.Errorf("K=%d: evals %d (full %d, abandoned %d), want %d from %+v",
+				cfg.K, g.DistanceEvals, g.DistanceEvalsFull, g.DistanceEvalsAbandoned, evals, tl)
+		}
+		if g.CoordsVisited != evals*d {
+			t.Errorf("K=%d: coords_visited %d, want %d evals × %d dims", cfg.K, g.CoordsVisited, evals, d)
+		}
+		if want := (tl.restarts + tl.accepts + tl.attempts) * n; g.PointsScanned != want {
+			t.Errorf("K=%d: points_scanned %d, want %d from %+v", cfg.K, g.PointsScanned, want, tl)
+		}
 	}
 }
 

@@ -65,9 +65,14 @@ func (medoidAlgo) Fit(ctx context.Context, src Source, cfg Config) (Model, error
 		seconds: elapsed.Seconds(),
 		echo: medoidConfigReport{
 			K: mcfg.K, Seed: mcfg.Seed,
-			MaxNeighbors: defaulted(mcfg.MaxNeighbors, 50),
-			Restarts:     defaulted(mcfg.Restarts, 2),
+			MaxNeighbors: mcfg.MaxNeighbors, Restarts: mcfg.Restarts,
 		},
+	}
+	if m.echo.MaxNeighbors == 0 {
+		m.echo.MaxNeighbors = medoid.DefaultMaxNeighbors
+	}
+	if m.echo.Restarts == 0 {
+		m.echo.Restarts = medoid.DefaultRestarts
 	}
 	// Capture the medoid coordinates so Assign works without the
 	// dataset (the result only records indices).
@@ -76,13 +81,6 @@ func (medoidAlgo) Fit(ctx context.Context, src Source, cfg Config) (Model, error
 		m.medoidPts[i] = append([]float64(nil), ds.Point(idx)...)
 	}
 	return m, nil
-}
-
-func defaulted(v, def int) int {
-	if v == 0 {
-		return def
-	}
-	return v
 }
 
 type medoidModel struct {
