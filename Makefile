@@ -81,8 +81,10 @@ scenario-gate:
 
 # One iteration per benchmark: proves the benchmarks still compile and
 # run without spending minutes on stable timings (the CI smoke job).
+# BenchmarkProclusRun keeps a whole PROCLUS fit on the ledger's case1
+# and highdim shapes running.
 bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkAssign' -benchtime 1x ./internal/core/
+	$(GO) test -run xxx -bench 'BenchmarkAssign|BenchmarkProclusRun' -benchtime 1x ./internal/core/
 
 # Allocation smoke: every distance kernel must report 0 allocs/op, and
 # the assignment-pass benchmarks surface their per-pass allocation

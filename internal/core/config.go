@@ -97,10 +97,12 @@ type Config struct {
 	// baseline for the paper's §2.3 refinement phase.
 	SkipRefinement bool
 	// IncrementalEval selects the hill-climb evaluation engine; see the
-	// EvalMode constants. The default, EvalIncremental, maintains a
-	// per-restart point×medoid distance cache and reusable trial
-	// scratch so an iteration that swaps |bad| medoids costs
-	// O(N·|bad|) full-dimensional distances instead of O(N·k) and
+	// EvalMode constants. The default, EvalIncremental, keeps a
+	// point×medoid distance cache, Z rows keyed by (medoid, δ_i) and
+	// projected assignment distances keyed by (medoid, dimension set),
+	// so an iteration that swaps |bad| medoids costs O(N·|bad|)
+	// full-dimensional distances instead of O(N·k), recomputes only
+	// the Z rows and assignment columns whose key changed, and
 	// allocates nothing in steady state. EvalNaive recomputes every
 	// trial from scratch; it exists as an escape hatch and as the
 	// equivalence baseline — both engines produce bit-identical
@@ -173,8 +175,9 @@ func (m InitMethod) String() string {
 type EvalMode int
 
 const (
-	// EvalIncremental evaluates trials through the per-restart distance
-	// cache and reusable scratch (the default).
+	// EvalIncremental evaluates trials through the keyed caches and
+	// reusable scratch of one engine per concurrent restart (the
+	// default).
 	EvalIncremental EvalMode = iota
 	// EvalNaive recomputes every trial from scratch. Escape hatch and
 	// equivalence baseline for EvalIncremental.

@@ -2,15 +2,18 @@ package core
 
 // Tests for the incremental hill-climb engine: the cached evaluation
 // must be bit-identical to naive re-evaluation for arbitrary
-// configurations, recompute only the swapped medoids' cache columns,
-// and allocate nothing in steady state.
+// configurations, recompute only the products whose key changed, and
+// allocate nothing in steady state.
 
 import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
+	"proclus/internal/dist"
 	"proclus/internal/randx"
 	"proclus/internal/synth"
 )
@@ -186,9 +189,10 @@ func TestIncrementalEvaluateMatchesNaive(t *testing.T) {
 }
 
 // TestIncrementalSteadyStateAllocs proves the zero-alloc claim: once
-// the scratch has warmed, hill-climb iterations — both cache-hitting
-// re-evaluations and single-medoid swaps — perform no heap
-// allocations.
+// the scratch has warmed, hill-climb iterations — cache-hitting
+// re-evaluations, single-medoid swaps, and a cycle through more medoids
+// at one position than its Z ring holds, so that every trial misses the
+// ring and rescans a locality — perform no heap allocations.
 func TestIncrementalSteadyStateAllocs(t *testing.T) {
 	const n = 400
 	_, e, medoids := incrementalFixture(t, n)
@@ -215,5 +219,222 @@ func TestIncrementalSteadyStateAllocs(t *testing.T) {
 		flip = !flip
 	}); avg > 0 {
 		t.Errorf("steady-state (one swap) evaluation allocates %.1f times per run, want 0", avg)
+	}
+
+	cycle := make([][]int, zRing+1)
+	for c := range cycle {
+		cycle[c] = append([]int(nil), medoids...)
+		cycle[c][1] = n/7 + 3*c
+	}
+	for _, set := range cycle {
+		e.evaluate(set) // warm the locality lists for every set
+	}
+	next, misses := 0, 0
+	if avg := testing.AllocsPerRun(50, func() {
+		before := e.zNext[1]
+		e.evaluate(cycle[next])
+		if e.zNext[1] != before {
+			misses++
+		}
+		next = (next + 1) % len(cycle)
+	}); avg > 0 {
+		t.Errorf("steady-state (Z-ring miss) evaluation allocates %.1f times per run, want 0", avg)
+	}
+	if misses != 51 { // AllocsPerRun adds one warm-up call
+		t.Errorf("cycle of %d medoids at one position missed its ring %d times in 51 trials, want every time",
+			len(cycle), misses)
+	}
+}
+
+// zKey is the Z-ring key of one position: its medoid and the bits of
+// its locality radius.
+type zKey struct {
+	medoid int
+	delta  uint64
+}
+
+// cacheModel is an engine-independent account of which products a
+// trial must recompute: per position a FIFO of the last zRing Z keys
+// and the last (medoid, dimension set) pair.
+type cacheModel struct {
+	rings    [][]zKey
+	seen     []map[zKey]bool
+	lastKey  []zKey
+	lastDims [][]int
+	lastMed  []int
+}
+
+func newCacheModel(k int) *cacheModel {
+	m := &cacheModel{rings: make([][]zKey, k), seen: make([]map[zKey]bool, k),
+		lastKey: make([]zKey, k), lastDims: make([][]int, k), lastMed: make([]int, k)}
+	for i := 0; i < k; i++ {
+		m.seen[i] = map[zKey]bool{}
+		m.lastMed[i] = -1
+	}
+	return m
+}
+
+// TestIncrementalCacheKeys drives one engine through a scripted
+// sequence of medoid sets and checks every trial two ways: its output
+// against the naive evaluation, bit for bit, and its recomputations
+// against an independent model of the three cache keys. The script
+// must exercise each way a key can hit or miss — a kept medoid whose
+// δ_i moves because its nearest other medoid was swapped, a Z key
+// revisited while still in its ring and after eviction, a kept medoid
+// whose dimension set changes and one whose set stays — and a reset
+// engine must recompute everything even when every cached value has
+// been poisoned.
+func TestIncrementalCacheKeys(t *testing.T) {
+	const n = 600
+	r, e, base := incrementalFixture(t, n)
+	k, d := len(base), r.ds.Dims()
+
+	// Swapping position 3 for points ever nearer medoid 0 makes each of
+	// them medoid 0's nearest other medoid, so δ_0 moves with each swap
+	// while position 0 keeps its medoid.
+	isMedoid := map[int]bool{}
+	for _, m := range base {
+		isMedoid[m] = true
+	}
+	m0 := r.ds.Point(base[0])
+	var near []int
+	for p := 0; p < n; p++ {
+		if !isMedoid[p] {
+			near = append(near, p)
+		}
+	}
+	sort.Slice(near, func(a, b int) bool {
+		return dist.SegmentalAll(r.ds.Point(near[a]), m0) < dist.SegmentalAll(r.ds.Point(near[b]), m0)
+	})
+	with3 := func(p int) []int {
+		set := append([]int(nil), base...)
+		set[3] = p
+		return set
+	}
+	script := [][]int{
+		base,
+		with3(near[4]),
+		base, // every key revisited within the ring
+		with3(near[3]),
+		with3(near[2]),
+		with3(near[1]),
+		base, // positions 0 and 3 have missed five times since: evicted
+		with3(near[1]),
+	}
+
+	model := newCacheModel(k)
+	var events struct{ deltaMoved, revisitHit, evictedMiss, dimsMoved, dimsKept int }
+	check := func(step string, set []int, afterReset bool) {
+		t.Helper()
+		evals0 := r.counters.DistanceEvals.Load()
+		coords0 := r.counters.CoordsVisited.Load()
+		recomp0 := r.counters.DistCacheRecomputes.Load()
+		zNext := append([]int(nil), e.zNext...)
+
+		got := e.evaluate(set)
+		recomputed := r.counters.DistCacheRecomputes.Load() - recomp0
+		assignEvals := r.counters.DistanceEvals.Load() - evals0 - recomputed
+		assignCoords := r.counters.CoordsVisited.Load() - coords0 - recomputed*int64(d)
+		want := r.evaluateMedoids(set)
+		if math.Float64bits(got.objective) != math.Float64bits(want.objective) ||
+			!reflect.DeepEqual(got.dims, want.dims) || !reflect.DeepEqual(got.assign, want.assign) ||
+			!reflect.DeepEqual(got.sizes, want.sizes) {
+			t.Fatalf("%s: incremental trial differs from naive: objective %v vs %v, dims %v vs %v",
+				step, got.objective, want.objective, got.dims, want.dims)
+		}
+
+		var wantDirty []int
+		var dirtyCoords int64
+		for i, m := range set {
+			delta := math.Inf(1)
+			for j, o := range set {
+				if j != i {
+					delta = math.Min(delta, dist.SegmentalAll(r.ds.Point(m), r.ds.Point(o)))
+				}
+			}
+			key := zKey{m, math.Float64bits(delta)}
+			kept := model.lastMed[i] == m
+			inRing := false
+			for _, c := range model.rings[i] {
+				inRing = inRing || c == key
+			}
+			hit := e.zNext[i] == zNext[i]
+			if hit != inRing {
+				t.Fatalf("%s: position %d key %+v: Z hit %v, model says %v", step, i, key, hit, inRing)
+			}
+			switch {
+			case !inRing:
+				if kept && key != model.lastKey[i] {
+					events.deltaMoved++
+				}
+				if model.seen[i][key] {
+					events.evictedMiss++
+				}
+				model.rings[i] = append(model.rings[i], key)
+				if len(model.rings[i]) > zRing {
+					model.rings[i] = model.rings[i][1:]
+				}
+			case key != model.lastKey[i]:
+				events.revisitHit++
+			}
+			model.seen[i][key] = true
+			model.lastKey[i] = key
+
+			if !kept || !slices.Equal(model.lastDims[i], got.dims[i]) {
+				wantDirty = append(wantDirty, i)
+				dirtyCoords += int64(len(got.dims[i]))
+				if kept {
+					events.dimsMoved++
+				}
+			} else {
+				events.dimsKept++
+			}
+			model.lastMed[i] = m
+			model.lastDims[i] = slices.Clone(got.dims[i])
+		}
+		if !slices.Equal(e.projDirty, wantDirty) {
+			t.Fatalf("%s: projected columns recomputed %v, model says %v", step, e.projDirty, wantDirty)
+		}
+		if assignEvals != int64(n*len(wantDirty)) {
+			t.Fatalf("%s: assignment credited %d evaluations, want N × %d recomputed columns = %d",
+				step, assignEvals, len(wantDirty), n*len(wantDirty))
+		}
+		if assignCoords != int64(n)*dirtyCoords {
+			t.Fatalf("%s: assignment credited %d coordinates, want %d", step, assignCoords, int64(n)*dirtyCoords)
+		}
+		if afterReset && (recomputed != int64(n*k) || len(wantDirty) != k) {
+			t.Fatalf("%s: reset engine recomputed %d distances and %d projected columns, want %d and %d",
+				step, recomputed, len(wantDirty), n*k, k)
+		}
+	}
+
+	for si, set := range script {
+		check(fmt.Sprintf("step %d", si), set, false)
+	}
+	if events.deltaMoved == 0 || events.revisitHit == 0 || events.evictedMiss == 0 ||
+		events.dimsMoved == 0 || events.dimsKept == 0 {
+		t.Fatalf("script left a case of the cache keys unexercised: %+v", events)
+	}
+
+	// A second "restart" on the same engine: poison every cached value,
+	// reset, and replay the script, starting from the set evaluated
+	// last, whose every key the engine still holds. Serving any stale
+	// entry would now show up in the output, and the model starts empty.
+	poison := math.NaN()
+	for i := range e.flat {
+		e.flat[i] = poison
+	}
+	for i := range e.proj {
+		e.proj[i] = poison
+	}
+	for _, slot := range e.zSlots {
+		for j := range slot.row {
+			slot.row[j] = poison
+		}
+	}
+	e.reset()
+	model = newCacheModel(k)
+	for si, set := range append([][]int{script[len(script)-1]}, script...) {
+		check(fmt.Sprintf("after reset, step %d", si), set, si == 0)
 	}
 }

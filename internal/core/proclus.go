@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -189,12 +190,25 @@ func (r *runner) iteratePhase(candidates []int, workers int) (*trialState, int, 
 	if r.innerWorkers < 1 {
 		r.innerWorkers = 1
 	}
+	// Restarts borrow their trial engines from a pool. No more than
+	// `concurrent` climbs run at once, so no more engines (and caches)
+	// are ever built, and a send back never blocks. climb resets the
+	// engine it borrows, so which engine serves which restart cannot
+	// change a result or a counter.
+	engines := make(chan evaluator, concurrent)
 	outcomes := make([]restartOutcome, restarts)
 	cancelErr := parallel.EachContext(r.ctx, restarts, concurrent, func(i int) {
 		r.emit(obs.Event{Type: obs.EvRestartStart, Restart: i + 1})
 		restartStart := time.Now()
+		var ev evaluator
+		select {
+		case ev = <-engines:
+		default:
+			ev = r.newEvaluator()
+		}
 		o := &outcomes[i]
-		o.trial, o.iterations, o.trace, o.err = r.climb(candidates, i+1, rngs[i])
+		o.trial, o.iterations, o.trace, o.err = r.climb(candidates, i+1, rngs[i], ev)
+		engines <- ev
 		o.duration = time.Since(restartStart)
 		if o.err != nil {
 			return
@@ -309,10 +323,13 @@ type restartOutcome struct {
 // climb performs the hill climb of §2.2 and returns the best trial, the
 // trial count, and the objective of every evaluated trial in order.
 // restart is the 1-based restart index, used only for event context.
-// rng is the restart's private generator: climb is called concurrently
-// for different restarts and must not touch shared mutable state beyond
-// the atomic counters and the (concurrency-safe) observer.
-func (r *runner) climb(candidates []int, restart int, rng *randx.Rand) (*trialState, int, []float64, error) {
+// rng is the restart's private generator and ev the trial engine it
+// has to itself until it returns: climb is called concurrently for
+// different restarts and must not touch shared mutable state beyond
+// the atomic counters and the (concurrency-safe) observer. The
+// returned trial is a copy that owns its memory, so ev can serve the
+// next restart.
+func (r *runner) climb(candidates []int, restart int, rng *randx.Rand, ev evaluator) (*trialState, int, []float64, error) {
 	k := r.cfg.K
 	if len(candidates) < k {
 		return nil, 0, nil, fmt.Errorf("proclus: only %d candidate medoids for k = %d", len(candidates), k)
@@ -323,11 +340,10 @@ func (r *runner) climb(candidates []int, restart int, rng *randx.Rand) (*trialSt
 		current[i] = candidates[perm[i]]
 	}
 
-	// The evaluator is restart-private: the incremental engine's
-	// distance cache and trial scratch are owned by this goroutine, so
-	// concurrent restarts share nothing and the worker-determinism
-	// guarantee is untouched.
-	ev := r.newEvaluator()
+	// A reset engine behaves exactly like a fresh one: nothing the
+	// previous restart cached is served, so each restart's hits, and
+	// with them the counters, are the same at every worker count.
+	ev.reset()
 	rs := r.series.restart(restart)
 	var best *trialState
 	var trace []float64
@@ -376,7 +392,21 @@ func (r *runner) climb(candidates []int, restart int, rng *randx.Rand) (*trialSt
 		}
 		current = next
 	}
-	return best, iterations, trace, nil
+	return best.clone(), iterations, trace, nil
+}
+
+// clone deep-copies a trial.
+func (t *trialState) clone() *trialState {
+	c := *t
+	c.medoids = slices.Clone(t.medoids)
+	c.assign = slices.Clone(t.assign)
+	c.sizes = slices.Clone(t.sizes)
+	c.badMedoids = slices.Clone(t.badMedoids)
+	c.dims = make([][]int, len(t.dims))
+	for i, row := range t.dims {
+		c.dims[i] = slices.Clone(row)
+	}
+	return &c
 }
 
 // evaluateMedoids runs one hill-climbing trial: localities, dimensions,
@@ -494,9 +524,9 @@ func (r *runner) assignPoints(medoids []int, dims [][]int) (assign []int, sizes 
 }
 
 // assignChunk is one worker's share of the assignment pass: nearest
-// medoid for points [lo, hi), counters batched per chunk. It is shared
-// by the naive pass above and the incremental engine's prebuilt chunk
-// closure so the two can never drift.
+// medoid for points [lo, hi), counters batched per chunk. The
+// incremental engine's assignment pass keeps its start (0, +Inf) and
+// strict <, so both engines break ties toward the lower position.
 func (r *runner) assignChunk(medoidPoints [][]float64, dims [][]int,
 	metric func(pt, medoid []float64, dims []int) float64, assign []int, lo, hi int) {
 	for p := lo; p < hi; p++ {
@@ -580,7 +610,10 @@ func (r *runner) evaluateClusters(assign []int, sizes []int, dims [][]int) float
 
 // evaluateClustersInto is evaluateClusters accumulating into
 // caller-owned buffers (k centroid rows of ds.Dims() each, k deviation
-// slots), which the incremental engine reuses across iterations.
+// slots), which the incremental engine reuses across iterations. The
+// deviations read centroid i only on dims[i], so only those coordinates
+// are summed and scaled: the pass costs O(N·l) rather than O(N·d), and
+// centroid coordinates outside a cluster's dimensions are left unset.
 func (r *runner) evaluateClustersInto(assign []int, sizes []int, dims [][]int,
 	centroids [][]float64, devs []float64) float64 {
 	// This pass stays serial: floating-point accumulation order must not
@@ -590,17 +623,17 @@ func (r *runner) evaluateClustersInto(assign []int, sizes []int, dims [][]int,
 	// assignment passes, whose outputs are integers, carry the
 	// parallelism instead.
 	n := r.ds.Len()
-	for i := range centroids {
-		c := centroids[i]
-		for j := range c {
+	for i, c := range centroids {
+		for _, j := range dims[i] {
 			c[j] = 0
 		}
 	}
 	for p := 0; p < n; p++ {
 		pt := r.ds.Point(p)
-		c := centroids[assign[p]]
-		for j, v := range pt {
-			c[j] += v
+		a := assign[p]
+		c := centroids[a]
+		for _, j := range dims[a] {
+			c[j] += pt[j]
 		}
 	}
 	for i, c := range centroids {
@@ -608,7 +641,7 @@ func (r *runner) evaluateClustersInto(assign []int, sizes []int, dims [][]int,
 			continue
 		}
 		inv := 1 / float64(sizes[i])
-		for j := range c {
+		for _, j := range dims[i] {
 			c[j] *= inv
 		}
 	}

@@ -15,10 +15,10 @@ import (
 // change to which distances a pass evaluates, or over how many
 // dimensions, say) is a deliberate edit of this literal.
 var table1Counters = obs.Snapshot{
-	DistanceEvals:          3064206,
-	DistanceEvalsFull:      3064206,
+	DistanceEvals:          1987206,
+	DistanceEvalsFull:      1987206,
 	DistanceEvalsAbandoned: 0,
-	CoordsVisited:          28628380,
+	CoordsVisited:          21161380,
 	PointsScanned:          1002000,
 	DenseUnitProbes:        0,
 	DistCacheHits:          1947320,
