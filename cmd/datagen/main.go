@@ -50,9 +50,7 @@ func run(args []string, out io.Writer) (retErr error) {
 		seed      = fs.Uint64("seed", 1, "random seed")
 		outPath   = fs.String("o", "", "output path (.csv for CSV, anything else for binary); required")
 	)
-	// Generation is a single short pass, so the live monitoring server is
-	// not offered; the remaining observability surface is shared.
-	obsFlags := cliflags.Register(fs, cliflags.WithoutServe())
+	obsFlags := cliflags.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

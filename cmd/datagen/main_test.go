@@ -83,15 +83,18 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-badflag"}, &sb); err == nil {
 		t.Error("unknown flag accepted")
 	}
-	// datagen archives no run, so it does not offer -archive.
-	archiveDir := filepath.Join(t.TempDir(), "runs")
-	err := run([]string{"-n", "100", "-dims", "4", "-k", "2", "-fixeddims", "2",
-		"-o", filepath.Join(t.TempDir(), "a.bin"), "-archive", archiveDir}, &sb)
-	if err == nil || !strings.Contains(err.Error(), "not defined: -archive") {
-		t.Errorf("-archive: err = %v, want an unknown-flag error", err)
-	}
-	if _, err := os.Stat(archiveDir); !os.IsNotExist(err) {
-		t.Errorf("rejected -archive still touched %s (stat: %v)", archiveDir, err)
+	// datagen archives no run and records no series, so it offers
+	// neither -archive nor -series.
+	for _, flag := range []string{"-archive", "-series"} {
+		target := filepath.Join(t.TempDir(), "out")
+		err := run([]string{"-n", "100", "-dims", "4", "-k", "2", "-fixeddims", "2",
+			"-o", filepath.Join(t.TempDir(), "a.bin"), flag, target}, &sb)
+		if err == nil || !strings.Contains(err.Error(), "not defined: "+flag) {
+			t.Errorf("%s: err = %v, want an unknown-flag error", flag, err)
+		}
+		if _, err := os.Stat(target); !os.IsNotExist(err) {
+			t.Errorf("rejected %s still touched %s (stat: %v)", flag, target, err)
+		}
 	}
 }
 

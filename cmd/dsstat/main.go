@@ -40,10 +40,7 @@ func run(args []string, out io.Writer) (retErr error) {
 		in        = fs.String("in", "", "input dataset (.csv or binary); required")
 		hasLabels = fs.Bool("labels", false, "CSV input has a trailing label column")
 	)
-	// Inspection is a single streaming pass, so the live monitoring
-	// server is not offered; the remaining observability surface is
-	// shared.
-	obsFlags := cliflags.Register(fs, cliflags.WithoutServe())
+	obsFlags := cliflags.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

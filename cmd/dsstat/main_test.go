@@ -65,14 +65,17 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-in", filepath.Join(t.TempDir(), "nope.bin")}, &sb); err == nil {
 		t.Error("missing file accepted")
 	}
-	// dsstat archives no run, so it does not offer -archive.
-	archiveDir := filepath.Join(t.TempDir(), "runs")
-	err := run([]string{"-in", writeSample(t, ".bin"), "-archive", archiveDir}, &sb)
-	if err == nil || !strings.Contains(err.Error(), "not defined: -archive") {
-		t.Errorf("-archive: err = %v, want an unknown-flag error", err)
-	}
-	if _, err := os.Stat(archiveDir); !os.IsNotExist(err) {
-		t.Errorf("rejected -archive still touched %s (stat: %v)", archiveDir, err)
+	// dsstat archives no run and records no series, so it offers
+	// neither -archive nor -series.
+	for _, flag := range []string{"-archive", "-series"} {
+		target := filepath.Join(t.TempDir(), "out")
+		err := run([]string{"-in", writeSample(t, ".bin"), flag, target}, &sb)
+		if err == nil || !strings.Contains(err.Error(), "not defined: "+flag) {
+			t.Errorf("%s: err = %v, want an unknown-flag error", flag, err)
+		}
+		if _, err := os.Stat(target); !os.IsNotExist(err) {
+			t.Errorf("rejected %s still touched %s (stat: %v)", flag, target, err)
+		}
 	}
 }
 

@@ -40,6 +40,7 @@ import (
 	"proclus/internal/eval"
 	"proclus/internal/obs"
 	"proclus/internal/obs/cliflags"
+	"proclus/internal/obs/series"
 	"proclus/internal/registry"
 )
 
@@ -85,7 +86,7 @@ func run(args []string, out io.Writer) (retErr error) {
 		verbose = fs.Bool("v", false, "clique: list every cluster's region description")
 
 		// ORCLUS loop parameters.
-		k0Factor = fs.Int("k0factor", 0, "orclus: initial-seed multiplier k0 = k0factor·k (0 = default)")
+		k0Factor = fs.Int("k0factor", 0, "orclus: initial-seed multiplier k0 = k0factor·k, capped at N (0 = default 5); the first merge phase scores all k0(k0−1)/2 seed pairs, so fit time grows roughly quadratically in k")
 		alpha    = fs.Float64("alpha", 0, "orclus: cluster-count decay factor per merge round (0 = default)")
 		outliers = fs.Bool("outliers", false, "orclus: discard points outside every sphere of influence")
 
@@ -94,6 +95,7 @@ func run(args []string, out io.Writer) (retErr error) {
 		restarts = fs.Int("restarts", 0, "kmedoids: independent descents, best kept (0 = default)")
 
 		assignOut = fs.String("assign", "", "optional path for a point→cluster assignment CSV")
+		seriesOut = fs.String("series", "", "write the fit's convergence time-series snapshot JSON to this path (analyze with runlens)")
 	)
 	obsFlags := cliflags.Register(fs, cliflags.WithArchive())
 	if err := fs.Parse(args); err != nil {
@@ -133,7 +135,7 @@ func run(args []string, out io.Writer) (retErr error) {
 		return fmt.Errorf("-v lists CLIQUE regions; %s has none", *algo)
 	case *normalize != "" && *normalize != "minmax" && *normalize != "zscore":
 		return fmt.Errorf("unknown -normalize mode %q (want minmax or zscore)", *normalize)
-	case obsFlags.Series != "" && !a.Caps().Series:
+	case *seriesOut != "" && !a.Caps().Series:
 		return fmt.Errorf("-series is unsupported: %s records no convergence series", *algo)
 	case stall && !a.Caps().Series:
 		return fmt.Errorf("-stall-iters/-stall-deadline/-stall-cancel are unsupported: %s emits no progress events for the watchdog", *algo)
@@ -155,6 +157,10 @@ func run(args []string, out io.Writer) (retErr error) {
 			retErr = err
 		}
 	}()
+	var store *series.Store
+	if *seriesOut != "" {
+		store = series.NewStore(0)
+	}
 	cfg := registry.Config{
 		K: *k, L: *l, Seed: *seed, Workers: *workers,
 		Clique: registry.CliqueParams{
@@ -165,7 +171,7 @@ func run(args []string, out io.Writer) (retErr error) {
 			K0Factor: *k0Factor, Alpha: *alpha, HandleOutliers: *outliers,
 		},
 		Medoid:   registry.MedoidParams{MaxNeighbors: *maxNb, Restarts: *restarts},
-		Observer: sess.Observer, Metrics: sess.Metrics, Series: sess.Series,
+		Observer: sess.Observer, Series: store,
 	}
 
 	var (
@@ -215,10 +221,14 @@ func run(args []string, out io.Writer) (retErr error) {
 		// registry adapter's field-for-field core.Config translation.
 		res, err = sweep(&curve, ds, core.Config{
 			K: cfg.K, L: cfg.L, Seed: cfg.Seed, Workers: cfg.Workers,
-			Observer: cfg.Observer, Metrics: cfg.Metrics, Series: cfg.Series,
+			Observer: cfg.Observer, Series: cfg.Series,
 		}, sweepParam, sweepSpec)
 	} else {
 		m, err = registry.Fit(ctx, *algo, src, cfg)
+	}
+	// A fit the watchdog cancelled still saves the series it recorded.
+	if serr := writeSeries(*seriesOut, store); err == nil {
+		err = serr
 	}
 	if err != nil {
 		return err
@@ -350,6 +360,17 @@ func summarize(out io.Writer, rep *obs.RunReport, as []int, cres *clique.Result,
 		fmt.Fprintln(out, "quality: skipped (streamed fit holds no per-point assignments)")
 	}
 	return quality, nil
+}
+
+// writeSeries saves the store's snapshot to path when the fit created
+// at least one series, so a run that failed before its fit began leaves
+// no file. A nil store writes nothing.
+func writeSeries(path string, store *series.Store) error {
+	snap := store.Snapshot()
+	if len(snap) == 0 {
+		return nil
+	}
+	return snap.WriteFile(path)
 }
 
 // sweep fits PROCLUS for every value of param ("l" or "k") in the

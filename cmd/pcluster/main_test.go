@@ -15,7 +15,6 @@ import (
 	"proclus/internal/dataset"
 	"proclus/internal/eval"
 	"proclus/internal/obs/archive"
-	"proclus/internal/obs/metrics"
 	"proclus/internal/obs/series"
 	"proclus/internal/randx"
 	"proclus/internal/registry"
@@ -190,18 +189,23 @@ func TestRejectsUnsupportedCombos(t *testing.T) {
 	}
 }
 
-// TestRunErrors checks that bad parameters and inputs fail the run.
+// TestRunErrors checks that bad parameters and inputs fail the run, and
+// that a failed proclus or clique run leaves no -series file behind.
 func TestRunErrors(t *testing.T) {
 	path := writeData(t)
 	blob := writeBlobData(t)
+	dir := t.TempDir()
+	seriesPath := filepath.Join(dir, "s.json")
+	withSeries := func(args ...string) []string { return append(args, "-series", seriesPath) }
 	cases := [][]string{
-		{"-algo", "proclus", "-in", filepath.Join(t.TempDir(), "absent.bin"), "-k", "2", "-l", "3"},
-		{"-algo", "proclus", "-in", path, "-k", "2"},
-		{"-algo", "proclus", "-in", path, "-k", "2", "-l", "99"},
-		{"-algo", "proclus", "-in", path, "-k", "2", "-sweepl", "banana"},
-		{"-algo", "proclus", "-in", path, "-k", "2", "-sweepl", "5:2"},
-		{"-algo", "proclus", "-in", path, "-k", "2", "-l", "3", "-normalize", "nope"},
-		{"-algo", "clique", "-in", blob, "-xi", "1"},
+		withSeries("-algo", "proclus", "-in", filepath.Join(dir, "absent.bin"), "-k", "2", "-l", "3"),
+		withSeries("-algo", "proclus", "-in", path, "-k", "2"),
+		withSeries("-algo", "proclus", "-in", path, "-k", "2", "-l", "99"),
+		withSeries("-algo", "proclus", "-in", path, "-k", "2", "-sweepl", "banana"),
+		withSeries("-algo", "proclus", "-in", path, "-k", "2", "-sweepl", "5:2"),
+		withSeries("-algo", "proclus", "-in", path, "-k", "2", "-l", "3", "-normalize", "nope"),
+		withSeries("-algo", "proclus", "-in", path, "-k", "2", "-l", "3", "-trace", filepath.Join(dir, "nodir", "t.jsonl")),
+		withSeries("-algo", "clique", "-in", blob, "-xi", "1"),
 		{"-algo", "orclus", "-in", path, "-k", "2"},
 		{"-algo", "orclus", "-in", path, "-k", "2", "-l", "99"},
 		{"-algo", "kmedoids", "-in", path, "-k", "3", "-restarts", "-1"},
@@ -211,6 +215,9 @@ func TestRunErrors(t *testing.T) {
 		var sb strings.Builder
 		if err := run(args, &sb); err == nil {
 			t.Errorf("%v accepted", args)
+		}
+		if _, err := os.Stat(seriesPath); !os.IsNotExist(err) {
+			t.Fatalf("%v: failed run left a -series file (stat err %v)", args, err)
 		}
 	}
 }
@@ -431,19 +438,34 @@ func TestRunProgressLogs(t *testing.T) {
 	}
 }
 
-// TestRunMetricsAddrInvariant pins that attaching the live metrics
-// endpoint changes no output apart from the elapsed time.
-func TestRunMetricsAddrInvariant(t *testing.T) {
+// TestRunObservabilityInvariant pins that attaching every observability
+// output changes no output apart from the elapsed time, and that the
+// -series file holds the hill climb's objective trajectory.
+func TestRunObservabilityInvariant(t *testing.T) {
 	path := writeData(t)
+	dir := t.TempDir()
+	seriesPath := filepath.Join(dir, "s.json")
 	args := []string{"-algo", "proclus", "-in", path, "-k", "3", "-l", "3"}
 	plain := runOK(t, args...)
-	monitored := runOK(t, append(args, "-metrics-addr", "127.0.0.1:0")...)
+	observed := runOK(t, append(args,
+		"-trace", filepath.Join(dir, "t.jsonl"),
+		"-chrometrace", filepath.Join(dir, "chrome.json"),
+		"-progress",
+		"-series", seriesPath,
+		"-report", filepath.Join(dir, "r.json"))...)
 	stripTiming := func(s string) string {
 		first, rest, _ := strings.Cut(s, "\n")
 		return first[:strings.LastIndex(first, "—")] + "\n" + rest
 	}
-	if stripTiming(plain) != stripTiming(monitored) {
-		t.Errorf("monitoring changed output:\n--- plain ---\n%s\n--- monitored ---\n%s", plain, monitored)
+	if stripTiming(plain) != stripTiming(observed) {
+		t.Errorf("observability changed output:\n--- plain ---\n%s\n--- observed ---\n%s", plain, observed)
+	}
+	snap, err := series.ReadSnapshotFile(seriesPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := snap.Find(core.SeriesIterObjective, series.L("restart", "1")); s == nil || s.Total == 0 {
+		t.Errorf("series file has no %s for restart 1: %+v", core.SeriesIterObjective, snap)
 	}
 }
 
@@ -587,7 +609,7 @@ func TestStallCancelAbortsInMemoryAndStreamed(t *testing.T) {
 		if readErr != nil {
 			t.Fatalf("%q: series snapshot not flushed: %v", mode, readErr)
 		}
-		if s := snap.Find(core.SeriesIterObjective, metrics.L("restart", "1")); s == nil || s.Total == 0 {
+		if s := snap.Find(core.SeriesIterObjective, series.L("restart", "1")); s == nil || s.Total == 0 {
 			t.Errorf("%q: flushed snapshot has no objective series", mode)
 		}
 	}

@@ -9,7 +9,7 @@
 //	proclus-bench -experiment table3
 //	proclus-bench -experiment fig7 -full   # paper-scale sizes (slow)
 //	proclus-bench -experiment table1,table2 -n 5000
-//	proclus-bench -experiment all -progress -metrics-addr 127.0.0.1:9187
+//	proclus-bench -experiment all -progress
 package main
 
 import (
@@ -25,7 +25,6 @@ import (
 
 	"proclus/internal/experiments"
 	"proclus/internal/obs/cliflags"
-	"proclus/internal/obs/metrics"
 )
 
 func main() {
@@ -82,11 +81,9 @@ func run(args []string, out io.Writer) (retErr error) {
 		return f.Close()
 	}
 
-	// Each runner receives its own metric registry (nil when nothing
-	// reads it) so one experiment's histograms never blur into another's.
 	type runner struct {
 		id  string
-		run func(reg *metrics.Registry) (*experiments.Report, csvWriter, error)
+		run func() (*experiments.Report, csvWriter, error)
 	}
 	caseN := 20000
 	figN := 10000
@@ -107,32 +104,24 @@ func run(args []string, out io.Writer) (retErr error) {
 	}
 
 	runners := []runner{
-		{"table1", func(reg *metrics.Registry) (*experiments.Report, csvWriter, error) {
-			p := caseParams
-			p.Metrics = reg
-			d, r, err := experiments.Table1(p)
+		{"table1", func() (*experiments.Report, csvWriter, error) {
+			d, r, err := experiments.Table1(caseParams)
 			return r, d, err
 		}},
-		{"table2", func(reg *metrics.Registry) (*experiments.Report, csvWriter, error) {
-			p := caseParams
-			p.Metrics = reg
-			d, r, err := experiments.Table2(p)
+		{"table2", func() (*experiments.Report, csvWriter, error) {
+			d, r, err := experiments.Table2(caseParams)
 			return r, d, err
 		}},
-		{"table3", func(reg *metrics.Registry) (*experiments.Report, csvWriter, error) {
-			p := caseParams
-			p.Metrics = reg
-			d, r, err := experiments.Table3(p)
+		{"table3", func() (*experiments.Report, csvWriter, error) {
+			d, r, err := experiments.Table3(caseParams)
 			return r, d, err
 		}},
-		{"table4", func(reg *metrics.Registry) (*experiments.Report, csvWriter, error) {
-			p := caseParams
-			p.Metrics = reg
-			d, r, err := experiments.Table4(p)
+		{"table4", func() (*experiments.Report, csvWriter, error) {
+			d, r, err := experiments.Table4(caseParams)
 			return r, d, err
 		}},
-		{"table5", func(reg *metrics.Registry) (*experiments.Report, csvWriter, error) {
-			p := experiments.Table5Params{Seed: *seed, Workers: *workers, Metrics: reg, Observer: sess.Observer}
+		{"table5", func() (*experiments.Report, csvWriter, error) {
+			p := experiments.Table5Params{Seed: *seed, Workers: *workers, Observer: sess.Observer}
 			if *full {
 				p.N = 100000
 				p.Dims = 20
@@ -148,18 +137,17 @@ func run(args []string, out io.Writer) (retErr error) {
 			d, r, err := experiments.Table5(p)
 			return r, d, err
 		}},
-		{"fig7", func(reg *metrics.Registry) (*experiments.Report, csvWriter, error) {
+		{"fig7", func() (*experiments.Report, csvWriter, error) {
 			d, r, err := experiments.Figure7(experiments.Figure7Params{
 				Ns: fig7Ns, WithClique: true, Seed: *seed, Workers: *workers,
-				Metrics: reg, Observer: sess.Observer,
-				Stream: *stream, BlockPoints: *blockPts,
+				Observer: sess.Observer, Stream: *stream, BlockPoints: *blockPts,
 			})
 			return r, d, err
 		}},
-		{"fig8", func(reg *metrics.Registry) (*experiments.Report, csvWriter, error) {
+		{"fig8", func() (*experiments.Report, csvWriter, error) {
 			p := experiments.Figure8Params{
 				N: figN, WithClique: true, Seed: *seed, Workers: *workers,
-				Metrics: reg, Observer: sess.Observer,
+				Observer: sess.Observer,
 			}
 			if *full {
 				p.Dims = 20
@@ -170,8 +158,8 @@ func run(args []string, out io.Writer) (retErr error) {
 			d, r, err := experiments.Figure8(p)
 			return r, d, err
 		}},
-		{"fig9", func(reg *metrics.Registry) (*experiments.Report, csvWriter, error) {
-			p := experiments.Figure9Params{N: figN, Seed: *seed, Workers: *workers, Metrics: reg, Observer: sess.Observer}
+		{"fig9", func() (*experiments.Report, csvWriter, error) {
+			p := experiments.Figure9Params{N: figN, Seed: *seed, Workers: *workers, Observer: sess.Observer}
 			if *override > 0 {
 				p.Ds = []int{10, 20}
 				p.Repeats = 1
@@ -179,8 +167,8 @@ func run(args []string, out io.Writer) (retErr error) {
 			d, r, err := experiments.Figure9(p)
 			return r, d, err
 		}},
-		{"lsweep", func(reg *metrics.Registry) (*experiments.Report, csvWriter, error) {
-			p := experiments.LSweepParams{N: figN, Seed: *seed, Workers: *workers, Metrics: reg, Observer: sess.Observer}
+		{"lsweep", func() (*experiments.Report, csvWriter, error) {
+			p := experiments.LSweepParams{N: figN, Seed: *seed, Workers: *workers, Observer: sess.Observer}
 			if *override > 0 {
 				p.Dims = 10
 				p.TrueL = 4
@@ -188,8 +176,8 @@ func run(args []string, out io.Writer) (retErr error) {
 			d, r, err := experiments.LSweep(p)
 			return r, d, err
 		}},
-		{"oriented", func(reg *metrics.Registry) (*experiments.Report, csvWriter, error) {
-			p := experiments.OrientedParams{Seed: *seed, Workers: *workers, Metrics: reg, Observer: sess.Observer}
+		{"oriented", func() (*experiments.Report, csvWriter, error) {
+			p := experiments.OrientedParams{Seed: *seed, Workers: *workers, Observer: sess.Observer}
 			if *override > 0 {
 				p.N = *override
 			}
@@ -215,18 +203,8 @@ func run(args []string, out io.Writer) (retErr error) {
 			continue
 		}
 		delete(wanted, r.id)
-		// With a live monitoring server each experiment records into a
-		// scoped child of the shared registry: /metrics folds every
-		// experiment in under an experiment="<id>" label, while the
-		// child's own snapshot stays byte-identical to a fresh
-		// registry's. Without one nothing reads the metrics, so the
-		// experiment records none.
-		var reg *metrics.Registry
-		if sess.Metrics != nil {
-			reg = sess.Metrics.Scope(metrics.L("experiment", r.id))
-		}
 		start := time.Now()
-		rep, data, err := r.run(reg)
+		rep, data, err := r.run()
 		if err != nil {
 			return fmt.Errorf("%s: %w", r.id, err)
 		}

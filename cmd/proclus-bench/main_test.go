@@ -101,14 +101,17 @@ func TestRunBadFlag(t *testing.T) {
 	if err := run([]string{"-zap"}, &sb); err == nil {
 		t.Fatal("unknown flag accepted")
 	}
-	// proclus-bench archives no run, so it does not offer -archive.
-	archiveDir := filepath.Join(t.TempDir(), "runs")
-	err := run([]string{"-experiment", "table1", "-n", "3000", "-archive", archiveDir}, &sb)
-	if err == nil || !strings.Contains(err.Error(), "not defined: -archive") {
-		t.Errorf("-archive: err = %v, want an unknown-flag error", err)
-	}
-	if _, err := os.Stat(archiveDir); !os.IsNotExist(err) {
-		t.Errorf("rejected -archive still touched %s (stat: %v)", archiveDir, err)
+	// proclus-bench archives no run and records no series, so it offers
+	// neither -archive nor -series.
+	for _, flag := range []string{"-archive", "-series"} {
+		target := filepath.Join(t.TempDir(), "out")
+		err := run([]string{"-experiment", "table1", "-n", "3000", flag, target}, &sb)
+		if err == nil || !strings.Contains(err.Error(), "not defined: "+flag) {
+			t.Errorf("%s: err = %v, want an unknown-flag error", flag, err)
+		}
+		if _, err := os.Stat(target); !os.IsNotExist(err) {
+			t.Errorf("rejected %s still touched %s (stat: %v)", flag, target, err)
+		}
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 
 	"proclus/internal/clitest"
 	"proclus/internal/core"
-	"proclus/internal/obs/metrics"
 	"proclus/internal/obs/series"
 	"proclus/internal/synth"
 )
@@ -294,7 +293,7 @@ func TestRunStallCancelAborts(t *testing.T) {
 	if readErr != nil {
 		t.Fatalf("series snapshot not flushed: %v", readErr)
 	}
-	if s := snap.Find(core.SeriesIterObjective, metrics.L("restart", "1")); s == nil || s.Total == 0 {
+	if s := snap.Find(core.SeriesIterObjective, series.L("restart", "1")); s == nil || s.Total == 0 {
 		t.Error("flushed snapshot has no objective series")
 	}
 }

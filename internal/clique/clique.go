@@ -31,7 +31,6 @@ import (
 
 	"proclus/internal/dataset"
 	"proclus/internal/obs"
-	"proclus/internal/obs/metrics"
 	"proclus/internal/obs/series"
 	"proclus/internal/parallel"
 )
@@ -99,14 +98,6 @@ type Config struct {
 	// populated. The observer does not participate in the algorithm:
 	// runs with and without one produce identical Results.
 	Observer obs.Observer
-
-	// Metrics, when non-nil, is the registry the run records its
-	// quantitative telemetry into: per-phase and per-level latency
-	// histograms, per-level dense/candidate ratios, and monotonic
-	// counter series. When nil, the run creates a private registry, so
-	// Stats.Metrics is always populated. Like the Observer, the registry
-	// does not participate in the algorithm.
-	Metrics *metrics.Registry
 
 	// Series, when non-nil, is the time-series store the run records
 	// its per-level trajectories into (candidate and dense unit counts,
@@ -291,16 +282,8 @@ func run(ctx context.Context, src PointSource, cfg Config, stream bool) (*Result
 	}
 	minCount := int(cfg.Tau * float64(src.Len()))
 	// "More than Tau·N": strictly greater.
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
-	m := newSearcherMetrics(reg)
-	if stream {
-		m.enableStream()
-	}
 	s := &searcher{ctx: ctx, src: src, n: src.Len(), d: src.Dims(), cfg: cfg,
-		minCount: minCount, stream: stream, obs: cfg.Observer, metrics: m,
+		minCount: minCount, stream: stream, obs: cfg.Observer,
 		series: newSearcherSeries(cfg.Series)}
 	res, err := s.run()
 	if err != nil {
@@ -328,21 +311,14 @@ type searcher struct {
 	minCount             int
 	stats                Stats
 	// stream marks an out-of-core run: block-delivery counters are
-	// credited and the resident-peak gauge recorded. In-memory runs keep
-	// their counters, reports and goldens byte-identical to the
-	// pre-streaming engine.
+	// credited. In-memory runs keep their counters, reports and goldens
+	// byte-identical to the pre-streaming engine.
 	stream bool
-	// maxBlockLen tracks the largest block any pass delivered, the basis
-	// of the resident-peak gauge.
-	maxBlockLen int
 	// obs receives structured events; nil disables emission.
 	obs obs.Observer
 	// counters accumulates hot-path work, batched per pass so it stays
 	// cheap enough to keep always on.
 	counters obs.Counters
-	// metrics records quantitative telemetry at phase/level boundaries;
-	// nil (white-box tests) disables recording.
-	metrics *searcherMetrics
 	// series records per-level and per-block trajectories; nil — the
 	// default, recording is opt-in via Config.Series — disables it.
 	series *searcherSeries
@@ -462,9 +438,6 @@ func (s *searcher) eachBlock(name string, fn func(b *dataset.Block) error) error
 			s.counters.StreamBlocks.Add(1)
 			s.counters.StreamBytes.Add(b.Bytes())
 		}
-		if l := b.Len(); l > s.maxBlockLen {
-			s.maxBlockLen = l
-		}
 		if !instrumented {
 			return fn(b)
 		}
@@ -518,7 +491,6 @@ func (s *searcher) run() (*Result, error) {
 	s.stats.DatasetDims = s.d
 	runStart := time.Now()
 	s.emit(obs.Event{Type: obs.EvRunStart, Points: s.n, Dims: s.d})
-	s.metrics.observeRunStart(s.n, s.d)
 
 	res := &Result{DenseBySubspaceDim: []int{0}, Xi: s.cfg.Xi,
 		GridMin: s.boundsMin, GridMax: s.boundsMax}
@@ -532,8 +504,6 @@ func (s *searcher) run() (*Result, error) {
 	res.DenseBySubspaceDim = append(res.DenseBySubspaceDim, countUnits(cur))
 	s.emit(obs.Event{Type: obs.EvPhaseEnd, Phase: "histogram",
 		Dense: countUnits(cur), Seconds: s.stats.HistogramDuration.Seconds()})
-	s.metrics.observePhase("histogram", s.stats.HistogramDuration.Seconds())
-	s.metrics.fold(&s.counters)
 
 	s.emit(obs.Event{Type: obs.EvPhaseStart, Phase: "search"})
 	start = time.Now()
@@ -569,9 +539,7 @@ func (s *searcher) run() (*Result, error) {
 		s.stats.LevelDurations = append(s.stats.LevelDurations, levelDur)
 		s.emit(obs.Event{Type: obs.EvLevelEnd, Level: q,
 			Candidates: nCands, Dense: n, Seconds: levelDur.Seconds()})
-		s.metrics.observeLevel(levelDur.Seconds(), nCands, n)
 		s.series.recordLevel(q, levelDur.Seconds(), nCands, n)
-		s.metrics.fold(&s.counters)
 		if n == 0 {
 			break
 		}
@@ -582,7 +550,6 @@ func (s *searcher) run() (*Result, error) {
 	res.Levels = len(levels)
 	s.emit(obs.Event{Type: obs.EvPhaseEnd, Phase: "search",
 		Level: res.Levels, Seconds: s.stats.SearchDuration.Seconds()})
-	s.metrics.observePhase("search", s.stats.SearchDuration.Seconds())
 
 	s.emit(obs.Event{Type: obs.EvPhaseStart, Phase: "report"})
 	start = time.Now()
@@ -629,17 +596,9 @@ func (s *searcher) run() (*Result, error) {
 	s.stats.ReportDuration = time.Since(start)
 	s.emit(obs.Event{Type: obs.EvPhaseEnd, Phase: "report",
 		Clusters: len(res.Clusters), Seconds: s.stats.ReportDuration.Seconds()})
-	s.metrics.observePhase("report", s.stats.ReportDuration.Seconds())
 
 	res.Config = s.cfg.reportConfig()
-	if s.stream {
-		// CLIQUE keeps no sample resident; the peak point storage is the
-		// source's double-buffered block pair.
-		s.metrics.observeStreamResidentPeak(2 * s.maxBlockLen)
-	}
 	s.stats.Counters = s.counters.Snapshot()
-	s.metrics.fold(&s.counters)
-	s.stats.Metrics = s.metrics.snapshot()
 	if s.cfg.Series != nil {
 		s.stats.Series = s.cfg.Series.Snapshot()
 	}

@@ -12,7 +12,6 @@ import (
 
 	"proclus/internal/dataset"
 	"proclus/internal/obs"
-	"proclus/internal/obs/metrics"
 	"proclus/internal/randx"
 )
 
@@ -50,7 +49,6 @@ func zeroCliqueTimings(res *Result) {
 	for i := range res.Stats.LevelDurations {
 		res.Stats.LevelDurations[i] = 0
 	}
-	res.Stats.Metrics = nil
 }
 
 func TestCliqueObserverDoesNotChangeResult(t *testing.T) {
@@ -64,14 +62,9 @@ func TestCliqueObserverDoesNotChangeResult(t *testing.T) {
 	collector := &cliqueCollector{}
 	cfg := obsConfig()
 	cfg.Observer = obs.Multi(obs.NewJSONTracer(io.Discard), collector)
-	cfg.Metrics = metrics.NewRegistry()
 	observed, err := Run(ds, cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if reg := cfg.Metrics.Snapshot(); reg.Find(MetricPhaseSeconds) == nil ||
-		reg.Find(MetricDenseUnitProbes) == nil {
-		t.Error("shared registry was not recorded into")
 	}
 
 	if len(collector.events) == 0 {
@@ -164,20 +157,6 @@ func TestCliqueReportPopulated(t *testing.T) {
 	}
 	if rep.Counters.DistanceEvals != 0 {
 		t.Errorf("CLIQUE evaluates no distances, counted %d", rep.Counters.DistanceEvals)
-	}
-	if len(rep.Metrics) == 0 {
-		t.Fatal("metrics snapshot not folded into report")
-	}
-	if h := rep.Metrics.Find(MetricPhaseSeconds); h == nil || h.Histogram == nil || h.Histogram.Count == 0 {
-		t.Errorf("phase-latency histogram missing from report metrics: %+v", h)
-	}
-	if c := rep.Metrics.Find(MetricDenseUnitProbes); c == nil || c.Value == nil ||
-		int64(*c.Value) != rep.Counters.DenseUnitProbes {
-		t.Errorf("dense-unit-probe counter metric disagrees with obs counters: %+v vs %d",
-			c, rep.Counters.DenseUnitProbes)
-	}
-	if r := rep.Metrics.Find(MetricLevelDenseRatio); r == nil || r.Histogram == nil || r.Histogram.Count == 0 {
-		t.Errorf("level dense-ratio histogram missing from report metrics: %+v", r)
 	}
 	if rep.Levels != res.Levels || rep.Levels < 2 {
 		t.Errorf("levels = %d (result %d)", rep.Levels, res.Levels)

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"proclus/internal/obs"
-	"proclus/internal/obs/metrics"
 	"proclus/internal/obs/series"
 )
 
@@ -23,11 +22,6 @@ type Stats struct {
 	// Counters snapshots the run's hot-path counters (points scanned,
 	// dense-unit probes).
 	Counters obs.Snapshot
-	// Metrics snapshots the metric registry at run end: phase/level
-	// latency histograms, dense-ratio distributions, and counter series.
-	// When the run was given a shared registry (Config.Metrics), the
-	// snapshot spans every run recorded into it.
-	Metrics metrics.Snapshot
 	// Series snapshots the time-series store at run end: per-level
 	// candidate/dense trajectories and, on streamed runs, per-block
 	// latency. Empty unless the run was given a store (Config.Series) —
@@ -95,7 +89,6 @@ func (r *Result) Report() *obs.RunReport {
 			{Name: "report", Seconds: r.Stats.ReportDuration.Seconds()},
 		},
 		Counters: r.Stats.Counters,
-		Metrics:  r.Stats.Metrics,
 		Series:   r.Stats.Series,
 		Levels:   r.Levels,
 		TotalSeconds: (r.Stats.HistogramDuration + r.Stats.SearchDuration +

@@ -8,7 +8,6 @@ package clique
 // appends no-op.
 
 import (
-	"proclus/internal/obs/metrics"
 	"proclus/internal/obs/series"
 )
 
@@ -67,7 +66,7 @@ func (s *searcherSeries) blocks(pass string) blockSeries {
 	if s == nil {
 		return blockSeries{}
 	}
-	l := metrics.L("pass", pass)
+	l := series.L("pass", pass)
 	return blockSeries{
 		seconds:      s.store.Series(SeriesBlockSeconds, "per-block latency of a streamed pass", l),
 		pointsPerSec: s.store.Series(SeriesBlockPointsPerSec, "per-block throughput of a streamed pass", l),

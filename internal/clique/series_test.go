@@ -12,7 +12,6 @@ import (
 
 	"proclus/internal/dataset"
 	"proclus/internal/obs"
-	"proclus/internal/obs/metrics"
 	"proclus/internal/obs/series"
 )
 
@@ -94,7 +93,7 @@ func TestCliqueStreamSeriesRecordsBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pass := range []string{"bounds", "histogram", "count", "sizes"} {
-		if s := res.Stats.Series.Find(SeriesBlockSeconds, metrics.L("pass", pass)); s == nil || s.Total == 0 {
+		if s := res.Stats.Series.Find(SeriesBlockSeconds, series.L("pass", pass)); s == nil || s.Total == 0 {
 			t.Errorf("streamed pass %q recorded no block series", pass)
 		}
 	}
@@ -104,7 +103,7 @@ func TestCliqueStreamSeriesRecordsBlocks(t *testing.T) {
 	if _, err := Run(ds, mem); err != nil {
 		t.Fatal(err)
 	}
-	if s := mem.Series.Snapshot().Find(SeriesBlockSeconds, metrics.L("pass", "histogram")); s != nil {
+	if s := mem.Series.Snapshot().Find(SeriesBlockSeconds, series.L("pass", "histogram")); s != nil {
 		t.Error("in-memory run recorded streamed block series")
 	}
 }

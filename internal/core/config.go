@@ -27,7 +27,6 @@ import (
 
 	"proclus/internal/dataset"
 	"proclus/internal/obs"
-	"proclus/internal/obs/metrics"
 	"proclus/internal/obs/series"
 )
 
@@ -124,27 +123,14 @@ type Config struct {
 	// built from Stats, stays in restart order regardless.
 	Observer obs.Observer
 
-	// Metrics, when non-nil, is the registry the run records its
-	// quantitative telemetry into: per-phase and per-restart latency
-	// histograms, hill-climb objective deltas, assignment-pass
-	// throughput, and monotonic counter series mirroring the hot-path
-	// counters. When nil, the run creates a private registry, so
-	// Stats.Metrics is always populated. Pass a shared registry to serve
-	// the run live (internal/obs/serve) or to accumulate across runs —
-	// counter series stay monotonic across runs on a shared registry,
-	// and its snapshots then span every run recorded so far. Like the
-	// Observer, the registry does not participate in the algorithm.
-	Metrics *metrics.Registry
-
 	// Series, when non-nil, is the time-series store the run records
 	// its convergence trajectories into: per-iteration objective, best,
 	// swap acceptance, bad-medoid count and distance-cache hit rate
 	// (one series set per restart), plus per-block latency and
-	// throughput on streamed runs. Unlike Metrics there is no private
-	// fallback — recording is strictly opt-in, so uninstrumented runs
-	// pay nothing and Stats.Series stays empty. Like the Observer and
-	// the registry, the store does not participate in the algorithm:
-	// runs with and without one produce identical Results.
+	// throughput on streamed runs. Recording is strictly opt-in, so
+	// uninstrumented runs pay nothing and Stats.Series stays empty.
+	// Like the Observer, the store does not participate in the
+	// algorithm: runs with and without one produce identical Results.
 	Series *series.Store
 }
 
@@ -333,11 +319,6 @@ type Stats struct {
 	// Counters snapshots the run's hot-path counters (distance
 	// evaluations, points scanned by assignment passes).
 	Counters obs.Snapshot
-	// Metrics snapshots the metric registry at run end: phase/restart
-	// latency histograms, objective deltas, assignment throughput, and
-	// counter series. When the run was given a shared registry
-	// (Config.Metrics), the snapshot spans every run recorded into it.
-	Metrics metrics.Snapshot
 	// Series snapshots the time-series store at run end: per-iteration
 	// convergence trajectories and per-block latencies. Nil unless a
 	// store was attached via Config.Series.

@@ -32,7 +32,6 @@ package core
 import (
 	"math"
 	"slices"
-	"time"
 
 	"proclus/internal/alloc"
 	"proclus/internal/dist"
@@ -400,10 +399,7 @@ func (e *incrementalEval) assign() {
 			e.projCoords += int64(len(dims[i]))
 		}
 	}
-	passStart := time.Now()
 	parallel.For(e.n, e.r.innerWorkers, e.assignFn)
-	// One Rate observation per pass, as in the naive assignment path.
-	e.r.metrics.observeAssign(int64(e.n), time.Since(passStart).Seconds())
 }
 
 // cacheHitRate reports the fraction of the k distance columns the

@@ -13,7 +13,6 @@ import (
 	"proclus/internal/dist"
 	"proclus/internal/greedy"
 	"proclus/internal/obs"
-	"proclus/internal/obs/metrics"
 	"proclus/internal/parallel"
 	"proclus/internal/randx"
 	"proclus/internal/sample"
@@ -36,14 +35,8 @@ func RunContext(ctx context.Context, ds *dataset.Dataset, cfg Config) (*Result, 
 	if err := cfg.validate(ds); err != nil {
 		return nil, err
 	}
-	reg := cfg.Metrics
-	if reg == nil {
-		// A private registry keeps Stats.Metrics populated on every run;
-		// callers opt into sharing by passing their own.
-		reg = metrics.NewRegistry()
-	}
 	r := &runner{ctx: ctx, ds: ds, cfg: cfg, rng: randx.New(cfg.Seed),
-		obs: cfg.Observer, metrics: newRunnerMetrics(reg), series: newRunnerSeries(cfg.Series)}
+		obs: cfg.Observer, series: newRunnerSeries(cfg.Series)}
 	return r.run()
 }
 
@@ -67,9 +60,6 @@ type runner struct {
 	// counters accumulates hot-path work, batched per worker chunk so
 	// it stays cheap enough to keep always on.
 	counters obs.Counters
-	// metrics records quantitative telemetry at phase/restart/pass
-	// boundaries; nil (white-box tests) disables recording.
-	metrics *runnerMetrics
 	// series records per-iteration and per-block trajectories; nil —
 	// the default, recording is opt-in via Config.Series — disables it.
 	series *runnerSeries
@@ -105,7 +95,6 @@ func (r *runner) run() (*Result, error) {
 	r.stats.DatasetDims = r.ds.Dims()
 	runStart := time.Now()
 	r.emit(obs.Event{Type: obs.EvRunStart, Points: r.ds.Len(), Dims: r.ds.Dims()})
-	r.metrics.observeRunStart(r.ds.Len(), r.ds.Dims())
 
 	workers := parallel.Workers(r.cfg.Workers)
 
@@ -119,8 +108,6 @@ func (r *runner) run() (*Result, error) {
 	r.stats.InitDuration = time.Since(start)
 	r.emit(obs.Event{Type: obs.EvPhaseEnd, Phase: "initialize",
 		Candidates: len(candidates), Seconds: r.stats.InitDuration.Seconds()})
-	r.metrics.observePhase("initialize", r.stats.InitDuration.Seconds())
-	r.metrics.fold(&r.counters)
 
 	best, totalIterations, err := r.iteratePhase(candidates, workers)
 	if err != nil {
@@ -139,15 +126,11 @@ func (r *runner) run() (*Result, error) {
 	}
 	r.stats.RefineDuration = time.Since(start)
 	r.emit(obs.Event{Type: obs.EvPhaseEnd, Phase: "refine", Seconds: r.stats.RefineDuration.Seconds()})
-	r.metrics.observePhase("refine", r.stats.RefineDuration.Seconds())
 
 	res.Iterations = totalIterations
 	res.Seed = r.cfg.Seed
 	res.Config = r.cfg.reportConfig()
 	r.stats.Counters = r.counters.Snapshot()
-	r.metrics.observeObjective(res.Objective)
-	r.metrics.fold(&r.counters)
-	r.stats.Metrics = r.metrics.snapshot()
 	r.stats.Series = r.cfg.Series.Snapshot()
 	res.Stats = r.stats
 	r.emit(obs.Event{Type: obs.EvRunEnd, Objective: res.Objective,
@@ -215,8 +198,6 @@ func (r *runner) iteratePhase(candidates []int, workers int) (*trialState, int, 
 		}
 		r.emit(obs.Event{Type: obs.EvRestartEnd, Restart: i + 1,
 			Iteration: o.iterations, Objective: o.trial.objective, Seconds: o.duration.Seconds()})
-		r.metrics.observeRestart(o.duration.Seconds())
-		r.metrics.fold(&r.counters)
 	})
 	// Merge in restart order so the trace, the per-restart stats and the
 	// best-trial tie-break (strictly-lower objective wins, so equal
@@ -253,7 +234,6 @@ func (r *runner) iteratePhase(candidates []int, workers int) (*trialState, int, 
 	r.stats.IterateDuration = time.Since(start)
 	r.emit(obs.Event{Type: obs.EvPhaseEnd, Phase: "iterate",
 		Iteration: totalIterations, Seconds: r.stats.IterateDuration.Seconds()})
-	r.metrics.observePhase("iterate", r.stats.IterateDuration.Seconds())
 	return best, totalIterations, nil
 }
 
@@ -357,9 +337,6 @@ func (r *runner) climb(candidates []int, restart int, rng *randx.Rand, ev evalua
 		trace = append(trace, trial.objective)
 		improved := trial.objective < bestObjective
 		if improved {
-			if !math.IsInf(bestObjective, 1) {
-				r.metrics.observeObjectiveDelta(bestObjective - trial.objective)
-			}
 			bestObjective = trial.objective
 			best = ev.adopt(trial)
 			best.badMedoids = r.findBadMedoids(best)
@@ -512,13 +489,9 @@ func (r *runner) assignPoints(medoids []int, dims [][]int) (assign []int, sizes 
 	assign = make([]int, n)
 	sizes = make([]int, len(medoids))
 	metric := r.pointMetric()
-	passStart := time.Now()
 	parallel.For(n, r.innerWorkers, func(lo, hi int) {
 		r.assignChunk(medoidPoints, dims, metric, assign, lo, hi)
 	})
-	// One Rate observation per pass (two clock reads), far below the
-	// assignment path's ~2% overhead budget.
-	r.metrics.observeAssign(int64(n), time.Since(passStart).Seconds())
 	tallySizes(assign, sizes)
 	return assign, sizes
 }

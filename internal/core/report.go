@@ -67,7 +67,6 @@ func (r *Result) Report() *obs.RunReport {
 			{Name: "refine", Seconds: r.Stats.RefineDuration.Seconds()},
 		},
 		Counters:       r.Stats.Counters,
-		Metrics:        r.Stats.Metrics,
 		Series:         r.Stats.Series,
 		ObjectiveTrace: r.Stats.ObjectiveTrace,
 		Objective:      r.Objective,

@@ -16,7 +16,6 @@ import (
 
 	"proclus/internal/dataset"
 	"proclus/internal/obs"
-	"proclus/internal/obs/metrics"
 	"proclus/internal/synth"
 )
 
@@ -50,9 +49,6 @@ func zeroReportTimings(rep *obs.RunReport) {
 		rep.Restarts[i].Seconds = 0
 	}
 	rep.TotalSeconds = 0
-	// Histogram buckets depend on wall time, so the metrics snapshot can
-	// never be golden-pinned; omitempty drops the section entirely.
-	rep.Metrics = nil
 }
 
 func TestReportGolden(t *testing.T) {
@@ -191,20 +187,6 @@ func TestReportPopulated(t *testing.T) {
 	if rep.Counters.DistanceEvals <= 0 || rep.Counters.PointsScanned <= 0 {
 		t.Errorf("hot-path counters not collected: %+v", rep.Counters)
 	}
-	if len(rep.Metrics) == 0 {
-		t.Fatal("metrics snapshot not folded into report")
-	}
-	if h := rep.Metrics.Find(MetricPhaseSeconds); h == nil || h.Histogram == nil || h.Histogram.Count == 0 {
-		t.Errorf("phase-latency histogram missing from report metrics: %+v", h)
-	}
-	if c := rep.Metrics.Find(MetricDistanceEvals); c == nil || c.Value == nil ||
-		int64(*c.Value) != rep.Counters.DistanceEvals {
-		t.Errorf("distance-evals counter metric disagrees with obs counters: %+v vs %d",
-			c, rep.Counters.DistanceEvals)
-	}
-	if r := rep.Metrics.Find(MetricAssignRate); r == nil || r.Rate == nil || r.Rate.Count == 0 {
-		t.Errorf("assignment-throughput rate missing from report metrics: %+v", r)
-	}
 	if len(rep.ObjectiveTrace) != res.Iterations {
 		t.Errorf("trace length %d != iterations %d", len(rep.ObjectiveTrace), res.Iterations)
 	}
@@ -234,7 +216,6 @@ func zeroStatsTimings(res *Result) {
 	for i := range res.Stats.Restarts {
 		res.Stats.Restarts[i].Duration = 0
 	}
-	res.Stats.Metrics = nil
 }
 
 func TestObserverDoesNotChangeResult(t *testing.T) {
@@ -248,14 +229,9 @@ func TestObserverDoesNotChangeResult(t *testing.T) {
 	collector := &eventCollector{}
 	cfg := reportConfigFixture()
 	cfg.Observer = obs.Multi(obs.NewJSONTracer(io.Discard), collector)
-	cfg.Metrics = metrics.NewRegistry()
 	observed, err := Run(ds, cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if reg := cfg.Metrics.Snapshot(); reg.Find(MetricPhaseSeconds) == nil ||
-		reg.Find(MetricDistanceEvals) == nil {
-		t.Error("shared registry was not recorded into")
 	}
 
 	if len(collector.events) == 0 {

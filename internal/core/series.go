@@ -13,7 +13,6 @@ package core
 import (
 	"strconv"
 
-	"proclus/internal/obs/metrics"
 	"proclus/internal/obs/series"
 )
 
@@ -63,7 +62,7 @@ func (s *runnerSeries) restart(idx int) restartSeries {
 	if s == nil {
 		return restartSeries{}
 	}
-	l := metrics.L("restart", strconv.Itoa(idx))
+	l := series.L("restart", strconv.Itoa(idx))
 	return restartSeries{
 		objective:  s.store.Series(SeriesIterObjective, "objective of each hill-climb trial", l),
 		best:       s.store.Series(SeriesIterBest, "running best objective", l),
@@ -99,7 +98,7 @@ func (s *runnerSeries) blocks(pass string) blockSeries {
 	if s == nil {
 		return blockSeries{}
 	}
-	l := metrics.L("pass", pass)
+	l := series.L("pass", pass)
 	return blockSeries{
 		seconds:      s.store.Series(SeriesBlockSeconds, "per-block latency of a streamed pass", l),
 		pointsPerSec: s.store.Series(SeriesBlockPointsPerSec, "per-block throughput of a streamed pass", l),

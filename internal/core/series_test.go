@@ -17,7 +17,6 @@ import (
 
 	"proclus/internal/dataset"
 	"proclus/internal/obs"
-	"proclus/internal/obs/metrics"
 	"proclus/internal/obs/series"
 )
 
@@ -35,7 +34,6 @@ func TestSeriesDoesNotChangeResult(t *testing.T) {
 
 	cfg := reportConfigFixture()
 	cfg.Series = series.NewStore(0)
-	cfg.Metrics = metrics.NewRegistry()
 	spans := obs.NewSpanBuilder()
 	cfg.Observer = obs.NewWatchdog(obs.WatchdogOptions{
 		NoImprove: 5,
@@ -45,7 +43,7 @@ func TestSeriesDoesNotChangeResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if instrumented.Stats.Series.Find(SeriesIterObjective, metrics.L("restart", "1")) == nil {
+	if instrumented.Stats.Series.Find(SeriesIterObjective, series.L("restart", "1")) == nil {
 		t.Fatal("instrumented run recorded no iteration series")
 	}
 	if spans.Root() == nil {
@@ -75,7 +73,7 @@ func TestSeriesMatchesObjectiveTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := res.Stats.Series
-	label := metrics.L("restart", "1")
+	label := series.L("restart", "1")
 
 	obj := snap.Find(SeriesIterObjective, label)
 	if obj == nil {
@@ -142,7 +140,7 @@ func TestSeriesPerRestartLabels(t *testing.T) {
 	}
 	total := 0
 	for r := 1; r <= cfg.Restarts; r++ {
-		s := res.Stats.Series.Find(SeriesIterObjective, metrics.L("restart", strconv.Itoa(r)))
+		s := res.Stats.Series.Find(SeriesIterObjective, series.L("restart", strconv.Itoa(r)))
 		if s == nil {
 			t.Fatalf("restart %d has no objective series", r)
 		}
@@ -165,7 +163,7 @@ func TestStreamSeriesRecordsBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pass := range []string{"sample", "assign", "score"} {
-		s := res.Stats.Series.Find(SeriesBlockSeconds, metrics.L("pass", pass))
+		s := res.Stats.Series.Find(SeriesBlockSeconds, series.L("pass", pass))
 		if s == nil || s.Total == 0 {
 			t.Errorf("streamed pass %q recorded no block series", pass)
 			continue
@@ -182,7 +180,7 @@ func TestStreamSeriesRecordsBlocks(t *testing.T) {
 	if _, err := Run(ds, mem); err != nil {
 		t.Fatal(err)
 	}
-	if s := mem.Series.Snapshot().Find(SeriesBlockSeconds, metrics.L("pass", "assign")); s != nil {
+	if s := mem.Series.Snapshot().Find(SeriesBlockSeconds, series.L("pass", "assign")); s != nil {
 		t.Error("in-memory run recorded streamed block series")
 	}
 }
@@ -214,7 +212,7 @@ func TestWatchdogCancelCleanError(t *testing.T) {
 	}
 	// The store is caller-owned: the trajectory up to the cancellation
 	// point survives the aborted run.
-	if s := store.Snapshot().Find(SeriesIterObjective, metrics.L("restart", "1")); s == nil || s.Total == 0 {
+	if s := store.Snapshot().Find(SeriesIterObjective, series.L("restart", "1")); s == nil || s.Total == 0 {
 		t.Error("no iteration series recorded before cancellation")
 	}
 }

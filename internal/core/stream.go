@@ -10,7 +10,6 @@ import (
 	"proclus/internal/dataset"
 	"proclus/internal/greedy"
 	"proclus/internal/obs"
-	"proclus/internal/obs/metrics"
 	"proclus/internal/parallel"
 	"proclus/internal/randx"
 	"proclus/internal/sample"
@@ -43,9 +42,7 @@ import (
 // refer to the full dataset, as do Assignments and Members.
 //
 // The context cancels between hill-climb trials and between blocks of
-// every pass. Stats gains stream counters (blocks, bytes) and the
-// registry a proclus_stream_resident_points_peak gauge recording the
-// O(sample + block) residency bound.
+// every pass. Stats gains stream counters (blocks, bytes).
 func RunStream(ctx context.Context, src PointSource, cfg Config) (*Result, error) {
 	if src == nil {
 		return nil, fmt.Errorf("proclus: nil point source")
@@ -54,15 +51,9 @@ func RunStream(ctx context.Context, src PointSource, cfg Config) (*Result, error
 	if err := cfg.validateShape(src.Len(), src.Dims()); err != nil {
 		return nil, err
 	}
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
-	rm := newRunnerMetrics(reg)
-	rm.enableStream()
 	s := &streamRunner{
 		r: &runner{ctx: ctx, cfg: cfg, rng: randx.New(cfg.Seed),
-			obs: cfg.Observer, metrics: rm, series: newRunnerSeries(cfg.Series)},
+			obs: cfg.Observer, series: newRunnerSeries(cfg.Series)},
 		src: src,
 	}
 	if bp, ok := src.(interface{ BlockPoints() int }); ok {
@@ -80,11 +71,10 @@ type streamRunner struct {
 	src         PointSource
 	blockPoints int // requested block granularity, echoed in reports
 	sampleIdx   []int
-	maxBlockLen int
 }
 
 // pass sweeps the source once under a pass name, crediting the stream
-// counters and tracking the largest block for the residency gauge.
+// counters.
 // With an observer or series store attached, each block is also timed
 // and reported (EvBlock events, per-block latency/throughput series);
 // without either, the timing is skipped entirely.
@@ -95,9 +85,6 @@ func (s *streamRunner) pass(name string, fn func(b *dataset.Block) error) error 
 	return s.src.Blocks(s.r.ctx, func(b *dataset.Block) error {
 		s.r.counters.StreamBlocks.Add(1)
 		s.r.counters.StreamBytes.Add(b.Bytes())
-		if l := b.Len(); l > s.maxBlockLen {
-			s.maxBlockLen = l
-		}
 		if !instrumented {
 			return fn(b)
 		}
@@ -119,7 +106,6 @@ func (s *streamRunner) run() (*Result, error) {
 	r.stats.DatasetDims = d
 	runStart := time.Now()
 	r.emit(obs.Event{Type: obs.EvRunStart, Points: n, Dims: d})
-	r.metrics.observeRunStart(n, d)
 
 	workers := parallel.Workers(r.cfg.Workers)
 
@@ -133,8 +119,6 @@ func (s *streamRunner) run() (*Result, error) {
 	r.stats.InitDuration = time.Since(start)
 	r.emit(obs.Event{Type: obs.EvPhaseEnd, Phase: "initialize",
 		Candidates: len(candidates), Seconds: r.stats.InitDuration.Seconds()})
-	r.metrics.observePhase("initialize", r.stats.InitDuration.Seconds())
-	r.metrics.fold(&r.counters)
 
 	best, totalIterations, err := r.iteratePhase(candidates, workers)
 	if err != nil {
@@ -150,20 +134,13 @@ func (s *streamRunner) run() (*Result, error) {
 	}
 	r.stats.RefineDuration = time.Since(start)
 	r.emit(obs.Event{Type: obs.EvPhaseEnd, Phase: "refine", Seconds: r.stats.RefineDuration.Seconds()})
-	r.metrics.observePhase("refine", r.stats.RefineDuration.Seconds())
 
 	res.Iterations = totalIterations
 	res.Seed = r.cfg.Seed
 	res.Config = r.cfg.reportConfig()
 	res.Config.Stream = true
 	res.Config.BlockPoints = s.blockPoints
-	// Peak resident point storage: the sample plus the two block buffers
-	// of the double-buffered reader — the promised O(sample + block).
-	r.metrics.observeStreamResidentPeak(r.ds.Len() + 2*s.maxBlockLen)
 	r.stats.Counters = r.counters.Snapshot()
-	r.metrics.observeObjective(res.Objective)
-	r.metrics.fold(&r.counters)
-	r.stats.Metrics = r.metrics.snapshot()
 	r.stats.Series = r.cfg.Series.Snapshot()
 	res.Stats = r.stats
 	r.emit(obs.Event{Type: obs.EvRunEnd, Objective: res.Objective,

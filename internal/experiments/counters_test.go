@@ -3,9 +3,7 @@ package experiments
 import (
 	"testing"
 
-	"proclus/internal/core"
 	"proclus/internal/obs"
-	"proclus/internal/obs/metrics"
 )
 
 // table1Counters are the work counters of the paper's Table 1 run
@@ -26,15 +24,10 @@ var table1Counters = obs.Snapshot{
 }
 
 // TestTable1WorkCountersExact pins table1's run count and every work
-// counter exactly, at one and two workers. The two-worker run also
-// records into a metric registry, checking that an experiment threads
-// its Metrics through to the PROCLUS core.
+// counter exactly, at one and two workers.
 func TestTable1WorkCountersExact(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		p := CaseParams{N: 3000, Seed: 3, Workers: workers}
-		if workers == 2 {
-			p.Metrics = metrics.NewRegistry()
-		}
 		_, rep, err := Table1(p)
 		if err != nil {
 			t.Fatal(err)
@@ -42,13 +35,6 @@ func TestTable1WorkCountersExact(t *testing.T) {
 		if got := rep.Timing; got.Runs != 1 || got.Counters != table1Counters {
 			t.Errorf("workers=%d: got runs %d, counters\n%+v\nwant runs 1, counters\n%+v",
 				workers, got.Runs, got.Counters, table1Counters)
-		}
-		if p.Metrics != nil {
-			h := p.Metrics.Snapshot().Find(core.MetricPhaseSeconds)
-			if h == nil || h.Histogram == nil || h.Histogram.Count == 0 {
-				t.Errorf("workers=%d: %s not recorded through CaseParams.Metrics: %+v",
-					workers, core.MetricPhaseSeconds, h)
-			}
 		}
 	}
 }

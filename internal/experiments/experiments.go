@@ -19,7 +19,6 @@ import (
 	"proclus/internal/core"
 	"proclus/internal/dataset"
 	"proclus/internal/obs"
-	"proclus/internal/obs/metrics"
 	"proclus/internal/synth"
 )
 
@@ -106,10 +105,6 @@ type CaseParams struct {
 	// BlockPoints sets the streamed block granularity in points; zero
 	// selects dataset.DefaultBlockPoints. Ignored unless Stream is set.
 	BlockPoints int
-	// Metrics, when non-nil, is a shared registry every clustering run of
-	// the experiment records into (core.Config.Metrics); it accumulates
-	// phase-latency histograms and counter series across the experiment.
-	Metrics *metrics.Registry
 	// Observer, when non-nil, receives every clustering run's structured
 	// events (core.Config.Observer).
 	Observer obs.Observer

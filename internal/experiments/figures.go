@@ -7,7 +7,6 @@ import (
 	"proclus/internal/clique"
 	"proclus/internal/core"
 	"proclus/internal/obs"
-	"proclus/internal/obs/metrics"
 	"proclus/internal/synth"
 )
 
@@ -78,9 +77,6 @@ type Figure7Params struct {
 	// BlockPoints sets the streamed block granularity in points; zero
 	// selects dataset.DefaultBlockPoints. Ignored unless Stream is set.
 	BlockPoints int
-	// Metrics, when non-nil, is a shared registry every run of the sweep
-	// records into.
-	Metrics *metrics.Registry
 	// Observer, when non-nil, receives every run's structured events.
 	Observer obs.Observer
 }
@@ -114,7 +110,7 @@ func Figure7(p Figure7Params) (*TimingSeries, *Report, error) {
 		}
 		pt := TimingPoint{X: n}
 		pcfg := core.Config{
-			K: caseK, L: 5, Seed: p.Seed + 1, Workers: p.Workers, Metrics: p.Metrics, Observer: p.Observer,
+			K: caseK, L: 5, Seed: p.Seed + 1, Workers: p.Workers, Observer: p.Observer,
 		}
 		start := time.Now()
 		var res *core.Result
@@ -130,7 +126,7 @@ func Figure7(p Figure7Params) (*TimingSeries, *Report, error) {
 		pt.Proclus = time.Since(start)
 		if p.WithClique {
 			ccfg := clique.Config{
-				Xi: 10, Tau: p.CliqueTau, Workers: p.Workers, Metrics: p.Metrics, Observer: p.Observer,
+				Xi: 10, Tau: p.CliqueTau, Workers: p.Workers, Observer: p.Observer,
 			}
 			start = time.Now()
 			var cres *clique.Result
@@ -175,9 +171,6 @@ type Figure8Params struct {
 	// Workers bounds the goroutines each PROCLUS and CLIQUE run may
 	// use; values below 1 select GOMAXPROCS.
 	Workers int
-	// Metrics, when non-nil, is a shared registry every run of the sweep
-	// records into.
-	Metrics *metrics.Registry
 	// Observer, when non-nil, receives every run's structured events.
 	Observer obs.Observer
 }
@@ -221,7 +214,7 @@ func Figure8(p Figure8Params) (*TimingSeries, *Report, error) {
 		pt := TimingPoint{X: l}
 		start := time.Now()
 		res, err := core.Run(ds, core.Config{
-			K: caseK, L: l, Seed: p.Seed + 1, Workers: p.Workers, Metrics: p.Metrics, Observer: p.Observer,
+			K: caseK, L: l, Seed: p.Seed + 1, Workers: p.Workers, Observer: p.Observer,
 		})
 		if err != nil {
 			return nil, nil, err
@@ -235,7 +228,7 @@ func Figure8(p Figure8Params) (*TimingSeries, *Report, error) {
 			}
 			start = time.Now()
 			cres, err := clique.Run(ds, clique.Config{
-				Xi: 10, Tau: tau, Workers: p.Workers, Metrics: p.Metrics, Observer: p.Observer,
+				Xi: 10, Tau: tau, Workers: p.Workers, Observer: p.Observer,
 			})
 			if err != nil {
 				pt.CliqueErr = err.Error()
@@ -269,9 +262,6 @@ type Figure9Params struct {
 	// Workers bounds the goroutines each PROCLUS run may use; values
 	// below 1 select GOMAXPROCS.
 	Workers int
-	// Metrics, when non-nil, is a shared registry every run of the sweep
-	// records into.
-	Metrics *metrics.Registry
 	// Observer, when non-nil, receives every run's structured events.
 	Observer obs.Observer
 }
@@ -307,7 +297,7 @@ func Figure9(p Figure9Params) (*TimingSeries, *Report, error) {
 			start := time.Now()
 			res, err := core.Run(ds, core.Config{
 				K: caseK, L: 5, Seed: p.Seed + 1 + uint64(rep), Workers: p.Workers,
-				Metrics: p.Metrics, Observer: p.Observer,
+				Observer: p.Observer,
 			})
 			if err != nil {
 				return nil, nil, err

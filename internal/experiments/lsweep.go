@@ -6,7 +6,6 @@ import (
 	"proclus/internal/core"
 	"proclus/internal/eval"
 	"proclus/internal/obs"
-	"proclus/internal/obs/metrics"
 	"proclus/internal/synth"
 )
 
@@ -27,9 +26,6 @@ type LSweepParams struct {
 	// Workers bounds the goroutines each PROCLUS run may use; values
 	// below 1 select GOMAXPROCS.
 	Workers int
-	// Metrics, when non-nil, is a shared registry every run of the sweep
-	// records into.
-	Metrics *metrics.Registry
 	// Observer, when non-nil, receives every run's structured events.
 	Observer obs.Observer
 }
@@ -83,7 +79,7 @@ func LSweep(p LSweepParams) (*LSweepResult, *Report, error) {
 	}
 	points, err := core.SweepL(ds, core.Config{
 		K: caseK, Seed: p.Seed + 1, Workers: p.Workers,
-		Metrics: p.Metrics, Observer: p.Observer,
+		Observer: p.Observer,
 	}, p.MinL, p.MaxL)
 	if err != nil {
 		return nil, nil, err

@@ -10,7 +10,6 @@ import (
 	"proclus/internal/core"
 	"proclus/internal/eval"
 	"proclus/internal/obs"
-	"proclus/internal/obs/metrics"
 	"proclus/internal/orclus"
 	"proclus/internal/synth"
 )
@@ -32,9 +31,6 @@ type OrientedParams struct {
 	// Workers bounds the goroutines the PROCLUS run may use; values
 	// below 1 select GOMAXPROCS. The ORCLUS baseline is serial.
 	Workers int
-	// Metrics, when non-nil, is a shared registry the PROCLUS run records
-	// into (the ORCLUS baseline is not instrumented).
-	Metrics *metrics.Registry
 	// Observer, when non-nil, receives every run's structured events.
 	Observer obs.Observer
 }
@@ -113,7 +109,7 @@ func Oriented(p OrientedParams) (*OrientedResult, *Report, error) {
 	start := time.Now()
 	pr, err := core.Run(ds, core.Config{
 		K: p.K, L: p.L, Seed: p.Seed + 1, Workers: p.Workers,
-		Metrics: p.Metrics, Observer: p.Observer,
+		Observer: p.Observer,
 	})
 	if err != nil {
 		return nil, nil, err

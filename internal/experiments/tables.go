@@ -9,7 +9,6 @@ import (
 	"proclus/internal/dataset"
 	"proclus/internal/eval"
 	"proclus/internal/obs"
-	"proclus/internal/obs/metrics"
 	"proclus/internal/synth"
 )
 
@@ -42,7 +41,7 @@ type DimsTable struct {
 func runCase(ds *dataset.Dataset, l int, p CaseParams) (*core.Result, error) {
 	cfg := core.Config{
 		K: caseK, L: l, Seed: p.Seed + 1, Workers: p.Workers,
-		Metrics: p.Metrics, Observer: p.Observer,
+		Observer: p.Observer,
 	}
 	if p.Stream {
 		return streamProclus(ds, cfg, p.BlockPoints)
@@ -221,9 +220,6 @@ type Table5Params struct {
 	// Workers bounds the goroutines each CLIQUE run may use
 	// (clique.Config.Workers); values below 1 select GOMAXPROCS.
 	Workers int
-	// Metrics, when non-nil, is a shared registry every CLIQUE run of the
-	// sweep records into (clique.Config.Metrics).
-	Metrics *metrics.Registry
 	// Observer, when non-nil, receives every CLIQUE run's structured
 	// events (clique.Config.Observer).
 	Observer obs.Observer
@@ -292,7 +288,7 @@ func Table5(p Table5Params) (*Table5Result, *Report, error) {
 		row := Table5Row{Tau: tau, FixedDims: fixed}
 		res, err := clique.Run(ds, clique.Config{
 			Xi: 10, Tau: tau, FixedDims: fixed, ReportHighest: fixed == 0,
-			Workers: p.Workers, Metrics: p.Metrics, Observer: p.Observer,
+			Workers: p.Workers, Observer: p.Observer,
 		})
 		if err != nil {
 			row.Err = err.Error()

@@ -3,8 +3,8 @@
 // runs, so the system's observable unit becomes *runs over time*, not
 // one process lifetime. Each entry is a directory named by its run ID
 // holding a manifest (schema version, provenance, config echo, work
-// counters) plus the run's report, metrics snapshot and series
-// snapshot as separate JSON files.
+// counters) plus the run's report and series snapshot as separate JSON
+// files.
 //
 // Layout:
 //
@@ -13,8 +13,10 @@
 //	  <run-id>/
 //	    manifest.json            always present; diff/trend need only this
 //	    report.json              full obs.RunReport
-//	    metrics.json             metric-registry snapshot, when recorded
 //	    series.json              time-series snapshot, when recorded
+//
+// Entries written by older versions may also hold a metrics.json;
+// loading ignores it.
 //
 // Loading is corruption-tolerant: entries whose manifest is missing or
 // unparseable are skipped and reported, never fatal, so one truncated
@@ -35,7 +37,6 @@ import (
 	"time"
 
 	"proclus/internal/obs"
-	"proclus/internal/obs/metrics"
 	"proclus/internal/obs/series"
 )
 
@@ -48,7 +49,6 @@ const (
 	indexFile    = "index.json"
 	manifestFile = "manifest.json"
 	reportFile   = "report.json"
-	metricsFile  = "metrics.json"
 	seriesFile   = "series.json"
 )
 
@@ -81,7 +81,7 @@ type Manifest struct {
 }
 
 // Run bundles one completed run's artifacts for SaveRun. Report,
-// Metrics, Series and Quality are optional.
+// Series and Quality are optional.
 type Run struct {
 	Algorithm string
 	Seed      uint64
@@ -95,14 +95,13 @@ type Run struct {
 	Phases    map[string]float64
 	Counters  obs.Snapshot
 	Report    *obs.RunReport
-	Metrics   metrics.Snapshot
 	Series    series.StoreSnapshot
 	Quality   map[string]float64
 }
 
 // FromReport builds a Run from a finished run report, the common case
-// for the CLIs: algorithm, seed, config echo, phases, counters, metrics
-// and series all come from the report itself.
+// for the CLIs: algorithm, seed, config echo, phases, counters and
+// series all come from the report itself.
 func FromReport(rep *obs.RunReport) Run {
 	r := Run{
 		Algorithm: rep.Algorithm,
@@ -111,7 +110,6 @@ func FromReport(rep *obs.RunReport) Run {
 		Objective: rep.Objective,
 		Counters:  rep.Counters,
 		Report:    rep,
-		Metrics:   rep.Metrics,
 		Series:    rep.Series,
 	}
 	if len(rep.Phases) > 0 {
@@ -211,9 +209,6 @@ func (s *Store) SaveRun(run Run) (string, error) {
 	files := map[string]any{}
 	if run.Report != nil {
 		files[reportFile] = run.Report
-	}
-	if len(run.Metrics) > 0 {
-		files[metricsFile] = run.Metrics
 	}
 	if len(run.Series) > 0 {
 		files[seriesFile] = run.Series
@@ -315,7 +310,6 @@ func readManifest(path string) (Manifest, error) {
 type Record struct {
 	Manifest Manifest             `json:"manifest"`
 	Report   *obs.RunReport       `json:"report,omitempty"`
-	Metrics  metrics.Snapshot     `json:"metrics,omitempty"`
 	Series   series.StoreSnapshot `json:"series,omitempty"`
 	Problems []string             `json:"problems,omitempty"`
 }
@@ -352,7 +346,6 @@ func (s *Store) Load(id string) (*Record, error) {
 	if rep.Algorithm != "" {
 		rec.Report = &rep
 	}
-	load(metricsFile, &rec.Metrics, false)
 	load(seriesFile, &rec.Series, false)
 	return rec, nil
 }

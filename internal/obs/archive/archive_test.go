@@ -277,6 +277,12 @@ func TestOlderManifestsStillList(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, legacy, "report.json")); err != nil {
 		t.Fatal(err)
 	}
+	// Older versions also saved a metric-registry snapshot; it is
+	// ignored, not reported as a problem.
+	if err := os.WriteFile(filepath.Join(dir, legacy, "metrics.json"),
+		[]byte(`[{"name":"proclus_distance_evals_total","kind":"counter","value":2000}]`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	rewrite(future, func(doc map[string]any) { doc["schema"] = SchemaVersion + 1 })
 
 	ms, probs, err := st.List()

@@ -1,18 +1,17 @@
 // Package cliflags registers the shared observability flag set on a
 // CLI's flag.FlagSet and assembles the runtime attachments they select
 // — trace observers, progress logging, a Chrome-trace exporter, the
-// live monitoring server, CPU/heap profiles — so every command in this
-// repository exposes the same observability surface with one helper
-// instead of five hand-rolled copies.
+// stall watchdog, the run archive, CPU/heap profiles — so every command
+// in this repository exposes the same observability surface with one
+// helper instead of five hand-rolled copies.
 //
 // Usage:
 //
 //	flags := cliflags.Register(fs)          // add -report, -trace, …
 //	fs.Parse(args)
-//	sess, err := flags.Start(os.Stderr)     // open files, start server
+//	sess, err := flags.Start(os.Stderr)     // open files and tracers
 //	defer sess.Close()
 //	cfg.Observer = sess.Observer
-//	cfg.Metrics = sess.Metrics
 package cliflags
 
 import (
@@ -26,9 +25,6 @@ import (
 
 	"proclus/internal/obs"
 	"proclus/internal/obs/archive"
-	"proclus/internal/obs/metrics"
-	"proclus/internal/obs/series"
-	"proclus/internal/obs/serve"
 )
 
 // Flags holds the parsed observability flag values.
@@ -43,14 +39,6 @@ type Flags struct {
 	// ChromeTrace is the -chrometrace path: a Chrome trace_event file
 	// loadable in chrome://tracing or Perfetto.
 	ChromeTrace string
-	// MetricsAddr is the -metrics-addr listen address for the live
-	// monitoring endpoint (/metrics, /run, /debug/pprof). Empty when the
-	// owning CLI registered WithoutServe.
-	MetricsAddr string
-	// Series is the -series path: the final time-series snapshot
-	// (per-iteration convergence trajectories, per-block latency) as
-	// JSON readable by cmd/runlens.
-	Series string
 	// StallIters is -stall-iters: trip the stall watchdog when a
 	// restart's objective fails to improve for this many consecutive
 	// iterations. Zero disables the check.
@@ -63,8 +51,8 @@ type Flags struct {
 	StallCancel bool
 	// Archive is the -archive directory: an append-only run store that
 	// accumulates completed runs' manifests, reports and telemetry for
-	// cross-run analysis (runlens diff/trend, serve's /runs). Empty
-	// unless the owning CLI registered WithArchive.
+	// cross-run analysis (runlens ls/diff/trend). Empty unless the
+	// owning CLI registered WithArchive.
 	Archive string
 	// ArchiveKeep is -archive-keep: retain only the newest N archive
 	// entries, garbage-collecting older ones. Zero keeps everything.
@@ -76,7 +64,6 @@ type Flags struct {
 
 type options struct {
 	report  bool
-	serve   bool
 	archive bool
 }
 
@@ -87,10 +74,6 @@ type Option func(*options)
 // own -report with different semantics (proclus-bench's timing array).
 func WithoutReport() Option { return func(o *options) { o.report = false } }
 
-// WithoutServe suppresses -metrics-addr, for short-lived CLIs where a
-// monitoring server has nothing to watch.
-func WithoutServe() Option { return func(o *options) { o.serve = false } }
-
 // WithArchive installs -archive and -archive-keep, for CLIs that save
 // their completed runs with Session.ArchiveRun. Elsewhere the flags
 // would be accepted and do nothing, so they are off by default.
@@ -99,7 +82,7 @@ func WithArchive() Option { return func(o *options) { o.archive = true } }
 // Register installs the observability flags on fs and returns the
 // destination values, to be read after fs.Parse.
 func Register(fs *flag.FlagSet, opts ...Option) *Flags {
-	o := options{report: true, serve: true}
+	o := options{report: true}
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -110,10 +93,6 @@ func Register(fs *flag.FlagSet, opts ...Option) *Flags {
 	fs.StringVar(&f.Trace, "trace", "", "write a JSON-lines event trace to this path")
 	fs.BoolVar(&f.Progress, "progress", false, "log human-readable progress to stderr")
 	fs.StringVar(&f.ChromeTrace, "chrometrace", "", "write a Chrome trace_event file to this path (open in chrome://tracing or Perfetto)")
-	if o.serve {
-		fs.StringVar(&f.MetricsAddr, "metrics-addr", "", "serve live metrics on this address (/metrics Prometheus text, /run JSON snapshot, /debug/pprof)")
-	}
-	fs.StringVar(&f.Series, "series", "", "write the final convergence time-series snapshot JSON to this path (analyze with runlens)")
 	fs.IntVar(&f.StallIters, "stall-iters", 0, "emit a stall event when a restart's objective fails to improve for this many consecutive iterations (0 disables)")
 	fs.DurationVar(&f.StallDeadline, "stall-deadline", 0, "emit a stall event when no progress event arrives for this long (0 disables)")
 	fs.BoolVar(&f.StallCancel, "stall-cancel", false, "cancel the run on the first stall instead of only reporting it")
@@ -130,48 +109,32 @@ func Register(fs *flag.FlagSet, opts ...Option) *Flags {
 // flags. Zero-valued fields mean the corresponding flag was unset.
 type Session struct {
 	// Observer fans out to every observer the flags selected (JSON
-	// tracer, progress logger, Chrome tracer, live accumulator); nil when
-	// none were, preserving the algorithms' nil fast path.
+	// tracer, progress logger, Chrome tracer); nil when none were,
+	// preserving the algorithms' nil fast path.
 	Observer obs.Observer
-	// Metrics is the shared registry runs should record into. Non-nil
-	// whenever the session needs one (-metrics-addr); attach it via the
-	// algorithm Config's Metrics field.
-	Metrics *metrics.Registry
-	// Series is the time-series store runs should record into. Non-nil
-	// when -series or -metrics-addr asked for one; attach it via the
-	// algorithm Config's Series field.
-	Series *series.Store
 	// Watchdog is the stall watchdog wrapping the session's observers,
 	// non-nil when -stall-iters or -stall-deadline is set. Its Stalled
 	// state is reported by Close.
 	Watchdog *obs.Watchdog
-	// Addr is the monitoring server's bound address, for tests and logs
-	// (empty without -metrics-addr).
-	Addr string
 	// Archive is the run store -archive opened, nil without the flag.
 	// Completed runs land in it via ArchiveRun.
 	Archive *archive.Store
 
-	seriesPath string
-	errw       io.Writer
-	server     *serve.Server
-	closers    []func() error
+	errw    io.Writer
+	closers []func() error
 
 	mu        sync.Mutex
 	cancelRun context.CancelFunc
 }
 
-// Start opens the files, tracers and server the flags ask for. Progress
-// and server-address announcements go to errw (typically os.Stderr).
-// On error, anything already opened is closed.
+// Start opens the files and tracers the flags ask for. Progress lines
+// and archive and stall notices go to errw (typically os.Stderr). On
+// error, anything already opened is closed.
 func (f *Flags) Start(errw io.Writer) (*Session, error) {
-	s := &Session{seriesPath: f.Series, errw: errw}
+	s := &Session{errw: errw}
 	fail := func(err error) (*Session, error) {
 		s.Close()
 		return nil, err
-	}
-	if f.Series != "" || f.MetricsAddr != "" {
-		s.Series = series.NewStore(0)
 	}
 	if f.Archive != "" {
 		st, err := archive.Open(f.Archive, archive.Options{Retain: f.ArchiveKeep})
@@ -219,24 +182,6 @@ func (f *Flags) Start(errw io.Writer) (*Session, error) {
 	}
 	if f.Progress {
 		observers = append(observers, obs.NewProgressLogger(errw))
-	}
-	if f.MetricsAddr != "" {
-		s.Metrics = metrics.NewRegistry()
-		live := serve.NewLive()
-		observers = append(observers, live)
-		server, err := serve.Start(serve.Options{
-			Addr:     f.MetricsAddr,
-			Registry: s.Metrics,
-			Live:     live,
-			Series:   s.Series,
-			Archive:  s.Archive,
-		})
-		if err != nil {
-			return fail(err)
-		}
-		s.server = server
-		s.Addr = server.Addr()
-		fmt.Fprintf(errw, "serving metrics on http://%s/metrics\n", s.Addr)
 	}
 	s.Observer = obs.Multi(observers...)
 	if f.StallIters > 0 || f.StallDeadline > 0 {
@@ -307,9 +252,9 @@ func (s *Session) Observe(e obs.Event) {
 	s.Observer.Observe(e)
 }
 
-// Close stops the monitoring server and runs every cleanup (trace file
-// closes, Chrome-trace serialization, profile stops), returning the
-// first error.
+// Close stops the watchdog and runs every cleanup (trace file closes,
+// Chrome-trace serialization, profile stops), returning the first
+// error.
 func (s *Session) Close() error {
 	if s == nil {
 		return nil
@@ -326,17 +271,6 @@ func (s *Session) Close() error {
 					stall.Restart, stall.Seconds)
 			}
 		}
-	}
-	if s.seriesPath != "" && s.Series != nil {
-		if err := s.Series.Snapshot().WriteFile(s.seriesPath); err != nil {
-			first = err
-		}
-	}
-	if s.server != nil {
-		if err := s.server.Close(); err != nil && first == nil {
-			first = err
-		}
-		s.server = nil
 	}
 	// Close in reverse creation order, profiles last.
 	for i := len(s.closers) - 1; i >= 0; i-- {

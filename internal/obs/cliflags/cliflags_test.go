@@ -5,14 +5,12 @@ import (
 	"encoding/json"
 	"flag"
 	"io"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"proclus/internal/obs"
-	"proclus/internal/obs/series"
 )
 
 func parse(t *testing.T, args []string, opts ...Option) *Flags {
@@ -29,7 +27,7 @@ func parse(t *testing.T, args []string, opts ...Option) *Flags {
 func TestRegisterDefaults(t *testing.T) {
 	f := parse(t, nil)
 	if f.Report != "" || f.Trace != "" || f.Progress || f.ChromeTrace != "" ||
-		f.MetricsAddr != "" || f.CPUProfile != "" || f.MemProfile != "" {
+		f.CPUProfile != "" || f.MemProfile != "" {
 		t.Errorf("zero flags not zero: %+v", f)
 	}
 	sess, err := f.Start(io.Discard)
@@ -38,9 +36,6 @@ func TestRegisterDefaults(t *testing.T) {
 	}
 	if sess.Observer != nil {
 		t.Error("no flags should yield a nil observer (fast path)")
-	}
-	if sess.Metrics != nil {
-		t.Error("no -metrics-addr should yield no registry")
 	}
 	if err := sess.Close(); err != nil {
 		t.Fatal(err)
@@ -54,15 +49,15 @@ func TestRegisterOptions(t *testing.T) {
 		absent, present []string
 	}{
 		{
-			name:    "WithoutReport+WithoutServe",
-			opts:    []Option{WithoutReport(), WithoutServe()},
-			absent:  []string{"report", "metrics-addr", "archive", "archive-keep"},
+			name:    "WithoutReport",
+			opts:    []Option{WithoutReport()},
+			absent:  []string{"report", "series", "archive", "archive-keep"},
 			present: []string{"trace", "progress", "chrometrace", "cpuprofile", "memprofile"},
 		},
 		{
 			name:    "WithArchive",
 			opts:    []Option{WithArchive()},
-			present: []string{"report", "metrics-addr", "archive", "archive-keep"},
+			present: []string{"report", "archive", "archive-keep"},
 		},
 	} {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
@@ -121,46 +116,10 @@ func TestSessionTraceAndChromeTrace(t *testing.T) {
 	}
 }
 
-func TestSessionMetricsServer(t *testing.T) {
-	f := parse(t, []string{"-metrics-addr", "127.0.0.1:0"})
-	var announce strings.Builder
-	sess, err := f.Start(&announce)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	if sess.Metrics == nil || sess.Addr == "" || sess.Observer == nil {
-		t.Fatalf("server session incomplete: %+v", sess)
-	}
-	if !strings.Contains(announce.String(), sess.Addr) {
-		t.Errorf("address not announced: %q", announce.String())
-	}
-	sess.Metrics.Counter("proclus_distance_evals_total", "").Add(5)
-	resp, err := http.Get("http://" + sess.Addr + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(string(body), "proclus_distance_evals_total 5") {
-		t.Errorf("/metrics body:\n%s", body)
-	}
-	if err := sess.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := http.Get("http://" + sess.Addr + "/metrics"); err == nil {
-		t.Error("server still up after Close")
-	}
-}
-
 func TestStartFailureCleansUp(t *testing.T) {
 	f := parse(t, []string{"-trace", filepath.Join(t.TempDir(), "nodir", "x", "trace.jsonl")})
 	if _, err := f.Start(io.Discard); err == nil {
 		t.Fatal("unwritable trace path accepted")
-	}
-	f = parse(t, []string{"-metrics-addr", "256.256.256.256:99999"})
-	if _, err := f.Start(io.Discard); err == nil {
-		t.Fatal("bad listen address accepted")
 	}
 }
 
@@ -168,30 +127,6 @@ func TestSessionNilClose(t *testing.T) {
 	var s *Session
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSessionSeriesSnapshot(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "series.json")
-	f := parse(t, []string{"-series", path})
-	sess, err := f.Start(io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sess.Series == nil {
-		t.Fatal("-series should allocate a store")
-	}
-	sess.Series.Series("proclus_iter_objective", "objective").Append(1, 42)
-	if err := sess.Close(); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := series.ReadSnapshotFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := snap.Find("proclus_iter_objective")
-	if s == nil || len(s.Points) != 1 || s.Points[0].V != 42 {
-		t.Errorf("snapshot round trip = %+v", snap)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package obstest holds shared test utilities for the observability
 // stack: goroutine-leak assertions for components that spawn background
-// work (HTTP servers, block-scanner read-ahead, watchdog timers).
+// work (block-scanner read-ahead, watchdog timers).
 package obstest
 
 import (
@@ -16,7 +16,7 @@ func Goroutines() int { return runtime.NumGoroutine() }
 // Settle polls until the goroutine count drops back to at most base,
 // failing the test with a full stack dump if it does not within five
 // seconds. Polling (rather than a single check) absorbs the teardown
-// lag of http.Server.Close, timer goroutines and similar.
+// lag of timer goroutines and similar.
 func Settle(t *testing.T, base int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)

@@ -5,7 +5,6 @@ import (
 	"io"
 	"os"
 
-	"proclus/internal/obs/metrics"
 	seriespkg "proclus/internal/obs/series"
 )
 
@@ -16,7 +15,8 @@ import (
 // order (Go marshals struct fields in declaration order), which the
 // golden tests pin.
 type RunReport struct {
-	// Algorithm names the producer: "proclus" or "clique".
+	// Algorithm names the producer: "proclus", "clique", "orclus" or
+	// "kmedoids".
 	Algorithm string `json:"algorithm"`
 	// Dataset describes the input.
 	Dataset DatasetInfo `json:"dataset"`
@@ -34,12 +34,6 @@ type RunReport struct {
 	Restarts []RestartReport `json:"restarts,omitempty"`
 	// Counters snapshots the run's hot-path counters.
 	Counters Snapshot `json:"counters"`
-	// Metrics snapshots the metric registry the run recorded into:
-	// phase/restart latency histograms, objective deltas, throughput
-	// rates. Sorted by name then labels, so marshaling is deterministic.
-	// Omitted when no registry was attached or when zeroed for golden
-	// comparisons (histogram buckets depend on wall time).
-	Metrics metrics.Snapshot `json:"metrics,omitempty"`
 	// Series snapshots the per-iteration and per-block time series the
 	// run recorded (objective trajectory, swap acceptance, cache hit
 	// rate, block latencies). Present only when a series store was

@@ -1,16 +1,14 @@
-// Package series is the time-dimension companion of the metrics
-// registry: a fixed-capacity ring-buffer store for per-iteration and
-// per-block trajectories — objective curves, swap acceptance, cache hit
-// rates, block latencies — that the aggregate metrics of
-// internal/obs/metrics cannot express.
+// Package series is a fixed-capacity ring-buffer store for
+// per-iteration and per-block trajectories — objective curves, swap
+// acceptance, cache hit rates, block latencies — that the run report's
+// totals cannot express.
 //
-// The design mirrors the registry's discipline. A Store hands out
-// Series handles by (name, labels); instrumentation sites resolve a
-// handle once and append through it lock-free of the store. Every
-// Series owns a fixed-capacity ring whose backing array is allocated on
-// the first Append — after that, appends overwrite in place, so a
-// hill-climb iteration costs one mutex acquisition and two float64
-// stores and the steady state allocates nothing. Snapshots are
+// A Store hands out Series handles by (name, labels); instrumentation
+// sites resolve a handle once and append through it lock-free of the
+// store. Every Series owns a fixed-capacity ring whose backing array is
+// allocated on the first Append — after that, appends overwrite in
+// place, so a hill-climb iteration costs one mutex acquisition and two
+// float64 stores and the steady state allocates nothing. Snapshots are
 // deterministic: points come out in append order (oldest first) and
 // stores sort their series by name then labels, so serializations of
 // deterministic runs are byte-stable.
@@ -18,8 +16,8 @@
 // Points carry a caller-supplied X coordinate — an iteration number, a
 // block index, a lattice level — rather than a wall-clock stamp, so
 // the recorded trajectory of a deterministic run is itself
-// deterministic. Wall time stays in the event stream and the metrics
-// histograms, where it belongs.
+// deterministic. Wall time stays in the event stream and the run
+// report, where it belongs.
 //
 // All methods are nil-safe: a nil Store hands out nil Series handles,
 // whose methods no-op, preserving the disabled-observability fast path.
@@ -33,8 +31,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-
-	"proclus/internal/obs/metrics"
 )
 
 // DefaultCapacity is the per-series ring capacity when NewStore is
@@ -42,9 +38,15 @@ import (
 // PROCLUS restart (MaxIterations 500) with room to spare.
 const DefaultCapacity = 512
 
-// Label aliases the metrics label type so callers build series and
-// metric dimensions with one vocabulary (metrics.L).
-type Label = metrics.Label
+// Label is one key="value" dimension of a series name, such as
+// restart="2" or pass="assign".
+type Label struct {
+	Key   string `json:"key"`
+	Value string `json:"value"`
+}
+
+// L is shorthand for constructing a Label.
+func L(key, value string) Label { return Label{Key: key, Value: value} }
 
 // Series is one named trajectory: an append-only sequence of (X, V)
 // points kept in a fixed-capacity ring. When the ring is full, the
@@ -126,10 +128,9 @@ func (s *Series) snapshotPoints() ([]Point, int64) {
 	return pts, s.total
 }
 
-// Store is a named collection of series, the time-dimension sibling of
-// metrics.Registry. Get-or-create lookups and snapshots are guarded by
-// a mutex; the Series handles themselves carry their own lock, so
-// recording never contends with unrelated series.
+// Store is a named collection of series. Get-or-create lookups and
+// snapshots are guarded by a mutex; the Series handles themselves carry
+// their own lock, so recording never contends with unrelated series.
 type Store struct {
 	mu      sync.Mutex
 	cap     int
@@ -152,8 +153,7 @@ func NewStore(capacity int) *Store {
 	return &Store{cap: capacity, entries: map[string]*entry{}}
 }
 
-// seriesKey identifies one series: name plus sorted labels, the same
-// encoding the metrics registry uses.
+// seriesKey identifies one series: name plus sorted labels.
 func seriesKey(name string, labels []Label) string {
 	if len(labels) == 0 {
 		return name
@@ -188,8 +188,7 @@ func (st *Store) Series(name, help string, labels ...Label) *Series {
 }
 
 // StoreSnapshot is the deterministic (sorted by name, then labels)
-// copy of a store's series, ready to embed in run reports and live
-// endpoint responses.
+// copy of a store's series, ready to embed in run reports.
 type StoreSnapshot []SeriesSnapshot
 
 // Find returns the first series with the given name and labels (order

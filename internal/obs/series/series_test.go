@@ -7,8 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"proclus/internal/obs/metrics"
 )
 
 func TestSeriesAppendAndSnapshot(t *testing.T) {
@@ -52,12 +50,12 @@ func TestSeriesRingEviction(t *testing.T) {
 
 func TestSeriesGetOrCreate(t *testing.T) {
 	st := NewStore(8)
-	a := st.Series("s", "", metrics.L("restart", "1"), metrics.L("pass", "assign"))
-	b := st.Series("s", "", metrics.L("pass", "assign"), metrics.L("restart", "1"))
+	a := st.Series("s", "", L("restart", "1"), L("pass", "assign"))
+	b := st.Series("s", "", L("pass", "assign"), L("restart", "1"))
 	if a != b {
 		t.Error("label order should not distinguish series")
 	}
-	c := st.Series("s", "", metrics.L("restart", "2"))
+	c := st.Series("s", "", L("restart", "2"))
 	if a == c {
 		t.Error("different labels must yield different series")
 	}
@@ -80,8 +78,8 @@ func TestSeriesZeroSteadyStateAllocs(t *testing.T) {
 func TestStoreSnapshotSorted(t *testing.T) {
 	st := NewStore(4)
 	st.Series("z_last", "").Append(0, 1)
-	st.Series("a_first", "", metrics.L("restart", "2")).Append(0, 1)
-	st.Series("a_first", "", metrics.L("restart", "1")).Append(0, 1)
+	st.Series("a_first", "", L("restart", "2")).Append(0, 1)
+	st.Series("a_first", "", L("restart", "1")).Append(0, 1)
 	snap := st.Snapshot()
 	var order []string
 	for _, s := range snap {
@@ -99,10 +97,10 @@ func TestStoreSnapshotSorted(t *testing.T) {
 
 func TestStoreFind(t *testing.T) {
 	st := NewStore(4)
-	st.Series("obj", "", metrics.L("restart", "1")).Append(1, 5)
-	st.Series("obj", "", metrics.L("restart", "2")).Append(1, 6)
+	st.Series("obj", "", L("restart", "1")).Append(1, 5)
+	st.Series("obj", "", L("restart", "2")).Append(1, 6)
 	snap := st.Snapshot()
-	if got := snap.Find("obj", metrics.L("restart", "2")); got == nil || got.Points[0].V != 6 {
+	if got := snap.Find("obj", L("restart", "2")); got == nil || got.Points[0].V != 6 {
 		t.Errorf("Find with labels = %+v", got)
 	}
 	if got := snap.Find("obj"); got == nil {
@@ -115,7 +113,7 @@ func TestStoreFind(t *testing.T) {
 
 func TestStoreWritePrometheus(t *testing.T) {
 	st := NewStore(4)
-	s := st.Series("proclus_iter_objective", "objective value", metrics.L("restart", "1"))
+	s := st.Series("proclus_iter_objective", "objective value", L("restart", "1"))
 	s.Append(1, 12.5)
 	s.Append(2, 11.25)
 	st.Series("empty_series", "never appended")
@@ -140,7 +138,7 @@ func TestStoreWritePrometheus(t *testing.T) {
 
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	st := NewStore(4)
-	st.Series("obj", "objective", metrics.L("restart", "1")).Append(1, 2.5)
+	st.Series("obj", "objective", L("restart", "1")).Append(1, 2.5)
 	st.Series("rate", "").Append(3, 4)
 	snap := st.Snapshot()
 
@@ -223,7 +221,7 @@ func TestSnapshotDeterministic(t *testing.T) {
 	build := func() []byte {
 		st := NewStore(8)
 		for r := 1; r <= 2; r++ {
-			s := st.Series("obj", "h", metrics.L("restart", string(rune('0'+r))))
+			s := st.Series("obj", "h", L("restart", string(rune('0'+r))))
 			for i := 1; i <= 5; i++ {
 				s.Append(float64(i), float64(r*i))
 			}

@@ -38,7 +38,13 @@ type Config struct {
 	// L is the dimensionality of each cluster's subspace. Required;
 	// 1 ≤ L ≤ dims.
 	L int
-	// K0Factor sets the initial seed count k0 = K0Factor·K. Default 5.
+	// K0Factor sets the initial seed count k0 = K0Factor·K, capped at
+	// the number of points. Default 5. It sets the fit's cost: the
+	// merge phases start from k0 seeds, and each phase scores every pair
+	// of its current clusters by the energy of their union (a
+	// covariance and an eigendecomposition per pair), so the first
+	// phase alone scores k0(k0−1)/2 pairs and fit time grows roughly
+	// quadratically in K.
 	K0Factor int
 	// Alpha is the per-phase cluster-count reduction factor in (0, 1).
 	// Default 0.5.

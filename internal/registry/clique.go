@@ -19,7 +19,7 @@ func (cliqueAlgo) Name() string { return "clique" }
 
 func (cliqueAlgo) Caps() Caps {
 	return Caps{
-		Stream: true, Metrics: true, Series: true, Workers: true,
+		Stream: true, Series: true, Workers: true,
 		CliqueParams: true,
 	}
 }
@@ -36,7 +36,6 @@ func (cliqueAlgo) Fit(ctx context.Context, src Source, cfg Config) (Model, error
 		MDLPruning:       cfg.Clique.MDLPruning,
 		Workers:          cfg.Workers,
 		Observer:         cfg.Observer,
-		Metrics:          cfg.Metrics,
 		Series:           cfg.Series,
 	}
 	var (

@@ -20,15 +20,14 @@ func (proclusAlgo) Name() string { return "proclus" }
 func (proclusAlgo) Caps() Caps {
 	return Caps{
 		TakesK: true, TakesL: true,
-		Stream:  true,
-		Metrics: true, Series: true, Workers: true,
+		Stream: true, Series: true, Workers: true,
 	}
 }
 
 func (proclusAlgo) Fit(ctx context.Context, src Source, cfg Config) (Model, error) {
 	ccfg := core.Config{
 		K: cfg.K, L: cfg.L, Seed: cfg.Seed, Workers: cfg.Workers,
-		Observer: cfg.Observer, Metrics: cfg.Metrics, Series: cfg.Series,
+		Observer: cfg.Observer, Series: cfg.Series,
 	}
 	var (
 		res *core.Result

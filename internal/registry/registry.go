@@ -24,7 +24,6 @@ import (
 
 	"proclus/internal/dataset"
 	"proclus/internal/obs"
-	"proclus/internal/obs/metrics"
 	"proclus/internal/obs/series"
 )
 
@@ -93,9 +92,6 @@ type Config struct {
 	// internal instrumentation (ORCLUS, k-medoids) still emit run
 	// start/end events from their adapters, so traces stay balanced.
 	Observer obs.Observer
-	// Metrics is the registry the run records quantitative telemetry
-	// into (PROCLUS, CLIQUE).
-	Metrics *metrics.Registry
 	// Series is the per-iteration time-series store (PROCLUS, CLIQUE).
 	Series *series.Store
 }
@@ -133,8 +129,8 @@ type Caps struct {
 	TakesK, TakesL bool
 	// Stream: fitting from a Source.Stream block source.
 	Stream bool
-	// Metrics / Series: internal telemetry recording.
-	Metrics, Series bool
+	// Series: per-iteration time-series recording.
+	Series bool
 	// Workers: parallel execution (Workers > 1).
 	Workers bool
 	// CliqueParams / OrclusParams / MedoidParams: which per-algorithm
@@ -234,8 +230,6 @@ func checkCaps(name string, caps Caps, src Source, cfg Config) error {
 		return fmt.Errorf("registry: %s does not take a cluster count K (density-based)", name)
 	case cfg.L != 0 && !caps.TakesL:
 		return fmt.Errorf("registry: %s does not take a subspace dimensionality L", name)
-	case cfg.Metrics != nil && !caps.Metrics:
-		return fmt.Errorf("registry: %s does not record into a metrics registry", name)
 	case cfg.Series != nil && !caps.Series:
 		return fmt.Errorf("registry: %s does not record convergence series; drop the series store", name)
 	case cfg.Workers > 1 && !caps.Workers:

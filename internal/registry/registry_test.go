@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"proclus/internal/dataset"
-	"proclus/internal/obs/metrics"
 	"proclus/internal/obs/series"
 	"proclus/internal/synth"
 )
@@ -78,7 +77,6 @@ func TestCapRejections(t *testing.T) {
 		{"k-clique", "clique", mem, Config{K: 3}},
 		{"l-clique", "clique", mem, Config{L: 3}},
 		{"l-kmedoids", "kmedoids", mem, Config{K: 3, L: 3}},
-		{"metrics-orclus", "orclus", mem, Config{K: 3, L: 2, Metrics: metrics.NewRegistry()}},
 		{"series-orclus", "orclus", mem, Config{K: 3, L: 2, Series: series.NewStore(0)}},
 		{"series-kmedoids", "kmedoids", mem, Config{K: 3, Series: series.NewStore(0)}},
 		{"workers-kmedoids", "kmedoids", mem, Config{K: 3, Workers: 4}},

@@ -34,7 +34,6 @@ import (
 	"proclus/internal/medoid"
 	"proclus/internal/obs"
 	"proclus/internal/obs/archive"
-	"proclus/internal/obs/metrics"
 	"proclus/internal/obs/series"
 	"proclus/internal/orclus"
 	"proclus/internal/registry"
@@ -101,15 +100,6 @@ type CounterSnapshot = obs.Snapshot
 // trace_event file, loadable in chrome://tracing or Perfetto.
 type ChromeTracer = obs.ChromeTracer
 
-// MetricsRegistry collects metric series — log-bucketed latency
-// histograms, gauges, counters and throughput rates — when attached via
-// Config.Metrics (or CliqueConfig.Metrics). Nil disables recording.
-type MetricsRegistry = metrics.Registry
-
-// MetricsSnapshot is a deterministic (name-then-label sorted) copy of a
-// registry's series, as embedded in RunReport.Metrics.
-type MetricsSnapshot = metrics.Snapshot
-
 // NewJSONTracer returns an Observer writing one JSON line per event to
 // w. Safe for concurrent use; check Err after the run.
 func NewJSONTracer(w io.Writer) *JSONTracer { return obs.NewJSONTracer(w) }
@@ -125,16 +115,6 @@ func MultiObserver(observers ...Observer) Observer { return obs.Multi(observers.
 // NewChromeTracer returns an Observer buffering the event stream as
 // Chrome trace_event spans; Close serializes the document to w.
 func NewChromeTracer(w io.Writer) *ChromeTracer { return obs.NewChromeTracer(w) }
-
-// NewMetricsRegistry returns an empty metric registry to attach via
-// Config.Metrics.
-func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
-
-// MetricsLabel is one name=value dimension on a metric or series.
-// Build one with SeriesLabel; pass them to MetricsRegistry.Scope to
-// carve an isolated, labeled child registry out of a shared parent
-// (one parent per process, one scope per run or tenant).
-type MetricsLabel = metrics.Label
 
 // SeriesStore records convergence time series — per-iteration objective
 // trajectories and per-block latencies — when attached via
@@ -184,7 +164,7 @@ const (
 
 // SeriesLabel builds one name=value label for SeriesStore.Series and
 // SeriesStoreSnapshot.Find (e.g. SeriesLabel("restart", "1")).
-func SeriesLabel(name, value string) metrics.Label { return metrics.L(name, value) }
+func SeriesLabel(name, value string) series.Label { return series.L(name, value) }
 
 // Span is one node of a reconstructed run timeline: the run, a phase,
 // a restart, or a leaf iteration/level/pass/block.
@@ -222,10 +202,9 @@ func StartProfiles(cpuPath, memPath string) (stop func() error, err error) {
 }
 
 // RunArchive is the append-only on-disk run store: each saved run
-// becomes a directory holding a manifest plus the run's report,
-// metrics and series snapshots. Loading is
-// corruption-tolerant and retention by count garbage-collects the
-// oldest entries. Inspect an archive with `runlens ls/diff/trend`.
+// becomes a directory holding a manifest plus the run's report and
+// series snapshot. Loading is corruption-tolerant and retention by
+// count garbage-collects the oldest entries. Inspect an archive with `runlens ls/diff/trend`.
 type RunArchive = archive.Store
 
 // RunArchiveOptions configures OpenRunArchive (retention by count).
@@ -237,7 +216,7 @@ type RunArchiveOptions = archive.Options
 type ArchiveManifest = archive.Manifest
 
 // ArchiveRecord is one loaded archive entry: its manifest plus
-// whichever sibling artifacts (report, metrics, series) were recorded
+// whichever sibling artifacts (report, series) were recorded
 // and still parse.
 type ArchiveRecord = archive.Record
 
@@ -252,8 +231,8 @@ func OpenRunArchive(dir string, opts RunArchiveOptions) (*RunArchive, error) {
 }
 
 // ArchiveFromReport builds an ArchivedRun from a finished run report:
-// algorithm, seed, config echo, phases, counters, metrics and series
-// all come from the report itself.
+// algorithm, seed, config echo, phases, counters and series all come
+// from the report itself.
 func ArchiveFromReport(rep *RunReport) ArchivedRun { return archive.FromReport(rep) }
 
 // InitMethod selects the candidate-medoid initialization strategy.

@@ -236,8 +236,8 @@ func TestPublicAPITelemetry(t *testing.T) {
 }
 
 // TestPublicAPIRunArchive exercises the archive facade the way a
-// downstream service would: run twice into scoped children of one
-// shared registry, archive both reports, and read them back.
+// downstream service would: run twice, archive both reports, and read
+// them back.
 func TestPublicAPIRunArchive(t *testing.T) {
 	ds, _, err := proclus.Generate(proclus.GeneratorConfig{
 		N: 2000, Dims: 10, K: 3, FixedDims: 3, MinSizeFraction: 0.15, Seed: 21,
@@ -249,20 +249,16 @@ func TestPublicAPIRunArchive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parent := proclus.NewMetricsRegistry()
 	var firstCounters proclus.CounterSnapshot
-	for i, job := range []string{"job-a", "job-b"} {
-		res, err := proclus.Run(ds, proclus.Config{
-			K: 3, L: 3, Seed: 7,
-			Metrics: parent.Scope(proclus.SeriesLabel("job", job)),
-		})
+	for i := 0; i < 2; i++ {
+		res, err := proclus.Run(ds, proclus.Config{K: 3, L: 3, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if i == 0 {
 			firstCounters = res.Stats.Counters
 		} else if res.Stats.Counters != firstCounters {
-			t.Fatal("identical-seed runs in different scopes diverged")
+			t.Fatal("identical-seed runs diverged")
 		}
 		run := proclus.ArchiveFromReport(res.Report())
 		if _, err := store.SaveRun(run); err != nil {
@@ -290,18 +286,6 @@ func TestPublicAPIRunArchive(t *testing.T) {
 		if rec.Report == nil || rec.Report.Counters != firstCounters {
 			t.Fatal("archived report lost the run's counters")
 		}
-	}
-	// The shared parent saw both jobs, labeled.
-	jobs := map[string]bool{}
-	for _, e := range parent.Snapshot() {
-		for _, l := range e.Labels {
-			if l.Key == "job" {
-				jobs[l.Value] = true
-			}
-		}
-	}
-	if !jobs["job-a"] || !jobs["job-b"] {
-		t.Fatalf("parent registry missing scoped jobs: %v", jobs)
 	}
 }
 
