@@ -82,9 +82,10 @@ scenario-gate:
 # One iteration per benchmark: proves the benchmarks still compile and
 # run without spending minutes on stable timings (the CI smoke job).
 # BenchmarkProclusRun keeps a whole PROCLUS fit on the ledger's case1
-# and highdim shapes running.
+# and highdim shapes running, and BenchmarkRunStream a whole streamed
+# fit over a 200,000-point case1-shaped file.
 bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkAssign|BenchmarkProclusRun' -benchtime 1x ./internal/core/
+	$(GO) test -run xxx -bench 'BenchmarkAssign|BenchmarkProclusRun|BenchmarkRunStream' -benchtime 1x ./internal/core/
 
 # Allocation smoke: every distance kernel must report 0 allocs/op, and
 # the assignment-pass benchmarks surface their per-pass allocation

@@ -83,9 +83,10 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-badflag"}, &sb); err == nil {
 		t.Error("unknown flag accepted")
 	}
-	// datagen archives no run and records no series, so it offers
-	// neither -archive nor -series.
-	for _, flag := range []string{"-archive", "-series"} {
+	// datagen archives no run, records no series and runs no fit that
+	// could stall, so it offers neither -archive, -series nor the
+	// -stall-* flags.
+	for _, flag := range []string{"-archive", "-series", "-stall-iters"} {
 		target := filepath.Join(t.TempDir(), "out")
 		err := run([]string{"-n", "100", "-dims", "4", "-k", "2", "-fixeddims", "2",
 			"-o", filepath.Join(t.TempDir(), "a.bin"), flag, target}, &sb)

@@ -65,9 +65,10 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-in", filepath.Join(t.TempDir(), "nope.bin")}, &sb); err == nil {
 		t.Error("missing file accepted")
 	}
-	// dsstat archives no run and records no series, so it offers
-	// neither -archive nor -series.
-	for _, flag := range []string{"-archive", "-series"} {
+	// dsstat archives no run, records no series and runs no fit that
+	// could stall, so it offers neither -archive, -series nor the
+	// -stall-* flags.
+	for _, flag := range []string{"-archive", "-series", "-stall-iters"} {
 		target := filepath.Join(t.TempDir(), "out")
 		err := run([]string{"-in", writeSample(t, ".bin"), flag, target}, &sb)
 		if err == nil || !strings.Contains(err.Error(), "not defined: "+flag) {

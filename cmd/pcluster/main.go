@@ -97,7 +97,7 @@ func run(args []string, out io.Writer) (retErr error) {
 		assignOut = fs.String("assign", "", "optional path for a point→cluster assignment CSV")
 		seriesOut = fs.String("series", "", "write the fit's convergence time-series snapshot JSON to this path (analyze with runlens)")
 	)
-	obsFlags := cliflags.Register(fs, cliflags.WithArchive())
+	obsFlags := cliflags.Register(fs, cliflags.WithArchive(), cliflags.WithStall())
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -50,7 +50,7 @@ func run(args []string, out io.Writer) (retErr error) {
 	)
 	// -report here keeps its historical timing-array semantics, so the
 	// shared flag set skips its own -report.
-	obsFlags := cliflags.Register(fs, cliflags.WithoutReport())
+	obsFlags := cliflags.Register(fs, cliflags.WithoutReport(), cliflags.WithStall())
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

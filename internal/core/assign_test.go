@@ -1,8 +1,8 @@
 package core
 
-// Steady-state allocation tests for the assignment pass: the shape the
-// incremental engine holds across hill-climb iterations, with its
-// metric closure and buffers built once.
+// Steady-state allocation tests for the refinement kernel every full
+// assignment pass runs (the naive hill climb's and both refinements),
+// with its rows, medoids and output buffer built once.
 
 import (
 	"fmt"
@@ -11,11 +11,9 @@ import (
 	"proclus/internal/synth"
 )
 
-// assignFixture builds the steady-state assignment chunk's inputs: a
-// runner, the medoid rows, their dimension sets, a prebuilt metric and
-// the assignment buffer the pass reuses.
-func assignFixture(tb testing.TB, n, d, k, l int) (r *runner, medoidPts [][]float64, dims [][]int,
-	metric func(pt, medoid []float64, dims []int) float64, assign []int) {
+// assignFixture builds the kernel's inputs: the point rows, the medoid
+// rows, their dimension sets and the assignment buffer the pass reuses.
+func assignFixture(tb testing.TB, n, d, k, l int) (rows []float64, medoidPts [][]float64, dims [][]int, assign []int) {
 	tb.Helper()
 	fixed := l
 	if fixed > d {
@@ -27,7 +25,6 @@ func assignFixture(tb testing.TB, n, d, k, l int) (r *runner, medoidPts [][]floa
 	if err != nil {
 		tb.Fatal(err)
 	}
-	r = newRunner(ds, Config{K: k, L: l, Seed: 11, Workers: 1})
 	medoidPts = make([][]float64, k)
 	dims = make([][]int, k)
 	for i := 0; i < k; i++ {
@@ -38,26 +35,28 @@ func assignFixture(tb testing.TB, n, d, k, l int) (r *runner, medoidPts [][]floa
 		}
 		dims[i] = set
 	}
-	return r, medoidPts, dims, r.pointMetric(), make([]int, n)
+	return ds.Rows(0, n), medoidPts, dims, make([]int, n)
 }
 
-// TestAssignSteadyStateAllocs proves the assignment chunk's zero-alloc
-// claim: with the metric and buffers built once, a full pass allocates
-// nothing.
+// TestAssignSteadyStateAllocs proves the kernel's zero-alloc claim:
+// with its inputs and output buffer built once, a full pass over the
+// points allocates nothing, with and without spheres of influence.
 func TestAssignSteadyStateAllocs(t *testing.T) {
 	const n, d, k, l = 800, 20, 5, 7
-	r, medoidPts, dims, metric, assign := assignFixture(t, n, d, k, l)
-	r.assignChunk(medoidPts, dims, metric, assign, 0, n)
-	if avg := testing.AllocsPerRun(20, func() {
-		r.assignChunk(medoidPts, dims, metric, assign, 0, n)
-	}); avg > 0 {
-		t.Errorf("steady-state assignment allocates %.1f times per pass, want 0", avg)
+	rows, medoidPts, dims, assign := assignFixture(t, n, d, k, l)
+	delta := []float64{1, 2, 3, 4, 5}
+	for _, radii := range [][]float64{nil, delta} {
+		if avg := testing.AllocsPerRun(20, func() {
+			refineRows(rows, d, medoidPts, dims, radii, false, assign)
+		}); avg > 0 {
+			t.Errorf("steady-state assignment (delta %v) allocates %.1f times per pass, want 0", radii, avg)
+		}
 	}
 }
 
-// BenchmarkAssignPoints measures the steady-state assignment chunk over
-// every point across dimensionalities. Run with -benchmem: the
-// allocation columns must stay at zero.
+// BenchmarkAssignPoints measures the steady-state kernel over every
+// point across dimensionalities, without spheres of influence. Run with
+// -benchmem: the allocation columns must stay at zero.
 //
 //	go test -bench 'BenchmarkAssignPoints' -benchmem ./internal/core/
 func BenchmarkAssignPoints(b *testing.B) {
@@ -68,12 +67,11 @@ func BenchmarkAssignPoints(b *testing.B) {
 			if d >= 100 {
 				l = d / 10
 			}
-			r, medoidPts, dims, metric, assign := assignFixture(b, n, d, k, l)
-			r.assignChunk(medoidPts, dims, metric, assign, 0, n)
+			rows, medoidPts, dims, assign := assignFixture(b, n, d, k, l)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r.assignChunk(medoidPts, dims, metric, assign, 0, n)
+				refineRows(rows, d, medoidPts, dims, nil, false, assign)
 			}
 		})
 	}

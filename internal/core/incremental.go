@@ -272,7 +272,7 @@ func newIncrementalEval(r *runner) *incrementalEval {
 	}
 	// One pass over the points: recompute the dirty projected columns,
 	// then take each point's nearest position over all k columns with
-	// assignChunk's start (0, +Inf) and strict <, so ties still go to
+	// refineRows's start (0, +Inf) and strict <, so ties still go to
 	// the lower position.
 	e.assignFn = func(lo, hi int) {
 		dims := e.cur.dims

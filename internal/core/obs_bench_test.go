@@ -9,7 +9,6 @@ package core
 
 import (
 	"io"
-	"math"
 	"testing"
 
 	"proclus/internal/obs"
@@ -73,28 +72,18 @@ func BenchmarkAssignRaw(b *testing.B) {
 }
 
 // rawAssignPoints replicates assignPoints exactly, with the counter
-// adds removed. Keeping everything else identical (allocations, metric
-// closure, parallel.For) isolates the instrumentation cost.
+// adds removed. Keeping everything else identical (allocations, the
+// refinement kernel, parallel.For) isolates the instrumentation cost.
 func rawAssignPoints(r *runner, medoids []int, dims [][]int) (assign []int, sizes []int) {
-	n := r.ds.Len()
+	n, d := r.ds.Len(), r.ds.Dims()
 	assign = make([]int, n)
 	medoidPoints := make([][]float64, len(medoids))
 	for i, m := range medoids {
 		medoidPoints[i] = r.ds.Point(m)
 	}
-	metric := r.pointMetric()
+	manhattan := r.cfg.AssignMetric == MetricManhattan
 	parallel.For(n, r.innerWorkers, func(lo, hi int) {
-		for p := lo; p < hi; p++ {
-			pt := r.ds.Point(p)
-			bestIdx, bestDist := 0, math.Inf(1)
-			for i := range medoidPoints {
-				d := metric(pt, medoidPoints[i], dims[i])
-				if d < bestDist {
-					bestIdx, bestDist = i, d
-				}
-			}
-			assign[p] = bestIdx
-		}
+		refineRows(r.ds.Rows(lo, hi), d, medoidPoints, dims, nil, manhattan, assign[lo:hi])
 	})
 	sizes = make([]int, len(medoids))
 	for _, a := range assign {

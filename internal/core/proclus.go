@@ -477,44 +477,33 @@ func (r *runner) computeLocalities(medoids []int) [][]int {
 
 // assignPoints assigns every point to the medoid of minimum Manhattan
 // segmental distance relative to that medoid's dimension set (paper
-// Figure 5). Ties break toward the lower medoid index so the result is
-// deterministic. It returns the per-point cluster index and the cluster
-// sizes.
+// Figure 5): refineRows with no spheres of influence. Ties break toward
+// the lower medoid index so the result is deterministic. It returns
+// the per-point cluster index and the cluster sizes.
 func (r *runner) assignPoints(medoids []int, dims [][]int) (assign []int, sizes []int) {
 	medoidPoints := make([][]float64, len(medoids))
 	for i, m := range medoids {
 		medoidPoints[i] = r.ds.Point(m)
 	}
-	n := r.ds.Len()
-	assign = make([]int, n)
+	assign = r.refineAll(medoidPoints, dims, nil)
 	sizes = make([]int, len(medoids))
-	metric := r.pointMetric()
-	parallel.For(n, r.innerWorkers, func(lo, hi int) {
-		r.assignChunk(medoidPoints, dims, metric, assign, lo, hi)
-	})
 	tallySizes(assign, sizes)
 	return assign, sizes
 }
 
-// assignChunk is one worker's share of the assignment pass: nearest
-// medoid for points [lo, hi), counters batched per chunk. The
-// incremental engine's assignment pass keeps its start (0, +Inf) and
-// strict <, so both engines break ties toward the lower position.
-func (r *runner) assignChunk(medoidPoints [][]float64, dims [][]int,
-	metric func(pt, medoid []float64, dims []int) float64, assign []int, lo, hi int) {
-	for p := lo; p < hi; p++ {
-		pt := r.ds.Point(p)
-		bestIdx, bestDist := 0, math.Inf(1)
-		for i := range medoidPoints {
-			d := metric(pt, medoidPoints[i], dims[i])
-			if d < bestDist {
-				bestIdx, bestDist = i, d
-			}
-		}
-		assign[p] = bestIdx
-	}
-	r.creditEvals(int64(hi-lo)*int64(len(medoidPoints)), int64(hi-lo)*dimsTotal(dims))
-	r.counters.PointsScanned.Add(int64(hi - lo))
+// refineAll applies refineRows to every point of r.ds, in parallel over
+// point ranges, and credits its work per range. It returns the
+// per-point cluster index, OutlierID for points outside every sphere
+// when delta is set.
+func (r *runner) refineAll(medoidPoints [][]float64, dims [][]int, delta []float64) []int {
+	n, d := r.ds.Len(), r.ds.Dims()
+	assign := make([]int, n)
+	manhattan := r.cfg.AssignMetric == MetricManhattan
+	parallel.For(n, r.innerWorkers, func(lo, hi int) {
+		refineRows(r.ds.Rows(lo, hi), d, medoidPoints, dims, delta, manhattan, assign[lo:hi])
+		r.creditRefined(hi-lo, dims)
+	})
+	return assign
 }
 
 // creditEvals adds a batch of distance evaluations, which read coords
@@ -692,8 +681,8 @@ func (r *runner) replaceBad(best *trialState, candidates []int, rng *randx.Rand)
 }
 
 // refine performs the refinement phase (§2.3): recompute the dimension
-// sets from the best trial's clusters, reassign all points, and flag
-// outliers outside every medoid's sphere of influence.
+// sets from the best trial's clusters, then reassign every point and
+// flag outliers outside every medoid's sphere of influence in one pass.
 func (r *runner) refine(best *trialState) *Result {
 	k := len(best.medoids)
 
@@ -704,33 +693,11 @@ func (r *runner) refine(best *trialState) *Result {
 	}
 	dims := r.findDimensions(best.medoids, clusters)
 
-	assign, _ := r.assignPoints(best.medoids, dims)
-
-	// Sphere of influence: Δ_i = min over other medoids of the segmental
-	// distance w.r.t. D_i. A point is an outlier iff it exceeds Δ_i for
-	// every medoid i.
 	medoidPoints := make([][]float64, k)
 	for i, m := range best.medoids {
 		medoidPoints[i] = r.ds.Point(m)
 	}
-	delta := r.sphereRadii(medoidPoints, dims)
-	parallel.For(r.ds.Len(), r.innerWorkers, func(lo, hi int) {
-		// The early exit makes the per-point distance count
-		// data-dependent, so accumulate locally and add once per chunk.
-		// Each point's count is chunking-independent, so the total still
-		// matches a serial scan exactly.
-		var evals, coords int64
-		for p := lo; p < hi; p++ {
-			outlier, e, c := outsideSpheres(r.ds.Point(p), medoidPoints, dims, delta)
-			evals += e
-			coords += c
-			if outlier {
-				assign[p] = OutlierID
-			}
-		}
-		r.creditEvals(evals, coords)
-		r.counters.PointsScanned.Add(int64(hi - lo))
-	})
+	assign := r.refineAll(medoidPoints, dims, r.sphereRadii(medoidPoints, dims))
 
 	res := r.packageResult(best.medoids, dims, assign)
 	res.Objective = r.finalObjective(res)
@@ -758,19 +725,48 @@ func (r *runner) sphereRadii(medoidPoints [][]float64, dims [][]int) []float64 {
 	return delta
 }
 
-// outsideSpheres reports whether pt lies outside every medoid's sphere
-// of influence, that is, whether its segmental distance over D_i exceeds
-// Δ_i for every medoid i. The scan stops at the first sphere that holds
-// pt; evals and coords count the distance work it did.
-func outsideSpheres(pt []float64, medoidPoints [][]float64, dims [][]int, delta []float64) (outlier bool, evals, coords int64) {
-	for i := range medoidPoints {
-		evals++
-		coords += int64(len(dims[i]))
-		if dist.Segmental(pt, medoidPoints[i], dims[i]) <= delta[i] {
-			return false, evals, coords
+// refineRows is the refinement rule shared by Run and RunStream, applied
+// to rows, a row-major range of d-dimensional points: out[i] receives
+// the cluster of row i. Each (point, medoid) pair costs one segmental
+// distance seg over D_m, which serves both tests. The point goes to the
+// medoid of least seg — or seg·|D_m| when manhattan is set — taking the
+// strict < from (0, +Inf), so ties keep the lower medoid, as in the
+// incremental engine's assignment pass. It is an outlier (OutlierID)
+// when seg exceeds Δ_m = delta[m] for every medoid m, that is, when it
+// lies outside every sphere of influence; a nil delta flags no
+// outliers, which makes it the hill climb's plain assignment.
+func refineRows(rows []float64, d int, medoids [][]float64, dims [][]int, delta []float64,
+	manhattan bool, out []int) {
+	for i := range out {
+		pt := rows[i*d : (i+1)*d : (i+1)*d]
+		a, best := 0, math.Inf(1)
+		inside := delta == nil
+		for m, mp := range medoids {
+			seg := dist.Segmental(pt, mp, dims[m])
+			if !inside && seg <= delta[m] {
+				inside = true
+			}
+			v := seg
+			if manhattan {
+				v = seg * float64(len(dims[m]))
+			}
+			if v < best {
+				a, best = m, v
+			}
 		}
+		if !inside {
+			a = OutlierID
+		}
+		out[i] = a
 	}
-	return true, evals, coords
+}
+
+// creditRefined credits refineRows's work over the given number of
+// points: one evaluation per (point, medoid) pair, each over that
+// medoid's dimensions.
+func (r *runner) creditRefined(points int, dims [][]int) {
+	r.creditEvals(int64(points)*int64(len(dims)), int64(points)*dimsTotal(dims))
+	r.counters.PointsScanned.Add(int64(points))
 }
 
 // packageResult assembles a Result from a medoid set, per-medoid
@@ -782,12 +778,13 @@ func (r *runner) packageResult(medoids []int, dims [][]int, assign []int) *Resul
 		Clusters:    make([]Cluster, k),
 		Assignments: assign,
 	}
-	members := make([][]int, k)
-	for p, a := range assign {
+	sizes := make([]int, k)
+	for _, a := range assign {
 		if a != OutlierID {
-			members[a] = append(members[a], p)
+			sizes[a]++
 		}
 	}
+	members := clusterMembers(assign, sizes)
 	for i := 0; i < k; i++ {
 		cl := Cluster{
 			Medoid:     medoids[i],
@@ -802,6 +799,25 @@ func (r *runner) packageResult(medoids []int, dims [][]int, assign []int) *Resul
 		res.Clusters[i] = cl
 	}
 	return res
+}
+
+// clusterMembers lists each cluster's points in ascending index order,
+// skipping outliers, by counting sort: sizes[i] must count the points
+// assign gives cluster i, so each list is allocated once at its exact
+// length. An empty cluster keeps a nil list.
+func clusterMembers(assign, sizes []int) [][]int {
+	members := make([][]int, len(sizes))
+	for i, size := range sizes {
+		if size > 0 {
+			members[i] = make([]int, 0, size)
+		}
+	}
+	for p, a := range assign {
+		if a != OutlierID {
+			members[a] = append(members[a], p)
+		}
+	}
+	return members
 }
 
 // finalObjective recomputes the quality measure over the refined

@@ -1,6 +1,6 @@
 package core
 
-// End-to-end benchmark of a full PROCLUS run at different worker
+// End-to-end benchmarks of a full PROCLUS run at different worker
 // budgets, on the benchmark ledger's two in-memory PROCLUS shapes:
 // case1, a scaled-down §4.1 input (20-dimensional space, 5 clusters in
 // 7-dimensional subspaces), and highdim, the Figure 9 axis at d = 100
@@ -15,9 +15,12 @@ package core
 // only in schedule.
 
 import (
+	"context"
 	"fmt"
+	"path/filepath"
 	"testing"
 
+	"proclus/internal/dataset"
 	"proclus/internal/synth"
 )
 
@@ -45,5 +48,37 @@ func BenchmarkProclusRun(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkRunStream is a whole streamed PROCLUS fit over a FileSource
+// on a 200,000-point file of the case1 shape, at one and two workers:
+// the sample read, the hill climb on the sample and the two block
+// passes of refinement, with the file in the page cache after the
+// first fit.
+//
+//	go test -run xxx -bench BenchmarkRunStream -benchtime 5x ./internal/core/
+func BenchmarkRunStream(b *testing.B) {
+	ds, _, err := synth.Generate(synth.Config{N: 200000, Dims: 20, K: 5, FixedDims: 7, MinSizeFraction: 0.1, Seed: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "case1.bin")
+	if err := ds.SaveFile(path); err != nil {
+		b.Fatal(err)
+	}
+	src, err := dataset.OpenFileSource(path, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("case1/workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := RunStream(context.Background(), src, Config{K: 5, L: 7, Seed: 4, Workers: workers}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -1,0 +1,106 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"proclus/internal/dist"
+	"proclus/internal/randx"
+)
+
+// referenceRefine is the refinement rule in its two-step form: the
+// nearest medoid under the assignment metric first, then the
+// sphere-of-influence scan, which stops at the first sphere that holds
+// the point. refineRows must agree with it on every point.
+func referenceRefine(pt []float64, medoids [][]float64, dims [][]int, delta []float64, manhattan bool) int {
+	a, best := 0, math.Inf(1)
+	for m := range medoids {
+		v := dist.Segmental(pt, medoids[m], dims[m])
+		if manhattan {
+			v *= float64(len(dims[m]))
+		}
+		if v < best {
+			a, best = m, v
+		}
+	}
+	if delta != nil && outsideSpheres(pt, medoids, dims, delta) {
+		return OutlierID
+	}
+	return a
+}
+
+// outsideSpheres reports whether pt's segmental distance over D_i
+// exceeds Δ_i for every medoid i.
+func outsideSpheres(pt []float64, medoids [][]float64, dims [][]int, delta []float64) bool {
+	for i := range medoids {
+		if dist.Segmental(pt, medoids[i], dims[i]) <= delta[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestRefineRowsMatchesReference checks the one-pass refinement kernel
+// against the two-step rule on random data. Coordinates are small
+// integers, so distances tie between medoids and land exactly on a
+// radius; the radii are the medoids' true spheres of influence, values
+// drawn from the same grid, or nil. Each point set is refined whole and
+// in uneven row ranges, which must not change a decision.
+func TestRefineRowsMatchesReference(t *testing.T) {
+	rng := randx.New(5)
+	const n = 300
+	outliers := 0
+	for trial := 0; trial < 40; trial++ {
+		d := 2 + rng.Intn(6)
+		k := 1 + rng.Intn(5)
+		rows := make([]float64, n*d)
+		for i := range rows {
+			rows[i] = float64(rng.Intn(4))
+		}
+		medoids := make([][]float64, k)
+		dims := make([][]int, k)
+		for m := range medoids {
+			medoids[m] = rows[rng.Intn(n)*d:][:d]
+			perm := rng.Perm(d)
+			dims[m] = perm[:1+rng.Intn(d)]
+		}
+		radii := make([]float64, k)
+		grid := make([]float64, k)
+		for i := range radii {
+			radii[i] = math.Inf(1)
+			for j := range medoids {
+				if i != j {
+					radii[i] = math.Min(radii[i], dist.Segmental(medoids[i], medoids[j], dims[i]))
+				}
+			}
+			grid[i] = float64(rng.Intn(7)) / 2
+		}
+		for _, manhattan := range []bool{false, true} {
+			for dname, delta := range map[string][]float64{"radii": radii, "grid": grid, "nil": nil} {
+				name := fmt.Sprintf("trial %d d=%d k=%d manhattan=%v delta=%s", trial, d, k, manhattan, dname)
+				whole := make([]int, n)
+				refineRows(rows, d, medoids, dims, delta, manhattan, whole)
+				split := make([]int, n)
+				for lo := 0; lo < n; {
+					hi := min(n, lo+1+rng.Intn(50))
+					refineRows(rows[lo*d:hi*d], d, medoids, dims, delta, manhattan, split[lo:hi])
+					lo = hi
+				}
+				for p := 0; p < n; p++ {
+					want := referenceRefine(rows[p*d:(p+1)*d], medoids, dims, delta, manhattan)
+					if want == OutlierID {
+						outliers++
+					}
+					if whole[p] != want || split[p] != want {
+						t.Fatalf("%s: point %d refined to %d whole, %d in ranges, want %d",
+							name, p, whole[p], split[p], want)
+					}
+				}
+			}
+		}
+	}
+	if outliers == 0 {
+		t.Error("no point fell outside every sphere: the outlier rule went untested")
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"proclus/internal/dataset"
@@ -22,15 +21,17 @@ import (
 // pass over disk-resident data, while the hill climb works on the
 // in-memory sample):
 //
-//  1. One block pass collects the random sample; greedy farthest-first
-//     thins it to the candidate medoids.
+//  1. The random sample is read by position (PointSource.ReadPoints),
+//     not in a pass; greedy farthest-first thins it to the candidate
+//     medoids.
 //  2. The hill-climb restarts run entirely on the resident sample —
 //     localities, dimension selection, assignment and objective are
 //     computed over sample points only.
-//  3. Refinement recomputes dimensions from the best sample clustering,
-//     then one block pass assigns every point (and flags outliers)
-//     while accumulating cluster centroids, and one more scores the
-//     final partition.
+//  3. Refinement recomputes dimensions from the best sample clustering.
+//     Then two block passes sweep the source: the first assigns every
+//     point and flags outliers with the same rule as Run's refinement
+//     while accumulating cluster centroids, the second scores the final
+//     partition.
 //
 // The Result is a deterministic function of the point data and cfg
 // alone: any two sources presenting the same points — a MemorySource, a
@@ -41,8 +42,10 @@ import (
 // from the sample rather than the full dataset. Cluster medoid indices
 // refer to the full dataset, as do Assignments and Members.
 //
-// The context cancels between hill-climb trials and between blocks of
-// every pass. Stats gains stream counters (blocks, bytes).
+// The context cancels before the sample read, between hill-climb
+// trials, between the blocks of both passes and, in the assign pass,
+// between chunks within a block. Stats gains stream counters (blocks,
+// bytes), in which the sample read counts as one block.
 func RunStream(ctx context.Context, src PointSource, cfg Config) (*Result, error) {
 	if src == nil {
 		return nil, fmt.Errorf("proclus: nil point source")
@@ -99,6 +102,30 @@ func (s *streamRunner) pass(name string, fn func(b *dataset.Block) error) error 
 	})
 }
 
+// readSample reads the sample points at idx by position into dst. The
+// read is reported as the one block of the "sample" pass: one EvBlock
+// event and one point in the block series, timed around the read, and
+// one block and its bytes in the stream counters. It scans no points.
+func (s *streamRunner) readSample(idx []int, dst []float64) error {
+	if err := s.r.cancelled(); err != nil {
+		return err
+	}
+	start := time.Now()
+	if err := s.src.ReadPoints(idx, dst); err != nil {
+		return fmt.Errorf("proclus: reading the initialization sample: %w", err)
+	}
+	s.r.counters.StreamBlocks.Add(1)
+	s.r.counters.StreamBytes.Add(int64(len(dst)) * 8)
+	if s.r.obs != nil || s.r.series != nil {
+		secs := time.Since(start).Seconds()
+		bs := s.r.series.blocks("sample")
+		bs.record(1, len(idx), secs)
+		s.r.emit(obs.Event{Type: obs.EvBlock, Phase: "sample",
+			Block: 1, Points: len(idx), Seconds: secs})
+	}
+	return nil
+}
+
 func (s *streamRunner) run() (*Result, error) {
 	r := s.r
 	n, d := s.src.Len(), s.src.Dims()
@@ -149,10 +176,10 @@ func (s *streamRunner) run() (*Result, error) {
 	return res, nil
 }
 
-// initialize draws the A·K sample indices, collects their coordinates
-// in one block pass, and selects the candidate medoids within the
-// resident sample. It returns sample-local candidate indices and leaves
-// r.ds set to the sample dataset.
+// initialize draws the A·K sample indices, reads their coordinates by
+// position, and selects the candidate medoids within the resident
+// sample. It returns sample-local candidate indices and leaves r.ds set
+// to the sample dataset.
 func (s *streamRunner) initialize() ([]int, error) {
 	r := s.r
 	n, d := s.src.Len(), s.src.Dims()
@@ -164,33 +191,10 @@ func (s *streamRunner) initialize() ([]int, error) {
 	if err != nil {
 		return nil, fmt.Errorf("proclus: initialization sample: %w", err)
 	}
-
-	// Collect the sample coordinates in one pass. Blocks arrive in
-	// ascending index order, so a sorted view of the sample indices is
-	// consumed with a single monotonic cursor — no per-point map lookup.
-	type pick struct{ idx, slot int }
-	sorted := make([]pick, len(sampleIdx))
-	for slot, idx := range sampleIdx {
-		sorted[slot] = pick{idx: idx, slot: slot}
-	}
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a].idx < sorted[b].idx })
+	// Row i of the sample is point sampleIdx[i], in the order drawn.
 	flat := make([]float64, len(sampleIdx)*d)
-	cursor := 0
-	err = s.pass("sample", func(b *dataset.Block) error {
-		end := b.Start() + b.Len()
-		for cursor < len(sorted) && sorted[cursor].idx < end {
-			p := sorted[cursor]
-			copy(flat[p.slot*d:(p.slot+1)*d], b.Point(p.idx-b.Start()))
-			cursor++
-		}
-		r.counters.PointsScanned.Add(int64(b.Len()))
-		return nil
-	})
-	if err != nil {
+	if err := s.readSample(sampleIdx, flat); err != nil {
 		return nil, err
-	}
-	if cursor != len(sorted) {
-		return nil, fmt.Errorf("proclus: source delivered %d of %d sampled points", cursor, len(sorted))
 	}
 	sampleDS, err := dataset.FromFlat(d, flat)
 	if err != nil {
@@ -256,10 +260,10 @@ func (s *streamRunner) refine(best *trialState) (*Result, error) {
 	for i, m := range best.medoids {
 		medoidPoints[i] = r.ds.Point(m)
 	}
-	metric := r.pointMetric()
 
 	// Sphere of influence Δ_i over the medoids' own dimension sets,
-	// computed from the resident sample coordinates.
+	// computed from the resident sample coordinates. Without it
+	// refineRows flags no outliers.
 	var delta []float64
 	if !r.cfg.SkipRefinement {
 		delta = r.sphereRadii(medoidPoints, dims)
@@ -272,50 +276,31 @@ func (s *streamRunner) refine(best *trialState) (*Result, error) {
 		sums[i] = make([]float64, d)
 	}
 	sizes := make([]int, k)
-	fullCoords := dimsTotal(dims)
+	manhattan := r.cfg.AssignMetric == MetricManhattan
 
 	// Pass A: per-point nearest medoid and outlier flag (parallel within
-	// the block), then centroid accumulation (serial, in point order).
-	// The per-point decisions depend on coordinate values only, never on
-	// block or chunk boundaries, so assignments stay block-size and
-	// worker-count invariant.
+	// the block, in several chunks per worker so the block reader's
+	// goroutine cannot hold one worker's share back), then centroid
+	// accumulation (serial, in point order). The per-point decisions
+	// depend on coordinate values only, never on block or chunk
+	// boundaries, so assignments stay block-size and worker-count
+	// invariant.
 	err := s.pass("assign", func(b *dataset.Block) error {
 		bn := b.Len()
-		parallel.For(bn, r.innerWorkers, func(lo, hi int) {
-			// The outlier test's early exit makes the distance count
-			// data-dependent; accumulate locally and add once per chunk, as
-			// in the in-memory refinement pass.
-			evals := int64(hi-lo) * int64(k)
-			coords := int64(hi-lo) * fullCoords
-			for i := lo; i < hi; i++ {
-				pt := b.Point(i)
-				a, bestDist := 0, math.Inf(1)
-				for m := range medoidPoints {
-					if dd := metric(pt, medoidPoints[m], dims[m]); dd < bestDist {
-						a, bestDist = m, dd
-					}
-				}
-				if delta != nil {
-					outlier, e, c := outsideSpheres(pt, medoidPoints, dims, delta)
-					evals += e
-					coords += c
-					if outlier {
-						a = OutlierID
-					}
-				}
-				assign[b.Index(i)] = a
-			}
-			r.creditEvals(evals, coords)
-			r.counters.PointsScanned.Add(int64(hi - lo))
+		out := assign[b.Start() : b.Start()+bn]
+		err := parallel.ForContext(r.ctx, bn, r.innerWorkers, func(lo, hi int) {
+			refineRows(b.Rows(lo, hi), d, medoidPoints, dims, delta, manhattan, out[lo:hi])
+			r.creditRefined(hi-lo, dims)
 		})
-		for i := 0; i < bn; i++ {
-			a := assign[b.Index(i)]
+		if err != nil {
+			return err
+		}
+		for i, a := range out {
 			if a == OutlierID {
 				continue
 			}
-			pt := b.Point(i)
 			cs := sums[a]
-			for j, v := range pt {
+			for j, v := range b.Point(i) {
 				cs[j] += v
 			}
 			sizes[a]++
@@ -377,12 +362,7 @@ func (s *streamRunner) refine(best *trialState) (*Result, error) {
 		}
 	}
 
-	members := make([][]int, k)
-	for p, a := range assign {
-		if a != OutlierID {
-			members[a] = append(members[a], p)
-		}
-	}
+	members := clusterMembers(assign, sizes)
 	res := &Result{
 		Clusters:    make([]Cluster, k),
 		Assignments: assign,

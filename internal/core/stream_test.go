@@ -260,14 +260,16 @@ func TestStreamResidencyBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Three passes sweep the file: sample collection, assignment +
-	// outliers, final objective.
+	// Two passes sweep the file: assignment + outliers, final
+	// objective. The A·k-point sample (A = 30 by default) is read by
+	// position and counts as one block of its own bytes.
 	blocksPerPass := int64((n + blockPoints - 1) / blockPoints)
-	if got := res.Stats.Counters.StreamBlocks; got != 3*blocksPerPass {
-		t.Errorf("stream blocks = %d, want %d", got, 3*blocksPerPass)
+	sampleBytes := int64(30*k) * dims * 8
+	if got := res.Stats.Counters.StreamBlocks; got != 2*blocksPerPass+1 {
+		t.Errorf("stream blocks = %d, want %d", got, 2*blocksPerPass+1)
 	}
-	if got := res.Stats.Counters.StreamBytes; got != 3*int64(n)*dims*8 {
-		t.Errorf("stream bytes = %d, want %d", got, 3*int64(n)*dims*8)
+	if got, want := res.Stats.Counters.StreamBytes, 2*int64(n)*dims*8+sampleBytes; got != want {
+		t.Errorf("stream bytes = %d, want %d", got, want)
 	}
 
 	// Allocation bound: the run may allocate the O(n) assignment and

@@ -3,6 +3,7 @@ package dataset
 import (
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 )
@@ -75,6 +76,13 @@ func (b *Block) Index(i int) int { return b.start + i }
 func (b *Block) Point(i int) []float64 {
 	off := i * b.dims
 	return b.data[off : off+b.dims : off+b.dims]
+}
+
+// Rows returns the block's points [lo, hi) as one row-major view into
+// the block buffer, for kernels that walk a range of points without a
+// call per point; callers must not retain it past the block's lifetime.
+func (b *Block) Rows(lo, hi int) []float64 {
+	return b.data[lo*b.dims : hi*b.dims : hi*b.dims]
 }
 
 // Bytes returns the encoded size of the block's data section, for byte
@@ -327,6 +335,34 @@ func (ms *MemorySource) Blocks(ctx context.Context, fn func(*Block) error) error
 	return nil
 }
 
+// ReadPoints copies the points at the given indices into dst, row i
+// holding point idx[i]. An index outside [0, Len()) is an error.
+func (ms *MemorySource) ReadPoints(idx []int, dst []float64) error {
+	d := ms.ds.Dims()
+	if err := checkReadPoints(idx, dst, d, ms.ds.Len()); err != nil {
+		return err
+	}
+	for i, p := range idx {
+		copy(dst[i*d:(i+1)*d], ms.ds.Point(p))
+	}
+	return nil
+}
+
+// checkReadPoints validates a ReadPoints request against a source of n
+// points of the given dimensionality before anything is read: dst must
+// hold exactly one row per index, and every index must name a point.
+func checkReadPoints(idx []int, dst []float64, dims, n int) error {
+	if len(dst) != len(idx)*dims {
+		return fmt.Errorf("dataset: reading %d points of %d dims into %d values", len(idx), dims, len(dst))
+	}
+	for _, p := range idx {
+		if p < 0 || p >= n {
+			return fmt.Errorf("dataset: point index %d outside [0, %d)", p, n)
+		}
+	}
+	return nil
+}
+
 // FileSource adapts a binary dataset file to block-pass consumption:
 // every Blocks call opens a fresh BlockScanner, so one FileSource
 // serves any number of sequential passes while holding no file handle
@@ -384,9 +420,8 @@ func (fs *FileSource) Blocks(ctx context.Context, fn func(*Block) error) error {
 		return err
 	}
 	defer sc.Close()
-	if sc.Dims() != fs.dims || sc.Len() != fs.n {
-		return fmt.Errorf("dataset: %s changed shape mid-run (%d×%d, was %d×%d)",
-			fs.path, sc.Len(), sc.Dims(), fs.n, fs.dims)
+	if err := fs.checkShape(sc.Len(), sc.Dims()); err != nil {
+		return err
 	}
 	for {
 		b, err := sc.Next(ctx)
@@ -400,4 +435,49 @@ func (fs *FileSource) Blocks(ctx context.Context, fn func(*Block) error) error {
 			return err
 		}
 	}
+}
+
+// ReadPoints copies the points at the given indices into dst, row i
+// holding point idx[i], with one positioned read per index: a sample of
+// a few hundred points costs a few hundred small reads, not a pass.
+// Like Blocks it re-reads and size-checks the header, so a file
+// truncated or reshaped since OpenFileSource fails here. An index
+// outside [0, Len()) or a short read is an error.
+func (fs *FileSource) ReadPoints(idx []int, dst []float64) error {
+	f, err := os.Open(fs.path)
+	if err != nil {
+		return fmt.Errorf("dataset: opening %s: %w", fs.path, err)
+	}
+	defer f.Close()
+	dims, n, labeled, err := readBlockHeader(f)
+	if err != nil {
+		return err
+	}
+	if _, err := verifyDeclaredSize(f, dims, n, labeled); err != nil {
+		return err
+	}
+	if err := fs.checkShape(n, dims); err != nil {
+		return err
+	}
+	if err := checkReadPoints(idx, dst, dims, n); err != nil {
+		return err
+	}
+	row := int64(dims) * 8
+	for i, p := range idx {
+		at := io.NewSectionReader(f, binaryHeaderSize+int64(p)*row, row)
+		if err := readFloat64s(at, dst[i*dims:(i+1)*dims]); err != nil {
+			return fmt.Errorf("dataset: reading point %d: %w", p, err)
+		}
+	}
+	return nil
+}
+
+// checkShape reports a file whose header no longer declares the shape
+// OpenFileSource read.
+func (fs *FileSource) checkShape(n, dims int) error {
+	if dims != fs.dims || n != fs.n {
+		return fmt.Errorf("dataset: %s changed shape mid-run (%d×%d, was %d×%d)",
+			fs.path, n, dims, fs.n, fs.dims)
+	}
+	return nil
 }

@@ -416,3 +416,107 @@ func TestBlockScannerExactFloats(t *testing.T) {
 	defer sc.Close()
 	drainBlocks(t, context.Background(), sc, ds)
 }
+
+// blockRows collects a source's points as one Blocks pass delivers
+// them, row-major.
+func blockRows(t *testing.T, src interface {
+	Blocks(context.Context, func(*Block) error) error
+}) []float64 {
+	t.Helper()
+	var rows []float64
+	err := src.Blocks(context.Background(), func(b *Block) error {
+		rows = append(rows, b.Rows(0, b.Len())...)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+// TestReadPointsMatchesBlocks checks the read by position against a
+// block pass: for any index list, shuffled or repeated, row i of the
+// result is the point a Blocks pass delivers at idx[i], from memory and
+// from a labeled file alike.
+func TestReadPointsMatchesBlocks(t *testing.T) {
+	const n, d = 97, 5
+	ds := randomDataset(41, n, d, true)
+	fs, err := OpenFileSource(writeTempBinary(t, ds), 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sources := map[string]interface {
+		Blocks(context.Context, func(*Block) error) error
+		ReadPoints([]int, []float64) error
+	}{
+		"memory": NewMemorySource(ds, 16),
+		"file":   fs,
+	}
+	cases := map[string][]int{
+		"none":     {},
+		"first":    {0},
+		"last":     {n - 1},
+		"shuffled": {60, 3, 96, 17, 0, 42, 81},
+		"repeated": {5, 5, 90, 5, 90},
+	}
+	for sname, src := range sources {
+		want := blockRows(t, src)
+		for cname, idx := range cases {
+			got := make([]float64, len(idx)*d)
+			if err := src.ReadPoints(idx, got); err != nil {
+				t.Fatalf("%s/%s: %v", sname, cname, err)
+			}
+			for i, p := range idx {
+				for j := 0; j < d; j++ {
+					if got[i*d+j] != want[p*d+j] {
+						t.Fatalf("%s/%s: row %d (point %d) dim %d = %v, want %v",
+							sname, cname, i, p, j, got[i*d+j], want[p*d+j])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestReadPointsErrors checks that a bad request, and a file truncated
+// or reshaped after OpenFileSource, each fail with an error rather than
+// a panic or stale data.
+func TestReadPointsErrors(t *testing.T) {
+	const n, d = 40, 3
+	ds := randomDataset(43, n, d, false)
+	path := writeTempBinary(t, ds)
+	fs, err := OpenFileSource(path, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, src := range map[string]interface {
+		ReadPoints([]int, []float64) error
+	}{"memory": NewMemorySource(ds, 8), "file": fs} {
+		for _, idx := range [][]int{{-1}, {n}, {2, n + 5}} {
+			if err := src.ReadPoints(idx, make([]float64, len(idx)*d)); err == nil {
+				t.Errorf("%s: index list %v read without error", name, idx)
+			}
+		}
+		if err := src.ReadPoints([]int{1, 2}, make([]float64, d)); err == nil {
+			t.Errorf("%s: a one-row buffer accepted two points", name)
+		}
+	}
+
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw[:len(raw)-8], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.ReadPoints([]int{0}, make([]float64, d)); err == nil {
+		t.Error("read from a file truncated after open without error")
+	}
+	reshaped := randomDataset(44, n, d+1, false)
+	if err := reshaped.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.ReadPoints([]int{0}, make([]float64, d)); err == nil {
+		t.Error("read from a file reshaped after open without error")
+	}
+}

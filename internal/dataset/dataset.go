@@ -71,7 +71,7 @@ func FromRows(rows [][]float64, labels []int) (*Dataset, error) {
 // FromFlat builds an unlabeled dataset around an existing row-major
 // backing slice without copying it. The caller hands over ownership of
 // data. It is the constructor for streamed sample collection, where the
-// flat buffer is filled block by block before the dataset exists.
+// flat buffer is filled by a read by position before the dataset exists.
 func FromFlat(dims int, data []float64) (*Dataset, error) {
 	if dims <= 0 {
 		return nil, fmt.Errorf("dataset: non-positive dimensionality %d", dims)
@@ -93,6 +93,12 @@ func (ds *Dataset) Len() int { return len(ds.data) / ds.dims }
 func (ds *Dataset) Point(i int) []float64 {
 	off := i * ds.dims
 	return ds.data[off : off+ds.dims : off+ds.dims]
+}
+
+// Rows returns points [lo, hi) as one row-major view into the
+// dataset's backing array. The caller must not append to it.
+func (ds *Dataset) Rows(lo, hi int) []float64 {
+	return ds.data[lo*ds.dims : hi*ds.dims : hi*ds.dims]
 }
 
 // Append adds a copy of p as a new unlabeled point. If the dataset is

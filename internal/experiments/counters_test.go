@@ -13,11 +13,11 @@ import (
 // change to which distances a pass evaluates, or over how many
 // dimensions, say) is a deliberate edit of this literal.
 var table1Counters = obs.Snapshot{
-	DistanceEvals:          1987206,
-	DistanceEvalsFull:      1987206,
+	DistanceEvals:          1980246,
+	DistanceEvalsFull:      1980246,
 	DistanceEvalsAbandoned: 0,
-	CoordsVisited:          21161380,
-	PointsScanned:          1002000,
+	CoordsVisited:          21112660,
+	PointsScanned:          999000,
 	DenseUnitProbes:        0,
 	DistCacheHits:          1947320,
 	DistCacheRecomputes:    546000,

@@ -41,7 +41,8 @@ type Flags struct {
 	ChromeTrace string
 	// StallIters is -stall-iters: trip the stall watchdog when a
 	// restart's objective fails to improve for this many consecutive
-	// iterations. Zero disables the check.
+	// iterations. Zero disables the check. The three stall flags are
+	// installed only when the owning CLI registered WithStall.
 	StallIters int
 	// StallDeadline is -stall-deadline: trip the watchdog when no
 	// progress event arrives for this long. Zero disables the check.
@@ -65,6 +66,7 @@ type Flags struct {
 type options struct {
 	report  bool
 	archive bool
+	stall   bool
 }
 
 // Option adjusts which flags Register installs.
@@ -78,6 +80,13 @@ func WithoutReport() Option { return func(o *options) { o.report = false } }
 // their completed runs with Session.ArchiveRun. Elsewhere the flags
 // would be accepted and do nothing, so they are off by default.
 func WithArchive() Option { return func(o *options) { o.archive = true } }
+
+// WithStall installs -stall-iters, -stall-deadline and -stall-cancel,
+// for CLIs whose runs emit the progress events the watchdog reads
+// (PROCLUS and CLIQUE fits observed through Session.Observer).
+// Elsewhere the flags would be accepted and do nothing, so they are off
+// by default.
+func WithStall() Option { return func(o *options) { o.stall = true } }
 
 // Register installs the observability flags on fs and returns the
 // destination values, to be read after fs.Parse.
@@ -93,9 +102,11 @@ func Register(fs *flag.FlagSet, opts ...Option) *Flags {
 	fs.StringVar(&f.Trace, "trace", "", "write a JSON-lines event trace to this path")
 	fs.BoolVar(&f.Progress, "progress", false, "log human-readable progress to stderr")
 	fs.StringVar(&f.ChromeTrace, "chrometrace", "", "write a Chrome trace_event file to this path (open in chrome://tracing or Perfetto)")
-	fs.IntVar(&f.StallIters, "stall-iters", 0, "emit a stall event when a restart's objective fails to improve for this many consecutive iterations (0 disables)")
-	fs.DurationVar(&f.StallDeadline, "stall-deadline", 0, "emit a stall event when no progress event arrives for this long (0 disables)")
-	fs.BoolVar(&f.StallCancel, "stall-cancel", false, "cancel the run on the first stall instead of only reporting it")
+	if o.stall {
+		fs.IntVar(&f.StallIters, "stall-iters", 0, "emit a stall event when a restart's objective fails to improve for this many consecutive iterations (0 disables)")
+		fs.DurationVar(&f.StallDeadline, "stall-deadline", 0, "emit a stall event when no progress event arrives for this long (0 disables)")
+		fs.BoolVar(&f.StallCancel, "stall-cancel", false, "cancel the run on the first stall instead of only reporting it")
+	}
 	if o.archive {
 		fs.StringVar(&f.Archive, "archive", "", "append this run's report and telemetry to the run archive at this directory (inspect with runlens ls/diff/trend)")
 		fs.IntVar(&f.ArchiveKeep, "archive-keep", 0, "retain only the newest N archive entries, deleting older ones after each save (0 keeps everything)")

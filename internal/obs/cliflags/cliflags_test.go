@@ -51,8 +51,13 @@ func TestRegisterOptions(t *testing.T) {
 		{
 			name:    "WithoutReport",
 			opts:    []Option{WithoutReport()},
-			absent:  []string{"report", "series", "archive", "archive-keep"},
+			absent:  []string{"report", "series", "archive", "archive-keep", "stall-iters", "stall-deadline", "stall-cancel"},
 			present: []string{"trace", "progress", "chrometrace", "cpuprofile", "memprofile"},
+		},
+		{
+			name:    "WithStall",
+			opts:    []Option{WithStall()},
+			present: []string{"report", "stall-iters", "stall-deadline", "stall-cancel"},
 		},
 		{
 			name:    "WithArchive",
@@ -131,7 +136,7 @@ func TestSessionNilClose(t *testing.T) {
 }
 
 func TestSessionWatchdogCancel(t *testing.T) {
-	f := parse(t, []string{"-stall-iters", "3", "-stall-cancel"})
+	f := parse(t, []string{"-stall-iters", "3", "-stall-cancel"}, WithStall())
 	var warn strings.Builder
 	sess, err := f.Start(&warn)
 	if err != nil {
@@ -165,7 +170,7 @@ func TestSessionWatchdogCancel(t *testing.T) {
 }
 
 func TestSessionWatchdogObserveOnly(t *testing.T) {
-	f := parse(t, []string{"-stall-iters", "2"})
+	f := parse(t, []string{"-stall-iters", "2"}, WithStall())
 	sess, err := f.Start(io.Discard)
 	if err != nil {
 		t.Fatal(err)

@@ -43,9 +43,11 @@ type Counters struct {
 	// recompute is also a DistanceEvals evaluation.
 	DistCacheRecomputes atomic.Int64
 	// StreamBlocks counts blocks delivered by out-of-core passes over a
-	// PointSource (zero for fully in-memory runs).
+	// PointSource (zero for fully in-memory runs). Streamed PROCLUS's
+	// read of its sample by position counts as one block.
 	StreamBlocks atomic.Int64
-	// StreamBytes counts the encoded point bytes those blocks carried.
+	// StreamBytes counts the encoded point bytes those blocks and reads
+	// carried.
 	StreamBytes atomic.Int64
 }
 

@@ -246,50 +246,6 @@ func (st *Store) Snapshot() StoreSnapshot {
 	return out
 }
 
-// WritePrometheus renders every series' latest value as a gauge in
-// Prometheus text exposition format, so a scrape of a live run sees
-// the current point of each trajectory. Empty series are skipped. A
-// nil store writes nothing.
-func (st *Store) WritePrometheus(w io.Writer) error {
-	if st == nil {
-		return nil
-	}
-	lastName := ""
-	for _, e := range st.sortedEntries() {
-		pts, _ := e.s.snapshotPoints()
-		if len(pts) == 0 {
-			continue
-		}
-		if e.name != lastName {
-			if e.help != "" {
-				if _, err := fmt.Fprintf(w, "# HELP %s %s\n", e.name, e.help); err != nil {
-					return err
-				}
-			}
-			if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n", e.name); err != nil {
-				return err
-			}
-			lastName = e.name
-		}
-		last := pts[len(pts)-1]
-		var b strings.Builder
-		if len(e.labels) > 0 {
-			b.WriteByte('{')
-			for i, l := range e.labels {
-				if i > 0 {
-					b.WriteByte(',')
-				}
-				fmt.Fprintf(&b, "%s=%q", l.Key, l.Value)
-			}
-			b.WriteByte('}')
-		}
-		if _, err := fmt.Fprintf(w, "%s%s %g\n", e.name, b.String(), last.V); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // WriteJSON writes the snapshot as indented JSON followed by a newline.
 func (ss StoreSnapshot) WriteJSON(w io.Writer) error {
 	data, err := json.MarshalIndent(ss, "", "  ")

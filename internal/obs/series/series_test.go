@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -111,31 +110,6 @@ func TestStoreFind(t *testing.T) {
 	}
 }
 
-func TestStoreWritePrometheus(t *testing.T) {
-	st := NewStore(4)
-	s := st.Series("proclus_iter_objective", "objective value", L("restart", "1"))
-	s.Append(1, 12.5)
-	s.Append(2, 11.25)
-	st.Series("empty_series", "never appended")
-	var buf bytes.Buffer
-	if err := st.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"# HELP proclus_iter_objective objective value",
-		"# TYPE proclus_iter_objective gauge",
-		`proclus_iter_objective{restart="1"} 11.25`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q:\n%s", want, out)
-		}
-	}
-	if strings.Contains(out, "empty_series") {
-		t.Errorf("empty series should be skipped:\n%s", out)
-	}
-}
-
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	st := NewStore(4)
 	st.Series("obj", "objective", L("restart", "1")).Append(1, 2.5)
@@ -180,10 +154,6 @@ func TestNilSafety(t *testing.T) {
 	s.Append(1, 2) // must not panic
 	if snap := st.Snapshot(); snap != nil {
 		t.Errorf("nil store snapshot = %+v, want nil", snap)
-	}
-	var buf bytes.Buffer
-	if err := st.WritePrometheus(&buf); err != nil || buf.Len() != 0 {
-		t.Errorf("nil store WritePrometheus wrote %q, err %v", buf.String(), err)
 	}
 }
 

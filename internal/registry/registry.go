@@ -29,13 +29,15 @@ import (
 
 // PointSource is the out-of-core data abstraction shared by the
 // streaming-capable algorithms: a point set of known shape sweepable in
-// contiguous blocks any number of times. It is structurally identical
-// to core.PointSource and clique.PointSource, so dataset.MemorySource
-// and dataset.FileSource satisfy all three.
+// contiguous blocks any number of times, whose points can also be read
+// by position. It is structurally identical to core.PointSource and a
+// superset of clique.PointSource, which needs no reads by position, so
+// dataset.MemorySource and dataset.FileSource satisfy all three.
 type PointSource interface {
 	Len() int
 	Dims() int
 	Blocks(ctx context.Context, fn func(*dataset.Block) error) error
+	ReadPoints(idx []int, dst []float64) error
 }
 
 var (

@@ -277,7 +277,9 @@ func RunContext(ctx context.Context, ds *Dataset, cfg Config) (*Result, error) {
 }
 
 // PointSource yields a dataset as a sequence of bounded blocks for the
-// out-of-core entry points. See NewMemorySource and OpenFileSource.
+// out-of-core entry points, and reads single points by position for
+// PROCLUS's initialization sample. See NewMemorySource and
+// OpenFileSource.
 type PointSource = core.PointSource
 
 // MemorySource adapts an in-memory Dataset to the PointSource
