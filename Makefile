@@ -82,13 +82,17 @@ scenario-gate:
 # One iteration per benchmark: proves the benchmarks still compile and
 # run without spending minutes on stable timings (the CI smoke job).
 # BenchmarkProclusRun keeps a whole PROCLUS fit on the ledger's case1
-# and highdim shapes running, and BenchmarkRunStream a whole streamed
-# fit over a 200,000-point case1-shaped file.
+# and highdim shapes running, BenchmarkRunStream a whole streamed fit
+# over a 200,000-point case1-shaped file, BenchmarkZRow the
+# FindDimensions kernel at d = 20 and d = 100, and
+# BenchmarkCandidateTable the hill climb's candidate table on the
+# highdim shape.
 bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkAssign|BenchmarkProclusRun|BenchmarkRunStream' -benchtime 1x ./internal/core/
+	$(GO) test -run xxx -bench 'BenchmarkAssign|BenchmarkProclusRun|BenchmarkRunStream|BenchmarkZRow|BenchmarkCandidateTable' -benchtime 1x ./internal/core/
 
-# Allocation smoke: every distance kernel must report 0 allocs/op, and
-# the assignment-pass benchmarks surface their per-pass allocation
+# Allocation smoke: every distance kernel and the Z-row kernel
+# (BenchmarkZRow) must report 0 allocs/op, and the assignment-pass
+# benchmarks and the candidate table surface their per-pass allocation
 # counts (a 1x run shows only one-time buffer setup). The steady-state
 # zero-alloc guarantee itself is enforced by
 # TestIncrementalSteadyStateAllocs; this target keeps -benchmem data in
@@ -102,6 +106,7 @@ bench-smoke:
 bench-allocs:
 	$(GO) test -run xxx -bench . -benchtime 100x -benchmem ./internal/dist/
 	$(GO) test -run xxx -bench 'BenchmarkAssign' -benchtime 1x -benchmem ./internal/core/
+	$(GO) test -run xxx -bench 'BenchmarkZRow|BenchmarkCandidateTable' -benchtime 20x -benchmem ./internal/core/
 	$(GO) test -run xxx -bench 'BenchmarkLoadFile|BenchmarkFileSourcePass|BenchmarkWriteAssignments' -benchtime 20x -benchmem ./internal/dataset/
 	$(GO) test -run xxx -bench 'BenchmarkRun' -benchtime 3x -benchmem ./internal/orclus/
 	$(GO) test -run xxx -bench 'BenchmarkRun' -benchtime 3x -benchmem ./internal/clique/

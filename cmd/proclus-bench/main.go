@@ -54,6 +54,12 @@ func run(args []string, out io.Writer) (retErr error) {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// The experiment drivers take no context, so the watchdog's cancel
+	// hook would have no fit to stop; -stall-iters and -stall-deadline
+	// still warn.
+	if obsFlags.StallCancel {
+		return fmt.Errorf("-stall-cancel is unsupported: the experiment drivers cannot be cancelled; -stall-iters and -stall-deadline still warn")
+	}
 	sess, err := obsFlags.Start(os.Stderr)
 	if err != nil {
 		return err

@@ -115,6 +115,24 @@ func TestRunBadFlag(t *testing.T) {
 	}
 }
 
+// TestRunRejectsStallCancel: no experiment driver takes a context, so
+// -stall-cancel could cancel nothing and is refused before any
+// experiment runs, while -stall-iters alone still only warns.
+func TestRunRejectsStallCancel(t *testing.T) {
+	var sb strings.Builder
+	err := run([]string{"-experiment", "table1", "-n", "3000", "-stall-iters", "1", "-stall-cancel"}, &sb)
+	if err == nil || !strings.Contains(err.Error(), "-stall-cancel") {
+		t.Fatalf("err = %v, want an error naming -stall-cancel", err)
+	}
+	if strings.Contains(sb.String(), "completed in") {
+		t.Errorf("an experiment ran before the rejection:\n%s", sb.String())
+	}
+	sb.Reset()
+	if err := run([]string{"-experiment", "table1", "-n", "2000", "-stall-iters", "1"}, &sb); err != nil {
+		t.Fatalf("-stall-iters without -stall-cancel: %v", err)
+	}
+}
+
 func TestRunWritesBenchReport(t *testing.T) {
 	reportPath := filepath.Join(t.TempDir(), "bench.json")
 	var sb strings.Builder

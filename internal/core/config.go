@@ -96,17 +96,17 @@ type Config struct {
 	// baseline for the paper's §2.3 refinement phase.
 	SkipRefinement bool
 	// IncrementalEval selects the hill-climb evaluation engine; see the
-	// EvalMode constants. The default, EvalIncremental, keeps a
-	// point×medoid distance cache, Z rows keyed by (medoid, δ_i) and
-	// projected assignment distances keyed by (medoid, dimension set),
-	// so an iteration that swaps |bad| medoids costs O(N·|bad|)
-	// full-dimensional distances instead of O(N·k), recomputes only
-	// the Z rows and assignment columns whose key changed, and
-	// allocates nothing in steady state. EvalNaive recomputes every
-	// trial from scratch; it exists as an escape hatch and as the
-	// equivalence baseline — both engines produce bit-identical
-	// Results (only the distance-evaluation and cache counters
-	// differ).
+	// EvalMode constants. The default, EvalIncremental, reads every
+	// full-dimensional distance from one table of the B·K candidates
+	// built before the restarts (2·N·B·K bytes of ranks), keeps Z rows
+	// keyed by (medoid, δ_i) and projected assignment distances keyed
+	// by (medoid, dimension set), so an iteration evaluates no
+	// full-dimensional distance, recomputes only the Z rows and
+	// assignment columns whose key changed, and allocates nothing in
+	// steady state. EvalNaive recomputes every trial from scratch; it
+	// exists as an escape hatch and as the equivalence baseline — both
+	// engines produce bit-identical Results (only the
+	// distance-evaluation and cache counters differ).
 	IncrementalEval EvalMode
 
 	// Observer receives structured run events: run start/end, phase
@@ -161,9 +161,9 @@ func (m InitMethod) String() string {
 type EvalMode int
 
 const (
-	// EvalIncremental evaluates trials through the keyed caches and
-	// reusable scratch of one engine per concurrent restart (the
-	// default).
+	// EvalIncremental evaluates trials through the run's candidate
+	// table and the keyed caches and reusable scratch of one engine per
+	// concurrent restart (the default).
 	EvalIncremental EvalMode = iota
 	// EvalNaive recomputes every trial from scratch. Escape hatch and
 	// equivalence baseline for EvalIncremental.
@@ -255,6 +255,11 @@ func (cfg Config) validateShape(n, dims int) error {
 		return fmt.Errorf("proclus: MinDeviation = %v outside [0, 1)", cfg.MinDeviation)
 	case n < cfg.K:
 		return fmt.Errorf("proclus: %d points cannot form %d clusters", n, cfg.K)
+	case cfg.K > maxCandidates/cfg.MedoidFactor && n > maxCandidates:
+		// C = min(MedoidFactor·K, N) > maxCandidates, tested without
+		// forming the product, which could overflow.
+		return fmt.Errorf("proclus: MedoidFactor = %d and K = %d select more than %d candidate medoids, the hill climb's limit",
+			cfg.MedoidFactor, cfg.K, maxCandidates)
 	}
 	return nil
 }

@@ -54,23 +54,34 @@ func (r *runner) zRow(medoid int, group []int) []float64 {
 // per-dimension mean absolute differences and z receives the
 // standardized row. Both must have length ds.Dims(); the incremental
 // engine reuses them across hill-climb iterations.
+//
+// The accumulation folds four group points per pass over the
+// dimensions, x[j] + a0 + a1 + a2 + a3 evaluated left to right, so
+// each x[j] receives the same additions in the same order as one point
+// at a time; the remaining points then fold singly.
 func (r *runner) zRowInto(medoid int, group []int, x, z []float64) []float64 {
 	d := r.ds.Dims()
-	for j := range x {
-		x[j] = 0
+	clear(x)
+	clear(z)
+	m := r.ds.Point(medoid)[:len(x)]
+	g := group
+	for ; len(g) >= 4; g = g[4:] {
+		p0 := r.ds.Point(g[0])[:len(x)]
+		p1 := r.ds.Point(g[1])[:len(x)]
+		p2 := r.ds.Point(g[2])[:len(x)]
+		p3 := r.ds.Point(g[3])[:len(x)]
+		for j := range x {
+			mj := m[j]
+			x[j] = x[j] + math.Abs(p0[j]-mj) + math.Abs(p1[j]-mj) + math.Abs(p2[j]-mj) + math.Abs(p3[j]-mj)
+		}
 	}
-	for j := range z {
-		z[j] = 0
-	}
-	m := r.ds.Point(medoid)
-	count := 0
-	for _, p := range group {
-		pt := r.ds.Point(p)
-		for j := 0; j < d; j++ {
+	for _, p := range g {
+		pt := r.ds.Point(p)[:len(x)]
+		for j := range x {
 			x[j] += math.Abs(pt[j] - m[j])
 		}
-		count++
 	}
+	count := len(group)
 	if count == 0 {
 		return z
 	}

@@ -2,39 +2,39 @@ package core
 
 // Incremental hill-climb evaluation. The iterative phase (§2.2, Figure
 // 2) replaces only the bad medoids between trials, so most of a trial's
-// work repeats an earlier trial's. The incremental engine keys each
-// per-position product of a trial by exactly the inputs it depends on
-// and recomputes only the products whose key changed:
+// work repeats an earlier trial's. The incremental engine reads every
+// full-dimensional distance from the run's candidate table (see
+// candidateTable), keys each remaining per-position product of a trial
+// by exactly the inputs it depends on, and recomputes only the products
+// whose key changed:
 //
-//   - full-dimensional distance columns, keyed by the position's
-//     medoid: the point×medoid cache that δ_i and the localities read;
 //   - Z rows (FindDimensions, Figure 4), keyed by the medoid and the
 //     bits of its locality radius δ_i, in a ring of zRing rows per
 //     position; a hit skips both the locality scan and the row;
 //   - projected assignment distances (AssignPoints, Figure 5), keyed
 //     by the medoid and its exact, ordered dimension set.
 //
-// A steady-state trial therefore evaluates N·|bad| full-dimensional
-// distances, scans the localities of the positions whose Z key
+// A steady-state trial therefore evaluates no full-dimensional
+// distance: it reads k·(k−1) candidate distances for the δ_i, scans the
+// table's ranks for the localities of the positions whose Z key
 // changed, and evaluates N projected distances per changed dimension
 // set; the remaining O(N·k) argmin and the O(N·l) objective pass are
 // compare-and-add sweeps. The engine allocates nothing in steady
 // state.
 //
-// Both engines produce bit-identical Results: every cached value is
-// the exact float64 the naive pass would recompute (SegmentalAll is
-// bitwise symmetric, the Z row and the point metric are pure functions
-// of their keys, and the caches store them verbatim), every pass
-// preserves the naive accumulation and tie-break order, and all
-// randomness flows through the unchanged climb loop. Only the
-// distance-evaluation and cache counters differ between engines.
+// Both engines produce bit-identical Results: the table holds the
+// exact float64 distances and localities the naive pass would
+// recompute, the Z row and the point metric are pure functions of their
+// keys and the caches store them verbatim, every pass preserves the
+// naive accumulation and tie-break order, and all randomness flows
+// through the unchanged climb loop. Only the distance-evaluation and
+// cache counters differ between engines.
 
 import (
 	"math"
 	"slices"
 
 	"proclus/internal/alloc"
-	"proclus/internal/dist"
 	"proclus/internal/parallel"
 )
 
@@ -49,21 +49,22 @@ type evaluator interface {
 	evaluate(medoids []int) *trialState
 	adopt(t *trialState) *trialState
 	reset()
-	// cacheHitRate reports the fraction of full-dimensional distance
+	// cacheHitRate reports the fraction of the k projected-distance
 	// columns the latest evaluate served from its cache (0 for engines
 	// without one).
 	cacheHitRate() float64
 }
 
-// newEvaluator builds the engine configured by IncrementalEval. An
+// newEvaluator builds the engine configured by IncrementalEval over
+// the run's candidate table (nil under EvalNaive, which reads none). An
 // engine serves one climb at a time: the iterative phase builds one
 // per concurrently running restart and hands it from restart to
-// restart, so engines never share state across goroutines.
-func (r *runner) newEvaluator() evaluator {
+// restart, so engines share only the read-only table.
+func (r *runner) newEvaluator(tab *candidateTable) evaluator {
 	if r.cfg.IncrementalEval == EvalNaive {
 		return naiveEval{r}
 	}
-	return newIncrementalEval(r)
+	return newIncrementalEval(r, tab)
 }
 
 // naiveEval recomputes every trial from scratch (the pre-cache
@@ -91,21 +92,10 @@ type zSlot struct {
 
 // incrementalEval owns one climb's caches and trial scratch.
 type incrementalEval struct {
-	r       *runner
-	n, k, d int
-
-	// flat is the point×medoid distance matrix, N×k column-major:
-	// column i occupies flat[i·N : (i+1)·N] and holds the
-	// full-dimensional segmental distance of every point to the medoid
-	// currently at position i. cols are the per-column views.
-	flat []float64
-	cols [][]float64
-	// colMedoid records the dataset index each column is populated for
-	// (-1 = never populated). A column is recomputed only when the
-	// medoid at its position changes — the swap structure of the hill
-	// climb makes that |bad| columns per trial.
-	colMedoid []int
-	changed   []int // positions recomputed by the current sync
+	r         *runner
+	tab       *candidateTable
+	n, k      int
+	manhattan bool // AssignMetric is MetricManhattan
 
 	// zSlots holds the Z-row rings: position i owns
 	// zSlots[i·zRing : (i+1)·zRing], and zNext[i] is the slot its next
@@ -128,14 +118,10 @@ type incrementalEval struct {
 	// across trials.
 	scratch trialScratch
 
-	metric func(pt, medoid []float64, dims []int) float64
-
 	// The parallel passes' chunk closures, built once at construction.
 	// Each captures only the evaluator — per-trial inputs travel through
-	// e.cur, e.changed and e.projDirty — so evaluate never allocates a
+	// e.cur, the scratch and e.projDirty — so evaluate never allocates a
 	// closure.
-	fillFn   func(lo, hi int)
-	deltaFn  func(lo, hi int)
 	zrowFn   func(lo, hi int)
 	assignFn func(lo, hi int)
 
@@ -151,6 +137,7 @@ type incrementalEval struct {
 // centroids and deviations. All buffers are sized once at
 // construction; list buffers keep their capacity across trials.
 type trialScratch struct {
+	cand       []int       // k candidate-table rows of the medoids, by position
 	medoidPts  [][]float64 // k point views, by position
 	delta      []float64   // k locality radii δ_i
 	localities [][]int     // k member lists, scanned on Z-ring misses only
@@ -163,24 +150,17 @@ type trialScratch struct {
 	devs       []float64   // k
 }
 
-func newIncrementalEval(r *runner) *incrementalEval {
+func newIncrementalEval(r *runner, tab *candidateTable) *incrementalEval {
 	n, k, d := r.ds.Len(), r.cfg.K, r.ds.Dims()
 	e := &incrementalEval{
-		r: r, n: n, k: k, d: d,
-		flat:       make([]float64, n*k),
-		cols:       make([][]float64, k),
-		colMedoid:  make([]int, k),
-		changed:    make([]int, 0, k),
+		r: r, tab: tab, n: n, k: k,
+		manhattan:  r.cfg.AssignMetric == MetricManhattan,
 		zSlots:     make([]zSlot, k*zRing),
 		zNext:      make([]int, k),
 		proj:       make([]float64, n*k),
 		projMedoid: make([]int, k),
 		projDims:   make([][]int, k),
 		projDirty:  make([]int, 0, k),
-		metric:     r.pointMetric(),
-	}
-	for i := range e.cols {
-		e.cols[i] = e.flat[i*n : (i+1)*n]
 	}
 	rows := make([]float64, k*zRing*d)
 	for i := range e.zSlots {
@@ -194,6 +174,7 @@ func newIncrementalEval(r *runner) *incrementalEval {
 	}
 	e.reset()
 	s := &e.scratch
+	s.cand = make([]int, k)
 	s.medoidPts = make([][]float64, k)
 	s.delta = make([]float64, k)
 	s.localities = make([][]int, k)
@@ -212,36 +193,11 @@ func newIncrementalEval(r *runner) *incrementalEval {
 	}
 	s.devs = make([]float64, k)
 
-	// One pass over the points, filling every invalidated column: each
-	// point row is read once however many medoids moved. Writes are
-	// disjoint per point, so results are identical for any worker count.
-	e.fillFn = func(lo, hi int) {
-		for p := lo; p < hi; p++ {
-			pt := e.r.ds.Point(p)
-			for _, c := range e.changed {
-				e.cols[c][p] = dist.SegmentalAll(pt, s.medoidPts[c])
-			}
-		}
-	}
-	e.deltaFn = func(lo, hi int) {
-		m := e.cur.medoids
-		for i := lo; i < hi; i++ {
-			s.delta[i] = math.Inf(1)
-			for j := range m {
-				if i == j {
-					continue
-				}
-				if d := e.cols[j][m[i]]; d < s.delta[i] {
-					s.delta[i] = d
-				}
-			}
-		}
-	}
 	// One Z row per position: served from the position's ring when its
 	// (medoid, δ_i) key is there, otherwise computed into the oldest
-	// slot from a fresh locality scan. The pass parallelizes over
-	// positions (disjoint rings and lists, ascending point order)
-	// rather than over points: with the distances cached the scan is a
+	// slot from a fresh locality scan of the table's ranks. The pass
+	// parallelizes over positions (disjoint rings and lists, ascending
+	// point order) rather than over points: the scan is a
 	// compare-and-append sweep, too cheap to justify the naive path's
 	// per-chunk list merging.
 	e.zrowFn = func(lo, hi int) {
@@ -255,32 +211,36 @@ func newIncrementalEval(r *runner) *incrementalEval {
 					continue positions
 				}
 			}
-			lst := s.localities[i][:0]
-			col := e.cols[i]
-			di := s.delta[i]
-			for p := 0; p < e.n; p++ {
-				if col[p] < di {
-					lst = append(lst, p)
-				}
-			}
-			s.localities[i] = lst
+			s.localities[i] = e.tab.locality(s.cand[i], s.delta[i], s.localities[i][:0])
 			slot := &ring[e.zNext[i]]
 			e.zNext[i] = (e.zNext[i] + 1) % zRing
 			slot.medoid, slot.delta = m, bits
-			s.z[i] = e.r.zRowInto(m, lst, s.x[i], slot.row)
+			s.z[i] = e.r.zRowInto(m, s.localities[i], s.x[i], slot.row)
 		}
 	}
 	// One pass over the points: recompute the dirty projected columns,
 	// then take each point's nearest position over all k columns with
 	// refineRows's start (0, +Inf) and strict <, so ties still go to
-	// the lower position.
+	// the lower position. A column entry is dist.Segmental — times |D_i|
+	// under MetricManhattan — computed inline with the same operations
+	// in the same order.
 	e.assignFn = func(lo, hi int) {
 		dims := e.cur.dims
 		for p := lo; p < hi; p++ {
 			pt := e.r.ds.Point(p)
 			row := e.proj[p*e.k : (p+1)*e.k]
 			for _, c := range e.projDirty {
-				row[c] = e.metric(pt, s.medoidPts[c], dims[c])
+				mp, dc := s.medoidPts[c], dims[c]
+				var sum float64
+				for _, j := range dc {
+					sum += math.Abs(pt[j] - mp[j])
+				}
+				w := float64(len(dc))
+				v := sum / w
+				if e.manhattan {
+					v *= w
+				}
+				row[c] = v
 			}
 			bestIdx, bestDist := 0, math.Inf(1)
 			for i, d := range row {
@@ -297,12 +257,11 @@ func newIncrementalEval(r *runner) *incrementalEval {
 	return e
 }
 
-// reset forgets every cached product — distance columns, Z rings and
-// projected columns — so the next evaluate recomputes everything, as a
-// freshly built engine would. The buffers are kept.
+// reset forgets every cached product — Z rings and projected columns
+// — so the next evaluate recomputes everything, as a freshly built
+// engine would. The buffers, and the run's candidate table, are kept.
 func (e *incrementalEval) reset() {
-	for i := range e.colMedoid {
-		e.colMedoid[i] = -1
+	for i := range e.projMedoid {
 		e.projMedoid[i] = -1
 		e.projDims[i] = e.projDims[i][:0]
 		e.zNext[i] = 0
@@ -312,62 +271,55 @@ func (e *incrementalEval) reset() {
 	}
 }
 
-// evaluate runs one hill-climbing trial against the caches: column
-// sync, localities and dimensions, assignment and objective. The
-// returned trial aliases the engine's scratch. Per-trial inputs are
-// staged in e.cur up front so the prebuilt chunk closures can read
-// them.
+// evaluate runs one hill-climbing trial against the candidate table
+// and the caches: localities and dimensions, assignment and objective.
+// The returned trial aliases the engine's scratch. Per-trial inputs are
+// staged in e.cur and the scratch up front so the prebuilt chunk
+// closures can read them. DistCacheHits counts the table entries a
+// trial stands to read in place of evaluating them: N ranks per
+// position and the k·(k−1) medoid-to-medoid distances of the δ pass.
 func (e *incrementalEval) evaluate(medoids []int) *trialState {
 	t := &e.cur
 	t.medoids = append(t.medoids[:0], medoids...)
-	e.sync(t.medoids)
+	s := &e.scratch
+	for i, m := range t.medoids {
+		s.cand[i] = e.tab.slot(m)
+		s.medoidPts[i] = e.r.ds.Point(m)
+	}
+	e.r.counters.DistCacheHits.Add(int64(e.k)*int64(e.n) + int64(e.k)*int64(e.k-1))
 	t.dims = e.findDimensions()
 	e.assign()
-	tallySizes(e.scratch.assign, e.scratch.sizes)
-	t.objective = e.r.evaluateClustersInto(e.scratch.assign, e.scratch.sizes, t.dims,
-		e.scratch.centroids, e.scratch.devs)
-	t.assign = e.scratch.assign
-	t.sizes = e.scratch.sizes
+	tallySizes(s.assign, s.sizes)
+	t.objective = e.r.evaluateClustersInto(s.assign, s.sizes, t.dims, s.centroids, s.devs)
+	t.assign = s.assign
+	t.sizes = s.sizes
 	t.badMedoids = nil
 	return t
 }
 
-// sync recomputes the cache columns whose medoid changed since the
-// previous trial — all k on the first call, |bad| afterwards — and
-// credits the cache counters. DistCacheHits counts the entries the
-// trial serves from cache rather than recomputing (the unchanged
-// columns' N entries plus the k·(k−1) medoid-to-medoid reads of the
-// δ pass), DistCacheRecomputes the evaluations actually performed here.
-func (e *incrementalEval) sync(medoids []int) {
-	e.changed = e.changed[:0]
-	for i, m := range medoids {
-		if e.colMedoid[i] != m {
-			e.colMedoid[i] = m
-			e.scratch.medoidPts[i] = e.r.ds.Point(m)
-			e.changed = append(e.changed, i)
-		}
-	}
-	if len(e.changed) > 0 {
-		parallel.For(e.n, e.r.innerWorkers, e.fillFn)
-	}
-	recomputed := int64(len(e.changed)) * int64(e.n)
-	e.r.creditEvals(recomputed, recomputed*int64(e.d))
-	e.r.counters.DistCacheRecomputes.Add(recomputed)
-	e.r.counters.DistCacheHits.Add(int64(e.k-len(e.changed))*int64(e.n) + int64(e.k)*int64(e.k-1))
-}
-
 // findDimensions is the cached FindDimensions (paper Figure 4). δ_i is
-// the minimum over the other medoids' columns evaluated at medoid i's
-// dataset row. A position whose (medoid, δ_i) key misses its Z ring
-// scans its locality — every point whose column-i entry is strictly
-// below δ_i, the same values, scan order and strict inequality as the
-// naive computeLocalities, hence the same list and the same row. The
+// the least table distance from medoid i to another medoid, taken over
+// the other positions in order as the naive computeLocalities does. A
+// position whose (medoid, δ_i) key misses its Z ring scans its
+// locality from the table — every point strictly within δ_i, in
+// ascending order, the naive list — and recomputes its row. The
 // dimension budget then runs through the reused picker; the returned
 // rows alias it and are valid until the next call. Reads the current
 // trial's medoids from e.cur.
 func (e *incrementalEval) findDimensions() [][]int {
 	s := &e.scratch
-	parallel.For(e.k, e.r.innerWorkers, e.deltaFn)
+	c := e.tab.c
+	for i, a := range s.cand {
+		s.delta[i] = math.Inf(1)
+		for j, b := range s.cand {
+			if i == j {
+				continue
+			}
+			if d := e.tab.dist[a*c+b]; d < s.delta[i] {
+				s.delta[i] = d
+			}
+		}
+	}
 	parallel.For(e.k, e.r.innerWorkers, e.zrowFn)
 	// The locality pass counts as one scan over the points whether its
 	// rows came from the rings or not, exactly as in the naive engine.
@@ -402,14 +354,15 @@ func (e *incrementalEval) assign() {
 	parallel.For(e.n, e.r.innerWorkers, e.assignFn)
 }
 
-// cacheHitRate reports the fraction of the k distance columns the
-// latest sync reused rather than recomputed: 0 on the first trial
-// (every column fills), (k−|bad|)/k in steady state.
+// cacheHitRate reports the fraction of the k projected-distance
+// columns the latest assignment pass reused rather than recomputed: 0
+// on the first trial (every column fills), and in steady state the
+// share of positions whose medoid and dimension set both stayed.
 func (e *incrementalEval) cacheHitRate() float64 {
 	if e.k == 0 {
 		return 0
 	}
-	return float64(e.k-len(e.changed)) / float64(e.k)
+	return float64(e.k-len(e.projDirty)) / float64(e.k)
 }
 
 // adopt deep-copies a trial into the engine's persistent best state:

@@ -13,7 +13,9 @@ import (
 	"sort"
 	"testing"
 
+	"proclus/internal/dataset"
 	"proclus/internal/dist"
+	"proclus/internal/obs"
 	"proclus/internal/randx"
 	"proclus/internal/synth"
 )
@@ -111,10 +113,11 @@ func TestIncrementalNaiveEquivalence(t *testing.T) {
 	}
 }
 
-// incrementalFixture builds a white-box runner plus engine over a
-// synthetic dataset. Workers: 1 keeps every parallel pass inline so
-// allocation measurements see only the evaluation itself.
-func incrementalFixture(t testing.TB, n int) (*runner, *incrementalEval, []int) {
+// incrementalFixture builds a white-box runner over a synthetic dataset
+// and the base medoid set of the engine tests. Workers: 1 keeps every
+// parallel pass inline so allocation measurements see only the
+// evaluation itself.
+func incrementalFixture(t testing.TB, n int) (*runner, []int) {
 	t.Helper()
 	ds, _, err := synth.Generate(synth.Config{
 		N: n, Dims: 12, K: 4, FixedDims: 5, MinSizeFraction: 0.1, Seed: 7,
@@ -123,37 +126,183 @@ func incrementalFixture(t testing.TB, n int) (*runner, *incrementalEval, []int) 
 		t.Fatal(err)
 	}
 	r := newRunner(ds, Config{K: 4, L: 4, Seed: 11, Workers: 1})
-	e := r.newEvaluator().(*incrementalEval)
-	medoids := []int{10, n / 3, 2 * n / 5, n - 20}
-	return r, e, medoids
+	return r, []int{10, n / 3, 2 * n / 5, n - 20}
 }
 
-// TestDistCacheRecomputesOnlySwappedColumns pins the cache's central
-// property: the first trial fills all k columns, a trial with one
-// swapped medoid recomputes exactly one column of N distances, and an
-// unchanged trial recomputes nothing.
-func TestDistCacheRecomputesOnlySwappedColumns(t *testing.T) {
-	const n = 600
-	r, e, medoids := incrementalFixture(t, n)
-
-	recomputes := func() int64 { return r.counters.DistCacheRecomputes.Load() }
-	e.evaluate(medoids)
-	if got := recomputes(); got != int64(n*len(medoids)) {
-		t.Fatalf("first trial recomputed %d distances, want full fill %d", got, n*len(medoids))
+// engineOver builds an incremental engine whose candidate table holds
+// an explicit candidate list: the distinct medoids of sets, in the
+// order they first appear.
+func engineOver(r *runner, sets ...[]int) *incrementalEval {
+	var cands []int
+	seen := map[int]bool{}
+	for _, set := range sets {
+		for _, m := range set {
+			if !seen[m] {
+				seen[m] = true
+				cands = append(cands, m)
+			}
+		}
 	}
+	return newIncrementalEval(r, r.newCandidateTable(cands, r.innerWorkers))
+}
 
-	before := recomputes()
-	e.evaluate(medoids)
-	if got := recomputes() - before; got != 0 {
-		t.Fatalf("unchanged trial recomputed %d distances, want 0", got)
+// TestCandidateTableCreditsOncePerRun pins the table's accounting at 1,
+// 2 and 7 workers. Building it credits its N·C point×candidate and
+// C·(C−1) candidate-pair distances, as evaluations and as cache
+// recomputes; trials credit no full-dimensional evaluation, only the
+// projected ones of their assignment pass, and k·N + k·(k−1) cache hits
+// each; a whole run credits the table once however many restarts read
+// it; and every total is the same at every worker count.
+func TestCandidateTableCreditsOncePerRun(t *testing.T) {
+	const n, k = 600, 4
+	ds, _, err := synth.Generate(synth.Config{
+		N: n, Dims: 12, K: k, FixedDims: 5, MinSizeFraction: 0.1, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	d := int64(ds.Dims())
+	cands := []int{10, 200, 240, 580, 33, 410, 77, 500, 301, 150}
+	sets := [][]int{
+		{10, 200, 240, 580},
+		{10, 33, 240, 580},
+		{10, 200, 240, 580},
+		{410, 77, 500, 301},
+	}
+	var white, whole []obs.Snapshot
+	for _, workers := range []int{1, 2, 7} {
+		r := newRunner(ds, Config{K: k, L: 4, Seed: 11, Workers: workers})
+		tab := r.newCandidateTable(cands, workers)
+		c := int64(len(cands))
+		table := n*c + c*(c-1)
+		if got := r.counters.Snapshot(); got.DistCacheRecomputes != table ||
+			got.DistanceEvals != table || got.CoordsVisited != table*d {
+			t.Fatalf("workers=%d: table credited %+v, want %d evaluations over %d coordinates",
+				workers, got, table, table*d)
+		}
+		e := newIncrementalEval(r, tab)
+		var projEvals, projCoords int64
+		for _, set := range sets {
+			e.evaluate(set)
+			projEvals += n * int64(len(e.projDirty))
+			projCoords += n * e.projCoords
+		}
+		got := r.counters.Snapshot()
+		if got.DistCacheRecomputes != table {
+			t.Fatalf("workers=%d: trials recomputed %d table distances", workers, got.DistCacheRecomputes-table)
+		}
+		if got.DistanceEvals != table+projEvals || got.CoordsVisited != table*d+projCoords {
+			t.Fatalf("workers=%d: trials credited %d evaluations over %d coordinates, want only the %d projected over %d",
+				workers, got.DistanceEvals-table, got.CoordsVisited-table*d, projEvals, projCoords)
+		}
+		if want := int64(len(sets)) * (k*n + k*(k-1)); got.DistCacheHits != want {
+			t.Fatalf("workers=%d: %d cache hits, want %d", workers, got.DistCacheHits, want)
+		}
+		white = append(white, got)
 
-	swapped := append([]int(nil), medoids...)
-	swapped[2] = n / 2
-	before = recomputes()
-	e.evaluate(swapped)
-	if got := recomputes() - before; got != int64(n) {
-		t.Fatalf("one-swap trial recomputed %d distances, want N = %d", got, n)
+		res, err := Run(ds, Config{K: k, L: 4, Seed: 11, Workers: workers, Restarts: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rc := res.Stats.Counters
+		runC := int64(min(res.Config.MedoidFactor*k, n))
+		if want := n*runC + runC*(runC-1); rc.DistCacheRecomputes != want {
+			t.Fatalf("workers=%d: run recomputed %d table distances, want one table of %d", workers, rc.DistCacheRecomputes, want)
+		}
+		if want := int64(res.Iterations) * (k*n + k*(k-1)); rc.DistCacheHits != want {
+			t.Fatalf("workers=%d: run credited %d cache hits over %d trials, want %d", workers, rc.DistCacheHits, res.Iterations, want)
+		}
+		whole = append(whole, rc)
+	}
+	for i := 1; i < len(white); i++ {
+		if white[i] != white[0] || whole[i] != whole[0] {
+			t.Fatalf("counters depend on the worker count:\nengine %+v vs %+v\nrun %+v vs %+v",
+				white[i], white[0], whole[i], whole[0])
+		}
+	}
+}
+
+// TestCandidateTableLocalities checks the rank test against the strict
+// distance test it replaces. For every candidate a, with every other
+// candidate b as the nearest medoid, the table's locality at δ =
+// SegmentalAll(c_a, c_b) must be the naive scan {p : SegmentalAll(p,
+// c_a) < δ} in ascending order, and at δ = +Inf (k = 1) every point at
+// a finite distance. The inputs are tie-heavy integer lattices, whose
+// duplicate candidates make δ = 0, and coordinates near ±1e300 and
+// ±1e308, whose distances overflow to +Inf.
+func TestCandidateTableLocalities(t *testing.T) {
+	rng := randx.New(5)
+	build := func(n, d int, coord func() float64) *dataset.Dataset {
+		ds := dataset.New(d)
+		pt := make([]float64, d)
+		for i := 0; i < n; i++ {
+			for j := range pt {
+				pt[j] = coord()
+			}
+			ds.Append(pt)
+		}
+		return ds
+	}
+	lattice := func(side int) func() float64 {
+		return func() float64 { return float64(rng.Intn(side)) }
+	}
+	huge := []float64{-1e308, -9e307, -1e300, 0, 1e300, 9e307, 1e308}
+	cases := []struct {
+		name  string
+		ds    *dataset.Dataset
+		cands int
+	}{
+		{"lattice d=3", build(300, 3, lattice(3)), 40},
+		{"lattice d=1", build(200, 1, lattice(4)), 13},
+		{"overflow d=4", build(200, 4, func() float64 { return huge[rng.Intn(len(huge))] }), 21},
+		{"one candidate", build(50, 2, lattice(5)), 1},
+	}
+	var zeros, infs int
+	for _, tc := range cases {
+		n := tc.ds.Len()
+		cands := rng.Perm(n)[:tc.cands]
+		r := newRunner(tc.ds, Config{K: 1, L: 2, Workers: 2})
+		tab := r.newCandidateTable(cands, 2)
+		toA := make([]float64, n)
+		for a, ca := range cands {
+			for p := range toA {
+				toA[p] = dist.SegmentalAll(tc.ds.Point(p), tc.ds.Point(ca))
+			}
+			deltas := []float64{math.Inf(1)}
+			for b, cb := range cands {
+				if b == a {
+					continue
+				}
+				delta := dist.SegmentalAll(tc.ds.Point(ca), tc.ds.Point(cb))
+				if got := tab.dist[a*len(cands)+b]; math.Float64bits(got) != math.Float64bits(delta) {
+					t.Fatalf("%s: dist[%d][%d] = %v, want %v", tc.name, a, b, got, delta)
+				}
+				deltas = append(deltas, delta)
+			}
+			for _, delta := range deltas {
+				switch {
+				case delta == 0:
+					zeros++
+				case math.IsInf(delta, 1):
+					infs++
+				}
+				var want []int
+				for p, v := range toA {
+					if v < delta {
+						want = append(want, p)
+					}
+				}
+				if got := tab.locality(a, delta, nil); !slices.Equal(got, want) {
+					t.Fatalf("%s: candidate %d at δ = %v: locality of %d points, want %d\ngot  %v\nwant %v",
+						tc.name, a, delta, len(got), len(want), got, want)
+				}
+			}
+		}
+	}
+	// Each candidate's +Inf row accounts for len(cases) worth of +Inf
+	// radii; the overflow case must add radii that overflowed.
+	if zeros == 0 || infs <= 40+13+21+1 {
+		t.Fatalf("inputs exercised %d zero and %d infinite radii, want both cases covered", zeros, infs)
 	}
 }
 
@@ -162,7 +311,7 @@ func TestDistCacheRecomputesOnlySwappedColumns(t *testing.T) {
 // set must reproduce the naive evaluation bit-for-bit.
 func TestIncrementalEvaluateMatchesNaive(t *testing.T) {
 	const n = 500
-	r, e, medoids := incrementalFixture(t, n)
+	r, medoids := incrementalFixture(t, n)
 	sets := [][]int{
 		medoids,
 		{10, n / 2, 2 * n / 5, n - 20},  // swap position 1
@@ -170,6 +319,7 @@ func TestIncrementalEvaluateMatchesNaive(t *testing.T) {
 		{11, n/2 + 1, 2*n/5 + 1, n - 6}, // swap all
 		{10, n / 2, 2 * n / 5, n - 5},   // revisit an earlier set
 	}
+	e := engineOver(r, sets...)
 	for si, set := range sets {
 		got := e.evaluate(set)
 		want := r.evaluateMedoids(set)
@@ -195,9 +345,15 @@ func TestIncrementalEvaluateMatchesNaive(t *testing.T) {
 // ring and rescans a locality — perform no heap allocations.
 func TestIncrementalSteadyStateAllocs(t *testing.T) {
 	const n = 400
-	_, e, medoids := incrementalFixture(t, n)
+	r, medoids := incrementalFixture(t, n)
 	swapped := append([]int(nil), medoids...)
 	swapped[1] = n / 7
+	cycle := make([][]int, zRing+1)
+	for c := range cycle {
+		cycle[c] = append([]int(nil), medoids...)
+		cycle[c][1] = n/7 + 3*c
+	}
+	e := engineOver(r, append([][]int{medoids, swapped}, cycle...)...)
 
 	// Warm every buffer both medoid sets can touch.
 	e.evaluate(medoids)
@@ -221,11 +377,6 @@ func TestIncrementalSteadyStateAllocs(t *testing.T) {
 		t.Errorf("steady-state (one swap) evaluation allocates %.1f times per run, want 0", avg)
 	}
 
-	cycle := make([][]int, zRing+1)
-	for c := range cycle {
-		cycle[c] = append([]int(nil), medoids...)
-		cycle[c][1] = n/7 + 3*c
-	}
 	for _, set := range cycle {
 		e.evaluate(set) // warm the locality lists for every set
 	}
@@ -286,8 +437,8 @@ func newCacheModel(k int) *cacheModel {
 // been poisoned.
 func TestIncrementalCacheKeys(t *testing.T) {
 	const n = 600
-	r, e, base := incrementalFixture(t, n)
-	k, d := len(base), r.ds.Dims()
+	r, base := incrementalFixture(t, n)
+	k := len(base)
 
 	// Swapping position 3 for points ever nearer medoid 0 makes each of
 	// them medoid 0's nearest other medoid, so δ_0 moves with each swap
@@ -321,6 +472,7 @@ func TestIncrementalCacheKeys(t *testing.T) {
 		base, // positions 0 and 3 have missed five times since: evicted
 		with3(near[1]),
 	}
+	e := engineOver(r, script...)
 
 	model := newCacheModel(k)
 	var events struct{ deltaMoved, revisitHit, evictedMiss, dimsMoved, dimsKept int }
@@ -332,9 +484,13 @@ func TestIncrementalCacheKeys(t *testing.T) {
 		zNext := append([]int(nil), e.zNext...)
 
 		got := e.evaluate(set)
-		recomputed := r.counters.DistCacheRecomputes.Load() - recomp0
-		assignEvals := r.counters.DistanceEvals.Load() - evals0 - recomputed
-		assignCoords := r.counters.CoordsVisited.Load() - coords0 - recomputed*int64(d)
+		if recomputed := r.counters.DistCacheRecomputes.Load() - recomp0; recomputed != 0 {
+			t.Fatalf("%s: trial recomputed %d table distances, want 0", step, recomputed)
+		}
+		// A trial evaluates no full-dimensional distance: everything it
+		// credits is the assignment pass's projected distances.
+		assignEvals := r.counters.DistanceEvals.Load() - evals0
+		assignCoords := r.counters.CoordsVisited.Load() - coords0
 		want := r.evaluateMedoids(set)
 		if math.Float64bits(got.objective) != math.Float64bits(want.objective) ||
 			!reflect.DeepEqual(got.dims, want.dims) || !reflect.DeepEqual(got.assign, want.assign) ||
@@ -402,9 +558,8 @@ func TestIncrementalCacheKeys(t *testing.T) {
 		if assignCoords != int64(n)*dirtyCoords {
 			t.Fatalf("%s: assignment credited %d coordinates, want %d", step, assignCoords, int64(n)*dirtyCoords)
 		}
-		if afterReset && (recomputed != int64(n*k) || len(wantDirty) != k) {
-			t.Fatalf("%s: reset engine recomputed %d distances and %d projected columns, want %d and %d",
-				step, recomputed, len(wantDirty), n*k, k)
+		if afterReset && len(wantDirty) != k {
+			t.Fatalf("%s: reset engine recomputed %d projected columns, want %d", step, len(wantDirty), k)
 		}
 	}
 
@@ -419,11 +574,10 @@ func TestIncrementalCacheKeys(t *testing.T) {
 	// A second "restart" on the same engine: poison every cached value,
 	// reset, and replay the script, starting from the set evaluated
 	// last, whose every key the engine still holds. Serving any stale
-	// entry would now show up in the output, and the model starts empty.
+	// entry would now show up in the output, and the model starts empty,
+	// so every position must miss its Z ring. The candidate table is
+	// read-only for the whole run and survives the reset.
 	poison := math.NaN()
-	for i := range e.flat {
-		e.flat[i] = poison
-	}
 	for i := range e.proj {
 		e.proj[i] = poison
 	}

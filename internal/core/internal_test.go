@@ -136,6 +136,66 @@ func TestZRowDegenerateGroups(t *testing.T) {
 	}
 }
 
+// TestZRowMatchesOnePointFold checks zRowInto's four-point fold bit
+// for bit against a fold of one point at a time, for every group length
+// up to 11 (every remainder of the four-point passes), in arbitrary
+// order with repeats, on data whose magnitudes differ enough that any
+// reassociation of the sums would show.
+func TestZRowMatchesOnePointFold(t *testing.T) {
+	rng := randx.New(17)
+	const n, d = 40, 9
+	ds := dataset.New(d)
+	pt := make([]float64, d)
+	for i := 0; i < n; i++ {
+		for j := range pt {
+			pt[j] = (rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(12)-4))
+		}
+		ds.Append(pt)
+	}
+	r := newRunner(ds, Config{K: 1, L: 2})
+	x, z := make([]float64, d), make([]float64, d)
+	for size := 0; size <= 11; size++ {
+		group := make([]int, size)
+		for i := range group {
+			group[i] = rng.Intn(n)
+		}
+		m := rng.Intn(n)
+		// The one-point-at-a-time fold: the X row, then its
+		// standardization exactly as zRowInto performs it.
+		want := make([]float64, d)
+		xs := make([]float64, d)
+		for _, p := range group {
+			for j := range xs {
+				xs[j] += math.Abs(ds.Point(p)[j] - ds.Point(m)[j])
+			}
+		}
+		if size > 0 {
+			inv := 1 / float64(size)
+			var mean float64
+			for j := range xs {
+				xs[j] *= inv
+				mean += xs[j]
+			}
+			mean /= d
+			var variance float64
+			for j := range xs {
+				variance += (xs[j] - mean) * (xs[j] - mean)
+			}
+			if sigma := math.Sqrt(variance / (d - 1)); sigma != 0 {
+				for j := range xs {
+					want[j] = (xs[j] - mean) / sigma
+				}
+			}
+		}
+		got := r.zRowInto(m, group, x, z)
+		for j := range want {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) || math.Float64bits(x[j]) != math.Float64bits(xs[j]) {
+				t.Fatalf("group of %d, dimension %d: x %v z %v, want x %v z %v", size, j, x[j], got[j], xs[j], want[j])
+			}
+		}
+	}
+}
+
 func TestFindDimensionsBudgetAndMinimum(t *testing.T) {
 	ds := gridDataset()
 	r := newRunner(ds, Config{K: 3, L: 2, Seed: 1})

@@ -149,6 +149,12 @@ func (r *runner) run() (*Result, error) {
 func (r *runner) iteratePhase(candidates []int, workers int) (*trialState, int, error) {
 	r.emit(obs.Event{Type: obs.EvPhaseStart, Phase: "iterate"})
 	start := time.Now()
+	// Every incremental engine reads one candidate table, built here
+	// with the whole worker budget before any restart starts.
+	var tab *candidateTable
+	if r.cfg.IncrementalEval != EvalNaive {
+		tab = r.newCandidateTable(candidates, workers)
+	}
 	restarts := r.cfg.Restarts
 	if restarts < 1 {
 		restarts = 1
@@ -187,7 +193,7 @@ func (r *runner) iteratePhase(candidates []int, workers int) (*trialState, int, 
 		select {
 		case ev = <-engines:
 		default:
-			ev = r.newEvaluator()
+			ev = r.newEvaluator(tab)
 		}
 		o := &outcomes[i]
 		o.trial, o.iterations, o.trace, o.err = r.climb(candidates, i+1, rngs[i], ev)
@@ -541,19 +547,6 @@ func tallySizes(assign, sizes []int) {
 	}
 	for _, a := range assign {
 		sizes[a]++
-	}
-}
-
-// pointMetric returns the configured point-to-medoid distance over a
-// dimension set.
-func (r *runner) pointMetric() func(pt, medoid []float64, dims []int) float64 {
-	if r.cfg.AssignMetric == MetricManhattan {
-		return func(pt, medoid []float64, dims []int) float64 {
-			return dist.Segmental(pt, medoid, dims) * float64(len(dims))
-		}
-	}
-	return func(pt, medoid []float64, dims []int) float64 {
-		return dist.Segmental(pt, medoid, dims)
 	}
 }
 

@@ -82,3 +82,54 @@ func BenchmarkRunStream(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkZRow measures zRowInto, the FindDimensions kernel the hill
+// climb runs on every Z-ring miss, over a 1,000-point group at d = 20
+// and d = 100, with its buffers built once. Run with -benchmem: the
+// allocation column must stay at zero.
+//
+//	go test -run xxx -bench BenchmarkZRow -benchmem ./internal/core/
+func BenchmarkZRow(b *testing.B) {
+	for _, d := range []int{20, 100} {
+		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
+			ds, _, err := synth.Generate(synth.Config{N: 2000, Dims: d, K: 5, FixedDims: 5, MinSizeFraction: 0.1, Seed: 3})
+			if err != nil {
+				b.Fatal(err)
+			}
+			r := newRunner(ds, Config{K: 5, L: 5, Workers: 1})
+			group := make([]int, 1000)
+			for i := range group {
+				group[i] = 2 * i
+			}
+			x, z := make([]float64, d), make([]float64, d)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r.zRowInto(1, group, x, z)
+			}
+		})
+	}
+}
+
+// BenchmarkCandidateTable measures building the hill climb's candidate
+// table on the benchmark ledger's highdim shape (N = 5,000, d = 100,
+// C = B·k = 50 candidates) at one worker: the candidate-pair distances,
+// their sort, and the rank fill over every point.
+//
+//	go test -run xxx -bench BenchmarkCandidateTable -benchmem ./internal/core/
+func BenchmarkCandidateTable(b *testing.B) {
+	ds, _, err := synth.Generate(synth.Config{N: 5000, Dims: 100, K: 5, FixedDims: 5, MinSizeFraction: 0.1, Seed: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := newRunner(ds, Config{K: 5, L: 5, Workers: 1})
+	cands := make([]int, 50)
+	for i := range cands {
+		cands[i] = 97 * i
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.newCandidateTable(cands, 1)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"proclus/internal/dataset"
@@ -45,6 +46,16 @@ func TestRunValidatesConfig(t *testing.T) {
 		if _, err := Run(ds, cfg); err == nil {
 			t.Errorf("case %d: invalid config accepted: %+v", i, cfg)
 		}
+	}
+	// The candidate table ranks C = min(MedoidFactor·K, N) candidates in
+	// uint16 entries. The check reads only the shape, so no 70,000-point
+	// dataset is built.
+	err := Config{K: 7000, L: 2}.withDefaults().validateShape(70000, 2)
+	if err == nil || !strings.Contains(err.Error(), "MedoidFactor = 10") || !strings.Contains(err.Error(), "K = 7000") {
+		t.Errorf("70,000 candidates: err = %v, want an error naming MedoidFactor and K", err)
+	}
+	if err := (Config{K: 6553, L: 2}).withDefaults().validateShape(70000, 2); err != nil {
+		t.Errorf("65,530 candidates rejected: %v", err)
 	}
 }
 

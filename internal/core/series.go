@@ -68,7 +68,7 @@ func (s *runnerSeries) restart(idx int) restartSeries {
 		best:       s.store.Series(SeriesIterBest, "running best objective", l),
 		accepted:   s.store.Series(SeriesIterAccepted, "1 when the trial improved the best, else 0", l),
 		badMedoids: s.store.Series(SeriesIterBadMedoids, "bad medoids in the current best trial", l),
-		cacheHit:   s.store.Series(SeriesIterCacheHitRate, "fraction of distance columns served from the cache", l),
+		cacheHit:   s.store.Series(SeriesIterCacheHitRate, "fraction of projected-distance columns served from the cache", l),
 	}
 }
 

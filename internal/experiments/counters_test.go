@@ -13,14 +13,14 @@ import (
 // change to which distances a pass evaluates, or over how many
 // dimensions, say) is a deliberate edit of this literal.
 var table1Counters = obs.Snapshot{
-	DistanceEvals:          1980246,
-	DistanceEvalsFull:      1980246,
+	DistanceEvals:          1586696,
+	DistanceEvalsFull:      1586696,
 	DistanceEvalsAbandoned: 0,
-	CoordsVisited:          21112660,
+	CoordsVisited:          13241660,
 	PointsScanned:          999000,
 	DenseUnitProbes:        0,
-	DistCacheHits:          1947320,
-	DistCacheRecomputes:    546000,
+	DistCacheHits:          2493320,
+	DistCacheRecomputes:    152450,
 }
 
 // TestTable1WorkCountersExact pins table1's run count and every work

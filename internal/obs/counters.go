@@ -34,12 +34,14 @@ type Counters struct {
 	// DenseUnitProbes counts unit-membership lookups performed by
 	// CLIQUE's counting passes.
 	DenseUnitProbes atomic.Int64
-	// DistCacheHits counts point×medoid distance lookups served from
-	// the incremental hill-climb engine's per-restart cache — work the
-	// naive evaluation would have recomputed.
+	// DistCacheHits counts full-dimensional distances the incremental
+	// hill-climb engine reads from PROCLUS's candidate table instead of
+	// evaluating: k·N point ranks and k·(k−1) medoid-to-medoid
+	// distances per trial — work the naive evaluation recomputes.
 	DistCacheHits atomic.Int64
-	// DistCacheRecomputes counts point×medoid distances recomputed into
-	// the cache after a medoid swap invalidated their column. Every
+	// DistCacheRecomputes counts the full-dimensional distances the
+	// candidate table evaluates once per run: N·C between points and
+	// the C candidate medoids and C·(C−1) between candidates. Every
 	// recompute is also a DistanceEvals evaluation.
 	DistCacheRecomputes atomic.Int64
 	// StreamBlocks counts blocks delivered by out-of-core passes over a

@@ -259,9 +259,10 @@ const (
 // EvalMode selects the hill-climb evaluation engine.
 type EvalMode = core.EvalMode
 
-// Evaluation engines: the incremental distance-cache engine (default),
-// or naive from-scratch re-evaluation (escape hatch and equivalence
-// baseline). Both produce bit-identical Results.
+// Evaluation engines: the incremental engine over a candidate
+// distance table (default), or naive from-scratch re-evaluation
+// (escape hatch and equivalence baseline). Both produce bit-identical
+// Results.
 const (
 	EvalIncremental = core.EvalIncremental
 	EvalNaive       = core.EvalNaive
