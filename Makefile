@@ -84,14 +84,17 @@ scenario-gate:
 # BenchmarkProclusRun keeps a whole PROCLUS fit on the ledger's case1
 # and highdim shapes running, BenchmarkRunStream a whole streamed fit
 # over a 200,000-point case1-shaped file, BenchmarkZRow the
-# FindDimensions kernel at d = 20 and d = 100, and
+# FindDimensions kernel at d = 20 and d = 100,
 # BenchmarkCandidateTable the hill climb's candidate table on the
-# highdim shape.
+# highdim shape, BenchmarkObjective a trial's objective pass on both
+# shapes and BenchmarkPickSmallest a trial's dimension allocation.
 bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkAssign|BenchmarkProclusRun|BenchmarkRunStream|BenchmarkZRow|BenchmarkCandidateTable' -benchtime 1x ./internal/core/
+	$(GO) test -run xxx -bench 'BenchmarkAssign|BenchmarkProclusRun|BenchmarkRunStream|BenchmarkZRow|BenchmarkCandidateTable|BenchmarkObjective|BenchmarkPickSmallest' -benchtime 1x ./internal/core/ ./internal/alloc/
 
-# Allocation smoke: every distance kernel and the Z-row kernel
-# (BenchmarkZRow) must report 0 allocs/op, and the assignment-pass
+# Allocation smoke: every distance kernel, the Z-row kernel
+# (BenchmarkZRow), the objective pass (BenchmarkObjective) and the
+# dimension picker (BenchmarkPickSmallest) must report 0 allocs/op, and
+# the assignment-pass
 # benchmarks and the candidate table surface their per-pass allocation
 # counts (a 1x run shows only one-time buffer setup). The steady-state
 # zero-alloc guarantee itself is enforced by
@@ -106,7 +109,8 @@ bench-smoke:
 bench-allocs:
 	$(GO) test -run xxx -bench . -benchtime 100x -benchmem ./internal/dist/
 	$(GO) test -run xxx -bench 'BenchmarkAssign' -benchtime 1x -benchmem ./internal/core/
-	$(GO) test -run xxx -bench 'BenchmarkZRow|BenchmarkCandidateTable' -benchtime 20x -benchmem ./internal/core/
+	$(GO) test -run xxx -bench 'BenchmarkZRow|BenchmarkCandidateTable|BenchmarkObjective' -benchtime 20x -benchmem ./internal/core/
+	$(GO) test -run xxx -bench 'BenchmarkPickSmallest' -benchtime 100x -benchmem ./internal/alloc/
 	$(GO) test -run xxx -bench 'BenchmarkLoadFile|BenchmarkFileSourcePass|BenchmarkWriteAssignments' -benchtime 20x -benchmem ./internal/dataset/
 	$(GO) test -run xxx -bench 'BenchmarkRun' -benchtime 3x -benchmem ./internal/orclus/
 	$(GO) test -run xxx -bench 'BenchmarkRun' -benchtime 3x -benchmem ./internal/clique/

@@ -701,3 +701,42 @@ func TestReportAssignArchive(t *testing.T) {
 		}
 	}
 }
+
+// TestRunOverflowingCoordinates runs PROCLUS on 400 points whose first
+// coordinate alternates between +1e308 and −1e308: every value is
+// finite, but a cluster's coordinate sums overflow. The fit must fail
+// with the overflow error, in memory and streamed, and write no
+// -assign file.
+func TestRunOverflowingCoordinates(t *testing.T) {
+	rng := randx.New(1)
+	ds := dataset.New(6)
+	pt := make([]float64, 6)
+	for i := 0; i < 400; i++ {
+		pt[0] = 1e308
+		if i%2 == 1 {
+			pt[0] = -1e308
+		}
+		for j := 1; j < len(pt); j++ {
+			pt[j] = rng.Uniform(0, 10)
+		}
+		ds.Append(pt)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "huge.bin")
+	if err := ds.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	assign := filepath.Join(dir, "assign.csv")
+	for _, extra := range [][]string{nil, {"-stream"}} {
+		args := append([]string{"-algo", "proclus", "-in", path, "-k", "3", "-l", "3", "-seed", "5",
+			"-assign", assign}, extra...)
+		var sb strings.Builder
+		err := run(args, &sb)
+		if err == nil || !strings.Contains(err.Error(), "proclus: restart 1, trial 1: the objective overflowed") {
+			t.Errorf("%v: error %v, want the overflow error", extra, err)
+		}
+		if _, err := os.Stat(assign); !os.IsNotExist(err) {
+			t.Errorf("%v: failed fit left an -assign file (stat: %v)", extra, err)
+		}
+	}
+}

@@ -8,7 +8,9 @@ package alloc
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"math/bits"
+	"slices"
 )
 
 // candidate is one selectable (row, column) cell.
@@ -17,25 +19,16 @@ type candidate struct {
 	score    float64
 }
 
-// candidates orders cells by (score, row, column); the pointer receiver
-// keeps sort.Sort free of per-call interface allocations when the
-// sorter lives in a reused Picker.
-type candidates []candidate
-
-func (c *candidates) Len() int           { return len(*c) }
-func (c *candidates) Swap(a, b int)      { (*c)[a], (*c)[b] = (*c)[b], (*c)[a] }
-func (c *candidates) Less(a, b int) bool { return less((*c)[a], (*c)[b]) }
-
 // PickSmallest selects exactly total cells from the scores matrix with
 // the minimum possible score sum, subject to choosing at least minPerRow
 // cells in every row. It returns, for each row, the chosen column
 // indices in ascending column order.
 //
-// This is the paper's greedy: sort ascending, preallocate the minPerRow
-// smallest cells of each row, then take the globally smallest remaining
-// cells until the budget is spent. Ties are broken deterministically by
-// (score, row, column) so that identical inputs always produce identical
-// selections.
+// This is the paper's greedy: preallocate the minPerRow smallest cells
+// of each row, then take the globally smallest remaining cells until
+// the budget is spent. Cells are ordered by (score, row, column), with
+// a NaN score after every number, a strict total order, so identical
+// inputs always produce identical selections.
 func PickSmallest(scores [][]float64, total, minPerRow int) ([][]int, error) {
 	return new(Picker).PickSmallest(scores, total, minPerRow)
 }
@@ -49,14 +42,18 @@ func PickSmallest(scores [][]float64, total, minPerRow int) ([][]int, error) {
 // value is ready.
 type Picker struct {
 	chosen []bool // rows×cols, row-major
-	row    candidates
-	rest   candidates
+	cells  []candidate
 	out    [][]int
 	flat   []int // backing store for out's rows
 }
 
 // PickSmallest is the allocation-reusing form of the package-level
 // PickSmallest; see Picker for the aliasing contract.
+//
+// Neither phase sorts. Each takes its cells by selection, which
+// partitions them around the m-th smallest in the strict total order;
+// since no two cells tie, the m cells it leaves in front are the m a
+// full sort would put there.
 func (p *Picker) PickSmallest(scores [][]float64, total, minPerRow int) ([][]int, error) {
 	rows := len(scores)
 	if rows == 0 {
@@ -82,28 +79,30 @@ func (p *Picker) PickSmallest(scores [][]float64, total, minPerRow int) ([][]int
 	}
 
 	p.chosen = resize(p.chosen, rows*cols)
-	for i := range p.chosen {
-		p.chosen[i] = false
-	}
+	clear(p.chosen)
 
 	// Phase 1: per-row preallocation of the minPerRow smallest cells.
-	p.rest = p.rest[:0]
-	for i := range scores {
-		p.row = resize(p.row, cols)
-		for j, v := range scores[i] {
-			p.row[j] = candidate{row: i, col: j, score: v}
+	// The cells left over are packed in front of the rows still to come,
+	// so the buffer ends up holding exactly the cells of phase 2.
+	p.cells = resize(p.cells, rows*cols)
+	rest := 0
+	for i, r := range scores {
+		row := p.cells[rest : rest+cols]
+		for j, v := range r {
+			row[j] = candidate{row: i, col: j, score: v}
 		}
-		sort.Sort(&p.row)
-		for _, c := range p.row[:minPerRow] {
+		selectSmallest(row, minPerRow)
+		for _, c := range row[:minPerRow] {
 			p.chosen[c.row*cols+c.col] = true
 		}
-		p.rest = append(p.rest, p.row[minPerRow:]...)
+		rest += copy(p.cells[rest:], row[minPerRow:])
 	}
 
 	// Phase 2: global greedy over the remaining cells.
 	remaining := total - rows*minPerRow
-	sort.Sort(&p.rest)
-	for _, c := range p.rest[:remaining] {
+	left := p.cells[:rest]
+	selectSmallest(left, remaining)
+	for _, c := range left[:remaining] {
 		p.chosen[c.row*cols+c.col] = true
 	}
 
@@ -130,12 +129,93 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
+// less is the strict total order on cells: by score, a NaN score after
+// every number, then by row, then by column.
 func less(a, b candidate) bool {
-	if a.score != b.score {
+	aNaN, bNaN := math.IsNaN(a.score), math.IsNaN(b.score)
+	switch {
+	case aNaN != bNaN:
+		return bNaN
+	case !aNaN && a.score != b.score:
 		return a.score < b.score
-	}
-	if a.row != b.row {
+	case a.row != b.row:
 		return a.row < b.row
 	}
 	return a.col < b.col
+}
+
+// selectSmallest reorders c so that c[:m] holds its m smallest cells
+// under less, in no particular order. It is a quickselect with a
+// median-of-three pivot; ranges of up to 12 cells are finished by
+// insertion sort, and a range still open after 2·log₂(len(c))
+// partitions is sorted outright, which bounds the worst case at
+// O(n log n).
+func selectSmallest(c []candidate, m int) {
+	quickselect(c, m, 2*bits.Len(uint(len(c))))
+}
+
+// quickselect is selectSmallest with an explicit partition budget.
+func quickselect(c []candidate, m, budget int) {
+	if m <= 0 || m >= len(c) {
+		return
+	}
+	lo, hi := 0, len(c)
+	for ; hi-lo > 12; budget-- {
+		if budget <= 0 {
+			slices.SortFunc(c[lo:hi], compare)
+			return
+		}
+		p := lo + partition(c[lo:hi])
+		switch {
+		case m < p:
+			hi = p
+		case m > p+1:
+			lo = p + 1
+		default:
+			return
+		}
+	}
+	for i := lo + 1; i < hi; i++ {
+		for j := i; j > lo && less(c[j], c[j-1]); j-- {
+			c[j], c[j-1] = c[j-1], c[j]
+		}
+	}
+}
+
+// partition moves the median of c's first, middle and last cells to
+// index q, every smaller cell before it and every larger one after it,
+// and returns q. c must hold at least three cells.
+func partition(c []candidate) int {
+	last, mid := len(c)-1, len(c)/2
+	if less(c[mid], c[0]) {
+		c[mid], c[0] = c[0], c[mid]
+	}
+	if less(c[last], c[mid]) {
+		c[last], c[mid] = c[mid], c[last]
+		if less(c[mid], c[0]) {
+			c[mid], c[0] = c[0], c[mid]
+		}
+	}
+	// c[0] ≤ c[mid] ≤ c[last]: park the pivot at the end.
+	c[mid], c[last] = c[last], c[mid]
+	pivot, q := c[last], 0
+	for j := 0; j < last; j++ {
+		if less(c[j], pivot) {
+			c[q], c[j] = c[j], c[q]
+			q++
+		}
+	}
+	c[q], c[last] = c[last], c[q]
+	return q
+}
+
+// compare is less as a three-way comparison, for slices.SortFunc.
+func compare(a, b candidate) int {
+	switch {
+	case less(a, b):
+		return -1
+	case less(b, a):
+		return 1
+	}
+	return 0
 }

@@ -2,6 +2,7 @@ package alloc
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -156,36 +157,186 @@ func popcount(x int) int {
 	return n
 }
 
+// sortReference is PickSmallest as two full sorts under less: each
+// row's cells sorted, its first minPerRow taken, then every cell left
+// over sorted and the first total − rows·minPerRow taken. It returns
+// the chosen cells' columns per row, ascending.
+func sortReference(scores [][]float64, total, minPerRow int) [][]int {
+	var rest []candidate
+	chosen := make([][]bool, len(scores))
+	for i, r := range scores {
+		chosen[i] = make([]bool, len(r))
+		row := make([]candidate, len(r))
+		for j, v := range r {
+			row[j] = candidate{row: i, col: j, score: v}
+		}
+		slices.SortFunc(row, compare)
+		for _, c := range row[:minPerRow] {
+			chosen[i][c.col] = true
+		}
+		rest = append(rest, row[minPerRow:]...)
+	}
+	slices.SortFunc(rest, compare)
+	for _, c := range rest[:total-len(scores)*minPerRow] {
+		chosen[c.row][c.col] = true
+	}
+	sel := make([][]int, len(scores))
+	for i, row := range chosen {
+		for j, ok := range row {
+			if ok {
+				sel[i] = append(sel[i], j)
+			}
+		}
+	}
+	return sel
+}
+
+// scoreMatrix draws a rows×cols matrix from draw, replacing every cell
+// of a row with NaN with probability nanRows, as a Z row of an
+// overflowing locality is.
+func scoreMatrix(r *randx.Rand, rows, cols int, nanRows float64, draw func() float64) [][]float64 {
+	scores := make([][]float64, rows)
+	for i := range scores {
+		scores[i] = make([]float64, cols)
+		nan := r.Float64() < nanRows
+		for j := range scores[i] {
+			scores[i][j] = draw()
+			if nan {
+				scores[i][j] = math.NaN()
+			}
+		}
+	}
+	return scores
+}
+
+// hasNaN reports whether any score is NaN.
+func hasNaN(scores [][]float64) bool {
+	for _, row := range scores {
+		for _, v := range row {
+			if math.IsNaN(v) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestPickSmallestMatchesBruteForce checks the selection two ways on
+// small matrices, at every minPerRow in {0, 1, 2, cols} and every
+// budget from rows·minPerRow to rows·cols: it must be the cells the
+// sort reference picks under the same order, and on NaN-free scores
+// its sum must be the least any feasible selection reaches. Half the
+// matrices draw their scores from {−1, 0, 1}, so most cells tie, and a
+// fifth of the rows are NaN.
 func TestPickSmallestMatchesBruteForce(t *testing.T) {
 	r := randx.New(11)
+	uniform := func() float64 { return r.Uniform(-5, 5) }
+	ternary := func() float64 { return float64(r.Intn(3) - 1) }
+	var bruteForced, nanChecked int
 	for trial := 0; trial < 200; trial++ {
 		rows := 2 + r.Intn(2) // 2..3
 		cols := 2 + r.Intn(3) // 2..4
-		scores := make([][]float64, rows)
-		for i := range scores {
-			scores[i] = make([]float64, cols)
-			for j := range scores[i] {
-				scores[i][j] = r.Uniform(-5, 5)
+		draw := uniform
+		if trial%2 == 1 {
+			draw = ternary
+		}
+		scores := scoreMatrix(r, rows, cols, 0.2, draw)
+		for _, minPerRow := range []int{0, 1, 2, cols} {
+			if minPerRow > cols {
+				continue
+			}
+			for total := rows * minPerRow; total <= rows*cols; total++ {
+				sel, err := PickSmallest(scores, total, minPerRow)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := sortReference(scores, total, minPerRow); !slices.EqualFunc(sel, want, slices.Equal[[]int]) {
+					t.Fatalf("trial %d: selection %v, sort reference %v (scores %v, total %d, min %d)",
+						trial, sel, want, scores, total, minPerRow)
+				}
+				if hasNaN(scores) {
+					nanChecked++
+					continue
+				}
+				got := sumSelected(scores, sel)
+				want := bruteForce(scores, total, minPerRow)
+				if math.Abs(got-want) > 1e-9 {
+					t.Fatalf("trial %d: greedy sum %v, optimal %v (scores %v, total %d, min %d)",
+						trial, got, want, scores, total, minPerRow)
+				}
+				bruteForced++
 			}
 		}
-		minPerRow := 1 + r.Intn(2)
-		if minPerRow > cols {
-			minPerRow = cols
-		}
-		lo, hi := rows*minPerRow, rows*cols
-		total := lo + r.Intn(hi-lo+1)
-		sel, err := PickSmallest(scores, total, minPerRow)
+	}
+	if bruteForced == 0 || nanChecked == 0 {
+		t.Fatalf("%d selections brute-forced and %d with NaN scores, want both", bruteForced, nanChecked)
+	}
+}
+
+// TestPickSmallestMatchesSortOnLargeMatrices checks the selection
+// against the sort reference on matrices large enough for its
+// partitioning, up to the 5×100 Z matrix of a highdim trial, with
+// heavy ties and NaN rows, one Picker reused throughout. It also runs
+// the quickselect with no partition budget left, which sorts outright.
+func TestPickSmallestMatchesSortOnLargeMatrices(t *testing.T) {
+	r := randx.New(12)
+	draws := []func() float64{
+		func() float64 { return r.Uniform(-3, 3) },
+		func() float64 { return float64(r.Intn(3) - 1) },
+		func() float64 { return 0 },
+	}
+	var p Picker
+	for trial := 0; trial < 300; trial++ {
+		rows, cols := 1+r.Intn(6), 3+r.Intn(98)
+		scores := scoreMatrix(r, rows, cols, 0.15, draws[trial%len(draws)])
+		minPerRow := []int{0, 1, 2, cols}[r.Intn(4)]
+		total := rows*minPerRow + r.Intn(rows*(cols-minPerRow)+1)
+		sel, err := p.PickSmallest(scores, total, minPerRow)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if countSelected(sel) != total {
-			t.Fatalf("trial %d: selected %d, want %d", trial, countSelected(sel), total)
+		if want := sortReference(scores, total, minPerRow); !slices.EqualFunc(sel, want, slices.Equal[[]int]) {
+			t.Fatalf("trial %d (%d×%d, total %d, min %d): selection %v, sort reference %v",
+				trial, rows, cols, total, minPerRow, sel, want)
 		}
-		got := sumSelected(scores, sel)
-		want := bruteForce(scores, total, minPerRow)
-		if math.Abs(got-want) > 1e-9 {
-			t.Fatalf("trial %d: greedy sum %v, optimal %v (scores %v, total %d, min %d)",
-				trial, got, want, scores, total, minPerRow)
+	}
+	for _, budget := range []int{0, 1} {
+		cells := make([]candidate, 200)
+		for i := range cells {
+			cells[i] = candidate{row: i % 3, col: i, score: float64(r.Intn(3) - 1)}
+		}
+		want := slices.Clone(cells)
+		slices.SortFunc(want, compare)
+		quickselect(cells, 37, budget)
+		got := slices.Clone(cells[:37])
+		slices.SortFunc(got, compare)
+		if !slices.Equal(got, want[:37]) {
+			t.Fatalf("budget %d: selected %v, want %v", budget, got, want[:37])
+		}
+	}
+}
+
+// TestLessOrdersNaNLast pins the cell order: numbers ascending, NaN
+// after every number including +Inf, and ties — NaN with NaN included —
+// broken by row, then column.
+func TestLessOrdersNaNLast(t *testing.T) {
+	nan := math.NaN()
+	ordered := []candidate{
+		{0, 1, math.Inf(-1)},
+		{1, 0, -1},
+		{0, 0, 0},
+		{0, 2, 0},
+		{1, 1, 0},
+		{0, 0, math.Inf(1)},
+		{0, 3, nan},
+		{1, 0, nan},
+		{1, 2, nan},
+	}
+	for a := range ordered {
+		for b := range ordered {
+			if got := less(ordered[a], ordered[b]); got != (a < b) {
+				t.Errorf("less(%v, %v) = %v, want %v", ordered[a], ordered[b], got, a < b)
+			}
 		}
 	}
 }
@@ -247,6 +398,35 @@ func TestPickSmallestDeterministicOnTies(t *testing.T) {
 			if a[i][j] != b[i][j] {
 				t.Fatalf("tie-breaking not deterministic: %v vs %v", a, b)
 			}
+		}
+	}
+}
+
+// BenchmarkPickSmallest measures one dimension allocation of the
+// PROCLUS hill climb on the benchmark ledger's highdim shape: a 5×100
+// Z matrix, a budget of k·l = 25 cells and at least two per row, with
+// the Picker reused as the engine reuses it. Run with -benchmem: the
+// allocation column must stay at zero.
+//
+//	go test -run xxx -bench BenchmarkPickSmallest -benchmem ./internal/alloc/
+func BenchmarkPickSmallest(b *testing.B) {
+	r := randx.New(3)
+	scores := make([][]float64, 5)
+	for i := range scores {
+		scores[i] = make([]float64, 100)
+		for j := range scores[i] {
+			scores[i][j] = r.Uniform(-3, 3)
+		}
+	}
+	var p Picker
+	if _, err := p.PickSmallest(scores, 25, 2); err != nil { // size the buffers
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.PickSmallest(scores, 25, 2); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -83,6 +83,12 @@ func (e naiveEval) cacheHitRate() float64              { return 0 }
 // key, so a short ring catches most repeats.
 const zRing = 4
 
+// assignTile is the number of points the assignment pass fills its
+// dirty projected columns for before it takes their argmins: the
+// tile's rows stay in cache across the dirty columns, where a whole
+// column at a time would stream the point matrix once per column.
+const assignTile = 256
+
 // zSlot is one cached Z row and the key it was computed for.
 type zSlot struct {
 	medoid int    // dataset index; -1 = empty
@@ -103,11 +109,11 @@ type incrementalEval struct {
 	zSlots []zSlot
 	zNext  []int
 
-	// proj is the projected-distance matrix, N×k row-major: proj[p·k+i]
-	// is the assignment metric from point p to the medoid at position i
-	// over that position's dimension set. Column i is valid for the
-	// medoid projMedoid[i] (-1 = never populated) and the dimension set
-	// projDims[i].
+	// proj is the projected-distance matrix, k×N column-major:
+	// proj[i·N+p] is the assignment metric from point p to the medoid
+	// at position i over that position's dimension set. Column i is
+	// valid for the medoid projMedoid[i] (-1 = never populated) and the
+	// dimension set projDims[i].
 	proj       []float64
 	projMedoid []int
 	projDims   [][]int
@@ -133,9 +139,9 @@ type incrementalEval struct {
 }
 
 // trialScratch is the reusable buffer set of one engine's evaluation
-// passes: localities, Z rows, dimension picking, assignment, sizes,
-// centroids and deviations. All buffers are sized once at
-// construction; list buffers keep their capacity across trials.
+// passes: localities, Z rows, dimension picking, assignment, sizes and
+// the objective pass. All buffers are sized once at construction; list
+// buffers keep their capacity across trials.
 type trialScratch struct {
 	cand       []int       // k candidate-table rows of the medoids, by position
 	medoidPts  [][]float64 // k point views, by position
@@ -144,10 +150,9 @@ type trialScratch struct {
 	x          [][]float64 // k zRowInto accumulation rows of d
 	z          [][]float64 // k Z rows of d, each aliasing a ring slot
 	picker     alloc.Picker
-	assign     []int       // n
-	sizes      []int       // k
-	centroids  [][]float64 // k rows of d; only D_i's coordinates are set
-	devs       []float64   // k
+	assign     []int // n
+	sizes      []int // k
+	objective  objectiveScratch
 }
 
 func newIncrementalEval(r *runner, tab *candidateTable) *incrementalEval {
@@ -186,12 +191,7 @@ func newIncrementalEval(r *runner, tab *candidateTable) *incrementalEval {
 	s.z = make([][]float64, k)
 	s.assign = make([]int, n)
 	s.sizes = make([]int, k)
-	cf := make([]float64, k*d)
-	s.centroids = make([][]float64, k)
-	for i := 0; i < k; i++ {
-		s.centroids[i] = cf[i*d : (i+1)*d]
-	}
-	s.devs = make([]float64, k)
+	s.objective = newObjectiveScratch(n, k, d)
 
 	// One Z row per position: served from the position's ring when its
 	// (medoid, δ_i) key is there, otherwise computed into the oldest
@@ -218,37 +218,48 @@ func newIncrementalEval(r *runner, tab *candidateTable) *incrementalEval {
 			s.z[i] = e.r.zRowInto(m, s.localities[i], s.x[i], slot.row)
 		}
 	}
-	// One pass over the points: recompute the dirty projected columns,
-	// then take each point's nearest position over all k columns with
+	// One pass over the points, a tile of assignTile points at a time:
+	// recompute the tile's entries of every dirty projected column, then
+	// take each of its points' nearest position over all k columns with
 	// refineRows's start (0, +Inf) and strict <, so ties still go to
 	// the lower position. A column entry is dist.Segmental — times |D_i|
 	// under MetricManhattan — computed inline with the same operations
-	// in the same order.
+	// in the same order. Every entry is a sum of absolute values: +0,
+	// positive, +Inf or NaN. Read as unsigned integers, the bits of the
+	// first three order as their values do, and a NaN's lie above +Inf's,
+	// so a NaN never wins, as under the float compare. The argmin
+	// therefore compares bits, which compiles to conditional moves where
+	// the float compare's branch mispredicts.
 	e.assignFn = func(lo, hi int) {
 		dims := e.cur.dims
-		for p := lo; p < hi; p++ {
-			pt := e.r.ds.Point(p)
-			row := e.proj[p*e.k : (p+1)*e.k]
+		for t0 := lo; t0 < hi; t0 += assignTile {
+			t1 := min(t0+assignTile, hi)
 			for _, c := range e.projDirty {
 				mp, dc := s.medoidPts[c], dims[c]
-				var sum float64
-				for _, j := range dc {
-					sum += math.Abs(pt[j] - mp[j])
-				}
 				w := float64(len(dc))
-				v := sum / w
-				if e.manhattan {
-					v *= w
+				col := e.proj[c*n+t0 : c*n+t1]
+				for q := range col {
+					pt := e.r.ds.Point(t0 + q)
+					var sum float64
+					for _, j := range dc {
+						sum += math.Abs(pt[j] - mp[j])
+					}
+					v := sum / w
+					if e.manhattan {
+						v *= w
+					}
+					col[q] = v
 				}
-				row[c] = v
 			}
-			bestIdx, bestDist := 0, math.Inf(1)
-			for i, d := range row {
-				if d < bestDist {
-					bestIdx, bestDist = i, d
+			for p := t0; p < t1; p++ {
+				bestIdx, bestBits := 0, math.Float64bits(math.Inf(1))
+				for i := 0; i < k; i++ {
+					if b := math.Float64bits(e.proj[i*n+p]); b < bestBits {
+						bestIdx, bestBits = i, b
+					}
 				}
+				s.assign[p] = bestIdx
 			}
-			s.assign[p] = bestIdx
 		}
 		evals := int64(hi - lo)
 		e.r.creditEvals(evals*int64(len(e.projDirty)), evals*e.projCoords)
@@ -290,7 +301,7 @@ func (e *incrementalEval) evaluate(medoids []int) *trialState {
 	t.dims = e.findDimensions()
 	e.assign()
 	tallySizes(s.assign, s.sizes)
-	t.objective = e.r.evaluateClustersInto(s.assign, s.sizes, t.dims, s.centroids, s.devs)
+	t.objective = e.r.evaluateClustersInto(s.assign, s.sizes, t.dims, &s.objective)
 	t.assign = s.assign
 	t.sizes = s.sizes
 	t.badMedoids = nil

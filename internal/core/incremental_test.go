@@ -71,13 +71,18 @@ func assertIdenticalResults(t *testing.T, inc, naive *Result, context string) {
 // TestIncrementalNaiveEquivalence is the cached-vs-naive metamorphic
 // guarantee over randomized datasets and configurations: for any
 // input, IncrementalEval on and off must produce identical Results.
+// The last trial runs N = 2·assignTile + 37 points at 7 workers, so
+// the assignment pass's worker chunks end inside its tiles.
 func TestIncrementalNaiveEquivalence(t *testing.T) {
 	rng := randx.New(99)
-	for trial := 0; trial < 8; trial++ {
+	for trial := 0; trial < 9; trial++ {
 		dims := 4 + rng.Intn(8)
 		k := 2 + rng.Intn(3)
 		fixed := 2 + rng.Intn(dims-2)
 		n := 400 + rng.Intn(1200)
+		if trial == 8 {
+			n = 2*assignTile + 37
+		}
 		seed := rng.Uint64()
 		ds, _, err := synth.Generate(synth.Config{
 			N: n, Dims: dims, K: k, FixedDims: fixed, MinSizeFraction: 0.1, Seed: seed,
@@ -94,6 +99,9 @@ func TestIncrementalNaiveEquivalence(t *testing.T) {
 			InitMethod:     InitMethod(rng.Intn(2)),
 			AssignMetric:   AssignMetric(rng.Intn(2)),
 			SkipRefinement: rng.Intn(2) == 0,
+		}
+		if trial == 8 {
+			cfg.Restarts, cfg.Workers = 1, 7
 		}
 		context := fmt.Sprintf("trial %d (n=%d dims=%d k=%d l=%d cfg=%+v)", trial, n, dims, k, l, cfg)
 
@@ -308,10 +316,23 @@ func TestCandidateTableLocalities(t *testing.T) {
 
 // TestIncrementalEvaluateMatchesNaive checks trial-level equivalence
 // directly, including after swaps: the cached evaluation of any medoid
-// set must reproduce the naive evaluation bit-for-bit.
+// set must reproduce the naive evaluation bit-for-bit. The second
+// dataset is an integer lattice, where many points lie at exactly the
+// same projected distance from two medoids, so the assignment pass's
+// tie-break toward the lower position decides them.
 func TestIncrementalEvaluateMatchesNaive(t *testing.T) {
 	const n = 500
 	r, medoids := incrementalFixture(t, n)
+	rng := randx.New(8)
+	lattice := dataset.New(6)
+	pt := make([]float64, 6)
+	for p := 0; p < n; p++ {
+		for j := range pt {
+			pt[j] = float64(rng.Intn(3))
+		}
+		lattice.Append(pt)
+	}
+	runners := []*runner{r, newRunner(lattice, Config{K: 4, L: 3, Seed: 11, Workers: 1})}
 	sets := [][]int{
 		medoids,
 		{10, n / 2, 2 * n / 5, n - 20},  // swap position 1
@@ -319,21 +340,23 @@ func TestIncrementalEvaluateMatchesNaive(t *testing.T) {
 		{11, n/2 + 1, 2*n/5 + 1, n - 6}, // swap all
 		{10, n / 2, 2 * n / 5, n - 5},   // revisit an earlier set
 	}
-	e := engineOver(r, sets...)
-	for si, set := range sets {
-		got := e.evaluate(set)
-		want := r.evaluateMedoids(set)
-		if math.Float64bits(got.objective) != math.Float64bits(want.objective) {
-			t.Fatalf("set %d: objective %v vs naive %v", si, got.objective, want.objective)
-		}
-		if !reflect.DeepEqual(got.dims, want.dims) {
-			t.Fatalf("set %d: dims %v vs naive %v", si, got.dims, want.dims)
-		}
-		if !reflect.DeepEqual(got.assign, want.assign) {
-			t.Fatalf("set %d: assignments differ", si)
-		}
-		if !reflect.DeepEqual(got.sizes, want.sizes) {
-			t.Fatalf("set %d: sizes %v vs naive %v", si, got.sizes, want.sizes)
+	for ri, r := range runners {
+		e := engineOver(r, sets...)
+		for si, set := range sets {
+			got := e.evaluate(set)
+			want := r.evaluateMedoids(set)
+			if math.Float64bits(got.objective) != math.Float64bits(want.objective) {
+				t.Fatalf("dataset %d set %d: objective %v vs naive %v", ri, si, got.objective, want.objective)
+			}
+			if !reflect.DeepEqual(got.dims, want.dims) {
+				t.Fatalf("dataset %d set %d: dims %v vs naive %v", ri, si, got.dims, want.dims)
+			}
+			if !reflect.DeepEqual(got.assign, want.assign) {
+				t.Fatalf("dataset %d set %d: assignments differ", ri, si)
+			}
+			if !reflect.DeepEqual(got.sizes, want.sizes) {
+				t.Fatalf("dataset %d set %d: sizes %v vs naive %v", ri, si, got.sizes, want.sizes)
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 // White-box tests for the individual PROCLUS phases.
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -258,6 +259,118 @@ func TestEvaluateClustersPrefersTightClustering(t *testing.T) {
 	bad := r.evaluateClusters(badAssign, badSizes, dims)
 	if good >= bad {
 		t.Fatalf("objective does not prefer tight clustering: good=%v bad=%v", good, bad)
+	}
+}
+
+// sweepObjective is the objective pass as one sweep in point order:
+// every point adds its coordinates to its cluster's centroid sums, the
+// sums are scaled, then every point adds its deviation term to its
+// cluster's sum. It returns the objective, the centroids (only D_i's
+// coordinates set) and the per-cluster deviation sums.
+func sweepObjective(ds *dataset.Dataset, assign, sizes []int, dims [][]int) (float64, [][]float64, []float64) {
+	k := len(sizes)
+	centroids := make([][]float64, k)
+	for i := range centroids {
+		centroids[i] = make([]float64, ds.Dims())
+	}
+	for p, a := range assign {
+		pt := ds.Point(p)
+		for _, j := range dims[a] {
+			centroids[a][j] += pt[j]
+		}
+	}
+	for i, c := range centroids {
+		if sizes[i] == 0 {
+			continue
+		}
+		inv := 1 / float64(sizes[i])
+		for _, j := range dims[i] {
+			c[j] *= inv
+		}
+	}
+	devs := make([]float64, k)
+	for p, i := range assign {
+		pt := ds.Point(p)
+		var s float64
+		for _, j := range dims[i] {
+			s += math.Abs(pt[j] - centroids[i][j])
+		}
+		devs[i] += s / float64(len(dims[i]))
+	}
+	var total float64
+	for _, d := range devs {
+		total += d
+	}
+	return total / float64(len(assign)), centroids, devs
+}
+
+// TestEvaluateClustersMatchesSweep checks the cluster-by-cluster
+// objective pass against the point-order sweep, bit for bit: the
+// objective, every cluster's deviation sum and every centroid
+// coordinate it sets. The inputs are integer lattices, whose centroids
+// and deviations tie and round, and uniform reals. Each partition has
+// an empty cluster, a singleton and clusters of every size modulo 4,
+// and the dimension sets run through every size from 2 to d, so every
+// 4/2/1 remainder of the centroid pass and every member remainder of
+// the deviation pass occurs. One scratch serves every case, so stale
+// buffers would show.
+func TestEvaluateClustersMatchesSweep(t *testing.T) {
+	const n, d, k = 300, 11, 7
+	rng := randx.New(17)
+	draws := []struct {
+		name string
+		draw func() float64
+	}{
+		{"lattice", func() float64 { return float64(rng.Intn(4)) }},
+		{"uniform", func() float64 { return rng.Uniform(-50, 50) }},
+	}
+	s := newObjectiveScratch(n, k, d)
+	for _, dr := range draws {
+		ds := dataset.New(d)
+		pt := make([]float64, d)
+		for p := 0; p < n; p++ {
+			for j := range pt {
+				pt[j] = dr.draw()
+			}
+			ds.Append(pt)
+		}
+		r := newRunner(ds, Config{K: k, L: 2})
+		for trial := 0; trial < 2*(d-1); trial++ {
+			// Sizes 0, 1, 2, 3, 4 and 5, the rest to the last cluster,
+			// dealt to the points in random order.
+			sizes := []int{0, 1, 2, 3, 4, 5, n - 15}
+			rng.Shuffle(k, func(a, b int) { sizes[a], sizes[b] = sizes[b], sizes[a] })
+			assign := make([]int, 0, n)
+			for i, size := range sizes {
+				for range size {
+					assign = append(assign, i)
+				}
+			}
+			rng.Shuffle(n, func(a, b int) { assign[a], assign[b] = assign[b], assign[a] })
+			dims := make([][]int, k)
+			for i := range dims {
+				dims[i] = rng.Perm(d)[:2+(trial+i)%(d-1)]
+				sort.Ints(dims[i])
+			}
+			ctx := fmt.Sprintf("%s trial %d", dr.name, trial)
+			got := r.evaluateClustersInto(assign, sizes, dims, &s)
+			want, centroids, devs := sweepObjective(ds, assign, sizes, dims)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: objective %v, sweep %v", ctx, got, want)
+			}
+			for i := range sizes {
+				if math.Float64bits(s.devs[i]) != math.Float64bits(devs[i]) {
+					t.Fatalf("%s: cluster %d (%d points, %d dims): deviation %v, sweep %v",
+						ctx, i, sizes[i], len(dims[i]), s.devs[i], devs[i])
+				}
+				for _, j := range dims[i] {
+					if math.Float64bits(s.centroids[i][j]) != math.Float64bits(centroids[i][j]) {
+						t.Fatalf("%s: cluster %d (%d points) centroid[%d] = %v, sweep %v",
+							ctx, i, sizes[i], j, s.centroids[i][j], centroids[i][j])
+					}
+				}
+			}
+		}
 	}
 }
 

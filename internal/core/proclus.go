@@ -308,7 +308,10 @@ type restartOutcome struct {
 
 // climb performs the hill climb of §2.2 and returns the best trial, the
 // trial count, and the objective of every evaluated trial in order.
-// restart is the 1-based restart index, used only for event context.
+// restart is the 1-based restart index, used for event context and
+// errors. A trial whose objective is not finite ends the climb with an
+// error: every value is finite, but their sums overflowed float64, and
+// no trial of such an input could be compared with another.
 // rng is the restart's private generator and ev the trial engine it
 // has to itself until it returns: climb is called concurrently for
 // different restarts and must not touch shared mutable state beyond
@@ -340,6 +343,10 @@ func (r *runner) climb(candidates []int, restart int, rng *randx.Rand, ev evalua
 		iterations++
 		trialStart := time.Now()
 		trial := ev.evaluate(current)
+		if math.IsNaN(trial.objective) || math.IsInf(trial.objective, 0) {
+			return nil, 0, nil, fmt.Errorf("proclus: restart %d, trial %d: the objective overflowed to %v; "+
+				"the coordinates are too large in magnitude for float64 sums", restart, iterations, trial.objective)
+		}
 		trace = append(trace, trial.objective)
 		improved := trial.objective < bestObjective
 		if improved {
@@ -554,72 +561,155 @@ func tallySizes(assign, sizes []int) {
 // over all points, of the average distance along each cluster dimension
 // between the point and its cluster centroid.
 func (r *runner) evaluateClusters(assign []int, sizes []int, dims [][]int) float64 {
-	k := len(sizes)
-	d := r.ds.Dims()
-	centroids := make([][]float64, k)
-	for i := range centroids {
-		centroids[i] = make([]float64, d)
-	}
-	return r.evaluateClustersInto(assign, sizes, dims, centroids, make([]float64, k))
+	s := newObjectiveScratch(len(assign), len(sizes), r.ds.Dims())
+	return r.evaluateClustersInto(assign, sizes, dims, &s)
 }
 
-// evaluateClustersInto is evaluateClusters accumulating into
-// caller-owned buffers (k centroid rows of ds.Dims() each, k deviation
-// slots), which the incremental engine reuses across iterations. The
-// deviations read centroid i only on dims[i], so only those coordinates
-// are summed and scaled: the pass costs O(N·l) rather than O(N·d), and
-// centroid coordinates outside a cluster's dimensions are left unset.
-func (r *runner) evaluateClustersInto(assign []int, sizes []int, dims [][]int,
-	centroids [][]float64, devs []float64) float64 {
-	// This pass stays serial: floating-point accumulation order must not
-	// depend on the worker count, or the hill climb's accept/reject
-	// decisions (and hence the whole result) could differ between runs
-	// configured with different Workers values. The locality and
-	// assignment passes, whose outputs are integers, carry the
-	// parallelism instead.
-	n := r.ds.Len()
-	for i, c := range centroids {
-		for _, j := range dims[i] {
-			c[j] = 0
-		}
+// objectiveScratch is the buffer set of evaluateClustersInto, which the
+// incremental engine reuses across iterations.
+type objectiveScratch struct {
+	order     []int       // N point indices, grouped by cluster
+	next      []int       // k counting-sort cursors into order
+	centroids [][]float64 // k rows of d; only D_i's coordinates are set
+	devs      []float64   // k per-cluster deviation sums
+}
+
+func newObjectiveScratch(n, k, d int) objectiveScratch {
+	s := objectiveScratch{
+		order:     make([]int, n),
+		next:      make([]int, k),
+		centroids: make([][]float64, k),
+		devs:      make([]float64, k),
 	}
-	for p := 0; p < n; p++ {
-		pt := r.ds.Point(p)
-		a := assign[p]
-		c := centroids[a]
-		for _, j := range dims[a] {
-			c[j] += pt[j]
-		}
+	cf := make([]float64, k*d)
+	for i := range s.centroids {
+		s.centroids[i] = cf[i*d : (i+1)*d]
 	}
-	for i, c := range centroids {
-		if sizes[i] == 0 {
-			continue
-		}
-		inv := 1 / float64(sizes[i])
-		for _, j := range dims[i] {
-			c[j] *= inv
-		}
+	return s
+}
+
+// evaluateClustersInto is evaluateClusters accumulating into s. The
+// deviations read centroid i only on dims[i], so only those
+// coordinates are summed and scaled: the pass costs O(N·l) rather than
+// O(N·d), and centroid coordinates outside a cluster's dimensions are
+// left unset.
+//
+// A counting sort first lists the points cluster by cluster, each
+// cluster's in ascending order. Every sum of the pass belongs to one
+// cluster — its centroid coordinates, its deviation devs[i] — and
+// receives only that cluster's points, so visiting the clusters one at
+// a time, their points in ascending order, adds the same terms in the
+// same order as one sweep in point order does. The sums can then stay
+// in registers: centroid coordinates four at a time over the members,
+// and the deviation over four members at a time, each member's term
+// summed over dims[i] in order and added to devs[i] in member order.
+//
+// The pass stays serial: floating-point accumulation order must not
+// depend on the worker count, or the hill climb's accept/reject
+// decisions (and hence the whole result) could differ between runs
+// configured with different Workers values. The locality and
+// assignment passes, whose outputs are integers, carry the parallelism
+// instead.
+func (r *runner) evaluateClustersInto(assign []int, sizes []int, dims [][]int, s *objectiveScratch) float64 {
+	at := 0
+	for i, size := range sizes {
+		s.next[i] = at
+		at += size
 	}
-	// Sum of per-dimension absolute deviations to the centroid,
-	// restricted to each cluster's dimensions.
-	for i := range devs {
-		devs[i] = 0
-	}
-	for p := 0; p < n; p++ {
-		pt := r.ds.Point(p)
-		i := assign[p]
-		c := centroids[i]
-		var s float64
-		for _, j := range dims[i] {
-			s += math.Abs(pt[j] - c[j])
-		}
-		devs[i] += s / float64(len(dims[i]))
+	for p, a := range assign {
+		s.order[s.next[a]] = p
+		s.next[a]++
 	}
 	var total float64
-	for i := range devs {
-		total += devs[i] // devs already sums w_i contributions per point
+	at = 0
+	for i, size := range sizes {
+		members := s.order[at : at+size]
+		at += size
+		c, di := s.centroids[i], dims[i]
+		if size == 0 {
+			for _, j := range di {
+				c[j] = 0
+			}
+			s.devs[i] = 0
+		} else {
+			r.clusterCentroid(members, di, c)
+			s.devs[i] = r.clusterDeviation(members, di, c)
+		}
+		total += s.devs[i]
 	}
 	return total / float64(len(assign))
+}
+
+// clusterCentroid sets c[j], for every j in dims, to the mean of the
+// members' coordinate j: the sum over the members in order, times
+// 1/len(members). It sums four coordinates per pass over the members,
+// then two, then one.
+func (r *runner) clusterCentroid(members, dims []int, c []float64) {
+	inv := 1 / float64(len(members))
+	for ; len(dims) >= 4; dims = dims[4:] {
+		j0, j1, j2, j3 := dims[0], dims[1], dims[2], dims[3]
+		var s0, s1, s2, s3 float64
+		for _, p := range members {
+			pt := r.ds.Point(p)
+			s0 += pt[j0]
+			s1 += pt[j1]
+			s2 += pt[j2]
+			s3 += pt[j3]
+		}
+		c[j0], c[j1], c[j2], c[j3] = s0*inv, s1*inv, s2*inv, s3*inv
+	}
+	if len(dims) >= 2 {
+		j0, j1 := dims[0], dims[1]
+		var s0, s1 float64
+		for _, p := range members {
+			pt := r.ds.Point(p)
+			s0 += pt[j0]
+			s1 += pt[j1]
+		}
+		c[j0], c[j1] = s0*inv, s1*inv
+		dims = dims[2:]
+	}
+	if len(dims) == 1 {
+		j0 := dims[0]
+		var s0 float64
+		for _, p := range members {
+			s0 += r.ds.Point(p)[j0]
+		}
+		c[j0] = s0 * inv
+	}
+}
+
+// clusterDeviation returns Σ_p (Σ_{j ∈ dims} |p_j − c_j|) / |dims| over
+// the members p in order, the inner sum over dims in order. It sums
+// four members' terms per pass over dims.
+func (r *runner) clusterDeviation(members, dims []int, c []float64) float64 {
+	w := float64(len(dims))
+	var dev float64
+	for ; len(members) >= 4; members = members[4:] {
+		p0, p1 := r.ds.Point(members[0]), r.ds.Point(members[1])
+		p2, p3 := r.ds.Point(members[2]), r.ds.Point(members[3])
+		var s0, s1, s2, s3 float64
+		for _, j := range dims {
+			cj := c[j]
+			s0 += math.Abs(p0[j] - cj)
+			s1 += math.Abs(p1[j] - cj)
+			s2 += math.Abs(p2[j] - cj)
+			s3 += math.Abs(p3[j] - cj)
+		}
+		dev += s0 / w
+		dev += s1 / w
+		dev += s2 / w
+		dev += s3 / w
+	}
+	for _, p := range members {
+		pt := r.ds.Point(p)
+		var s float64
+		for _, j := range dims {
+			s += math.Abs(pt[j] - c[j])
+		}
+		dev += s / w
+	}
+	return dev
 }
 
 // findBadMedoids returns the positions of bad medoids in a trial: the

@@ -133,3 +133,38 @@ func BenchmarkCandidateTable(b *testing.B) {
 		r.newCandidateTable(cands, 1)
 	}
 }
+
+// BenchmarkObjective measures evaluateClustersInto, the objective pass
+// every hill-climb trial ends with, on the benchmark ledger's case1 and
+// highdim shapes: the partition and dimension sets are those of one
+// trial over five spread-out medoids, and the buffers are built once.
+// Run with -benchmem: the allocation column must stay at zero.
+//
+//	go test -run xxx -bench BenchmarkObjective -benchmem ./internal/core/
+func BenchmarkObjective(b *testing.B) {
+	shapes := []struct {
+		name string
+		data synth.Config
+		l    int
+	}{
+		{"case1", synth.Config{N: 8000, Dims: 20, K: 5, FixedDims: 7, MinSizeFraction: 0.1, Seed: 3}, 7},
+		{"highdim", synth.Config{N: 5000, Dims: 100, K: 5, FixedDims: 5, MinSizeFraction: 0.1, Seed: 3}, 5},
+	}
+	for _, sh := range shapes {
+		b.Run(sh.name, func(b *testing.B) {
+			ds, _, err := synth.Generate(sh.data)
+			if err != nil {
+				b.Fatal(err)
+			}
+			n := ds.Len()
+			r := newRunner(ds, Config{K: 5, L: sh.l, Workers: 1})
+			trial := r.evaluateMedoids([]int{0, n / 5, 2 * n / 5, 3 * n / 5, 4 * n / 5})
+			s := newObjectiveScratch(n, 5, ds.Dims())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r.evaluateClustersInto(trial.assign, trial.sizes, trial.dims, &s)
+			}
+		})
+	}
+}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"sort"
@@ -9,6 +11,7 @@ import (
 
 	"proclus/internal/dataset"
 	"proclus/internal/obs"
+	"proclus/internal/obs/series"
 	"proclus/internal/randx"
 	"proclus/internal/synth"
 )
@@ -465,5 +468,60 @@ func TestObjectiveImprovesOverRandomMedoids(t *testing.T) {
 	}
 	if res.Iterations < 1 {
 		t.Fatalf("iterations %d", res.Iterations)
+	}
+}
+
+// overflowingDataset is 400 points in 6 dimensions whose first
+// coordinate alternates between +1e308 and −1e308. Every value is
+// finite, so validation passes, but a cluster holding points of one
+// sign sums their first coordinates to +Inf or −Inf.
+func overflowingDataset() *dataset.Dataset {
+	rng := randx.New(1)
+	ds := dataset.New(6)
+	pt := make([]float64, 6)
+	for i := 0; i < 400; i++ {
+		pt[0] = 1e308
+		if i%2 == 1 {
+			pt[0] = -1e308
+		}
+		for j := 1; j < len(pt); j++ {
+			pt[j] = rng.Uniform(0, 10)
+		}
+		ds.Append(pt)
+	}
+	return ds
+}
+
+// TestNonFiniteObjectiveFails pins that a trial whose objective
+// overflows ends the fit with an error that names the overflow, from
+// both entry points, on both engines, at one and two workers, instead
+// of a nil-pointer panic in the climb. A series store is attached, so
+// the climb's per-trial record, which reads the best trial, runs too.
+func TestNonFiniteObjectiveFails(t *testing.T) {
+	ds := overflowingDataset()
+	if err := ds.Validate(); err != nil {
+		t.Fatalf("the overflow input must pass validation: %v", err)
+	}
+	for _, engine := range []EvalMode{EvalIncremental, EvalNaive} {
+		for _, workers := range []int{1, 2} {
+			cfg := Config{K: 3, L: 3, Seed: 5, Workers: workers, Restarts: 2,
+				IncrementalEval: engine, Series: series.NewStore(64)}
+			fits := map[string]func() (*Result, error){
+				"Run": func() (*Result, error) { return Run(ds, cfg) },
+				"RunStream": func() (*Result, error) {
+					return RunStream(context.Background(), dataset.NewMemorySource(ds, 0), cfg)
+				},
+			}
+			for name, fit := range fits {
+				ctx := fmt.Sprintf("%s engine=%v workers=%d", name, engine, workers)
+				res, err := fit()
+				if err == nil {
+					t.Fatalf("%s: fit accepted, objective %v", ctx, res.Objective)
+				}
+				if !strings.Contains(err.Error(), "objective overflowed") {
+					t.Fatalf("%s: error %q does not name the overflow", ctx, err)
+				}
+			}
+		}
 	}
 }
