@@ -1,14 +1,14 @@
 GO ?= go
 
-.PHONY: check ci build vet test test-race cover bench bench-smoke bench-allocs bench-obs fuzz-smoke lens-golden staticcheck archive-smoke scenario-gate ledger-test
+.PHONY: check ci build vet build-arm64 test test-race cover bench bench-smoke bench-allocs bench-obs fuzz-smoke lens-golden staticcheck archive-smoke scenario-gate ledger-test
 
 check: vet build test-race fuzz-smoke lens-golden scenario-gate ledger-test
 
 # ci mirrors .github/workflows/ci.yml: formatting gate, vet, build,
-# race-enabled tests, the benchmark ledger module's vet and tests,
+# the arm64 cross-build and vet, race-enabled tests, the benchmark ledger module's vet and tests,
 # coverage, the benchmark smoke run, the scenario robustness gate, the
 # runlens golden diff, and the run-archive smoke.
-ci: fmt-check vet staticcheck build test-race ledger-test cover bench-smoke scenario-gate lens-golden archive-smoke
+ci: fmt-check vet staticcheck build build-arm64 test-race ledger-test cover bench-smoke scenario-gate lens-golden archive-smoke
 
 .PHONY: fmt-check
 fmt-check:
@@ -24,6 +24,12 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# build-arm64 cross-builds and vets for arm64, where internal/dist's
+# batch kernels are their plain-Go twins instead of the amd64 assembly,
+# so the twin path keeps compiling. It needs no arm64 host.
+build-arm64:
+	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./...
 
 # staticcheck is optional locally (CI installs a pinned version); skip
 # with a notice rather than fail when the binary is absent.
@@ -54,8 +60,9 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Short coverage-guided fuzz runs over the binary reader, the block
-# scanner, the bounded distance kernels the benchmark ledger replays and
-# the confusion matrix. The checked-in corpora under */testdata/fuzz
+# scanner, the bounded distance kernels the benchmark ledger replays,
+# the batch distance kernels (assembly against their plain-Go twins)
+# and the confusion matrix. The checked-in corpora under */testdata/fuzz
 # replay on every plain `go test`; this target additionally mutates for
 # FUZZTIME per target to catch fresh regressions. Each -fuzz invocation
 # must name exactly one target, hence one run per target.
@@ -66,6 +73,8 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz '^FuzzReadCSV$$' -fuzztime $(FUZZTIME) ./internal/dataset/
 	$(GO) test -run xxx -fuzz '^FuzzBlockScanner$$' -fuzztime $(FUZZTIME) ./internal/dataset/
 	$(GO) test -run xxx -fuzz '^FuzzSegmentalBounded$$' -fuzztime $(FUZZTIME) ./internal/dist/
+	$(GO) test -run xxx -fuzz '^FuzzSegmentalRows$$' -fuzztime $(FUZZTIME) ./internal/dist/
+	$(GO) test -run xxx -fuzz '^FuzzAddAbsDiffs$$' -fuzztime $(FUZZTIME) ./internal/dist/
 	$(GO) test -run xxx -fuzz '^FuzzNewConfusion$$' -fuzztime $(FUZZTIME) ./internal/eval/
 
 # scenario-gate runs the robustness workload suite: every
@@ -87,11 +96,14 @@ scenario-gate:
 # FindDimensions kernel at d = 20 and d = 100,
 # BenchmarkCandidateTable the hill climb's candidate table on the
 # highdim shape, BenchmarkObjective a trial's objective pass on both
-# shapes and BenchmarkPickSmallest a trial's dimension allocation.
+# shapes, BenchmarkPickSmallest a trial's dimension allocation, and
+# BenchmarkSegmentalRows and BenchmarkAddAbsDiffs the two batch
+# distance kernels every one of those passes runs.
 bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkAssign|BenchmarkProclusRun|BenchmarkRunStream|BenchmarkZRow|BenchmarkCandidateTable|BenchmarkObjective|BenchmarkPickSmallest' -benchtime 1x ./internal/core/ ./internal/alloc/
+	$(GO) test -run xxx -bench 'BenchmarkAssign|BenchmarkProclusRun|BenchmarkRunStream|BenchmarkZRow|BenchmarkCandidateTable|BenchmarkObjective|BenchmarkPickSmallest|BenchmarkSegmentalRows|BenchmarkAddAbsDiffs' -benchtime 1x ./internal/core/ ./internal/alloc/ ./internal/dist/
 
-# Allocation smoke: every distance kernel, the Z-row kernel
+# Allocation smoke: every distance kernel (the batch kernels
+# BenchmarkSegmentalRows and BenchmarkAddAbsDiffs included), the Z-row kernel
 # (BenchmarkZRow), the objective pass (BenchmarkObjective) and the
 # dimension picker (BenchmarkPickSmallest) must report 0 allocs/op, and
 # the assignment-pass

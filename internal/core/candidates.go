@@ -100,32 +100,26 @@ func (r *runner) newCandidateTable(candidates []int, workers int) *candidateTabl
 }
 
 // fillRanks computes rank_a[p] for every candidate a and every point p
-// in [lo, hi). It folds each point against four candidates at a time
-// with four independent accumulators, each summing |p_j − c_j| over j
-// in order as SegmentalAll does, so every distance has SegmentalAll's
-// bits.
+// in [lo, hi), a tile of assignTile points at a time: for each
+// candidate, dist.SegmentalRows fills the tile's distances over all d
+// dimensions, with the point's coordinates first, so every distance has
+// SegmentalAll(point, c_a)'s bits.
 func (t *candidateTable) fillRanks(ds *dataset.Dataset, pts [][]float64, lo, hi int) {
-	n, c := t.n, t.c
-	w := float64(ds.Dims())
-	for p := lo; p < hi; p++ {
-		x := ds.Point(p)
-		a := 0
-		for ; a+4 <= c; a += 4 {
-			y0, y1, y2, y3 := pts[a][:len(x)], pts[a+1][:len(x)], pts[a+2][:len(x)], pts[a+3][:len(x)]
-			var s0, s1, s2, s3 float64
-			for j, v := range x {
-				s0 += math.Abs(v - y0[j])
-				s1 += math.Abs(v - y1[j])
-				s2 += math.Abs(v - y2[j])
-				s3 += math.Abs(v - y3[j])
+	n, d := t.n, ds.Dims()
+	all := make([]int, d)
+	for j := range all {
+		all[j] = j
+	}
+	var col [assignTile]float64
+	for t0 := lo; t0 < hi; t0 += assignTile {
+		t1 := min(t0+assignTile, hi)
+		seg := col[:t1-t0]
+		for a, y := range pts {
+			dist.SegmentalRows(seg, ds.Rows(t0, t1), d, nil, all, y)
+			ts, ranks := t.row(a), t.rank[a*n+t0:a*n+t1]
+			for q, v := range seg {
+				ranks[q] = uint16(countAtMost(ts, v))
 			}
-			t.rank[a*n+p] = uint16(countAtMost(t.row(a), s0/w))
-			t.rank[(a+1)*n+p] = uint16(countAtMost(t.row(a+1), s1/w))
-			t.rank[(a+2)*n+p] = uint16(countAtMost(t.row(a+2), s2/w))
-			t.rank[(a+3)*n+p] = uint16(countAtMost(t.row(a+3), s3/w))
-		}
-		for ; a < c; a++ {
-			t.rank[a*n+p] = uint16(countAtMost(t.row(a), dist.SegmentalAll(x, pts[a])))
 		}
 	}
 }

@@ -35,6 +35,7 @@ import (
 	"slices"
 
 	"proclus/internal/alloc"
+	"proclus/internal/dist"
 	"proclus/internal/parallel"
 )
 
@@ -83,10 +84,13 @@ func (e naiveEval) cacheHitRate() float64              { return 0 }
 // key, so a short ring catches most repeats.
 const zRing = 4
 
-// assignTile is the number of points the assignment pass fills its
-// dirty projected columns for before it takes their argmins: the
-// tile's rows stay in cache across the dirty columns, where a whole
-// column at a time would stream the point matrix once per column.
+// assignTile is the number of points a kernel pass over the points
+// handles at a time: the assignment pass fills its dirty projected
+// columns for a tile before it takes the tile's argmins, so the tile's
+// rows stay in cache across the columns, where a whole column at a time
+// would stream the point matrix once per column. refineRows, the
+// candidate table's rank fill and the objective's deviation sums work
+// in chunks of the same size, with their columns on the stack.
 const assignTile = 256
 
 // zSlot is one cached Z row and the key it was computed for.
@@ -222,33 +226,26 @@ func newIncrementalEval(r *runner, tab *candidateTable) *incrementalEval {
 	// recompute the tile's entries of every dirty projected column, then
 	// take each of its points' nearest position over all k columns with
 	// refineRows's start (0, +Inf) and strict <, so ties still go to
-	// the lower position. A column entry is dist.Segmental — times |D_i|
-	// under MetricManhattan — computed inline with the same operations
-	// in the same order. Every entry is a sum of absolute values: +0,
+	// the lower position. A column entry is dist.Segmental, from the
+	// batch kernel dist.SegmentalRows, times |D_i| under
+	// MetricManhattan. Every entry is a sum of absolute values: +0,
 	// positive, +Inf or NaN. Read as unsigned integers, the bits of the
 	// first three order as their values do, and a NaN's lie above +Inf's,
 	// so a NaN never wins, as under the float compare. The argmin
 	// therefore compares bits, which compiles to conditional moves where
 	// the float compare's branch mispredicts.
 	e.assignFn = func(lo, hi int) {
-		dims := e.cur.dims
+		dims, d := e.cur.dims, e.r.ds.Dims()
 		for t0 := lo; t0 < hi; t0 += assignTile {
 			t1 := min(t0+assignTile, hi)
 			for _, c := range e.projDirty {
-				mp, dc := s.medoidPts[c], dims[c]
-				w := float64(len(dc))
 				col := e.proj[c*n+t0 : c*n+t1]
-				for q := range col {
-					pt := e.r.ds.Point(t0 + q)
-					var sum float64
-					for _, j := range dc {
-						sum += math.Abs(pt[j] - mp[j])
+				dist.SegmentalRows(col, e.r.ds.Rows(t0, t1), d, nil, dims[c], s.medoidPts[c])
+				if e.manhattan {
+					w := float64(len(dims[c]))
+					for q := range col {
+						col[q] *= w
 					}
-					v := sum / w
-					if e.manhattan {
-						v *= w
-					}
-					col[q] = v
 				}
 			}
 			for p := t0; p < t1; p++ {

@@ -137,9 +137,10 @@ func TestZRowDegenerateGroups(t *testing.T) {
 	}
 }
 
-// TestZRowMatchesOnePointFold checks zRowInto's four-point fold bit
-// for bit against a fold of one point at a time, for every group length
-// up to 11 (every remainder of the four-point passes), in arbitrary
+// TestZRowMatchesOnePointFold checks zRowInto, whose batch kernel
+// dist.AddAbsDiffs folds four group points per pass, bit for bit
+// against a fold of one point at a time, for every group length up to
+// 11 (every remainder of the four-point passes), in arbitrary
 // order with repeats, on data whose magnitudes differ enough that any
 // reassociation of the sums would show.
 func TestZRowMatchesOnePointFold(t *testing.T) {

@@ -601,8 +601,8 @@ func newObjectiveScratch(n, k, d int) objectiveScratch {
 // a time, their points in ascending order, adds the same terms in the
 // same order as one sweep in point order does. The sums can then stay
 // in registers: centroid coordinates four at a time over the members,
-// and the deviation over four members at a time, each member's term
-// summed over dims[i] in order and added to devs[i] in member order.
+// and the deviation in the batch kernel, each member's term summed over
+// dims[i] in order and added to devs[i] in member order.
 //
 // The pass stays serial: floating-point accumulation order must not
 // depend on the worker count, or the hill climb's accept/reject
@@ -633,7 +633,7 @@ func (r *runner) evaluateClustersInto(assign []int, sizes []int, dims [][]int, s
 			s.devs[i] = 0
 		} else {
 			r.clusterCentroid(members, di, c)
-			s.devs[i] = r.clusterDeviation(members, di, c)
+			s.devs[i] = r.addDeviations(0, members, di, c)
 		}
 		total += s.devs[i]
 	}
@@ -679,35 +679,20 @@ func (r *runner) clusterCentroid(members, dims []int, c []float64) {
 	}
 }
 
-// clusterDeviation returns Σ_p (Σ_{j ∈ dims} |p_j − c_j|) / |dims| over
-// the members p in order, the inner sum over dims in order. It sums
-// four members' terms per pass over dims.
-func (r *runner) clusterDeviation(members, dims []int, c []float64) float64 {
-	w := float64(len(dims))
-	var dev float64
-	for ; len(members) >= 4; members = members[4:] {
-		p0, p1 := r.ds.Point(members[0]), r.ds.Point(members[1])
-		p2, p3 := r.ds.Point(members[2]), r.ds.Point(members[3])
-		var s0, s1, s2, s3 float64
-		for _, j := range dims {
-			cj := c[j]
-			s0 += math.Abs(p0[j] - cj)
-			s1 += math.Abs(p1[j] - cj)
-			s2 += math.Abs(p2[j] - cj)
-			s3 += math.Abs(p3[j] - cj)
+// addDeviations adds (Σ_{j ∈ dims} |p_j − c_j|) / |dims| to dev for each
+// member p in order, the inner sum over dims in order, and returns the
+// total: each member's term is dist.Segmental(p, c, dims), computed by
+// dist.SegmentalRows a chunk of members at a time into a stack buffer.
+func (r *runner) addDeviations(dev float64, members, dims []int, c []float64) float64 {
+	var seg [assignTile]float64
+	data, d := r.ds.Rows(0, r.ds.Len()), r.ds.Dims()
+	for len(members) > 0 {
+		chunk := members[:min(len(members), len(seg))]
+		members = members[len(chunk):]
+		dist.SegmentalRows(seg[:len(chunk)], data, d, chunk, dims, c)
+		for _, v := range seg[:len(chunk)] {
+			dev += v
 		}
-		dev += s0 / w
-		dev += s1 / w
-		dev += s2 / w
-		dev += s3 / w
-	}
-	for _, p := range members {
-		pt := r.ds.Point(p)
-		var s float64
-		for _, j := range dims {
-			s += math.Abs(pt[j] - c[j])
-		}
-		dev += s / w
 	}
 	return dev
 }
@@ -818,29 +803,42 @@ func (r *runner) sphereRadii(medoidPoints [][]float64, dims [][]int) []float64 {
 // when seg exceeds Δ_m = delta[m] for every medoid m, that is, when it
 // lies outside every sphere of influence; a nil delta flags no
 // outliers, which makes it the hill climb's plain assignment.
+//
+// The rows go a tile of assignTile at a time. dist.SegmentalRows fills
+// the tile's seg column of one medoid after another, and each column
+// is folded into every point's running minimum and sphere test at once,
+// so each point still meets the medoids in order. The columns and the
+// running state live on the stack: the pass allocates nothing.
 func refineRows(rows []float64, d int, medoids [][]float64, dims [][]int, delta []float64,
 	manhattan bool, out []int) {
-	for i := range out {
-		pt := rows[i*d : (i+1)*d : (i+1)*d]
-		a, best := 0, math.Inf(1)
-		inside := delta == nil
+	var seg, best [assignTile]float64
+	var inside [assignTile]bool
+	for t0 := 0; t0 < len(out); t0 += assignTile {
+		t1 := min(t0+assignTile, len(out))
+		o, col := out[t0:t1], seg[:t1-t0]
+		for q := range o {
+			o[q], best[q], inside[q] = 0, math.Inf(1), delta == nil
+		}
 		for m, mp := range medoids {
-			seg := dist.Segmental(pt, mp, dims[m])
-			if !inside && seg <= delta[m] {
-				inside = true
-			}
-			v := seg
-			if manhattan {
-				v = seg * float64(len(dims[m]))
-			}
-			if v < best {
-				a, best = m, v
+			dist.SegmentalRows(col, rows[t0*d:t1*d], d, nil, dims[m], mp)
+			w := float64(len(dims[m]))
+			for q, v := range col {
+				if !inside[q] && v <= delta[m] {
+					inside[q] = true
+				}
+				if manhattan {
+					v *= w
+				}
+				if v < best[q] {
+					o[q], best[q] = m, v
+				}
 			}
 		}
-		if !inside {
-			a = OutlierID
+		for q := range o {
+			if !inside[q] {
+				o[q] = OutlierID
+			}
 		}
-		out[i] = a
 	}
 }
 
@@ -912,14 +910,7 @@ func (r *runner) finalObjective(res *Result) float64 {
 		if len(cl.Members) == 0 {
 			continue
 		}
-		for _, p := range cl.Members {
-			pt := r.ds.Point(p)
-			var s float64
-			for _, j := range cl.Dimensions {
-				s += math.Abs(pt[j] - cl.Centroid[j])
-			}
-			total += s / float64(len(cl.Dimensions))
-		}
+		total = r.addDeviations(total, cl.Members, cl.Dimensions, cl.Centroid)
 		points += len(cl.Members)
 	}
 	if points == 0 {

@@ -6,6 +6,7 @@ package dist
 // with -benchmem to confirm all kernels stay allocation-free.
 
 import (
+	"fmt"
 	"testing"
 
 	"proclus/internal/randx"
@@ -107,4 +108,59 @@ func BenchmarkSegmentalBounded7of20(b *testing.B) {
 			benchSink, _, _ = SegmentalPackedBounded(x, packed, dims, full/4)
 		}
 	})
+}
+
+// batchFixture is 1,000 random rows of d coordinates and a center.
+func batchFixture(d int) (data, center []float64) {
+	r := randx.New(1)
+	return randVec(r, 1000*d), randVec(r, d)
+}
+
+// BenchmarkSegmentalRows measures the batch segmental kernel over 256
+// rows, a tile of the assignment passes, at d = 20 and d = 100 over
+// seven dimensions: contiguous rows as the assignment passes read them,
+// and every third row by list as the objective pass reads a cluster's
+// members. Run with -benchmem: the allocation column must stay at zero.
+func BenchmarkSegmentalRows(b *testing.B) {
+	dims := []int{1, 3, 5, 7, 11, 13, 17}
+	listed := make([]int, 256)
+	for q := range listed {
+		listed[q] = 3 * q
+	}
+	out := make([]float64, 256)
+	for _, d := range []int{20, 100} {
+		data, center := batchFixture(d)
+		for _, bc := range []struct {
+			name string
+			rows []int
+		}{{"contiguous", nil}, {"listed", listed}} {
+			b.Run(fmt.Sprintf("%s/d=%d", bc.name, d), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					SegmentalRows(out, data, d, bc.rows, dims, center)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkAddAbsDiffs measures the batch absolute-difference
+// accumulation over a 1,000-row group, the X_{i,j} sums of one Z row,
+// at d = 20 and d = 100. Run with -benchmem: the allocation column
+// must stay at zero.
+func BenchmarkAddAbsDiffs(b *testing.B) {
+	rows := make([]int, 1000)
+	for q := range rows {
+		rows[q] = q
+	}
+	for _, d := range []int{20, 100} {
+		data, center := batchFixture(d)
+		x := make([]float64, d)
+		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				AddAbsDiffs(x, center, data, d, rows)
+			}
+		})
+	}
 }
