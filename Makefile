@@ -1,14 +1,14 @@
 GO ?= go
 
-.PHONY: check ci build vet build-arm64 test test-race cover bench bench-smoke bench-allocs bench-obs fuzz-smoke lens-golden staticcheck archive-smoke scenario-gate ledger-test
+.PHONY: check ci build vet build-cross test test-race cover bench bench-smoke bench-allocs bench-obs fuzz-smoke lens-golden staticcheck archive-smoke scenario-gate ledger-test
 
 check: vet build test-race fuzz-smoke lens-golden scenario-gate ledger-test
 
 # ci mirrors .github/workflows/ci.yml: formatting gate, vet, build,
-# the arm64 cross-build and vet, race-enabled tests, the benchmark ledger module's vet and tests,
+# the arm64 and 386 cross-builds and vets, race-enabled tests, the benchmark ledger module's vet and tests,
 # coverage, the benchmark smoke run, the scenario robustness gate, the
 # runlens golden diff, and the run-archive smoke.
-ci: fmt-check vet staticcheck build build-arm64 test-race ledger-test cover bench-smoke scenario-gate lens-golden archive-smoke
+ci: fmt-check vet staticcheck build build-cross test-race ledger-test cover bench-smoke scenario-gate lens-golden archive-smoke
 
 .PHONY: fmt-check
 fmt-check:
@@ -25,11 +25,17 @@ build:
 vet:
 	$(GO) vet ./...
 
-# build-arm64 cross-builds and vets for arm64, where internal/dist's
-# batch kernels are their plain-Go twins instead of the amd64 assembly,
-# so the twin path keeps compiling. It needs no arm64 host.
-build-arm64:
+# build-cross cross-builds and vets for arm64 and 386, where
+# internal/dist's batch kernels are their plain-Go twins instead of the
+# amd64 assembly, so the twin path keeps compiling; 386 also has a
+# 32-bit int. 386 binaries run on a linux/amd64 host, so it also tests
+# the packages whose code depends on the word size or the architecture:
+# internal/dataset (the binary header's point limit) and internal/dist
+# (the kernels' plain-Go twins). It needs no arm64 host.
+build-cross:
 	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./...
+	GOARCH=386 $(GO) build ./... && GOARCH=386 $(GO) vet ./...
+	GOARCH=386 $(GO) test ./internal/dataset/ ./internal/dist/
 
 # staticcheck is optional locally (CI installs a pinned version); skip
 # with a notice rather than fail when the binary is absent.
@@ -98,9 +104,11 @@ scenario-gate:
 # highdim shape, BenchmarkObjective a trial's objective pass on both
 # shapes, BenchmarkPickSmallest a trial's dimension allocation, and
 # BenchmarkSegmentalRows and BenchmarkAddAbsDiffs the two batch
-# distance kernels every one of those passes runs.
+# distance kernels every one of those passes runs. BenchmarkAblation
+# runs the reference fits behind EXPERIMENTS.md's ablation table
+# (internal/core: initialization, assignment metric, refinement).
 bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkAssign|BenchmarkProclusRun|BenchmarkRunStream|BenchmarkZRow|BenchmarkCandidateTable|BenchmarkObjective|BenchmarkPickSmallest|BenchmarkSegmentalRows|BenchmarkAddAbsDiffs' -benchtime 1x ./internal/core/ ./internal/alloc/ ./internal/dist/
+	$(GO) test -run xxx -bench 'BenchmarkAssign|BenchmarkProclusRun|BenchmarkRunStream|BenchmarkZRow|BenchmarkCandidateTable|BenchmarkObjective|BenchmarkPickSmallest|BenchmarkSegmentalRows|BenchmarkAddAbsDiffs|BenchmarkAblation' -benchtime 1x ./internal/core/ ./internal/alloc/ ./internal/dist/
 
 # Allocation smoke: every distance kernel (the batch kernels
 # BenchmarkSegmentalRows and BenchmarkAddAbsDiffs included), the Z-row kernel

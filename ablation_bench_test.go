@@ -1,10 +1,12 @@
-// Ablation benchmarks for the design choices DESIGN.md calls out:
-// greedy vs random initialization, restart count, Manhattan segmental vs
-// plain Manhattan assignment, the refinement phase, and serial vs
-// parallel assignment. Each reports both time and — where meaningful —
-// recovered quality via custom metrics (exact dimension matches,
-// purity×1000) so the quality impact of each choice is visible next to
-// its cost.
+// Ablation benchmarks for the design choices DESIGN.md calls out that
+// Config exposes: the restart count and serial vs parallel execution,
+// plus PROCLUS against ORCLUS on oriented clusters. Each reports both
+// time and — where meaningful — recovered quality via custom metrics
+// (exact dimension matches, purity×1000) so the quality impact of each
+// choice is visible next to its cost. The initialization, metric and
+// refinement ablations have no Config switch; they run through the
+// reference in internal/core (BenchmarkAblationInit, Metric and
+// Refinement there).
 package proclus_test
 
 import (
@@ -63,17 +65,6 @@ func benchConfigQuality(b *testing.B, cfg proclus.Config) {
 	b.ReportMetric(1000*puritySum/float64(b.N), "purity*1e3")
 }
 
-// BenchmarkAblationInit compares the paper's greedy farthest-first
-// initialization against uniform random candidate selection.
-func BenchmarkAblationInit(b *testing.B) {
-	b.Run("greedy", func(b *testing.B) {
-		benchConfigQuality(b, proclus.Config{K: 5, L: 4, InitMethod: proclus.InitGreedy})
-	})
-	b.Run("random", func(b *testing.B) {
-		benchConfigQuality(b, proclus.Config{K: 5, L: 4, InitMethod: proclus.InitRandom})
-	})
-}
-
 // BenchmarkAblationRestarts compares a single hill climb against the
 // default multi-restart search.
 func BenchmarkAblationRestarts(b *testing.B) {
@@ -82,30 +73,6 @@ func BenchmarkAblationRestarts(b *testing.B) {
 			benchConfigQuality(b, proclus.Config{K: 5, L: 4, Restarts: restarts})
 		})
 	}
-}
-
-// BenchmarkAblationMetric compares Manhattan segmental assignment (the
-// paper's normalized metric) against unnormalized Manhattan. The
-// workload has clusters with 2–7 dimensions, exactly the case §1.2
-// argues normalization is for.
-func BenchmarkAblationMetric(b *testing.B) {
-	b.Run("segmental", func(b *testing.B) {
-		benchConfigQuality(b, proclus.Config{K: 5, L: 4, AssignMetric: proclus.MetricSegmental})
-	})
-	b.Run("manhattan", func(b *testing.B) {
-		benchConfigQuality(b, proclus.Config{K: 5, L: 4, AssignMetric: proclus.MetricManhattan})
-	})
-}
-
-// BenchmarkAblationRefinement measures the cost and quality effect of
-// the §2.3 refinement phase.
-func BenchmarkAblationRefinement(b *testing.B) {
-	b.Run("with", func(b *testing.B) {
-		benchConfigQuality(b, proclus.Config{K: 5, L: 4})
-	})
-	b.Run("without", func(b *testing.B) {
-		benchConfigQuality(b, proclus.Config{K: 5, L: 4, SkipRefinement: true})
-	})
 }
 
 // BenchmarkOrientedProclusVsOrclus compares axis-parallel PROCLUS with

@@ -1,13 +1,14 @@
 package core
 
-// Tests for the ablation knobs (InitMethod, AssignMetric,
-// SkipRefinement) and the Stats observability record.
+// Tests for the reference's ablations and the Stats observability
+// record, and the ablation benchmarks of EXPERIMENTS.md.
 
 import (
 	"context"
 	"testing"
 
 	"proclus/internal/dataset"
+	"proclus/internal/eval"
 	"proclus/internal/randx"
 	"proclus/internal/synth"
 )
@@ -29,7 +30,7 @@ func ablationData(t *testing.T) *dataset.Dataset {
 
 func TestInitRandomRuns(t *testing.T) {
 	ds := ablationData(t)
-	res, err := Run(ds, Config{K: 3, L: 4, Seed: 1, InitMethod: InitRandom})
+	res, err := referenceRun(ds, Config{K: 3, L: 4, Seed: 1}, ablation{randomInit: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,11 +40,12 @@ func TestInitRandomRuns(t *testing.T) {
 }
 
 func TestInitRandomCandidatesAreUniform(t *testing.T) {
-	// White-box: with InitRandom, candidate counts per label should be
-	// roughly proportional to cluster sizes rather than spread-biased.
+	// White-box: with random initialization, candidate counts per label
+	// should be roughly proportional to cluster sizes rather than
+	// spread-biased.
 	ds := ablationData(t)
-	r := newRunner(ds, Config{K: 3, L: 4, Seed: 5, InitMethod: InitRandom})
-	cands, err := r.initialize()
+	r := newRunner(ds, Config{K: 3, L: 4, Seed: 5})
+	cands, err := r.referenceCandidates(ablation{randomInit: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +63,7 @@ func TestInitRandomCandidatesAreUniform(t *testing.T) {
 
 func TestMetricManhattanRuns(t *testing.T) {
 	ds := ablationData(t)
-	res, err := Run(ds, Config{K: 3, L: 4, Seed: 1, AssignMetric: MetricManhattan})
+	res, err := referenceRun(ds, Config{K: 3, L: 4, Seed: 1}, ablation{manhattan: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,8 +91,7 @@ func TestMetricsDisagreeOnUnevenDims(t *testing.T) {
 	}
 
 	// Manhattan: d0 = 12, d1 = 12 → tie → medoid 0 (lower index).
-	r2 := newRunner(ds, Config{K: 2, L: 3, AssignMetric: MetricManhattan})
-	manAssign, _ := r2.assignPoints([]int{0, 1}, dims)
+	manAssign := r.referenceAssign(r.points([]int{0, 1}), dims, nil, true)
 	if manAssign[2] != 0 {
 		t.Fatalf("manhattan assigned to %d, want 0", manAssign[2])
 	}
@@ -98,7 +99,7 @@ func TestMetricsDisagreeOnUnevenDims(t *testing.T) {
 
 func TestSkipRefinementNoOutliers(t *testing.T) {
 	ds := ablationData(t)
-	res, err := Run(ds, Config{K: 3, L: 4, Seed: 1, SkipRefinement: true})
+	res, err := referenceRun(ds, Config{K: 3, L: 4, Seed: 1}, ablation{skipRefine: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,11 +172,11 @@ func TestGreedyInitBeatsRandomOnSmallClusters(t *testing.T) {
 		ds.AppendLabeled([]float64{r.Normal(5, 1), r.Normal(5, 1), r.Normal(5, 1), r.Normal(5, 1)}, 1)
 		ds.AppendLabeled([]float64{r.Normal(95, 1), r.Normal(95, 1), r.Normal(95, 1), r.Normal(95, 1)}, 2)
 	}
-	coverage := func(method InitMethod) int {
+	coverage := func(ab ablation) int {
 		covered := 0
 		for seed := uint64(0); seed < 10; seed++ {
-			rr := newRunner(ds, Config{K: 3, L: 2, Seed: seed, InitMethod: method, MedoidFactor: 3})
-			cands, err := rr.initialize()
+			rr := newRunner(ds, Config{K: 3, L: 2, Seed: seed, MedoidFactor: 3})
+			cands, err := rr.referenceCandidates(ab)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -189,8 +190,8 @@ func TestGreedyInitBeatsRandomOnSmallClusters(t *testing.T) {
 		}
 		return covered
 	}
-	greedyCov := coverage(InitGreedy)
-	randomCov := coverage(InitRandom)
+	greedyCov := coverage(ablation{})
+	randomCov := coverage(ablation{randomInit: true})
 	if greedyCov < randomCov {
 		t.Fatalf("greedy init covered all clusters in %d/10 seeds, random in %d/10",
 			greedyCov, randomCov)
@@ -198,4 +199,73 @@ func TestGreedyInitBeatsRandomOnSmallClusters(t *testing.T) {
 	if greedyCov < 8 {
 		t.Fatalf("greedy init covered all clusters in only %d/10 seeds", greedyCov)
 	}
+}
+
+// ablationWorkload is a Case-2-style input (varying cluster
+// dimensionality), the setting where initialization and the assignment
+// metric matter most.
+func ablationWorkload(b *testing.B) (*dataset.Dataset, *synth.GroundTruth) {
+	b.Helper()
+	ds, gt, err := synth.Generate(synth.Config{
+		N: 8000, Dims: 20, K: 5, DimCounts: []int{2, 2, 3, 6, 7},
+		MinSizeFraction: 0.1, Seed: 3,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return ds, gt
+}
+
+// benchAblation fits the ablation workload through the reference under
+// ab, with algorithm seed i+1 at iteration i, and reports the mean
+// number of input clusters whose dimension set was recovered exactly
+// (exactdims/5) and the mean purity ×1000. Every arm runs on the naive
+// engine, so the arms' times compare with each other, not with Run's.
+func benchAblation(b *testing.B, ab ablation) {
+	ds, gt := ablationWorkload(b)
+	var exactSum int
+	var puritySum float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := referenceRun(ds, Config{K: 5, L: 4, Seed: uint64(i) + 1}, ab)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cm, err := eval.NewConfusion(ds.Labels(), res.Assignments, len(res.Clusters), len(gt.Sizes))
+		if err != nil {
+			b.Fatal(err)
+		}
+		match := cm.Match()
+		for c, cl := range res.Clusters {
+			if match[c] >= 0 && eval.MatchDimensions(cl.Dimensions, gt.Dimensions[match[c]]).Exact {
+				exactSum++
+			}
+		}
+		puritySum += cm.Purity()
+	}
+	b.ReportMetric(float64(exactSum)/float64(b.N), "exactdims/5")
+	b.ReportMetric(1000*puritySum/float64(b.N), "purity*1e3")
+}
+
+// BenchmarkAblationInit compares the paper's greedy farthest-first
+// initialization against uniform random candidate selection.
+func BenchmarkAblationInit(b *testing.B) {
+	b.Run("greedy", func(b *testing.B) { benchAblation(b, ablation{}) })
+	b.Run("random", func(b *testing.B) { benchAblation(b, ablation{randomInit: true}) })
+}
+
+// BenchmarkAblationMetric compares Manhattan segmental assignment (the
+// paper's normalized metric) against unnormalized Manhattan. The
+// workload has clusters with 2–7 dimensions, exactly the case §1.2
+// argues normalization is for.
+func BenchmarkAblationMetric(b *testing.B) {
+	b.Run("segmental", func(b *testing.B) { benchAblation(b, ablation{}) })
+	b.Run("manhattan", func(b *testing.B) { benchAblation(b, ablation{manhattan: true}) })
+}
+
+// BenchmarkAblationRefinement measures the quality effect of the §2.3
+// refinement phase.
+func BenchmarkAblationRefinement(b *testing.B) {
+	b.Run("with", func(b *testing.B) { benchAblation(b, ablation{}) })
+	b.Run("without", func(b *testing.B) { benchAblation(b, ablation{skipRefine: true}) })
 }

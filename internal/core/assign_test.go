@@ -1,8 +1,8 @@
 package core
 
-// Steady-state allocation tests for the refinement kernel every full
-// assignment pass runs (the naive hill climb's and both refinements),
-// with its rows, medoids and output buffer built once.
+// Steady-state allocation tests for the refinement kernel that both
+// refinements and the naive reference's assignment run, with its rows,
+// medoids and output buffer built once.
 
 import (
 	"fmt"
@@ -47,7 +47,7 @@ func TestAssignSteadyStateAllocs(t *testing.T) {
 	delta := []float64{1, 2, 3, 4, 5}
 	for _, radii := range [][]float64{nil, delta} {
 		if avg := testing.AllocsPerRun(20, func() {
-			refineRows(rows, d, medoidPts, dims, radii, false, assign)
+			refineRows(rows, d, medoidPts, dims, radii, assign)
 		}); avg > 0 {
 			t.Errorf("steady-state assignment (delta %v) allocates %.1f times per pass, want 0", radii, avg)
 		}
@@ -71,7 +71,7 @@ func BenchmarkAssignPoints(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				refineRows(rows, d, medoidPts, dims, nil, false, assign)
+				refineRows(rows, d, medoidPts, dims, nil, assign)
 			}
 		})
 	}

@@ -27,7 +27,7 @@ package core
 // candidates) gives the empty locality, and at δ_i = +Inf the sentinel
 // keeps a point whose distance overflowed to +Inf out, exactly as the
 // strict test does. The localities, and so everything computed from
-// them, are those of the naive scan.
+// them, are those of a scan that evaluates the strict test directly.
 
 import (
 	"fmt"

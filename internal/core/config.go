@@ -78,37 +78,6 @@ type Config struct {
 	// is bit-identical for any worker count.
 	Workers int
 
-	// InitMethod selects how candidate medoids are chosen; see the
-	// InitMethod constants. The default, greedy farthest-first over a
-	// random sample, is the paper's method (Figure 3). Random selection
-	// exists as an ablation baseline.
-	InitMethod InitMethod
-	// AssignMetric selects the distance used to assign points to
-	// medoids; see the AssignMetric constants. The default, Manhattan
-	// segmental distance, is the paper's choice (§1.2): it normalizes by
-	// the number of dimensions so clusters with differently sized
-	// dimension sets compete fairly. Unnormalized Manhattan exists as an
-	// ablation baseline.
-	AssignMetric AssignMetric
-	// SkipRefinement, when set, returns the iterative-phase clustering
-	// directly: dimension sets computed from localities rather than
-	// clusters, and no outlier detection. It exists as an ablation
-	// baseline for the paper's §2.3 refinement phase.
-	SkipRefinement bool
-	// IncrementalEval selects the hill-climb evaluation engine; see the
-	// EvalMode constants. The default, EvalIncremental, reads every
-	// full-dimensional distance from one table of the B·K candidates
-	// built before the restarts (2·N·B·K bytes of ranks), keeps Z rows
-	// keyed by (medoid, δ_i) and projected assignment distances keyed
-	// by (medoid, dimension set), so an iteration evaluates no
-	// full-dimensional distance, recomputes only the Z rows and
-	// assignment columns whose key changed, and allocates nothing in
-	// steady state. EvalNaive recomputes every trial from scratch; it
-	// exists as an escape hatch and as the equivalence baseline — both
-	// engines produce bit-identical Results (only the
-	// distance-evaluation and cache counters differ).
-	IncrementalEval EvalMode
-
 	// Observer receives structured run events: run start/end, phase
 	// transitions, restart boundaries, hill-climbing iterations and
 	// medoid replacements. Nil — the default — disables event emission
@@ -132,78 +101,6 @@ type Config struct {
 	// Like the Observer, the store does not participate in the
 	// algorithm: runs with and without one produce identical Results.
 	Series *series.Store
-}
-
-// InitMethod selects the initialization strategy.
-type InitMethod int
-
-const (
-	// InitGreedy draws an A·K random sample and thins it to B·K
-	// candidates by farthest-first traversal (the paper's method).
-	InitGreedy InitMethod = iota
-	// InitRandom draws B·K candidates uniformly at random. Ablation
-	// baseline: candidate sets frequently miss small clusters.
-	InitRandom
-)
-
-// String names the method ("greedy", "random") for logs and reports.
-func (m InitMethod) String() string {
-	switch m {
-	case InitGreedy:
-		return "greedy"
-	case InitRandom:
-		return "random"
-	}
-	return fmt.Sprintf("InitMethod(%d)", int(m))
-}
-
-// EvalMode selects the hill-climb evaluation engine.
-type EvalMode int
-
-const (
-	// EvalIncremental evaluates trials through the run's candidate
-	// table and the keyed caches and reusable scratch of one engine per
-	// concurrent restart (the default).
-	EvalIncremental EvalMode = iota
-	// EvalNaive recomputes every trial from scratch. Escape hatch and
-	// equivalence baseline for EvalIncremental.
-	EvalNaive
-)
-
-// String names the mode ("incremental", "naive") for logs and reports.
-func (m EvalMode) String() string {
-	switch m {
-	case EvalIncremental:
-		return "incremental"
-	case EvalNaive:
-		return "naive"
-	}
-	return fmt.Sprintf("EvalMode(%d)", int(m))
-}
-
-// AssignMetric selects the point-to-medoid distance.
-type AssignMetric int
-
-const (
-	// MetricSegmental is the Manhattan segmental distance relative to
-	// each medoid's dimension set (the paper's choice).
-	MetricSegmental AssignMetric = iota
-	// MetricManhattan is the unnormalized Manhattan distance over each
-	// medoid's dimension set. Ablation baseline: biased toward medoids
-	// with fewer dimensions.
-	MetricManhattan
-)
-
-// String names the metric ("segmental", "manhattan") for logs and
-// reports.
-func (m AssignMetric) String() string {
-	switch m {
-	case MetricSegmental:
-		return "segmental"
-	case MetricManhattan:
-		return "manhattan"
-	}
-	return fmt.Sprintf("AssignMetric(%d)", int(m))
 }
 
 func (cfg Config) withDefaults() Config {

@@ -59,17 +59,22 @@ func outputDigest(res *Result) string {
 }
 
 // TestOutputDigests pins PROCLUS's complete output, one digest per
-// entry point, assignment metric and refinement setting: on the Case 1
-// shape (d = 20, l = 7) for both refinement settings, and on the
-// high-dimensional shape (d = 100, l = 5, subtests prefixed highdim/)
-// with refinement. Run must give its digest under both evaluation
-// engines at 1, 2 and 7 workers; RunStream must give its digest over
-// 19- and 256-point blocks at 1 and 4 workers. Neither the engine, the
+// entry point and configuration: on the Case 1 shape (d = 20, l = 7)
+// and on the high-dimensional shape (d = 100, l = 5, subtests prefixed
+// highdim/). Configurations are named by metric and refinement. The
+// paper's method, segmental/refine, must give its digest from Run and
+// from the reference at 1, 2 and 7 workers, and from RunStream over 19-
+// and 256-point blocks at 1 and 4 workers. The ablations run only
+// through the reference, at 1, 2 and 7 workers. Neither the engine, the
 // worker count nor the block size may move a digest.
 func TestOutputDigests(t *testing.T) {
-	metrics := map[string]AssignMetric{"segmental": MetricSegmental, "manhattan": MetricManhattan}
-	refines := map[string]bool{"refine": false, "skip": true}
-	type digestCase struct{ entry, metric, refine, want string }
+	ablations := map[string]ablation{
+		"segmental/refine": {},
+		"segmental/skip":   {skipRefine: true},
+		"manhattan/refine": {manhattan: true},
+		"manhattan/skip":   {manhattan: true, skipRefine: true},
+	}
+	type digestCase struct{ entry, config, want string }
 	shapes := []struct {
 		prefix string
 		data   func(*testing.T) *dataset.Dataset
@@ -77,28 +82,24 @@ func TestOutputDigests(t *testing.T) {
 		cases  []digestCase
 	}{
 		{"", kernelData, 7, []digestCase{
-			{"run", "segmental", "refine", "ad88b17481214b00"},
-			{"run", "segmental", "skip", "65c3bc8caaf7f006"},
-			{"run", "manhattan", "refine", "0604946aa833cbcb"},
-			{"run", "manhattan", "skip", "332cc52a3b1c70c7"},
-			{"stream", "segmental", "refine", "73e29f70ae9c9dbf"},
-			{"stream", "segmental", "skip", "3550de5755451a84"},
-			{"stream", "manhattan", "refine", "65d168832a6d7e39"},
-			{"stream", "manhattan", "skip", "47e0cbe742b21025"},
+			{"run", "segmental/refine", "ad88b17481214b00"},
+			{"run", "segmental/skip", "65c3bc8caaf7f006"},
+			{"run", "manhattan/refine", "0604946aa833cbcb"},
+			{"run", "manhattan/skip", "332cc52a3b1c70c7"},
+			{"stream", "segmental/refine", "73e29f70ae9c9dbf"},
 		}},
 		{"highdim/", highdimData, 5, []digestCase{
-			{"run", "segmental", "refine", "12d4d993c3ddaf42"},
-			{"run", "manhattan", "refine", "209ab2d616356e23"},
-			{"stream", "segmental", "refine", "aff7dee46cabe2e2"},
-			{"stream", "manhattan", "refine", "b5e53abf30e1e363"},
+			{"run", "segmental/refine", "12d4d993c3ddaf42"},
+			{"run", "manhattan/refine", "209ab2d616356e23"},
+			{"stream", "segmental/refine", "aff7dee46cabe2e2"},
 		}},
 	}
 	for _, sh := range shapes {
 		ds := sh.data(t)
 		for _, c := range sh.cases {
-			cfg := Config{K: 5, L: sh.l, Seed: 17, Restarts: 2,
-				AssignMetric: metrics[c.metric], SkipRefinement: refines[c.refine]}
-			t.Run(sh.prefix+c.entry+"/"+c.metric+"/"+c.refine, func(t *testing.T) {
+			cfg := Config{K: 5, L: sh.l, Seed: 17, Restarts: 2}
+			ab := ablations[c.config]
+			t.Run(sh.prefix+c.entry+"/"+c.config, func(t *testing.T) {
 				check := func(run string, res *Result, err error) {
 					t.Helper()
 					if err != nil {
@@ -109,13 +110,15 @@ func TestOutputDigests(t *testing.T) {
 					}
 				}
 				if c.entry == "run" {
-					for _, eval := range []EvalMode{EvalIncremental, EvalNaive} {
-						for _, workers := range []int{1, 2, 7} {
-							rcfg := cfg
-							rcfg.IncrementalEval, rcfg.Workers = eval, workers
+					for _, workers := range []int{1, 2, 7} {
+						rcfg := cfg
+						rcfg.Workers = workers
+						if ab == (ablation{}) {
 							res, err := Run(ds, rcfg)
-							check(fmt.Sprintf("eval=%v workers=%d", eval, workers), res, err)
+							check(fmt.Sprintf("Run workers=%d", workers), res, err)
 						}
+						res, err := referenceRun(ds, rcfg, ab)
+						check(fmt.Sprintf("reference workers=%d", workers), res, err)
 					}
 					return
 				}

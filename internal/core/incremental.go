@@ -22,13 +22,14 @@ package core
 // compare-and-add sweeps. The engine allocates nothing in steady
 // state.
 //
-// Both engines produce bit-identical Results: the table holds the
-// exact float64 distances and localities the naive pass would
-// recompute, the Z row and the point metric are pure functions of their
+// The engine's Results are bit-identical to those of recomputing every
+// trial from scratch, as the tests' reference engine does: the table
+// holds the exact float64 distances and localities a direct scan
+// computes, the Z row and the point metric are pure functions of their
 // keys and the caches store them verbatim, every pass preserves the
-// naive accumulation and tie-break order, and all randomness flows
-// through the unchanged climb loop. Only the distance-evaluation and
-// cache counters differ between engines.
+// direct computation's accumulation and tie-break order, and all
+// randomness flows through the climb loop. Only the
+// distance-evaluation and cache counters differ.
 
 import (
 	"math"
@@ -45,7 +46,9 @@ import (
 // climb wants to keep as its best, returning a state that survives
 // later evaluations but stays engine memory until the next reset.
 // reset forgets every cached product, so the engine then behaves
-// exactly like a freshly built one.
+// exactly like a freshly built one. Run and RunStream climb on the
+// incremental engine; the interface lets the tests' naive reference
+// climb on its own.
 type evaluator interface {
 	evaluate(medoids []int) *trialState
 	adopt(t *trialState) *trialState
@@ -55,28 +58,6 @@ type evaluator interface {
 	// without one).
 	cacheHitRate() float64
 }
-
-// newEvaluator builds the engine configured by IncrementalEval over
-// the run's candidate table (nil under EvalNaive, which reads none). An
-// engine serves one climb at a time: the iterative phase builds one
-// per concurrently running restart and hands it from restart to
-// restart, so engines share only the read-only table.
-func (r *runner) newEvaluator(tab *candidateTable) evaluator {
-	if r.cfg.IncrementalEval == EvalNaive {
-		return naiveEval{r}
-	}
-	return newIncrementalEval(r, tab)
-}
-
-// naiveEval recomputes every trial from scratch (the pre-cache
-// behaviour). Its trials are freshly allocated, so adopt is the
-// identity and there is nothing to reset.
-type naiveEval struct{ r *runner }
-
-func (e naiveEval) evaluate(medoids []int) *trialState { return e.r.evaluateMedoids(medoids) }
-func (e naiveEval) adopt(t *trialState) *trialState    { return t }
-func (e naiveEval) reset()                             {}
-func (e naiveEval) cacheHitRate() float64              { return 0 }
 
 // zRing is the number of Z rows each position remembers. A position's
 // key changes when its medoid is swapped out or when a swap elsewhere
@@ -102,10 +83,9 @@ type zSlot struct {
 
 // incrementalEval owns one climb's caches and trial scratch.
 type incrementalEval struct {
-	r         *runner
-	tab       *candidateTable
-	n, k      int
-	manhattan bool // AssignMetric is MetricManhattan
+	r    *runner
+	tab  *candidateTable
+	n, k int
 
 	// zSlots holds the Z-row rings: position i owns
 	// zSlots[i·zRing : (i+1)·zRing], and zNext[i] is the slot its next
@@ -159,11 +139,14 @@ type trialScratch struct {
 	objective  objectiveScratch
 }
 
-func newIncrementalEval(r *runner, tab *candidateTable) *incrementalEval {
+// newEngine builds a trial engine over the run's candidate table. An
+// engine serves one climb at a time: the iterative phase builds one per
+// concurrently running restart and hands it from restart to restart, so
+// engines share only the read-only table.
+func newEngine(r *runner, tab *candidateTable) *incrementalEval {
 	n, k, d := r.ds.Len(), r.cfg.K, r.ds.Dims()
 	e := &incrementalEval{
 		r: r, tab: tab, n: n, k: k,
-		manhattan:  r.cfg.AssignMetric == MetricManhattan,
 		zSlots:     make([]zSlot, k*zRing),
 		zNext:      make([]int, k),
 		proj:       make([]float64, n*k),
@@ -202,8 +185,8 @@ func newIncrementalEval(r *runner, tab *candidateTable) *incrementalEval {
 	// slot from a fresh locality scan of the table's ranks. The pass
 	// parallelizes over positions (disjoint rings and lists, ascending
 	// point order) rather than over points: the scan is a
-	// compare-and-append sweep, too cheap to justify the naive path's
-	// per-chunk list merging.
+	// compare-and-append sweep, too cheap to justify merging per-chunk
+	// lists.
 	e.zrowFn = func(lo, hi int) {
 	positions:
 		for i := lo; i < hi; i++ {
@@ -227,13 +210,12 @@ func newIncrementalEval(r *runner, tab *candidateTable) *incrementalEval {
 	// take each of its points' nearest position over all k columns with
 	// refineRows's start (0, +Inf) and strict <, so ties still go to
 	// the lower position. A column entry is dist.Segmental, from the
-	// batch kernel dist.SegmentalRows, times |D_i| under
-	// MetricManhattan. Every entry is a sum of absolute values: +0,
-	// positive, +Inf or NaN. Read as unsigned integers, the bits of the
-	// first three order as their values do, and a NaN's lie above +Inf's,
-	// so a NaN never wins, as under the float compare. The argmin
-	// therefore compares bits, which compiles to conditional moves where
-	// the float compare's branch mispredicts.
+	// batch kernel dist.SegmentalRows. Every entry is a sum of absolute
+	// values: +0, positive, +Inf or NaN. Read as unsigned integers, the
+	// bits of the first three order as their values do, and a NaN's lie
+	// above +Inf's, so a NaN never wins, as under the float compare. The
+	// argmin therefore compares bits, which compiles to conditional moves
+	// where the float compare's branch mispredicts.
 	e.assignFn = func(lo, hi int) {
 		dims, d := e.cur.dims, e.r.ds.Dims()
 		for t0 := lo; t0 < hi; t0 += assignTile {
@@ -241,12 +223,6 @@ func newIncrementalEval(r *runner, tab *candidateTable) *incrementalEval {
 			for _, c := range e.projDirty {
 				col := e.proj[c*n+t0 : c*n+t1]
 				dist.SegmentalRows(col, e.r.ds.Rows(t0, t1), d, nil, dims[c], s.medoidPts[c])
-				if e.manhattan {
-					w := float64(len(dims[c]))
-					for q := range col {
-						col[q] *= w
-					}
-				}
 			}
 			for p := t0; p < t1; p++ {
 				bestIdx, bestBits := 0, math.Float64bits(math.Inf(1))
@@ -307,10 +283,9 @@ func (e *incrementalEval) evaluate(medoids []int) *trialState {
 
 // findDimensions is the cached FindDimensions (paper Figure 4). δ_i is
 // the least table distance from medoid i to another medoid, taken over
-// the other positions in order as the naive computeLocalities does. A
-// position whose (medoid, δ_i) key misses its Z ring scans its
-// locality from the table — every point strictly within δ_i, in
-// ascending order, the naive list — and recomputes its row. The
+// the other positions in order. A position whose (medoid, δ_i) key
+// misses its Z ring scans its locality from the table — every point
+// strictly within δ_i, in ascending order — and recomputes its row. The
 // dimension budget then runs through the reused picker; the returned
 // rows alias it and are valid until the next call. Reads the current
 // trial's medoids from e.cur.
@@ -330,12 +305,11 @@ func (e *incrementalEval) findDimensions() [][]int {
 	}
 	parallel.For(e.k, e.r.innerWorkers, e.zrowFn)
 	// The locality pass counts as one scan over the points whether its
-	// rows came from the rings or not, exactly as in the naive engine.
+	// rows came from the rings or not.
 	e.r.counters.PointsScanned.Add(int64(e.n))
 	dims, err := s.picker.PickSmallest(s.z, e.r.cfg.K*e.r.cfg.L, 2)
 	if err != nil {
-		// Unreachable for validated configs, exactly as in the naive
-		// findDimensions.
+		// Unreachable for validated configs, as in runner.findDimensions.
 		panic("proclus: dimension allocation failed: " + err.Error())
 	}
 	return dims

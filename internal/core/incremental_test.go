@@ -70,7 +70,7 @@ func assertIdenticalResults(t *testing.T, inc, naive *Result, context string) {
 
 // TestIncrementalNaiveEquivalence is the cached-vs-naive metamorphic
 // guarantee over randomized datasets and configurations: for any
-// input, IncrementalEval on and off must produce identical Results.
+// input, Run and the naive reference must produce identical Results.
 // The last trial runs N = 2·assignTile + 37 points at 7 workers, so
 // the assignment pass's worker chunks end inside its tiles.
 func TestIncrementalNaiveEquivalence(t *testing.T) {
@@ -93,27 +93,20 @@ func TestIncrementalNaiveEquivalence(t *testing.T) {
 		l := 2 + rng.Intn(fixed-1)
 		cfg := Config{
 			K: k, L: l, Seed: seed + 1,
-			Restarts:       1 + rng.Intn(3),
-			Workers:        1 + rng.Intn(4),
-			MaxNoImprove:   3 + rng.Intn(10),
-			InitMethod:     InitMethod(rng.Intn(2)),
-			AssignMetric:   AssignMetric(rng.Intn(2)),
-			SkipRefinement: rng.Intn(2) == 0,
+			Restarts:     1 + rng.Intn(3),
+			Workers:      1 + rng.Intn(4),
+			MaxNoImprove: 3 + rng.Intn(10),
 		}
 		if trial == 8 {
 			cfg.Restarts, cfg.Workers = 1, 7
 		}
 		context := fmt.Sprintf("trial %d (n=%d dims=%d k=%d l=%d cfg=%+v)", trial, n, dims, k, l, cfg)
 
-		incCfg := cfg
-		incCfg.IncrementalEval = EvalIncremental
-		inc, err := Run(ds, incCfg)
+		inc, err := Run(ds, cfg)
 		if err != nil {
 			t.Fatalf("%s: incremental: %v", context, err)
 		}
-		naiveCfg := cfg
-		naiveCfg.IncrementalEval = EvalNaive
-		naive, err := Run(ds, naiveCfg)
+		naive, err := referenceRun(ds, cfg, ablation{})
 		if err != nil {
 			t.Fatalf("%s: naive: %v", context, err)
 		}
@@ -151,7 +144,7 @@ func engineOver(r *runner, sets ...[]int) *incrementalEval {
 			}
 		}
 	}
-	return newIncrementalEval(r, r.newCandidateTable(cands, r.innerWorkers))
+	return newEngine(r, r.newCandidateTable(cands, r.innerWorkers))
 }
 
 // TestCandidateTableCreditsOncePerRun pins the table's accounting at 1,
@@ -188,7 +181,7 @@ func TestCandidateTableCreditsOncePerRun(t *testing.T) {
 			t.Fatalf("workers=%d: table credited %+v, want %d evaluations over %d coordinates",
 				workers, got, table, table*d)
 		}
-		e := newIncrementalEval(r, tab)
+		e := newEngine(r, tab)
 		var projEvals, projCoords int64
 		for _, set := range sets {
 			e.evaluate(set)

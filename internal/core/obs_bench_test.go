@@ -81,9 +81,8 @@ func rawAssignPoints(r *runner, medoids []int, dims [][]int) (assign []int, size
 	for i, m := range medoids {
 		medoidPoints[i] = r.ds.Point(m)
 	}
-	manhattan := r.cfg.AssignMetric == MetricManhattan
 	parallel.For(n, r.innerWorkers, func(lo, hi int) {
-		refineRows(r.ds.Rows(lo, hi), d, medoidPoints, dims, nil, manhattan, assign[lo:hi])
+		refineRows(r.ds.Rows(lo, hi), d, medoidPoints, dims, nil, assign[lo:hi])
 	})
 	sizes = make([]int, len(medoids))
 	for _, a := range assign {

@@ -6,7 +6,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"proclus/internal/dataset"
@@ -117,13 +116,7 @@ func (r *runner) run() (*Result, error) {
 	r.emit(obs.Event{Type: obs.EvPhaseStart, Phase: "refine"})
 	start = time.Now()
 	r.innerWorkers = workers
-	var res *Result
-	if r.cfg.SkipRefinement {
-		res = r.packageResult(best.medoids, best.dims, append([]int(nil), best.assign...))
-		res.Objective = best.objective
-	} else {
-		res = r.refine(best)
-	}
+	res := r.refine(best)
 	r.stats.RefineDuration = time.Since(start)
 	r.emit(obs.Event{Type: obs.EvPhaseEnd, Phase: "refine", Seconds: r.stats.RefineDuration.Seconds()})
 
@@ -149,12 +142,9 @@ func (r *runner) run() (*Result, error) {
 func (r *runner) iteratePhase(candidates []int, workers int) (*trialState, int, error) {
 	r.emit(obs.Event{Type: obs.EvPhaseStart, Phase: "iterate"})
 	start := time.Now()
-	// Every incremental engine reads one candidate table, built here
-	// with the whole worker budget before any restart starts.
-	var tab *candidateTable
-	if r.cfg.IncrementalEval != EvalNaive {
-		tab = r.newCandidateTable(candidates, workers)
-	}
+	// Every restart's engine reads one candidate table, built here with
+	// the whole worker budget before any restart starts.
+	tab := r.newCandidateTable(candidates, workers)
 	restarts := r.cfg.Restarts
 	if restarts < 1 {
 		restarts = 1
@@ -193,7 +183,7 @@ func (r *runner) iteratePhase(candidates []int, workers int) (*trialState, int, 
 		select {
 		case ev = <-engines:
 		default:
-			ev = r.newEvaluator(tab)
+			ev = newEngine(r, tab)
 		}
 		o := &outcomes[i]
 		o.trial, o.iterations, o.trace, o.err = r.climb(candidates, i+1, rngs[i], ev)
@@ -243,22 +233,14 @@ func (r *runner) iteratePhase(candidates []int, workers int) (*trialState, int, 
 	return best, totalIterations, nil
 }
 
-// initialize selects the B·k candidate medoids. The paper's method
-// (InitGreedy) draws an A·k random sample and thins it by farthest-first
-// traversal (§2.1, Figure 3); InitRandom draws candidates uniformly.
-// The returned indices refer to the full dataset.
+// initialize selects the B·k candidate medoids: it draws an A·k random
+// sample and thins it by farthest-first traversal (§2.1, Figure 3). The
+// returned indices refer to the full dataset.
 func (r *runner) initialize() ([]int, error) {
 	n := r.ds.Len()
 	medoidCount := r.cfg.MedoidFactor * r.cfg.K
 	if medoidCount > n {
 		medoidCount = n
-	}
-	if r.cfg.InitMethod == InitRandom {
-		cands, err := sample.WithoutReplacement(r.rng, n, medoidCount)
-		if err != nil {
-			return nil, fmt.Errorf("proclus: random candidate selection: %w", err)
-		}
-		return cands, nil
 	}
 	sampleSize := r.cfg.SampleFactor * r.cfg.K
 	if sampleSize > n {
@@ -399,111 +381,6 @@ func (t *trialState) clone() *trialState {
 	return &c
 }
 
-// evaluateMedoids runs one hill-climbing trial: localities, dimensions,
-// assignment and objective for the given medoid set.
-func (r *runner) evaluateMedoids(medoids []int) *trialState {
-	localities := r.computeLocalities(medoids)
-	dims := r.findDimensions(medoids, localities)
-	assign, sizes := r.assignPoints(medoids, dims)
-	objective := r.evaluateClusters(assign, sizes, dims)
-	return &trialState{
-		medoids:   append([]int(nil), medoids...),
-		dims:      dims,
-		assign:    assign,
-		sizes:     sizes,
-		objective: objective,
-	}
-}
-
-// computeLocalities returns, for each medoid, the indices of all points
-// within δ_i of it, where δ_i is the full-space segmental distance to
-// the nearest other medoid (paper §2.2, "Finding Dimensions"). The
-// localities may overlap and need not cover the dataset; each contains
-// at least its own medoid.
-func (r *runner) computeLocalities(medoids []int) [][]int {
-	k := len(medoids)
-	fullDims := int64(r.ds.Dims())
-	delta := make([]float64, k)
-	// Each δ_i is an independent minimum over the other medoids, so the
-	// rows parallelize with disjoint writes and worker-count-independent
-	// results.
-	parallel.For(k, r.innerWorkers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			delta[i] = math.Inf(1)
-			for j := range medoids {
-				if i == j {
-					continue
-				}
-				if d := dist.SegmentalAll(r.ds.Point(medoids[i]), r.ds.Point(medoids[j])); d < delta[i] {
-					delta[i] = d
-				}
-			}
-		}
-		evals := int64(hi-lo) * int64(k-1)
-		r.creditEvals(evals, evals*fullDims)
-	})
-	// Sharded scan: each worker fills per-chunk lists, concatenated in
-	// chunk order afterwards so the result is identical to a serial
-	// scan. Strict inequality keeps the nearest other medoid (at
-	// distance exactly δ_i) out of the locality; the medoid itself, at
-	// distance 0, is always in unless δ_i = 0 (duplicate medoids), which
-	// zRow tolerates as an empty group.
-	medoidPoints := make([][]float64, k)
-	for i, m := range medoids {
-		medoidPoints[i] = r.ds.Point(m)
-	}
-	n := r.ds.Len()
-	type chunk struct {
-		lo    int
-		lists [][]int
-	}
-	var mu sync.Mutex
-	var chunks []chunk
-	parallel.For(n, r.innerWorkers, func(lo, hi int) {
-		lists := make([][]int, k)
-		for p := lo; p < hi; p++ {
-			pt := r.ds.Point(p)
-			for i := range medoidPoints {
-				if dist.SegmentalAll(pt, medoidPoints[i]) < delta[i] {
-					lists[i] = append(lists[i], p)
-				}
-			}
-		}
-		// One batched add per chunk keeps the counters off the inner
-		// loop; the totals are exact and independent of Workers.
-		evals := int64(hi-lo) * int64(k)
-		r.creditEvals(evals, evals*fullDims)
-		r.counters.PointsScanned.Add(int64(hi - lo))
-		mu.Lock()
-		chunks = append(chunks, chunk{lo: lo, lists: lists})
-		mu.Unlock()
-	})
-	sort.Slice(chunks, func(a, b int) bool { return chunks[a].lo < chunks[b].lo })
-	localities := make([][]int, k)
-	for _, c := range chunks {
-		for i := range localities {
-			localities[i] = append(localities[i], c.lists[i]...)
-		}
-	}
-	return localities
-}
-
-// assignPoints assigns every point to the medoid of minimum Manhattan
-// segmental distance relative to that medoid's dimension set (paper
-// Figure 5): refineRows with no spheres of influence. Ties break toward
-// the lower medoid index so the result is deterministic. It returns
-// the per-point cluster index and the cluster sizes.
-func (r *runner) assignPoints(medoids []int, dims [][]int) (assign []int, sizes []int) {
-	medoidPoints := make([][]float64, len(medoids))
-	for i, m := range medoids {
-		medoidPoints[i] = r.ds.Point(m)
-	}
-	assign = r.refineAll(medoidPoints, dims, nil)
-	sizes = make([]int, len(medoids))
-	tallySizes(assign, sizes)
-	return assign, sizes
-}
-
 // refineAll applies refineRows to every point of r.ds, in parallel over
 // point ranges, and credits its work per range. It returns the
 // per-point cluster index, OutlierID for points outside every sphere
@@ -511,9 +388,8 @@ func (r *runner) assignPoints(medoids []int, dims [][]int) (assign []int, sizes 
 func (r *runner) refineAll(medoidPoints [][]float64, dims [][]int, delta []float64) []int {
 	n, d := r.ds.Len(), r.ds.Dims()
 	assign := make([]int, n)
-	manhattan := r.cfg.AssignMetric == MetricManhattan
 	parallel.For(n, r.innerWorkers, func(lo, hi int) {
-		refineRows(r.ds.Rows(lo, hi), d, medoidPoints, dims, delta, manhattan, assign[lo:hi])
+		refineRows(r.ds.Rows(lo, hi), d, medoidPoints, dims, delta, assign[lo:hi])
 		r.creditRefined(hi-lo, dims)
 	})
 	return assign
@@ -557,14 +433,6 @@ func tallySizes(assign, sizes []int) {
 	}
 }
 
-// evaluateClusters computes the paper's objective (Figure 6): the mean,
-// over all points, of the average distance along each cluster dimension
-// between the point and its cluster centroid.
-func (r *runner) evaluateClusters(assign []int, sizes []int, dims [][]int) float64 {
-	s := newObjectiveScratch(len(assign), len(sizes), r.ds.Dims())
-	return r.evaluateClustersInto(assign, sizes, dims, &s)
-}
-
 // objectiveScratch is the buffer set of evaluateClustersInto, which the
 // incremental engine reuses across iterations.
 type objectiveScratch struct {
@@ -588,11 +456,13 @@ func newObjectiveScratch(n, k, d int) objectiveScratch {
 	return s
 }
 
-// evaluateClustersInto is evaluateClusters accumulating into s. The
-// deviations read centroid i only on dims[i], so only those
-// coordinates are summed and scaled: the pass costs O(N·l) rather than
-// O(N·d), and centroid coordinates outside a cluster's dimensions are
-// left unset.
+// evaluateClustersInto computes the paper's objective (Figure 6) into
+// the reusable scratch s: the mean, over all points, of the average
+// distance along each cluster dimension between the point and its
+// cluster centroid. The deviations read centroid i only on dims[i], so
+// only those coordinates are summed and scaled: the pass costs O(N·l)
+// rather than O(N·d), and centroid coordinates outside a cluster's
+// dimensions are left unset.
 //
 // A counting sort first lists the points cluster by cluster, each
 // cluster's in ascending order. Every sum of the pass belongs to one
@@ -797,20 +667,19 @@ func (r *runner) sphereRadii(medoidPoints [][]float64, dims [][]int) []float64 {
 // to rows, a row-major range of d-dimensional points: out[i] receives
 // the cluster of row i. Each (point, medoid) pair costs one segmental
 // distance seg over D_m, which serves both tests. The point goes to the
-// medoid of least seg — or seg·|D_m| when manhattan is set — taking the
-// strict < from (0, +Inf), so ties keep the lower medoid, as in the
-// incremental engine's assignment pass. It is an outlier (OutlierID)
-// when seg exceeds Δ_m = delta[m] for every medoid m, that is, when it
-// lies outside every sphere of influence; a nil delta flags no
-// outliers, which makes it the hill climb's plain assignment.
+// medoid of least seg, taking the strict < from (0, +Inf), so ties keep
+// the lower medoid, as in the incremental engine's assignment pass. It
+// is an outlier (OutlierID) when seg exceeds Δ_m = delta[m] for every
+// medoid m, that is, when it lies outside every sphere of influence; a
+// nil delta flags no outliers, which makes it a plain nearest-medoid
+// assignment.
 //
 // The rows go a tile of assignTile at a time. dist.SegmentalRows fills
 // the tile's seg column of one medoid after another, and each column
 // is folded into every point's running minimum and sphere test at once,
 // so each point still meets the medoids in order. The columns and the
 // running state live on the stack: the pass allocates nothing.
-func refineRows(rows []float64, d int, medoids [][]float64, dims [][]int, delta []float64,
-	manhattan bool, out []int) {
+func refineRows(rows []float64, d int, medoids [][]float64, dims [][]int, delta []float64, out []int) {
 	var seg, best [assignTile]float64
 	var inside [assignTile]bool
 	for t0 := 0; t0 < len(out); t0 += assignTile {
@@ -821,13 +690,9 @@ func refineRows(rows []float64, d int, medoids [][]float64, dims [][]int, delta 
 		}
 		for m, mp := range medoids {
 			dist.SegmentalRows(col, rows[t0*d:t1*d], d, nil, dims[m], mp)
-			w := float64(len(dims[m]))
 			for q, v := range col {
 				if !inside[q] && v <= delta[m] {
 					inside[q] = true
-				}
-				if manhattan {
-					v *= w
 				}
 				if v < best[q] {
 					o[q], best[q] = m, v

@@ -408,22 +408,61 @@ func TestRunSmallDataset(t *testing.T) {
 	}
 }
 
+// TestRunAllDuplicatePoints pins PROCLUS's documented result on points
+// that are all identical: every distance is 0, so every tie goes to the
+// lowest position and every point lies on every sphere of influence.
+// Cluster 0 then holds every point, the other clusters are empty, no
+// point is an outlier and the objective is 0, from both entry points
+// and for every k.
 func TestRunAllDuplicatePoints(t *testing.T) {
-	ds := dataset.New(3)
-	for i := 0; i < 50; i++ {
-		ds.Append([]float64{5, 5, 5})
+	cases := []struct {
+		n, d, l int
+		seed    uint64
+		ks      []int
+	}{
+		{50, 3, 2, 8, []int{2}},
+		{300, 6, 3, 5, []int{1, 2, 3}},
 	}
-	res, err := Run(ds, Config{K: 2, L: 2, Seed: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Everything is identical: whatever the partition, no point may be
-	// lost and the objective must be zero.
-	if got := res.NumOutliers() + totalMembers(res); got != 50 {
-		t.Fatalf("points lost: %d accounted, want 50", got)
-	}
-	if res.Objective != 0 {
-		t.Fatalf("objective %v on identical points", res.Objective)
+	for _, c := range cases {
+		ds := dataset.New(c.d)
+		pt := make([]float64, c.d)
+		for j := range pt {
+			pt[j] = 5
+		}
+		for i := 0; i < c.n; i++ {
+			ds.Append(pt)
+		}
+		for _, k := range c.ks {
+			cfg := Config{K: k, L: c.l, Seed: c.seed}
+			fits := map[string]func() (*Result, error){
+				"Run": func() (*Result, error) { return Run(ds, cfg) },
+				"RunStream": func() (*Result, error) {
+					return RunStream(context.Background(), dataset.NewMemorySource(ds, 64), cfg)
+				},
+			}
+			for name, fit := range fits {
+				ctx := fmt.Sprintf("%s n=%d d=%d k=%d", name, c.n, c.d, k)
+				res, err := fit()
+				if err != nil {
+					t.Fatalf("%s: %v", ctx, err)
+				}
+				if len(res.Clusters) != k {
+					t.Fatalf("%s: %d clusters", ctx, len(res.Clusters))
+				}
+				for i, cl := range res.Clusters {
+					want := 0
+					if i == 0 {
+						want = c.n
+					}
+					if len(cl.Members) != want {
+						t.Fatalf("%s: cluster %d holds %d points, want %d", ctx, i, len(cl.Members), want)
+					}
+				}
+				if res.NumOutliers() != 0 || res.Objective != 0 {
+					t.Fatalf("%s: %d outliers, objective %v; want 0 and 0", ctx, res.NumOutliers(), res.Objective)
+				}
+			}
+		}
 	}
 }
 
@@ -494,33 +533,32 @@ func overflowingDataset() *dataset.Dataset {
 
 // TestNonFiniteObjectiveFails pins that a trial whose objective
 // overflows ends the fit with an error that names the overflow, from
-// both entry points, on both engines, at one and two workers, instead
-// of a nil-pointer panic in the climb. A series store is attached, so
-// the climb's per-trial record, which reads the best trial, runs too.
+// both entry points and from the naive reference, at one and two
+// workers, instead of a nil-pointer panic in the climb. A series store
+// is attached, so the climb's per-trial record, which reads the best
+// trial, runs too.
 func TestNonFiniteObjectiveFails(t *testing.T) {
 	ds := overflowingDataset()
 	if err := ds.Validate(); err != nil {
 		t.Fatalf("the overflow input must pass validation: %v", err)
 	}
-	for _, engine := range []EvalMode{EvalIncremental, EvalNaive} {
-		for _, workers := range []int{1, 2} {
-			cfg := Config{K: 3, L: 3, Seed: 5, Workers: workers, Restarts: 2,
-				IncrementalEval: engine, Series: series.NewStore(64)}
-			fits := map[string]func() (*Result, error){
-				"Run": func() (*Result, error) { return Run(ds, cfg) },
-				"RunStream": func() (*Result, error) {
-					return RunStream(context.Background(), dataset.NewMemorySource(ds, 0), cfg)
-				},
+	for _, workers := range []int{1, 2} {
+		cfg := Config{K: 3, L: 3, Seed: 5, Workers: workers, Restarts: 2, Series: series.NewStore(64)}
+		fits := map[string]func() (*Result, error){
+			"Run": func() (*Result, error) { return Run(ds, cfg) },
+			"RunStream": func() (*Result, error) {
+				return RunStream(context.Background(), dataset.NewMemorySource(ds, 0), cfg)
+			},
+			"reference": func() (*Result, error) { return referenceRun(ds, cfg, ablation{}) },
+		}
+		for name, fit := range fits {
+			ctx := fmt.Sprintf("%s workers=%d", name, workers)
+			res, err := fit()
+			if err == nil {
+				t.Fatalf("%s: fit accepted, objective %v", ctx, res.Objective)
 			}
-			for name, fit := range fits {
-				ctx := fmt.Sprintf("%s engine=%v workers=%d", name, engine, workers)
-				res, err := fit()
-				if err == nil {
-					t.Fatalf("%s: fit accepted, objective %v", ctx, res.Objective)
-				}
-				if !strings.Contains(err.Error(), "objective overflowed") {
-					t.Fatalf("%s: error %q does not name the overflow", ctx, err)
-				}
+			if !strings.Contains(err.Error(), "objective overflowed") {
+				t.Fatalf("%s: error %q does not name the overflow", ctx, err)
 			}
 		}
 	}

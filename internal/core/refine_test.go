@@ -10,9 +10,11 @@ import (
 )
 
 // referenceRefine is the refinement rule in its two-step form: the
-// nearest medoid under the assignment metric first, then the
+// nearest medoid first, by segmental distance or, when manhattan is
+// set, by the reference's unnormalized Manhattan distance, then the
 // sphere-of-influence scan, which stops at the first sphere that holds
-// the point. refineRows must agree with it on every point.
+// the point. refineRows must agree with it on every point under the
+// segmental distance.
 func referenceRefine(pt []float64, medoids [][]float64, dims [][]int, delta []float64, manhattan bool) int {
 	a, best := 0, math.Inf(1)
 	for m := range medoids {
@@ -71,32 +73,30 @@ func refineCase(rng *randx.Rand, n, d, k int) (rows []float64, medoids [][]float
 	return rows, medoids, dims, radii, grid
 }
 
-// checkRefine refines rows whole and in uneven row ranges, under both
-// metrics and with each set of radii, and compares every point with the
-// two-step rule. It returns the number of outliers the rule flagged.
+// checkRefine refines rows whole and in uneven row ranges with each set
+// of radii, and compares every point with the two-step rule. It returns
+// the number of outliers the rule flagged.
 func checkRefine(t *testing.T, rng *randx.Rand, name string, rows []float64, d int, medoids [][]float64, dims [][]int,
 	radii map[string][]float64) (outliers int) {
 	t.Helper()
 	n := len(rows) / d
-	for _, manhattan := range []bool{false, true} {
-		for dname, delta := range radii {
-			whole := make([]int, n)
-			refineRows(rows, d, medoids, dims, delta, manhattan, whole)
-			split := make([]int, n)
-			for lo := 0; lo < n; {
-				hi := min(n, lo+1+rng.Intn(50))
-				refineRows(rows[lo*d:hi*d], d, medoids, dims, delta, manhattan, split[lo:hi])
-				lo = hi
+	for dname, delta := range radii {
+		whole := make([]int, n)
+		refineRows(rows, d, medoids, dims, delta, whole)
+		split := make([]int, n)
+		for lo := 0; lo < n; {
+			hi := min(n, lo+1+rng.Intn(50))
+			refineRows(rows[lo*d:hi*d], d, medoids, dims, delta, split[lo:hi])
+			lo = hi
+		}
+		for p := 0; p < n; p++ {
+			want := referenceRefine(rows[p*d:(p+1)*d], medoids, dims, delta, false)
+			if want == OutlierID {
+				outliers++
 			}
-			for p := 0; p < n; p++ {
-				want := referenceRefine(rows[p*d:(p+1)*d], medoids, dims, delta, manhattan)
-				if want == OutlierID {
-					outliers++
-				}
-				if whole[p] != want || split[p] != want {
-					t.Fatalf("%s manhattan=%v delta=%s: point %d refined to %d whole, %d in ranges, want %d",
-						name, manhattan, dname, p, whole[p], split[p], want)
-				}
+			if whole[p] != want || split[p] != want {
+				t.Fatalf("%s delta=%s: point %d refined to %d whole, %d in ranges, want %d",
+					name, dname, p, whole[p], split[p], want)
 			}
 		}
 	}

@@ -7,20 +7,16 @@ import "proclus/internal/obs"
 // from its report. It deliberately excludes the Observer, which is a
 // runtime attachment rather than a parameter of the computation.
 type ConfigReport struct {
-	K              int     `json:"k"`
-	L              int     `json:"l"`
-	SampleFactor   int     `json:"sample_factor"`
-	MedoidFactor   int     `json:"medoid_factor"`
-	Restarts       int     `json:"restarts"`
-	MinDeviation   float64 `json:"min_deviation"`
-	MaxNoImprove   int     `json:"max_no_improve"`
-	MaxIterations  int     `json:"max_iterations"`
-	Seed           uint64  `json:"seed"`
-	Workers        int     `json:"workers"`
-	InitMethod     string  `json:"init_method"`
-	AssignMetric   string  `json:"assign_metric"`
-	EvalMode       string  `json:"eval_mode"`
-	SkipRefinement bool    `json:"skip_refinement,omitempty"`
+	K             int     `json:"k"`
+	L             int     `json:"l"`
+	SampleFactor  int     `json:"sample_factor"`
+	MedoidFactor  int     `json:"medoid_factor"`
+	Restarts      int     `json:"restarts"`
+	MinDeviation  float64 `json:"min_deviation"`
+	MaxNoImprove  int     `json:"max_no_improve"`
+	MaxIterations int     `json:"max_iterations"`
+	Seed          uint64  `json:"seed"`
+	Workers       int     `json:"workers"`
 	// Stream and BlockPoints echo the out-of-core execution parameters
 	// when the run came through RunStream; both stay zero (and absent
 	// from reports) for in-memory runs.
@@ -31,20 +27,16 @@ type ConfigReport struct {
 // reportConfig builds the JSON-safe echo of cfg.
 func (cfg Config) reportConfig() ConfigReport {
 	return ConfigReport{
-		K:              cfg.K,
-		L:              cfg.L,
-		SampleFactor:   cfg.SampleFactor,
-		MedoidFactor:   cfg.MedoidFactor,
-		Restarts:       cfg.Restarts,
-		MinDeviation:   cfg.MinDeviation,
-		MaxNoImprove:   cfg.MaxNoImprove,
-		MaxIterations:  cfg.MaxIterations,
-		Seed:           cfg.Seed,
-		Workers:        cfg.Workers,
-		InitMethod:     cfg.InitMethod.String(),
-		AssignMetric:   cfg.AssignMetric.String(),
-		EvalMode:       cfg.IncrementalEval.String(),
-		SkipRefinement: cfg.SkipRefinement,
+		K:             cfg.K,
+		L:             cfg.L,
+		SampleFactor:  cfg.SampleFactor,
+		MedoidFactor:  cfg.MedoidFactor,
+		Restarts:      cfg.Restarts,
+		MinDeviation:  cfg.MinDeviation,
+		MaxNoImprove:  cfg.MaxNoImprove,
+		MaxIterations: cfg.MaxIterations,
+		Seed:          cfg.Seed,
+		Workers:       cfg.Workers,
 	}
 }
 

@@ -3,10 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"time"
 
 	"proclus/internal/dataset"
+	"proclus/internal/dist"
 	"proclus/internal/greedy"
 	"proclus/internal/obs"
 	"proclus/internal/parallel"
@@ -38,9 +38,8 @@ import (
 // FileSource over the written file, any block size, any Workers value —
 // yield bit-identical Results. It deliberately differs from Run, whose
 // hill climb scores trials against the full dataset (a luxury of having
-// the matrix resident); with InitRandom, candidates are likewise drawn
-// from the sample rather than the full dataset. Cluster medoid indices
-// refer to the full dataset, as do Assignments and Members.
+// the matrix resident). Cluster medoid indices refer to the full
+// dataset, as do Assignments and Members.
 //
 // The context cancels before the sample read, between hill-climb
 // trials, between the blocks of both passes and, in the assign pass,
@@ -213,13 +212,6 @@ func (s *streamRunner) initialize() ([]int, error) {
 	if medoidCount > m {
 		medoidCount = m
 	}
-	if r.cfg.InitMethod == InitRandom {
-		cands, err := sample.WithoutReplacement(r.rng, m, medoidCount)
-		if err != nil {
-			return nil, fmt.Errorf("proclus: random candidate selection: %w", err)
-		}
-		return cands, nil
-	}
 	picks, err := greedy.FarthestFirstBounded(r.rng, m, medoidCount, r.innerWorkers,
 		fullDistance(sampleDS.Point), nil, &r.counters)
 	if err != nil {
@@ -242,19 +234,11 @@ func (s *streamRunner) refine(best *trialState) (*Result, error) {
 	r := s.r
 	k := len(best.medoids)
 
-	var dims [][]int
-	if r.cfg.SkipRefinement {
-		// Ablation parity with Run: keep the hill climb's dimension sets
-		// and skip outlier detection; the full-data assignment pass still
-		// runs, since the hill climb only assigned the sample.
-		dims = best.dims
-	} else {
-		clusters := make([][]int, k)
-		for p, a := range best.assign {
-			clusters[a] = append(clusters[a], p)
-		}
-		dims = r.findDimensions(best.medoids, clusters)
+	clusters := make([][]int, k)
+	for p, a := range best.assign {
+		clusters[a] = append(clusters[a], p)
 	}
+	dims := r.findDimensions(best.medoids, clusters)
 
 	medoidPoints := make([][]float64, k)
 	for i, m := range best.medoids {
@@ -262,12 +246,8 @@ func (s *streamRunner) refine(best *trialState) (*Result, error) {
 	}
 
 	// Sphere of influence Δ_i over the medoids' own dimension sets,
-	// computed from the resident sample coordinates. Without it
-	// refineRows flags no outliers.
-	var delta []float64
-	if !r.cfg.SkipRefinement {
-		delta = r.sphereRadii(medoidPoints, dims)
-	}
+	// computed from the resident sample coordinates.
+	delta := r.sphereRadii(medoidPoints, dims)
 
 	n, d := s.src.Len(), s.src.Dims()
 	assign := make([]int, n)
@@ -276,7 +256,6 @@ func (s *streamRunner) refine(best *trialState) (*Result, error) {
 		sums[i] = make([]float64, d)
 	}
 	sizes := make([]int, k)
-	manhattan := r.cfg.AssignMetric == MetricManhattan
 
 	// Pass A: per-point nearest medoid and outlier flag (parallel within
 	// the block, in several chunks per worker so the block reader's
@@ -289,7 +268,7 @@ func (s *streamRunner) refine(best *trialState) (*Result, error) {
 		bn := b.Len()
 		out := assign[b.Start() : b.Start()+bn]
 		err := parallel.ForContext(r.ctx, bn, r.innerWorkers, func(lo, hi int) {
-			refineRows(b.Rows(lo, hi), d, medoidPoints, dims, delta, manhattan, out[lo:hi])
+			refineRows(b.Rows(lo, hi), d, medoidPoints, dims, delta, out[lo:hi])
 			r.creditRefined(hi-lo, dims)
 		})
 		if err != nil {
@@ -325,41 +304,29 @@ func (s *streamRunner) refine(best *trialState) (*Result, error) {
 		}
 	}
 
-	var objective float64
-	if r.cfg.SkipRefinement {
-		objective = best.objective
-	} else {
-		// Pass B: the final quality measure over the refined partition,
-		// accumulated per cluster in global point order.
-		devs := make([]float64, k)
-		err = s.pass("score", func(b *dataset.Block) error {
-			for i := 0; i < b.Len(); i++ {
-				a := assign[b.Index(i)]
-				if a == OutlierID {
-					continue
-				}
-				pt := b.Point(i)
-				var sum float64
-				for _, j := range dims[a] {
-					sum += math.Abs(pt[j] - centroids[a][j])
-				}
-				devs[a] += sum / float64(len(dims[a]))
+	// Pass B: the final quality measure over the refined partition,
+	// accumulated per cluster in global point order.
+	devs := make([]float64, k)
+	err = s.pass("score", func(b *dataset.Block) error {
+		for i := 0; i < b.Len(); i++ {
+			if a := assign[b.Index(i)]; a != OutlierID {
+				devs[a] += dist.Segmental(b.Point(i), centroids[a], dims[a])
 			}
-			r.counters.PointsScanned.Add(int64(b.Len()))
-			return nil
-		})
-		if err != nil {
-			return nil, err
 		}
-		var total float64
-		points := 0
-		for i := range devs {
-			total += devs[i]
-			points += sizes[i]
-		}
-		if points > 0 {
-			objective = total / float64(points)
-		}
+		r.counters.PointsScanned.Add(int64(b.Len()))
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var objective, total float64
+	points := 0
+	for i := range devs {
+		total += devs[i]
+		points += sizes[i]
+	}
+	if points > 0 {
+		objective = total / float64(points)
 	}
 
 	members := clusterMembers(assign, sizes)

@@ -195,9 +195,10 @@ func readBlockHeader(r io.Reader) (dims, n int, labeled bool, err error) {
 	if dims32 > maxDims {
 		return 0, 0, false, fmt.Errorf("dataset: binary header declares %d dims (limit %d)", dims32, maxDims)
 	}
-	const maxPoints = 1 << 40
-	if n64 > maxPoints {
-		return 0, 0, false, fmt.Errorf("dataset: binary header declares %d points (limit %d)", n64, maxPoints)
+	// The count must also fit int, which has 32 bits on 32-bit targets.
+	const maxPoints uint64 = 1 << 40
+	if limit := min(maxPoints, uint64(math.MaxInt)); n64 > limit {
+		return 0, 0, false, fmt.Errorf("dataset: binary header declares %d points (limit %d)", n64, limit)
 	}
 	return int(dims32), int(n64), h[20] == 1, nil
 }

@@ -235,39 +235,6 @@ func OpenRunArchive(dir string, opts RunArchiveOptions) (*RunArchive, error) {
 // from the report itself.
 func ArchiveFromReport(rep *RunReport) ArchivedRun { return archive.FromReport(rep) }
 
-// InitMethod selects the candidate-medoid initialization strategy.
-type InitMethod = core.InitMethod
-
-// Initialization strategies: the paper's greedy farthest-first over a
-// random sample, or uniform random selection (ablation baseline).
-const (
-	InitGreedy = core.InitGreedy
-	InitRandom = core.InitRandom
-)
-
-// AssignMetric selects the point-to-medoid distance.
-type AssignMetric = core.AssignMetric
-
-// Assignment metrics: the paper's Manhattan segmental distance, or
-// unnormalized Manhattan over each medoid's dimensions (ablation
-// baseline).
-const (
-	MetricSegmental = core.MetricSegmental
-	MetricManhattan = core.MetricManhattan
-)
-
-// EvalMode selects the hill-climb evaluation engine.
-type EvalMode = core.EvalMode
-
-// Evaluation engines: the incremental engine over a candidate
-// distance table (default), or naive from-scratch re-evaluation
-// (escape hatch and equivalence baseline). Both produce bit-identical
-// Results.
-const (
-	EvalIncremental = core.EvalIncremental
-	EvalNaive       = core.EvalNaive
-)
-
 // Run executes PROCLUS on ds.
 func Run(ds *Dataset, cfg Config) (*Result, error) { return core.Run(ds, cfg) }
 
