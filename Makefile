@@ -101,19 +101,21 @@ scenario-gate:
 # over a 200,000-point case1-shaped file, BenchmarkZRow the
 # FindDimensions kernel at d = 20 and d = 100,
 # BenchmarkCandidateTable the hill climb's candidate table on the
-# highdim shape, BenchmarkObjective a trial's objective pass on both
-# shapes, BenchmarkPickSmallest a trial's dimension allocation, and
+# highdim shape, BenchmarkLocality the table's locality scan and
+# BenchmarkObjective a trial's objective pass on both shapes,
+# BenchmarkPickSmallest a trial's dimension allocation, and
 # BenchmarkSegmentalRows and BenchmarkAddAbsDiffs the two batch
 # distance kernels every one of those passes runs. BenchmarkAblation
 # runs the reference fits behind EXPERIMENTS.md's ablation table
 # (internal/core: initialization, assignment metric, refinement).
 bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkAssign|BenchmarkProclusRun|BenchmarkRunStream|BenchmarkZRow|BenchmarkCandidateTable|BenchmarkObjective|BenchmarkPickSmallest|BenchmarkSegmentalRows|BenchmarkAddAbsDiffs|BenchmarkAblation' -benchtime 1x ./internal/core/ ./internal/alloc/ ./internal/dist/
+	$(GO) test -run xxx -bench 'BenchmarkAssign|BenchmarkProclusRun|BenchmarkRunStream|BenchmarkZRow|BenchmarkCandidateTable|BenchmarkLocality|BenchmarkObjective|BenchmarkPickSmallest|BenchmarkSegmentalRows|BenchmarkAddAbsDiffs|BenchmarkAblation' -benchtime 1x ./internal/core/ ./internal/alloc/ ./internal/dist/
 
 # Allocation smoke: every distance kernel (the batch kernels
 # BenchmarkSegmentalRows and BenchmarkAddAbsDiffs included), the Z-row kernel
-# (BenchmarkZRow), the objective pass (BenchmarkObjective) and the
-# dimension picker (BenchmarkPickSmallest) must report 0 allocs/op, and
+# (BenchmarkZRow), the locality scan (BenchmarkLocality), the objective
+# pass (BenchmarkObjective) and the dimension picker
+# (BenchmarkPickSmallest) must report 0 allocs/op, and
 # the assignment-pass
 # benchmarks and the candidate table surface their per-pass allocation
 # counts (a 1x run shows only one-time buffer setup). The steady-state
@@ -129,16 +131,17 @@ bench-smoke:
 bench-allocs:
 	$(GO) test -run xxx -bench . -benchtime 100x -benchmem ./internal/dist/
 	$(GO) test -run xxx -bench 'BenchmarkAssign' -benchtime 1x -benchmem ./internal/core/
-	$(GO) test -run xxx -bench 'BenchmarkZRow|BenchmarkCandidateTable|BenchmarkObjective' -benchtime 20x -benchmem ./internal/core/
+	$(GO) test -run xxx -bench 'BenchmarkZRow|BenchmarkCandidateTable|BenchmarkLocality|BenchmarkObjective' -benchtime 20x -benchmem ./internal/core/
 	$(GO) test -run xxx -bench 'BenchmarkPickSmallest' -benchtime 100x -benchmem ./internal/alloc/
 	$(GO) test -run xxx -bench 'BenchmarkLoadFile|BenchmarkFileSourcePass|BenchmarkWriteAssignments' -benchtime 20x -benchmem ./internal/dataset/
 	$(GO) test -run xxx -bench 'BenchmarkRun' -benchtime 3x -benchmem ./internal/orclus/
 	$(GO) test -run xxx -bench 'BenchmarkRun' -benchtime 3x -benchmem ./internal/clique/
 	$(GO) test -run xxx -bench 'BenchmarkRun' -benchtime 3x -benchmem ./internal/medoid/
 
-# Observability overhead: instrumented assignment pass (counters on,
-# observer nil) vs an uninstrumented replica. Compare medians; the
-# instrumented path must stay within ~2%.
+# Observability overhead: the trial engine's assignment pass with every
+# projected column dirty, instrumented (counters on, observer nil) and
+# with a JSON tracer attached, vs an uninstrumented replica of it.
+# Compare medians; the instrumented pass must stay within ~2%.
 bench-obs:
 	$(GO) test -run xxx -bench 'BenchmarkAssign' -count 5 ./internal/core/
 

@@ -40,12 +40,13 @@ func assignFixture(tb testing.TB, n, d, k, l int) (rows []float64, medoidPts [][
 
 // TestAssignSteadyStateAllocs proves the kernel's zero-alloc claim:
 // with its inputs and output buffer built once, a full pass over the
-// points allocates nothing, with and without spheres of influence.
+// points allocates nothing, with finite spheres of influence and with
+// the infinite ones of a plain nearest-medoid assignment.
 func TestAssignSteadyStateAllocs(t *testing.T) {
 	const n, d, k, l = 800, 20, 5, 7
 	rows, medoidPts, dims, assign := assignFixture(t, n, d, k, l)
 	delta := []float64{1, 2, 3, 4, 5}
-	for _, radii := range [][]float64{nil, delta} {
+	for _, radii := range [][]float64{infRadii(k), delta} {
 		if avg := testing.AllocsPerRun(20, func() {
 			refineRows(rows, d, medoidPts, dims, radii, assign)
 		}); avg > 0 {
@@ -55,8 +56,9 @@ func TestAssignSteadyStateAllocs(t *testing.T) {
 }
 
 // BenchmarkAssignPoints measures the steady-state kernel over every
-// point across dimensionalities, without spheres of influence. Run with
-// -benchmem: the allocation columns must stay at zero.
+// point across dimensionalities, with spheres of influence of infinite
+// radius, which flag no outlier. Run with -benchmem: the allocation
+// columns must stay at zero.
 //
 //	go test -bench 'BenchmarkAssignPoints' -benchmem ./internal/core/
 func BenchmarkAssignPoints(b *testing.B) {
@@ -68,10 +70,11 @@ func BenchmarkAssignPoints(b *testing.B) {
 				l = d / 10
 			}
 			rows, medoidPts, dims, assign := assignFixture(b, n, d, k, l)
+			radii := infRadii(k)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				refineRows(rows, d, medoidPts, dims, nil, assign)
+				refineRows(rows, d, medoidPts, dims, radii, assign)
 			}
 		})
 	}

@@ -139,21 +139,70 @@ func (t *candidateTable) slot(m int) int {
 	return a
 }
 
+// localityChunk, a power of two, is the number of ranks locality
+// compares before it appends their matches to the list.
+const localityChunk = 256
+
 // locality appends to lst, in ascending order, every point p with
 // SegmentalAll(p, c_a) < delta, where delta is c_a's distance to
 // another candidate or +Inf, and returns the extended list.
+//
+// The scan has no branch that depends on the data: it walks the ranks
+// a chunk of localityChunk points at a time, stores every point's index
+// into a stack buffer and advances the buffer's count by (r ≤ q), the
+// sign bit of r − q − 1, so only the matches stay in the buffer's
+// prefix, which is then appended in one copy. The count never reaches
+// localityChunk before the chunk's last store, so masking the store's
+// index with localityChunk − 1 changes no index; it only lets the
+// compiler drop the bounds check.
 func (t *candidateTable) locality(a int, delta float64, lst []int) []int {
 	// q = #{t ∈ T_a : t < delta}: the index of T_a's first entry ≥ delta.
-	q := uint16(sort.SearchFloat64s(t.row(a), delta))
-	for p, r := range t.rank[a*t.n : (a+1)*t.n] {
-		if r <= q {
-			lst = append(lst, p)
+	q := int32(sort.SearchFloat64s(t.row(a), delta))
+	ranks := t.rank[a*t.n : (a+1)*t.n]
+	var buf [localityChunk]int
+	for p0 := 0; p0 < len(ranks); p0 += localityChunk {
+		m := 0
+		for i, r := range ranks[p0:min(p0+localityChunk, len(ranks))] {
+			buf[m&(localityChunk-1)] = p0 + i
+			m += int(uint32(int32(r)-q-1) >> 31)
 		}
+		lst = append(lst, buf[:m]...)
 	}
 	return lst
 }
 
-// countAtMost returns #{t ∈ ts : t ≤ x} for ascending ts.
+// countAtMost returns #{t ∈ ts : t ≤ x} for non-empty ascending ts whose
+// entries are +0, positive or +Inf: the count sort.Search(len(ts),
+// func(i int) bool { return ts[i] > x }) returns, for every x.
+//
+// Read as int64, the bit patterns of such entries order as their values
+// do, so each step of the search decides ts[i] ≤ x by the sign of
+// bits(ts[i]) − bits(x) − 1 and moves its base by a mask rather than a
+// branch. The search halves its range over a number of steps fixed by
+// len(ts) alone. An x whose sign bit is set is first moved onto the
+// entries' scale: −0 onto +0, a negative value below every entry, and
+// a NaN, which no entry exceeds, above every entry, where the positive
+// NaNs already lie.
 func countAtMost(ts []float64, x float64) int {
-	return sort.Search(len(ts), func(i int) bool { return ts[i] > x })
+	xb := int64(math.Float64bits(x))
+	if xb < 0 {
+		switch {
+		case x == 0:
+			xb = 0
+		case x < 0:
+			xb = -1
+		default:
+			xb = math.MaxInt64
+		}
+	}
+	// atMost is 1 when an entry with bits b is ≤ x, else 0. b − xb − 1
+	// cannot overflow: b lies in [0, bits(+Inf)] and xb in [−1, MaxInt64].
+	atMost := func(b uint64) int { return int(uint64(int64(b)-xb-1) >> 63) }
+	base, n := 0, len(ts)
+	for n > 1 {
+		half := n / 2
+		base += half & -atMost(math.Float64bits(ts[base+half]))
+		n -= half
+	}
+	return base + atMost(math.Float64bits(ts[base]))
 }

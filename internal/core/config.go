@@ -96,7 +96,8 @@ type Config struct {
 	// its convergence trajectories into: per-iteration objective, best,
 	// swap acceptance, bad-medoid count and distance-cache hit rate
 	// (one series set per restart), plus per-block latency and
-	// throughput on streamed runs. Recording is strictly opt-in, so
+	// throughput of the candidate-table build and, on streamed runs, of
+	// the block passes. Recording is strictly opt-in, so
 	// uninstrumented runs pay nothing and Stats.Series stays empty.
 	// Like the Observer, the store does not participate in the
 	// algorithm: runs with and without one produce identical Results.
@@ -233,8 +234,14 @@ type Stats struct {
 
 // RestartStats describes one hill-climb restart.
 type RestartStats struct {
-	// Iterations is the number of trials the restart evaluated.
+	// Iterations is the number of trials the restart ran, repeats
+	// included.
 	Iterations int
+	// Reused is the number of those trials whose ordered medoid list the
+	// restart had already scored: each reused that objective instead of
+	// running the trial engine, so Iterations − Reused trials were
+	// scored.
+	Reused int
 	// BestObjective is the lowest objective the restart reached.
 	BestObjective float64
 	// Duration is the restart's wall time.

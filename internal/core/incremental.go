@@ -14,13 +14,15 @@ package core
 //   - projected assignment distances (AssignPoints, Figure 5), keyed
 //     by the medoid and its exact, ordered dimension set.
 //
-// A steady-state trial therefore evaluates no full-dimensional
-// distance: it reads k·(k−1) candidate distances for the δ_i, scans the
-// table's ranks for the localities of the positions whose Z key
-// changed, and evaluates N projected distances per changed dimension
-// set; the remaining O(N·k) argmin and the O(N·l) objective pass are
-// compare-and-add sweeps. The engine allocates nothing in steady
-// state.
+// The climb runs the engine once per scored trial: a trial whose
+// ordered medoid list its restart has already scored reuses that
+// objective and runs no pass (see climb). A steady-state scored trial
+// evaluates no full-dimensional distance: it reads k·(k−1) candidate
+// distances for the δ_i, scans the table's ranks for the localities of
+// the positions whose Z key changed, and evaluates N projected
+// distances per changed dimension set; the remaining O(N·k) argmin and
+// the O(N·l) objective pass are compare-and-add sweeps. The engine
+// allocates nothing in steady state.
 //
 // The engine's Results are bit-identical to those of recomputing every
 // trial from scratch, as the tests' reference engine does: the table
@@ -260,7 +262,7 @@ func (e *incrementalEval) reset() {
 // The returned trial aliases the engine's scratch. Per-trial inputs are
 // staged in e.cur and the scratch up front so the prebuilt chunk
 // closures can read them. DistCacheHits counts the table entries a
-// trial stands to read in place of evaluating them: N ranks per
+// scored trial stands to read in place of evaluating them: N ranks per
 // position and the k·(k−1) medoid-to-medoid distances of the δ pass.
 func (e *incrementalEval) evaluate(medoids []int) *trialState {
 	t := &e.cur

@@ -153,7 +153,9 @@ func engineOver(r *runner, sets ...[]int) *incrementalEval {
 // recomputes; trials credit no full-dimensional evaluation, only the
 // projected ones of their assignment pass, and k·N + k·(k−1) cache hits
 // each; a whole run credits the table once however many restarts read
-// it; and every total is the same at every worker count.
+// it, and the cache hits of its scored trials, the iterations less the
+// repeats, alone; and every total, the repeats included, is the same at
+// every worker count.
 func TestCandidateTableCreditsOncePerRun(t *testing.T) {
 	const n, k = 600, 4
 	ds, _, err := synth.Generate(synth.Config{
@@ -171,6 +173,7 @@ func TestCandidateTableCreditsOncePerRun(t *testing.T) {
 		{410, 77, 500, 301},
 	}
 	var white, whole []obs.Snapshot
+	var reused [][]int
 	for _, workers := range []int{1, 2, 7} {
 		r := newRunner(ds, Config{K: k, L: 4, Seed: 11, Workers: workers})
 		tab := r.newCandidateTable(cands, workers)
@@ -210,27 +213,42 @@ func TestCandidateTableCreditsOncePerRun(t *testing.T) {
 		if want := n*runC + runC*(runC-1); rc.DistCacheRecomputes != want {
 			t.Fatalf("workers=%d: run recomputed %d table distances, want one table of %d", workers, rc.DistCacheRecomputes, want)
 		}
-		if want := int64(res.Iterations) * (k*n + k*(k-1)); rc.DistCacheHits != want {
-			t.Fatalf("workers=%d: run credited %d cache hits over %d trials, want %d", workers, rc.DistCacheHits, res.Iterations, want)
+		var scored int64
+		var repeats []int
+		for _, rs := range res.Stats.Restarts {
+			scored += int64(rs.Iterations - rs.Reused)
+			repeats = append(repeats, rs.Reused)
+		}
+		if scored == int64(res.Iterations) {
+			t.Fatalf("workers=%d: no restart repeated a medoid list, so the repeats went uncounted", workers)
+		}
+		if want := scored * (k*n + k*(k-1)); rc.DistCacheHits != want {
+			t.Fatalf("workers=%d: run credited %d cache hits over %d scored trials, want %d", workers, rc.DistCacheHits, scored, want)
 		}
 		whole = append(whole, rc)
+		reused = append(reused, repeats)
 	}
 	for i := 1; i < len(white); i++ {
-		if white[i] != white[0] || whole[i] != whole[0] {
-			t.Fatalf("counters depend on the worker count:\nengine %+v vs %+v\nrun %+v vs %+v",
-				white[i], white[0], whole[i], whole[0])
+		if white[i] != white[0] || whole[i] != whole[0] || !slices.Equal(reused[i], reused[0]) {
+			t.Fatalf("counters depend on the worker count:\nengine %+v vs %+v\nrun %+v vs %+v\nreused %v vs %v",
+				white[i], white[0], whole[i], whole[0], reused[i], reused[0])
 		}
 	}
 }
 
 // TestCandidateTableLocalities checks the rank test against the strict
-// distance test it replaces. For every candidate a, with every other
-// candidate b as the nearest medoid, the table's locality at δ =
-// SegmentalAll(c_a, c_b) must be the naive scan {p : SegmentalAll(p,
-// c_a) < δ} in ascending order, and at δ = +Inf (k = 1) every point at
-// a finite distance. The inputs are tie-heavy integer lattices, whose
-// duplicate candidates make δ = 0, and coordinates near ±1e300 and
-// ±1e308, whose distances overflow to +Inf.
+// distance test it replaces. Every rank must be sort.Search's count of
+// T_a's entries at most SegmentalAll(p, c_a), with T_a rebuilt from the
+// distances. For every candidate a, with every other candidate b as the
+// nearest medoid, the table's locality at δ = SegmentalAll(c_a, c_b)
+// must be the naive scan {p : SegmentalAll(p, c_a) < δ} in ascending
+// order, and at δ = +Inf (k = 1) every point at a finite distance. The
+// inputs are tie-heavy integer lattices, whose duplicate candidates
+// make δ = 0, and coordinates near ±1e300 and ±1e308, whose distances
+// overflow to +Inf. Lattices of N = localityChunk − 1, localityChunk,
+// localityChunk + 1 and 2·localityChunk + 37 points end the scan's
+// chunks on either side of a chunk edge, and one of 260 candidates
+// takes q and the ranks past one byte.
 func TestCandidateTableLocalities(t *testing.T) {
 	rng := randx.New(5)
 	build := func(n, d int, coord func() float64) *dataset.Dataset {
@@ -257,8 +275,13 @@ func TestCandidateTableLocalities(t *testing.T) {
 		{"lattice d=1", build(200, 1, lattice(4)), 13},
 		{"overflow d=4", build(200, 4, func() float64 { return huge[rng.Intn(len(huge))] }), 21},
 		{"one candidate", build(50, 2, lattice(5)), 1},
+		{"chunk edge N-1", build(localityChunk-1, 3, lattice(3)), 17},
+		{"chunk edge N", build(localityChunk, 3, lattice(3)), 17},
+		{"chunk edge N+1", build(localityChunk+1, 3, lattice(3)), 17},
+		{"two chunks and a part", build(2*localityChunk+37, 3, lattice(3)), 17},
+		{"260 candidates", build(300, 4, lattice(6)), 260},
 	}
-	var zeros, infs int
+	var zeros, infs, maxQ, maxRank int
 	for _, tc := range cases {
 		n := tc.ds.Len()
 		cands := rng.Perm(n)[:tc.cands]
@@ -280,7 +303,20 @@ func TestCandidateTableLocalities(t *testing.T) {
 				}
 				deltas = append(deltas, delta)
 			}
+			ts := append(slices.Clone(deltas[1:]), math.Inf(1))
+			slices.Sort(ts)
+			if !slices.Equal(tab.row(a), ts) {
+				t.Fatalf("%s: T_%d = %v, want %v", tc.name, a, tab.row(a), ts)
+			}
+			for p, v := range toA {
+				want := sort.Search(len(ts), func(i int) bool { return ts[i] > v })
+				if got := int(tab.rank[a*n+p]); got != want {
+					t.Fatalf("%s: rank of point %d for candidate %d = %d, want %d", tc.name, p, a, got, want)
+				}
+				maxRank = max(maxRank, want)
+			}
 			for _, delta := range deltas {
+				maxQ = max(maxQ, sort.SearchFloat64s(ts, delta))
 				switch {
 				case delta == 0:
 					zeros++
@@ -300,10 +336,59 @@ func TestCandidateTableLocalities(t *testing.T) {
 			}
 		}
 	}
-	// Each candidate's +Inf row accounts for len(cases) worth of +Inf
-	// radii; the overflow case must add radii that overflowed.
-	if zeros == 0 || infs <= 40+13+21+1 {
+	// Each candidate contributes one +Inf radius, k = 1's; the overflow
+	// case must add radii that overflowed.
+	if zeros == 0 || infs <= 40+13+21+1+4*17+260 {
 		t.Fatalf("inputs exercised %d zero and %d infinite radii, want both cases covered", zeros, infs)
+	}
+	if maxQ <= math.MaxUint8 || maxRank <= math.MaxUint8 {
+		t.Fatalf("largest q %d and largest rank %d, want both past one byte", maxQ, maxRank)
+	}
+}
+
+// TestCountAtMostMatchesSearch checks the table's branch-free rank
+// search against sort.Search on ascending rows of every length from 1
+// to 70 and of 300, whose entries are +0 and positive values with heavy
+// ties, sometimes +Inf, and end on the +Inf sentinel. x runs over 0,
+// every entry, the midpoints between distinct entries, values below
+// the first entry, and the edge cases −0, the least subnormal, the
+// largest finite value, ±Inf and NaNs of either sign.
+func TestCountAtMostMatchesSearch(t *testing.T) {
+	rng := randx.New(3)
+	inf := math.Inf(1)
+	edges := []float64{0, math.Copysign(0, -1), -1, math.Inf(-1), inf, math.NaN(),
+		math.Float64frombits(0xfff8000000000001), math.SmallestNonzeroFloat64, math.MaxFloat64}
+	lengths := []int{300}
+	for l := 1; l <= 70; l++ {
+		lengths = append(lengths, l)
+	}
+	for _, l := range lengths {
+		for rep := 0; rep < 4; rep++ {
+			levels := 1 + rng.Intn(6) // few distinct values: heavy ties
+			ts := make([]float64, l)
+			for i := 0; i < l-1; i++ {
+				v := rng.Intn(levels + 1)
+				ts[i] = float64(v) * 0.75
+				if v == levels && rep == 3 {
+					ts[i] = inf // a distance that overflowed
+				}
+			}
+			ts[l-1] = inf
+			slices.Sort(ts)
+			xs := append([]float64(nil), edges...)
+			for i, v := range ts {
+				xs = append(xs, v, v/2)
+				if i > 0 && v != ts[i-1] {
+					xs = append(xs, ts[i-1]+(v-ts[i-1])/2)
+				}
+			}
+			for _, x := range xs {
+				want := sort.Search(len(ts), func(i int) bool { return ts[i] > x })
+				if got := countAtMost(ts, x); got != want {
+					t.Fatalf("len %d row %v: countAtMost(%v) = %d, sort.Search gives %d", l, ts, x, got, want)
+				}
+			}
+		}
 	}
 }
 

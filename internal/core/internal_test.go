@@ -5,11 +5,13 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
 	"proclus/internal/dataset"
 	"proclus/internal/randx"
+	"proclus/internal/synth"
 )
 
 func newRunner(ds *dataset.Dataset, cfg Config) *runner {
@@ -439,5 +441,108 @@ func TestReplaceBadExhaustedPool(t *testing.T) {
 	best := &trialState{medoids: []int{0, 20, 40}, badMedoids: []int{0}}
 	if _, ok := r.replaceBad(best, []int{0, 20, 40}, r.rng); ok {
 		t.Fatal("replacement succeeded with no free candidates")
+	}
+}
+
+// recordingEval wraps a trial engine and records every medoid list that
+// reaches evaluate, with a copy of the trial it scored.
+type recordingEval struct {
+	evaluator
+	trials []*trialState
+}
+
+func (e *recordingEval) evaluate(medoids []int) *trialState {
+	t := e.evaluator.evaluate(medoids)
+	e.trials = append(e.trials, t.clone())
+	return t
+}
+
+// TestClimbScoresEachListOnce drives climb through a recording engine
+// and replays its proposals with a twin of its generator: the first
+// list from the generator's permutation of the candidates, each next
+// one by replaceBad from the best trial scored so far. No ordered list
+// may reach the engine twice in one climb; every first proposal of a
+// list must be the engine's next call, with its objective in the
+// trace; every repeat must enter the trace with the objective of its
+// list's first scoring and count in reused; and the engine's calls
+// plus reused must make up the iterations.
+func TestClimbScoresEachListOnce(t *testing.T) {
+	ds, _, err := synth.Generate(synth.Config{
+		N: 600, Dims: 12, K: 4, FixedDims: 5, MinSizeFraction: 0.1, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	repeats := 0
+	for seed := uint64(1); seed <= 4; seed++ {
+		r := newRunner(ds, Config{K: 4, L: 4, Seed: seed, Workers: 1})
+		candidates, err := r.initialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := &recordingEval{evaluator: newEngine(r, r.newCandidateTable(candidates, 1))}
+		o := r.climb(candidates, 1, randx.New(100+seed), rec)
+		if o.err != nil {
+			t.Fatal(o.err)
+		}
+		if len(rec.trials)+o.reused != o.iterations || len(o.trace) != o.iterations {
+			t.Fatalf("seed %d: %d scored trials and %d repeats, %d trace entries, for %d iterations",
+				seed, len(rec.trials), o.reused, len(o.trace), o.iterations)
+		}
+		seen := map[string]bool{}
+		for _, tr := range rec.trials {
+			key := fmt.Sprint(tr.medoids)
+			if seen[key] {
+				t.Fatalf("seed %d: medoid list %v reached the engine twice", seed, tr.medoids)
+			}
+			seen[key] = true
+		}
+
+		rng := randx.New(100 + seed)
+		perm := rng.Perm(len(candidates))
+		list := make([]int, r.cfg.K)
+		for i := range list {
+			list[i] = candidates[perm[i]]
+		}
+		first := map[string]float64{}
+		var best *trialState
+		calls, reused := 0, 0
+		for it := 0; it < o.iterations; it++ {
+			key := fmt.Sprint(list)
+			want, repeat := first[key]
+			if repeat {
+				reused++
+			} else {
+				if calls == len(rec.trials) || !slices.Equal(rec.trials[calls].medoids, list) {
+					t.Fatalf("seed %d, trial %d: proposed %v, which the engine did not score next", seed, it+1, list)
+				}
+				tr := rec.trials[calls]
+				calls++
+				want = tr.objective
+				first[key] = want
+				if best == nil || want < best.objective {
+					best = tr
+					best.badMedoids = r.findBadMedoids(best)
+				}
+			}
+			if math.Float64bits(o.trace[it]) != math.Float64bits(want) {
+				t.Fatalf("seed %d, trial %d (repeat %v): trace entry %v, want %v", seed, it+1, repeat, o.trace[it], want)
+			}
+			if it+1 < o.iterations {
+				next, ok := r.replaceBad(best, candidates, rng)
+				if !ok {
+					t.Fatalf("seed %d: the replay ran out of candidates at trial %d", seed, it+1)
+				}
+				list = next
+			}
+		}
+		if calls != len(rec.trials) || reused != o.reused {
+			t.Fatalf("seed %d: replay made %d calls and %d repeats, the climb %d and %d",
+				seed, calls, reused, len(rec.trials), o.reused)
+		}
+		repeats += reused
+	}
+	if repeats == 0 {
+		t.Fatal("no climb repeated a medoid list, so the memo went untested")
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -75,6 +76,19 @@ func (r *runner) emit(e obs.Event) {
 	}
 }
 
+// singleBlock reports the work timed from start as the one block of
+// the named pass: one EvBlock event and one point in the pass's block
+// series, both only when an observer or a series store is attached.
+func (r *runner) singleBlock(pass string, points int, start time.Time) {
+	if r.obs == nil && r.series == nil {
+		return
+	}
+	secs := time.Since(start).Seconds()
+	bs := r.series.blocks(pass)
+	bs.record(1, points, secs)
+	r.emit(obs.Event{Type: obs.EvBlock, Phase: pass, Block: 1, Points: points, Seconds: secs})
+}
+
 // cancelled reports a pending context cancellation. A nil context
 // (white-box tests construct runners directly) never cancels.
 func (r *runner) cancelled() error {
@@ -143,8 +157,10 @@ func (r *runner) iteratePhase(candidates []int, workers int) (*trialState, int, 
 	r.emit(obs.Event{Type: obs.EvPhaseStart, Phase: "iterate"})
 	start := time.Now()
 	// Every restart's engine reads one candidate table, built here with
-	// the whole worker budget before any restart starts.
+	// the whole worker budget before any restart starts. The build is
+	// the one block of the "candidates" pass.
 	tab := r.newCandidateTable(candidates, workers)
+	r.singleBlock("candidates", r.ds.Len(), start)
 	restarts := r.cfg.Restarts
 	if restarts < 1 {
 		restarts = 1
@@ -186,7 +202,7 @@ func (r *runner) iteratePhase(candidates []int, workers int) (*trialState, int, 
 			ev = newEngine(r, tab)
 		}
 		o := &outcomes[i]
-		o.trial, o.iterations, o.trace, o.err = r.climb(candidates, i+1, rngs[i], ev)
+		*o = r.climb(candidates, i+1, rngs[i], ev)
 		engines <- ev
 		o.duration = time.Since(restartStart)
 		if o.err != nil {
@@ -216,6 +232,7 @@ func (r *runner) iteratePhase(candidates []int, workers int) (*trialState, int, 
 		r.stats.ObjectiveTrace = append(r.stats.ObjectiveTrace, o.trace...)
 		r.stats.Restarts = append(r.stats.Restarts, RestartStats{
 			Iterations:    o.iterations,
+			Reused:        o.reused,
 			BestObjective: o.trial.objective,
 			Duration:      o.duration,
 		})
@@ -283,27 +300,45 @@ type trialState struct {
 type restartOutcome struct {
 	trial      *trialState
 	iterations int
-	trace      []float64
-	duration   time.Duration
-	err        error
+	// reused counts the trials whose medoid list the climb had already
+	// scored; the other iterations − reused trials ran the engine.
+	reused   int
+	trace    []float64
+	duration time.Duration
+	err      error
 }
 
-// climb performs the hill climb of §2.2 and returns the best trial, the
-// trial count, and the objective of every evaluated trial in order.
-// restart is the 1-based restart index, used for event context and
-// errors. A trial whose objective is not finite ends the climb with an
-// error: every value is finite, but their sums overflowed float64, and
-// no trial of such an input could be compared with another.
+// climb performs the hill climb of §2.2 and returns the restart's
+// outcome: the best trial, the trial count, the repeats among them,
+// and the objective of every trial in order. restart is the 1-based
+// restart index, used for event context and errors. A trial whose
+// objective is not finite ends the climb with an error: every value is
+// finite, but their sums overflowed float64, and no trial of such an
+// input could be compared with another.
+//
+// The climb scores each ordered medoid list once. replaceBad keeps
+// proposing lists the climb has already scored, so a memo maps every
+// scored list to its objective, and a repeat reuses it without running
+// the engine. The objective is a function of the ordered list alone,
+// since every engine cache is keyed exactly, and the best objective is
+// at most that of every list scored so far and never rises, so a
+// repeat can never improve: best, findBadMedoids and replaceBad see,
+// and replaceBad draws, exactly what scoring the repeat again would
+// have given them. A repeat still counts as a trial toward
+// MaxNoImprove and MaxIterations, and its objective enters the trace.
+// The memo belongs to one climb, so which trials are repeats does not
+// depend on how restarts are scheduled.
+//
 // rng is the restart's private generator and ev the trial engine it
 // has to itself until it returns: climb is called concurrently for
 // different restarts and must not touch shared mutable state beyond
 // the atomic counters and the (concurrency-safe) observer. The
 // returned trial is a copy that owns its memory, so ev can serve the
 // next restart.
-func (r *runner) climb(candidates []int, restart int, rng *randx.Rand, ev evaluator) (*trialState, int, []float64, error) {
+func (r *runner) climb(candidates []int, restart int, rng *randx.Rand, ev evaluator) restartOutcome {
 	k := r.cfg.K
 	if len(candidates) < k {
-		return nil, 0, nil, fmt.Errorf("proclus: only %d candidate medoids for k = %d", len(candidates), k)
+		return restartOutcome{err: fmt.Errorf("proclus: only %d candidate medoids for k = %d", len(candidates), k)}
 	}
 	perm := rng.Perm(len(candidates))
 	current := make([]int, k)
@@ -318,39 +353,54 @@ func (r *runner) climb(candidates []int, restart int, rng *randx.Rand, ev evalua
 	rs := r.series.restart(restart)
 	var best *trialState
 	var trace []float64
+	scored := make(map[string]float64)
+	var key []byte
 	bestObjective := math.Inf(1)
-	noImprove := 0
-	iterations := 0
+	noImprove, iterations, reused := 0, 0, 0
 	for {
 		iterations++
 		trialStart := time.Now()
-		trial := ev.evaluate(current)
-		if math.IsNaN(trial.objective) || math.IsInf(trial.objective, 0) {
-			return nil, 0, nil, fmt.Errorf("proclus: restart %d, trial %d: the objective overflowed to %v; "+
-				"the coordinates are too large in magnitude for float64 sums", restart, iterations, trial.objective)
+		key = medoidKey(key[:0], current)
+		objective, repeat := scored[string(key)]
+		improved := false
+		// A repeat ran no assignment pass; the series reads it as one
+		// that served every projected column from the cache.
+		hitRate := 1.0
+		if repeat {
+			reused++
+		} else {
+			trial := ev.evaluate(current)
+			objective = trial.objective
+			if math.IsNaN(objective) || math.IsInf(objective, 0) {
+				return restartOutcome{err: fmt.Errorf("proclus: restart %d, trial %d: the objective overflowed to %v; "+
+					"the coordinates are too large in magnitude for float64 sums", restart, iterations, objective)}
+			}
+			scored[string(key)] = objective
+			improved = objective < bestObjective
+			if improved {
+				bestObjective = objective
+				best = ev.adopt(trial)
+				best.badMedoids = r.findBadMedoids(best)
+			}
+			hitRate = ev.cacheHitRate()
 		}
-		trace = append(trace, trial.objective)
-		improved := trial.objective < bestObjective
+		trace = append(trace, objective)
 		if improved {
-			bestObjective = trial.objective
-			best = ev.adopt(trial)
-			best.badMedoids = r.findBadMedoids(best)
 			noImprove = 0
 		} else {
 			noImprove++
 		}
 		if r.series != nil {
-			rs.record(iterations, trial.objective, bestObjective, improved,
-				len(best.badMedoids), ev.cacheHitRate())
+			rs.record(iterations, objective, bestObjective, improved, len(best.badMedoids), hitRate)
 		}
 		r.emit(obs.Event{Type: obs.EvIteration, Restart: restart, Iteration: iterations,
-			Objective: trial.objective, Best: bestObjective, Improved: improved,
+			Objective: objective, Best: bestObjective, Improved: improved,
 			Seconds: time.Since(trialStart).Seconds()})
 		if noImprove >= r.cfg.MaxNoImprove || iterations >= r.cfg.MaxIterations {
 			break
 		}
 		if err := r.cancelled(); err != nil {
-			return nil, 0, nil, err
+			return restartOutcome{err: err}
 		}
 		next, ok := r.replaceBad(best, candidates, rng)
 		if !ok {
@@ -364,7 +414,16 @@ func (r *runner) climb(candidates []int, restart int, rng *randx.Rand, ev evalua
 		}
 		current = next
 	}
-	return best.clone(), iterations, trace, nil
+	return restartOutcome{trial: best.clone(), iterations: iterations, reused: reused, trace: trace}
+}
+
+// medoidKey appends to dst the memo key of an ordered medoid list: each
+// dataset index as eight little-endian bytes, in position order.
+func medoidKey(dst []byte, medoids []int) []byte {
+	for _, m := range medoids {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(m))
+	}
+	return dst
 }
 
 // clone deep-copies a trial.
@@ -383,8 +442,7 @@ func (t *trialState) clone() *trialState {
 
 // refineAll applies refineRows to every point of r.ds, in parallel over
 // point ranges, and credits its work per range. It returns the
-// per-point cluster index, OutlierID for points outside every sphere
-// when delta is set.
+// per-point cluster index, OutlierID for points outside every sphere.
 func (r *runner) refineAll(medoidPoints [][]float64, dims [][]int, delta []float64) []int {
 	n, d := r.ds.Len(), r.ds.Dims()
 	assign := make([]int, n)
@@ -670,9 +728,10 @@ func (r *runner) sphereRadii(medoidPoints [][]float64, dims [][]int) []float64 {
 // medoid of least seg, taking the strict < from (0, +Inf), so ties keep
 // the lower medoid, as in the incremental engine's assignment pass. It
 // is an outlier (OutlierID) when seg exceeds Δ_m = delta[m] for every
-// medoid m, that is, when it lies outside every sphere of influence; a
-// nil delta flags no outliers, which makes it a plain nearest-medoid
-// assignment.
+// medoid m, that is, when it lies outside every sphere of influence.
+// All-+Inf radii flag no point whose distances are not NaN, and a fit
+// never has a NaN distance, so they make the pass a plain
+// nearest-medoid assignment.
 //
 // The rows go a tile of assignTile at a time. dist.SegmentalRows fills
 // the tile's seg column of one medoid after another, and each column
@@ -686,7 +745,7 @@ func refineRows(rows []float64, d int, medoids [][]float64, dims [][]int, delta 
 		t1 := min(t0+assignTile, len(out))
 		o, col := out[t0:t1], seg[:t1-t0]
 		for q := range o {
-			o[q], best[q], inside[q] = 0, math.Inf(1), delta == nil
+			o[q], best[q], inside[q] = 0, math.Inf(1), false
 		}
 		for m, mp := range medoids {
 			dist.SegmentalRows(col, rows[t0*d:t1*d], d, nil, dims[m], mp)

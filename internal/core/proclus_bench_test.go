@@ -24,16 +24,19 @@ import (
 	"proclus/internal/synth"
 )
 
+// ledgerShapes are the benchmark ledger's two in-memory PROCLUS
+// shapes, each with its k = 5 and its l.
+var ledgerShapes = []struct {
+	name string
+	data synth.Config
+	l    int
+}{
+	{"case1", synth.Config{N: 8000, Dims: 20, K: 5, FixedDims: 7, MinSizeFraction: 0.1, Seed: 3}, 7},
+	{"highdim", synth.Config{N: 5000, Dims: 100, K: 5, FixedDims: 5, MinSizeFraction: 0.1, Seed: 3}, 5},
+}
+
 func BenchmarkProclusRun(b *testing.B) {
-	shapes := []struct {
-		name string
-		data synth.Config
-		l    int
-	}{
-		{"case1", synth.Config{N: 8000, Dims: 20, K: 5, FixedDims: 7, MinSizeFraction: 0.1, Seed: 3}, 7},
-		{"highdim", synth.Config{N: 5000, Dims: 100, K: 5, FixedDims: 5, MinSizeFraction: 0.1, Seed: 3}, 5},
-	}
-	for _, sh := range shapes {
+	for _, sh := range ledgerShapes {
 		ds, _, err := synth.Generate(sh.data)
 		if err != nil {
 			b.Fatal(err)
@@ -134,6 +137,44 @@ func BenchmarkCandidateTable(b *testing.B) {
 	}
 }
 
+// BenchmarkLocality measures the locality scan, the part of a Z-ring
+// miss that reads the candidate table, on the benchmark ledger's case1
+// and highdim shapes: the table holds initialize's candidates, each
+// candidate's radius δ is its distance to its fourth-nearest other
+// candidate, and one op scans every candidate's locality once into a
+// reused list. Run with -benchmem: the allocation column must stay at
+// zero.
+//
+//	go test -run xxx -bench BenchmarkLocality -benchmem ./internal/core/
+func BenchmarkLocality(b *testing.B) {
+	for _, sh := range ledgerShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			ds, _, err := synth.Generate(sh.data)
+			if err != nil {
+				b.Fatal(err)
+			}
+			r := newRunner(ds, Config{K: 5, L: sh.l, Seed: 4, Workers: 1})
+			cands, err := r.initialize()
+			if err != nil {
+				b.Fatal(err)
+			}
+			tab := r.newCandidateTable(cands, 1)
+			deltas := make([]float64, tab.c)
+			for a := range deltas {
+				deltas[a] = tab.row(a)[3]
+			}
+			lst := make([]int, 0, tab.n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for a, delta := range deltas {
+					lst = tab.locality(a, delta, lst[:0])
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkObjective measures evaluateClustersInto, the objective pass
 // every hill-climb trial ends with, on the benchmark ledger's case1 and
 // highdim shapes: the partition and dimension sets are those of one
@@ -142,15 +183,7 @@ func BenchmarkCandidateTable(b *testing.B) {
 //
 //	go test -run xxx -bench BenchmarkObjective -benchmem ./internal/core/
 func BenchmarkObjective(b *testing.B) {
-	shapes := []struct {
-		name string
-		data synth.Config
-		l    int
-	}{
-		{"case1", synth.Config{N: 8000, Dims: 20, K: 5, FixedDims: 7, MinSizeFraction: 0.1, Seed: 3}, 7},
-		{"highdim", synth.Config{N: 5000, Dims: 100, K: 5, FixedDims: 5, MinSizeFraction: 0.1, Seed: 3}, 5},
-	}
-	for _, sh := range shapes {
+	for _, sh := range ledgerShapes {
 		b.Run(sh.name, func(b *testing.B) {
 			ds, _, err := synth.Generate(sh.data)
 			if err != nil {

@@ -71,15 +71,16 @@ func referenceRun(ds *dataset.Dataset, cfg Config, ab ablation) (*Result, error)
 	var best *trialState
 	iterations := 0
 	for i, rng := range rngs {
-		trial, n, trace, err := r.climb(candidates, i+1, rng, naiveEval{r: r, manhattan: ab.manhattan})
-		if err != nil {
-			return nil, err
+		o := r.climb(candidates, i+1, rng, naiveEval{r: r, manhattan: ab.manhattan})
+		if o.err != nil {
+			return nil, o.err
 		}
-		r.stats.ObjectiveTrace = append(r.stats.ObjectiveTrace, trace...)
-		r.stats.Restarts = append(r.stats.Restarts, RestartStats{Iterations: n, BestObjective: trial.objective})
-		iterations += n
-		if best == nil || trial.objective < best.objective {
-			best = trial
+		r.stats.ObjectiveTrace = append(r.stats.ObjectiveTrace, o.trace...)
+		r.stats.Restarts = append(r.stats.Restarts, RestartStats{
+			Iterations: o.iterations, Reused: o.reused, BestObjective: o.trial.objective})
+		iterations += o.iterations
+		if best == nil || o.trial.objective < best.objective {
+			best = o.trial
 		}
 	}
 	var res *Result
@@ -258,11 +259,12 @@ func (r *runner) computeLocalities(medoids []int) [][]int {
 
 // assignPoints assigns every point to the medoid of minimum Manhattan
 // segmental distance relative to that medoid's dimension set (paper
-// Figure 5): refineRows with no spheres of influence. Ties break toward
-// the lower medoid index so the result is deterministic. It returns
-// the per-point cluster index and the cluster sizes.
+// Figure 5): refineRows with spheres of influence of infinite radius,
+// which hold every point. Ties break toward the lower medoid index so
+// the result is deterministic. It returns the per-point cluster index
+// and the cluster sizes.
 func (r *runner) assignPoints(medoids []int, dims [][]int) (assign []int, sizes []int) {
-	assign = r.refineAll(r.points(medoids), dims, nil)
+	assign = r.refineAll(r.points(medoids), dims, infRadii(len(medoids)))
 	sizes = make([]int, len(medoids))
 	tallySizes(assign, sizes)
 	return assign, sizes
@@ -274,4 +276,15 @@ func (r *runner) assignPoints(medoids []int, dims [][]int) (assign []int, sizes 
 func (r *runner) evaluateClusters(assign []int, sizes []int, dims [][]int) float64 {
 	s := newObjectiveScratch(len(assign), len(sizes), r.ds.Dims())
 	return r.evaluateClustersInto(assign, sizes, dims, &s)
+}
+
+// infRadii returns k spheres of influence of radius +Inf: under them
+// refineRows flags no point whose distances are not NaN, and assigns
+// every point to its nearest medoid.
+func infRadii(k int) []float64 {
+	radii := make([]float64, k)
+	for i := range radii {
+		radii[i] = math.Inf(1)
+	}
+	return radii
 }

@@ -107,10 +107,11 @@ func checkRefine(t *testing.T, rng *randx.Rand, name string, rows []float64, d i
 // against the two-step rule on random data. Coordinates are small
 // integers, so distances tie between medoids and land exactly on a
 // radius; the radii are the medoids' true spheres of influence, values
-// drawn from the same grid, or nil. Each point set is refined whole and
-// in uneven row ranges, which must not change a decision. The last
-// cases run 2·assignTile + 37 points with up to 13 medoids, so the
-// kernel's tiles end inside the points and the final tile is partial.
+// drawn from the same grid, or +Inf, which flags no outlier. Each point
+// set is refined whole and in uneven row ranges, which must not change
+// a decision. The last cases run 2·assignTile + 37 points with up to 13
+// medoids, so the kernel's tiles end inside the points and the final
+// tile is partial.
 func TestRefineRowsMatchesReference(t *testing.T) {
 	rng := randx.New(5)
 	outliers := 0
@@ -118,7 +119,7 @@ func TestRefineRowsMatchesReference(t *testing.T) {
 		d, k := 2+rng.Intn(6), 1+rng.Intn(5)
 		rows, medoids, dims, radii, grid := refineCase(rng, 300, d, k)
 		outliers += checkRefine(t, rng, fmt.Sprintf("trial %d d=%d k=%d", trial, d, k), rows, d, medoids, dims,
-			map[string][]float64{"radii": radii, "grid": grid, "nil": nil})
+			map[string][]float64{"radii": radii, "grid": grid, "inf": infRadii(k)})
 	}
 	for _, k := range []int{1, 5, 13} {
 		const d = 6

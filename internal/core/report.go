@@ -71,6 +71,7 @@ func (r *Result) Report() *obs.RunReport {
 		rep.Restarts = append(rep.Restarts, obs.RestartReport{
 			Restart:       i + 1,
 			Iterations:    rs.Iterations,
+			Reused:        rs.Reused,
 			BestObjective: rs.BestObjective,
 			Seconds:       rs.Duration.Seconds(),
 		})

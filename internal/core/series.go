@@ -3,8 +3,9 @@ package core
 // Time-series instrumentation of the PROCLUS engines. The hill climb
 // records one series set per restart — objective, running best, swap
 // acceptance, bad-medoid count and distance-cache hit rate, indexed by
-// iteration — and the streamed engine records per-block latency and
-// throughput, indexed by block number within each pass. Recording is
+// iteration — and every pass records per-block latency and throughput,
+// indexed by block number within the pass: the candidate-table build,
+// one block in every run, and the streamed engine's passes. Recording is
 // strictly opt-in (Config.Series); a nil store resolves to nil handles
 // whose appends no-op, and the climb additionally skips the whole
 // record call when no store is attached, so the uninstrumented hot
@@ -86,7 +87,7 @@ func (rs *restartSeries) record(iteration int, objective, best float64, improved
 	rs.cacheHit.Append(x, hitRate)
 }
 
-// blockSeries is one streamed pass's pre-resolved handle pair.
+// blockSeries is one pass's pre-resolved handle pair.
 type blockSeries struct {
 	seconds      *series.Series
 	pointsPerSec *series.Series
@@ -100,8 +101,8 @@ func (s *runnerSeries) blocks(pass string) blockSeries {
 	}
 	l := series.L("pass", pass)
 	return blockSeries{
-		seconds:      s.store.Series(SeriesBlockSeconds, "per-block latency of a streamed pass", l),
-		pointsPerSec: s.store.Series(SeriesBlockPointsPerSec, "per-block throughput of a streamed pass", l),
+		seconds:      s.store.Series(SeriesBlockSeconds, "per-block latency of a pass", l),
+		pointsPerSec: s.store.Series(SeriesBlockPointsPerSec, "per-block throughput of a pass", l),
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -154,7 +155,7 @@ func TestSeriesPerRestartLabels(t *testing.T) {
 
 // TestStreamSeriesRecordsBlocks checks the streamed engine's per-block
 // telemetry: every streamed pass records latency and throughput series,
-// and the in-memory engine records none of them.
+// and the in-memory engine records no streamed pass.
 func TestStreamSeriesRecordsBlocks(t *testing.T) {
 	ds := streamEquivalenceData(t)
 	cfg := Config{K: 3, L: 3, Seed: 13, Series: series.NewStore(0)}
@@ -182,6 +183,48 @@ func TestStreamSeriesRecordsBlocks(t *testing.T) {
 	}
 	if s := mem.Series.Snapshot().Find(SeriesBlockSeconds, series.L("pass", "assign")); s != nil {
 		t.Error("in-memory run recorded streamed block series")
+	}
+}
+
+// TestCandidateTablePassSpan checks how Run and RunStream report the
+// candidate-table build: as the one block of a "candidates" pass, which
+// a span builder places under phase:iterate, and as one point of the
+// pass's block series.
+func TestCandidateTablePassSpan(t *testing.T) {
+	ds := streamEquivalenceData(t)
+	for _, stream := range []bool{false, true} {
+		spans := obs.NewSpanBuilder()
+		cfg := Config{K: 3, L: 3, Seed: 13, Observer: spans, Series: series.NewStore(0)}
+		var res *Result
+		var err error
+		if stream {
+			res, err = RunStream(context.Background(), dataset.NewMemorySource(ds, 128), cfg)
+		} else {
+			res, err = Run(ds, cfg)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		var passes []string
+		spans.Root().Walk(func(s *obs.Span) {
+			if s.Kind != obs.SpanPhase {
+				return
+			}
+			for _, c := range s.Children {
+				if c.Name == "pass:candidates" {
+					passes = append(passes, s.Name)
+					if len(c.Children) != 1 || c.Children[0].Kind != obs.SpanBlock {
+						t.Errorf("stream=%v: pass:candidates holds %d children, want its one block", stream, len(c.Children))
+					}
+				}
+			}
+		})
+		if !slices.Equal(passes, []string{"phase:iterate"}) {
+			t.Errorf("stream=%v: pass:candidates found under %v, want once under phase:iterate", stream, passes)
+		}
+		if s := res.Stats.Series.Find(SeriesBlockSeconds, series.L("pass", "candidates")); s == nil || s.Total != 1 {
+			t.Errorf("stream=%v: candidates block series %+v, want one point", stream, s)
+		}
 	}
 }
 

@@ -115,13 +115,7 @@ func (s *streamRunner) readSample(idx []int, dst []float64) error {
 	}
 	s.r.counters.StreamBlocks.Add(1)
 	s.r.counters.StreamBytes.Add(int64(len(dst)) * 8)
-	if s.r.obs != nil || s.r.series != nil {
-		secs := time.Since(start).Seconds()
-		bs := s.r.series.blocks("sample")
-		bs.record(1, len(idx), secs)
-		s.r.emit(obs.Event{Type: obs.EvBlock, Phase: "sample",
-			Block: 1, Points: len(idx), Seconds: secs})
-	}
+	s.r.singleBlock("sample", len(idx), start)
 	return nil
 }
 

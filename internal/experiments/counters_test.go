@@ -13,13 +13,13 @@ import (
 // change to which distances a pass evaluates, or over how many
 // dimensions, say) is a deliberate edit of this literal.
 var table1Counters = obs.Snapshot{
-	DistanceEvals:          1586696,
-	DistanceEvalsFull:      1586696,
+	DistanceEvals:          1262696,
+	DistanceEvalsFull:      1262696,
 	DistanceEvalsAbandoned: 0,
-	CoordsVisited:          13241660,
-	PointsScanned:          999000,
+	CoordsVisited:          10955660,
+	PointsScanned:          747000,
 	DenseUnitProbes:        0,
-	DistCacheHits:          2493320,
+	DistCacheHits:          1862480,
 	DistCacheRecomputes:    152450,
 }
 

@@ -3,7 +3,9 @@ package obs_test
 // Property test for the Chrome-trace exporter: a real seeded PROCLUS
 // run with concurrent restarts must yield a trace where every duration
 // span opened on a virtual thread is closed by a matching end event,
-// and spans nest in strict stack order per thread.
+// spans nest in strict stack order per thread, and instants and the
+// complete event of the candidate-table build fall inside an open
+// span.
 
 import (
 	"bytes"
@@ -55,7 +57,7 @@ func TestChromeTraceSpansBalanceUnderConcurrentRestarts(t *testing.T) {
 	stacks := map[int][]string{}
 	lastTS := map[int]float64{}
 	phases := map[string]int{} // phase name → open count, must end at 0
-	begins := 0
+	begins, tableBlocks := 0, 0
 	for _, e := range trace.TraceEvents {
 		if e.Ph == "M" {
 			continue
@@ -80,9 +82,12 @@ func TestChromeTraceSpansBalanceUnderConcurrentRestarts(t *testing.T) {
 			}
 			stacks[e.TID] = st[:len(st)-1]
 			phases[e.Name]--
-		case "i":
+		case "i", "X":
 			if len(stacks[e.TID]) == 0 {
-				t.Errorf("instant %q on tid %d outside any span", e.Name, e.TID)
+				t.Errorf("event %q (ph %s) on tid %d outside any span", e.Name, e.Ph, e.TID)
+			}
+			if e.Ph == "X" && e.Name == "block:candidates" {
+				tableBlocks++
 			}
 		default:
 			t.Fatalf("unexpected event phase %q", e.Ph)
@@ -100,6 +105,9 @@ func TestChromeTraceSpansBalanceUnderConcurrentRestarts(t *testing.T) {
 	}
 	if begins < 1+3+4 { // run + three phases + four restarts at minimum
 		t.Errorf("trace has only %d spans; expected at least run, phases and restarts", begins)
+	}
+	if tableBlocks != 1 {
+		t.Errorf("trace has %d candidate-table blocks, want 1", tableBlocks)
 	}
 
 	// Each restart must occupy its own virtual thread so its span can

@@ -37,7 +37,9 @@ type Counters struct {
 	// DistCacheHits counts full-dimensional distances the incremental
 	// hill-climb engine reads from PROCLUS's candidate table instead of
 	// evaluating: k·N point ranks and k·(k−1) medoid-to-medoid
-	// distances per trial — work the naive evaluation recomputes.
+	// distances per scored trial — work the naive evaluation
+	// recomputes. A trial that repeats a medoid list its restart has
+	// already scored runs no engine pass and counts nothing.
 	DistCacheHits atomic.Int64
 	// DistCacheRecomputes counts the full-dimensional distances the
 	// candidate table evaluates once per run: N·C between points and

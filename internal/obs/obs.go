@@ -50,11 +50,13 @@ const (
 	// EvLevelEnd carries the Candidates generated and Dense units kept.
 	EvLevelStart EventType = "level_start"
 	EvLevelEnd   EventType = "level_end"
-	// EvBlock reports one completed block of a streamed pass: Phase
-	// names the pass, Block is the 1-based block index within it,
-	// Points the block's point count and Seconds its latency. Emitted
-	// only on streamed runs, so in-memory event sequences are
-	// unchanged.
+	// EvBlock reports one completed block of a pass: Phase names the
+	// pass, Block is the 1-based block index within it, Points the
+	// block's point count and Seconds its latency. Streamed runs emit
+	// one per block of their passes over the source, and report their
+	// sample read as the one block of a "sample" pass; PROCLUS reports
+	// its candidate-table build, in memory and streamed, as the one
+	// block of a "candidates" pass.
 	EvBlock EventType = "block"
 	// EvStall reports a convergence stall detected by a Watchdog:
 	// Reason distinguishes a no-improvement streak ("no_improve", with
@@ -82,7 +84,7 @@ type Event struct {
 	Iteration int `json:"iteration,omitempty"`
 	// Level is the CLIQUE lattice level (subspace dimensionality).
 	Level int `json:"level,omitempty"`
-	// Block is the 1-based block index of a streamed pass (EvBlock).
+	// Block is the 1-based block index within a pass (EvBlock).
 	Block int `json:"block,omitempty"`
 	// Reason qualifies an EvStall event (StallNoImprove, StallDeadline).
 	Reason string `json:"reason,omitempty"`

@@ -82,8 +82,13 @@ type PhaseReport struct {
 type RestartReport struct {
 	// Restart is the 1-based restart index.
 	Restart int `json:"restart"`
-	// Iterations is the number of trials the restart evaluated.
+	// Iterations is the number of trials the restart ran, repeats
+	// included.
 	Iterations int `json:"iterations"`
+	// Reused is the number of those trials whose ordered medoid list the
+	// restart had already scored, and whose objective it reused without
+	// running a trial (PROCLUS).
+	Reused int `json:"reused"`
 	// BestObjective is the lowest objective the restart reached.
 	BestObjective float64 `json:"best_objective"`
 	// Seconds is the restart's wall time.

@@ -11,7 +11,7 @@ type SpanKind string
 
 // Span kinds, from the root down: a run contains phases, phases
 // contain restarts (PROCLUS iterate), levels (CLIQUE search) and
-// streamed passes; restarts contain iterations; passes contain blocks.
+// passes; restarts contain iterations; passes contain blocks.
 // Marks are zero-duration annotations (medoid swaps, stalls).
 const (
 	SpanRun       SpanKind = "run"
@@ -275,7 +275,7 @@ func (b *SpanBuilder) restart(t float64, idx int) *Span {
 	return s
 }
 
-// pass returns the open pass span for a streamed pass name,
+// pass returns the open pass span for a pass name,
 // get-or-create under the innermost open container.
 func (b *SpanBuilder) pass(t float64, name string, start float64) *Span {
 	if p, ok := b.passes[name]; ok {
