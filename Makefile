@@ -154,11 +154,12 @@ lens-golden:
 	$(GO) test -run 'TestGoldenSummary|TestArchiveGoldens' ./cmd/runlens/
 
 # archive-smoke drives the run archive end to end on a small synthetic
-# dataset: two identical-seed runs must archive and diff clean (exit
-# 0 — the deterministic counters reproduce exactly), and a third run
-# with a perturbed configuration must make `runlens diff` exit
-# non-zero. Also exercises `runlens ls` and `runlens trend` over the
-# same archive.
+# dataset: two identical-seed runs must archive one file each (every
+# entry directory holds exactly run.json, and the archive root holds no
+# index.json) and diff clean (exit 0 — the deterministic counters
+# reproduce exactly), and a third run with a perturbed configuration
+# must make `runlens diff` exit non-zero. Also exercises `runlens ls`
+# and `runlens trend` over the same archive.
 ARCHIVE_SMOKE = archive/smoke
 
 archive-smoke:
@@ -167,6 +168,23 @@ archive-smoke:
 	$(GO) run ./cmd/datagen -n 2000 -dims 10 -k 3 -avgdims 4 -seed 9 -o $(ARCHIVE_SMOKE)-data.bin
 	$(GO) run ./cmd/pcluster -algo proclus -in $(ARCHIVE_SMOKE)-data.bin -k 3 -l 4 -seed 5 -archive $(ARCHIVE_SMOKE)
 	$(GO) run ./cmd/pcluster -algo proclus -in $(ARCHIVE_SMOKE)-data.bin -k 3 -l 4 -seed 5 -archive $(ARCHIVE_SMOKE)
+	@if [ -e $(ARCHIVE_SMOKE)/index.json ]; then \
+		echo "archive-smoke: $(ARCHIVE_SMOKE)/index.json exists, want no index" >&2; \
+		exit 1; \
+	fi; \
+	n=0; \
+	for d in $(ARCHIVE_SMOKE)/*/; do \
+		n=$$((n + 1)); \
+		if [ "$$(ls -A $$d)" != run.json ]; then \
+			echo "archive-smoke: $$d holds [$$(ls -A $$d | tr '\n' ' ')], want only run.json" >&2; \
+			exit 1; \
+		fi; \
+	done; \
+	if [ $$n -ne 2 ]; then \
+		echo "archive-smoke: $$n entry directories, want 2" >&2; \
+		exit 1; \
+	fi; \
+	echo "archive-smoke: 2 entries, each holding only run.json; no index.json"
 	$(GO) run ./cmd/runlens ls -archive $(ARCHIVE_SMOKE)
 	$(GO) run ./cmd/runlens diff -archive $(ARCHIVE_SMOKE) @1 @0
 	$(GO) run ./cmd/pcluster -algo proclus -in $(ARCHIVE_SMOKE)-data.bin -k 4 -l 4 -seed 5 -archive $(ARCHIVE_SMOKE)

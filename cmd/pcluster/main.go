@@ -252,8 +252,7 @@ func run(args []string, out io.Writer) (retErr error) {
 	fmt.Fprintf(out, "%s: %d points × %d dims — %s\n",
 		*algo, rep.Dataset.Points, rep.Dataset.Dims, elapsed.Round(time.Millisecond))
 	io.WriteString(out, curve.String())
-	quality, err := summarize(out, rep, as, cres, labels, *verbose)
-	if err != nil {
+	if rep.Quality, err = summarize(out, rep, as, cres, labels, *verbose); err != nil {
 		return err
 	}
 
@@ -271,13 +270,13 @@ func run(args []string, out io.Writer) (retErr error) {
 			return err
 		}
 	}
-	_, err = sess.ArchiveRun(rep, quality)
+	_, err = sess.ArchiveRun(rep)
 	return err
 }
 
 // summarize prints the fit's objective, clusters and dimension sets and,
 // when labels are known, its quality against them, and returns the
-// quality indices for the archive. as is nil for a streamed fit without
+// quality indices for the run report. as is nil for a streamed fit without
 // per-point assignments, labels nil for unlabeled input. cres is set for
 // CLIQUE fits, whose clusters overlap and so get average overlap and
 // coverage instead of a confusion matrix.

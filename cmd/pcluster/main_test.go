@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -14,6 +15,7 @@ import (
 	"proclus/internal/core"
 	"proclus/internal/dataset"
 	"proclus/internal/eval"
+	"proclus/internal/obs"
 	"proclus/internal/obs/archive"
 	"proclus/internal/obs/series"
 	"proclus/internal/randx"
@@ -657,27 +659,41 @@ func TestAssignMatchesFitInMemoryAndStreamed(t *testing.T) {
 	}
 }
 
-// TestReportAssignArchive checks -report, -assign and -archive together
-// and that the archived run carries the quality indices its summary
-// printed.
+// TestReportAssignArchive checks -report, -assign and -archive
+// together: the -report file and the archived entry hold one record,
+// which carries the quality indices the summary printed on labeled
+// input and no quality key on unlabeled input.
 func TestReportAssignArchive(t *testing.T) {
 	path := writeData(t)
+	// The same points without their labels.
+	labeled, err := dataset.LoadFile(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := dataset.New(labeled.Dims())
+	labeled.Each(func(_ int, p []float64) { plain.Append(p) })
+	unlabeled := filepath.Join(t.TempDir(), "plain.bin")
+	if err := plain.SaveFile(unlabeled); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		algo     string
+		in       string
 		args     []string
 		clusters int
 		quality  []string
 	}{
-		{"kmedoids", []string{"-k", "3"}, 3, []string{"purity", "ari", "nmi"}},
-		{"orclus", []string{"-k", "3", "-l", "2"}, 3, []string{"purity", "ari", "nmi"}},
-		{"clique", []string{"-tau", "0.02", "-highest"}, -1, []string{"coverage", "ari", "nmi"}},
+		{"kmedoids", path, []string{"-k", "3"}, 3, []string{"purity", "ari", "nmi"}},
+		{"orclus", path, []string{"-k", "3", "-l", "2"}, 3, []string{"purity", "ari", "nmi"}},
+		{"clique", path, []string{"-tau", "0.02", "-highest"}, -1, []string{"coverage", "ari", "nmi"}},
+		{"proclus", unlabeled, []string{"-k", "3", "-l", "3"}, 3, nil},
 	}
 	for _, tc := range cases {
 		dir := t.TempDir()
 		report := filepath.Join(dir, "run.json")
 		assign := filepath.Join(dir, "assign.csv")
 		arch := filepath.Join(dir, "runs")
-		runOK(t, append([]string{"-algo", tc.algo, "-in", path,
+		runOK(t, append([]string{"-algo", tc.algo, "-in", tc.in,
 			"-report", report, "-assign", assign, "-archive", arch}, tc.args...)...)
 		rep := readReport(t, report)
 		if rep.Algorithm != tc.algo || (tc.clusters >= 0 && len(rep.Clusters) != tc.clusters) {
@@ -694,9 +710,39 @@ func TestReportAssignArchive(t *testing.T) {
 		if err != nil || len(runs) != 1 {
 			t.Fatalf("%s: archive holds %d runs (err %v), want 1", tc.algo, len(runs), err)
 		}
+
+		// Both sides after a JSON round trip, so the config echo is a
+		// generic map on each.
+		decode := func(data []byte) (rep obs.RunReport, keys map[string]json.RawMessage) {
+			if err := json.Unmarshal(data, &rep); err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(data, &keys); err != nil {
+				t.Fatal(err)
+			}
+			return rep, keys
+		}
+		data, err := os.ReadFile(report)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromFile, fileKeys := decode(data)
+		if data, err = json.Marshal(runs[0].Report); err != nil {
+			t.Fatal(err)
+		}
+		archived, _ := decode(data)
+		if !reflect.DeepEqual(fromFile, archived) {
+			t.Errorf("%s: -report and the archive hold different records:\n%+v\n%+v", tc.algo, fromFile, archived)
+		}
+		if _, ok := fileKeys["quality"]; ok != (tc.quality != nil) {
+			t.Errorf("%s: -report has a quality key = %v, want %v", tc.algo, ok, tc.quality != nil)
+		}
 		for _, key := range tc.quality {
-			if _, ok := runs[0].Quality[key]; !ok {
-				t.Errorf("%s: archived quality %v lacks %q", tc.algo, runs[0].Quality, key)
+			if _, ok := fromFile.Quality[key]; !ok {
+				t.Errorf("%s: report quality %v lacks %q", tc.algo, fromFile.Quality, key)
+			}
+			if _, ok := archived.Quality[key]; !ok {
+				t.Errorf("%s: archived quality %v lacks %q", tc.algo, archived.Quality, key)
 			}
 		}
 	}

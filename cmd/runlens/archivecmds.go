@@ -7,6 +7,7 @@ package main
 // across the archive's history.
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -21,41 +22,37 @@ import (
 
 // openArchive opens the store named by -archive, the flag shared by
 // every archive subcommand.
-func openArchive(dir string) (*archive.Store, []archive.Manifest, []archive.Problem, error) {
+func openArchive(dir string) ([]archive.Entry, []archive.Problem, error) {
 	if dir == "" {
-		return nil, nil, nil, fmt.Errorf("-archive is required")
+		return nil, nil, fmt.Errorf("-archive is required")
 	}
 	st, err := archive.Open(dir, archive.Options{})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	ms, probs, err := st.List()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return st, ms, probs, nil
+	return st.List()
 }
 
-// resolveRef maps a run reference to a manifest: either an exact run
-// ID, or "@N" counting back from the newest entry (@0 = newest,
-// @1 = the one before it).
-func resolveRef(ms []archive.Manifest, ref string) (archive.Manifest, error) {
+// resolveRef maps a run reference to an entry: either an exact run ID,
+// or "@N" counting back from the newest entry (@0 = newest, @1 = the
+// one before it).
+func resolveRef(es []archive.Entry, ref string) (archive.Entry, error) {
 	if strings.HasPrefix(ref, "@") {
 		n, err := strconv.Atoi(ref[1:])
 		if err != nil || n < 0 {
-			return archive.Manifest{}, fmt.Errorf("bad run reference %q (want @0, @1, … or a run ID)", ref)
+			return archive.Entry{}, fmt.Errorf("bad run reference %q (want @0, @1, … or a run ID)", ref)
 		}
-		if n >= len(ms) {
-			return archive.Manifest{}, fmt.Errorf("reference %s is out of range: archive holds %d entries", ref, len(ms))
+		if n >= len(es) {
+			return archive.Entry{}, fmt.Errorf("reference %s is out of range: archive holds %d entries", ref, len(es))
 		}
-		return ms[len(ms)-1-n], nil
+		return es[len(es)-1-n], nil
 	}
-	for _, m := range ms {
-		if m.RunID == ref {
-			return m, nil
+	for _, e := range es {
+		if e.RunID == ref {
+			return e, nil
 		}
 	}
-	return archive.Manifest{}, fmt.Errorf("run %q not found in archive", ref)
+	return archive.Entry{}, fmt.Errorf("run %q not found in archive", ref)
 }
 
 func printProblems(out io.Writer, probs []archive.Problem) {
@@ -73,35 +70,37 @@ func runLs(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	_, ms, probs, err := openArchive(*dir)
+	es, probs, err := openArchive(*dir)
 	if err != nil {
 		return err
 	}
 	printProblems(out, probs)
-	if len(ms) == 0 {
+	if len(es) == 0 {
 		fmt.Fprintln(out, "archive is empty")
 		return nil
 	}
 	fmt.Fprintf(out, "%-5s %-44s %-14s %-8s %-8s %12s\n",
 		"ref", "run", "algorithm", "rev", "seed", "objective")
-	for i, m := range ms {
-		rev := m.GitRev
-		if rev == "" {
-			rev = "-"
-		}
+	for i, e := range es {
 		fmt.Fprintf(out, "%-5s %-44s %-14s %-8s %-8d %12.4f\n",
-			"@"+strconv.Itoa(len(ms)-1-i), m.RunID, m.Algorithm, rev, m.Seed, m.Objective)
+			"@"+strconv.Itoa(len(es)-1-i), e.RunID, e.Report.Algorithm, rev(e), e.Report.Seed, e.Report.Objective)
 	}
 	return nil
 }
 
-// runDiff compares two archived runs' manifests: every deterministic
-// work counter and every quality index, under one relative threshold.
-// Phase times are not compared, since wall time is not reproducible.
-// Any delta makes the command exit non-zero, so CI can assert that two
-// identical-seed runs reproduce exactly. Only the manifests are read,
-// so diff works even when an entry's report file is missing or
-// damaged.
+// rev is an entry's git revision, or "-" when none was recorded.
+func rev(e archive.Entry) string {
+	if e.GitRev == "" {
+		return "-"
+	}
+	return e.GitRev
+}
+
+// runDiff compares two archived runs' reports: every deterministic work
+// counter and every quality index, under one relative threshold. Phase
+// times are not compared, since wall time is not reproducible. Any
+// delta makes the command exit non-zero, so CI can assert that two
+// identical-seed runs reproduce exactly.
 func runDiff(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("runlens diff", flag.ContinueOnError)
 	fs.SetOutput(out)
@@ -122,40 +121,41 @@ func runDiff(args []string, out io.Writer) error {
 		fs.Usage()
 		return fmt.Errorf("want exactly two runs to compare, got %d", fs.NArg())
 	}
-	_, ms, probs, err := openArchive(*dir)
+	es, probs, err := openArchive(*dir)
 	if err != nil {
 		return err
 	}
 	printProblems(out, probs)
-	base, err := resolveRef(ms, fs.Arg(0))
+	baseEntry, err := resolveRef(es, fs.Arg(0))
 	if err != nil {
 		return err
 	}
-	cand, err := resolveRef(ms, fs.Arg(1))
+	candEntry, err := resolveRef(es, fs.Arg(1))
 	if err != nil {
 		return err
 	}
+	base, cand := baseEntry.Report, candEntry.Report
 	if !*quiet {
 		for _, side := range []struct {
 			tag string
-			m   archive.Manifest
-		}{{"base", base}, {"cand", cand}} {
-			rev := side.m.GitRev
-			if rev == "" {
-				rev = "-"
-			}
+			e   archive.Entry
+		}{{"base", baseEntry}, {"cand", candEntry}} {
 			fmt.Fprintf(out, "%s  %s  %s rev %s seed %d objective %.4f\n",
-				side.tag, side.m.RunID, side.m.Algorithm, rev, side.m.Seed, side.m.Objective)
+				side.tag, side.e.RunID, side.e.Report.Algorithm, rev(side.e), side.e.Report.Seed, side.e.Report.Objective)
 		}
 		if base.Seed != cand.Seed {
 			fmt.Fprintln(out, "note: seeds differ; counter deltas reflect the seed change, not necessarily a code change")
 		}
-		if !jsonEqual(base.Config, cand.Config) {
+		// Both config echoes were decoded from JSON, so they encode
+		// again without error and with their keys sorted.
+		bc, _ := json.Marshal(base.Config)
+		cc, _ := json.Marshal(cand.Config)
+		if !bytes.Equal(bc, cc) {
 			fmt.Fprintln(out, "note: configs differ; counter deltas reflect the config change")
 		}
 		fmt.Fprintln(out)
 	}
-	regressions, improvements := compareManifests(base, cand, *workThr)
+	regressions, improvements := compareReports(base, cand, *workThr)
 	writeDeltas := func(header string, ds []delta) {
 		if len(ds) == 0 {
 			return
@@ -190,11 +190,11 @@ type delta struct {
 	base, cand float64
 }
 
-// compareManifests diffs cand against base. Every counter counterValues
+// compareReports diffs cand against base. Every counter counterValues
 // yields is compared, so new counters join the diff as they join the
 // trend; a rise beyond threshold is a regression. Quality indices
 // present on both sides invert the sense: a drop is the regression.
-func compareManifests(base, cand archive.Manifest, threshold float64) (regressions, improvements []delta) {
+func compareReports(base, cand *obs.RunReport, threshold float64) (regressions, improvements []delta) {
 	classify := func(metric string, b, c float64, higherIsBetter bool) {
 		if b == 0 && c == 0 {
 			return
@@ -236,16 +236,6 @@ func sortedKeys(maps ...map[string]float64) []string {
 	return sortedNames(set)
 }
 
-func jsonEqual(a, b json.RawMessage) bool {
-	var av, bv any
-	if json.Unmarshal(a, &av) != nil || json.Unmarshal(b, &bv) != nil {
-		return string(a) == string(b)
-	}
-	ja, _ := json.Marshal(av)
-	jb, _ := json.Marshal(bv)
-	return string(ja) == string(jb)
-}
-
 // counterValues flattens a counter snapshot to (name, value) pairs via
 // its JSON encoding, so new counters join the trend without touching
 // this tool.
@@ -276,65 +266,69 @@ func runTrend(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	_, ms, probs, err := openArchive(*dir)
+	es, probs, err := openArchive(*dir)
 	if err != nil {
 		return err
 	}
 	printProblems(out, probs)
 	if *algo != "" {
-		kept := ms[:0]
-		for _, m := range ms {
-			if m.Algorithm == *algo {
-				kept = append(kept, m)
+		kept := es[:0]
+		for _, e := range es {
+			if e.Report.Algorithm == *algo {
+				kept = append(kept, e)
 			}
 		}
-		ms = kept
+		es = kept
 	}
-	if *last > 0 && len(ms) > *last {
-		ms = ms[len(ms)-*last:]
+	if *last > 0 && len(es) > *last {
+		es = es[len(es)-*last:]
 	}
-	if len(ms) == 0 {
+	if len(es) == 0 {
 		fmt.Fprintln(out, "archive holds no matching entries")
 		return nil
 	}
 
-	fmt.Fprintf(out, "== trend over %d archived run(s) ==\n", len(ms))
+	fmt.Fprintf(out, "== trend over %d archived run(s) ==\n", len(es))
 	fmt.Fprintf(out, "%-4s %-44s %-14s %12s\n", "run", "id", "algorithm", "objective")
-	for i, m := range ms {
-		fmt.Fprintf(out, "%-4d %-44s %-14s %12.4f\n", i, m.RunID, m.Algorithm, m.Objective)
+	for i, e := range es {
+		fmt.Fprintf(out, "%-4d %-44s %-14s %12.4f\n", i, e.RunID, e.Report.Algorithm, e.Report.Objective)
 	}
 	fmt.Fprintln(out)
 
 	// Collect every counter and phase name that appears anywhere, then
-	// print each one's value per run in a fixed, sorted order.
-	counters := make([]map[string]float64, len(ms))
+	// print each one's value per run in a fixed, sorted order. A phase
+	// that a run entered more than once counts with its summed seconds.
+	counters := make([]map[string]float64, len(es))
+	phases := make([]map[string]float64, len(es))
 	nameSet := map[string]bool{}
 	phaseSet := map[string]bool{}
-	for i, m := range ms {
-		counters[i] = counterValues(m.Counters)
+	for i, e := range es {
+		counters[i] = counterValues(e.Report.Counters)
 		for name := range counters[i] {
 			nameSet[name] = true
 		}
-		for name := range m.PhaseSeconds {
-			phaseSet[name] = true
+		phases[i] = map[string]float64{}
+		for _, p := range e.Report.Phases {
+			phases[i][p.Name] += p.Seconds
+			phaseSet[p.Name] = true
 		}
 	}
 	names := sortedNames(nameSet)
 	fmt.Fprintln(out, "== counters ==")
 	for _, name := range names {
-		row := make([]string, len(ms))
-		for i := range ms {
+		row := make([]string, len(es))
+		for i := range es {
 			row[i] = strconv.FormatFloat(counters[i][name], 'g', -1, 64)
 		}
 		fmt.Fprintf(out, "%-28s %s\n", name, strings.Join(row, "  "))
 	}
 	fmt.Fprintln(out)
-	if phases := sortedNames(phaseSet); len(phases) > 0 {
+	if phaseNames := sortedNames(phaseSet); len(phaseNames) > 0 {
 		fmt.Fprintln(out, "== phase seconds ==")
-		for _, name := range phases {
-			row := make([]string, len(ms))
-			for i, m := range ms {
-				row[i] = fmt.Sprintf("%.3f", m.PhaseSeconds[name])
+		for _, name := range phaseNames {
+			row := make([]string, len(es))
+			for i := range es {
+				row[i] = fmt.Sprintf("%.3f", phases[i][name])
 			}
 			fmt.Fprintf(out, "%-28s %s\n", name, strings.Join(row, "  "))
 		}
@@ -351,7 +345,7 @@ func runTrend(args []string, out io.Writer) error {
 	}
 	var moves []move
 	for _, name := range names {
-		for i := 1; i < len(ms); i++ {
+		for i := 1; i < len(es); i++ {
 			prev, cur := counters[i-1][name], counters[i][name]
 			if moved(prev, cur, *workThr) {
 				moves = append(moves, move{name: name, run: i, from: prev, to: cur})
@@ -377,7 +371,7 @@ func runTrend(args []string, out io.Writer) error {
 			marker = "  <- moved first"
 		}
 		fmt.Fprintf(out, "%-28s first moved at run %d (%s): %g -> %g%s\n",
-			mv.name, mv.run, ms[mv.run].RunID, mv.from, mv.to, marker)
+			mv.name, mv.run, es[mv.run].RunID, mv.from, mv.to, marker)
 	}
 	return nil
 }

@@ -35,12 +35,13 @@ func archiveOf(t *testing.T, counters []obs.Snapshot, objective, ari []float64) 
 			},
 			Objective: objective[i],
 			Counters:  c,
+			Quality:   map[string]float64{"ari": ari[i], "nmi": 0.8},
 		}
-		run := archive.FromReport(rep)
-		run.CreatedAt = time.Date(2026, 8, 8, 12, 0, i+1, 0, time.UTC)
-		run.GitRev = "abc1234"
-		run.Quality = map[string]float64{"ari": ari[i], "nmi": 0.8}
-		if _, err := st.SaveRun(run); err != nil {
+		if _, err := st.Save(archive.Entry{
+			CreatedAt: time.Date(2026, 8, 8, 12, 0, i+1, 0, time.UTC),
+			GitRev:    "abc1234",
+			Report:    rep,
+		}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -179,6 +180,54 @@ func TestDiffDetectsCounterAndQualityDeltas(t *testing.T) {
 				t.Errorf("diff flagged nondeterministic phase time:\n%s", out)
 			}
 		})
+	}
+}
+
+// TestDiffNotes checks the notes diff prints above its deltas: a pair
+// of entries that differ in seed and in config (k 5 against 4) prints
+// both, and the identical-seed twins print neither. The notes only
+// explain deltas, so an otherwise equal pair still diffs clean.
+func TestDiffNotes(t *testing.T) {
+	dir := buildArchive(t)
+	st, err := archive.Open(dir, archive.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Save(archive.Entry{
+		CreatedAt: time.Date(2026, 8, 8, 12, 0, 4, 0, time.UTC),
+		Report: &obs.RunReport{
+			Algorithm: "proclus",
+			Seed:      8,
+			Config:    map[string]int{"k": 4, "l": 3},
+			Objective: 13.0,
+			Counters:  obs.Snapshot{DistanceEvals: 2600, PointsScanned: 500},
+			Quality:   map[string]float64{"ari": 0.7, "nmi": 0.8},
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	const (
+		seedNote   = "note: seeds differ"
+		configNote = "note: configs differ"
+	)
+	for _, tc := range []struct {
+		base, cand string
+		notes      bool
+	}{
+		{"@1", "@0", true},  // seed 7, k 5 against seed 8, k 4
+		{"@3", "@2", false}, // the identical-seed twins
+	} {
+		var buf bytes.Buffer
+		if err := run([]string{"diff", "-archive", dir, tc.base, tc.cand}, &buf); err != nil {
+			t.Fatalf("%s %s: %v\n%s", tc.base, tc.cand, err, buf.String())
+		}
+		out := buf.String()
+		for _, note := range []string{seedNote, configNote} {
+			if strings.Contains(out, note) != tc.notes {
+				t.Errorf("%s %s: %q printed = %v, want %v:\n%s",
+					tc.base, tc.cand, note, !tc.notes, tc.notes, out)
+			}
+		}
 	}
 }
 

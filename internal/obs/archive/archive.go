@@ -2,24 +2,17 @@
 // stack: an append-only on-disk archive that accumulates completed
 // runs, so the system's observable unit becomes *runs over time*, not
 // one process lifetime. Each entry is a directory named by its run ID
-// holding a manifest (schema version, provenance, config echo, work
-// counters) plus the run's report and series snapshot as separate JSON
-// files.
+// holding one file: the run's report with the archive's provenance
+// (schema version, run ID, creation time, git revision).
 //
 // Layout:
 //
 //	<dir>/
-//	  index.json                 deterministic listing, regenerated on save
 //	  <run-id>/
-//	    manifest.json            always present; diff/trend need only this
-//	    report.json              full obs.RunReport
-//	    series.json              time-series snapshot, when recorded
+//	    run.json                 Entry: provenance plus the full obs.RunReport
 //
-// Entries written by older versions may also hold a metrics.json;
-// loading ignores it.
-//
-// Loading is corruption-tolerant: entries whose manifest is missing or
-// unparseable are skipped and reported, never fatal, so one truncated
+// Listing is corruption-tolerant: an entry whose run.json is missing or
+// unparseable is skipped and reported, never fatal, so one truncated
 // write cannot take the whole archive down. Saving is atomic (staged in
 // a temporary directory, renamed into place), and retention by count
 // garbage-collects the oldest entries.
@@ -37,88 +30,32 @@ import (
 	"time"
 
 	"proclus/internal/obs"
-	"proclus/internal/obs/series"
 )
 
-// SchemaVersion is stamped into every manifest; loaders reject entries
-// from a future schema rather than misread them.
-const SchemaVersion = 1
+// SchemaVersion is stamped into every entry; listing rejects entries
+// from a future schema rather than misread them. Entries from before
+// schema 2 hold no run.json: they list as problems and must be
+// re-recorded.
+const SchemaVersion = 2
 
-// File names inside an entry directory.
-const (
-	indexFile    = "index.json"
-	manifestFile = "manifest.json"
-	reportFile   = "report.json"
-	seriesFile   = "series.json"
-)
+// entryFile is the one file inside an entry directory.
+const entryFile = "run.json"
 
-// Manifest is the always-present summary of one archived entry. It
-// carries everything `runlens diff` and `runlens trend` compare —
-// deterministic work counters, per-phase seconds, quality indices — so
-// cross-run analysis never needs the (larger, optional) sibling files.
-type Manifest struct {
+// Entry is one archived run. The report carries everything runlens
+// compares (algorithm, seed, config echo, phases, counters, quality);
+// the entry adds only what the store and the recording checkout know.
+type Entry struct {
+	// Schema and RunID are stamped by Store.Save.
 	Schema int    `json:"schema"`
 	RunID  string `json:"run_id"`
-	// Algorithm names the producer ("proclus", "clique", …).
-	Algorithm string    `json:"algorithm,omitempty"`
+	// CreatedAt stamps the entry; the zero value means the time of the
+	// save.
 	CreatedAt time.Time `json:"created_at"`
-	// GitRev is the recording checkout's revision, when known.
+	// GitRev is the recording checkout's revision, when known; use
+	// GitRev() for best effort.
 	GitRev string `json:"git_rev,omitempty"`
-	// Seed is the effective random seed of the run.
-	Seed uint64 `json:"seed,omitempty"`
-	// Config echoes the effective configuration as recorded (the run
-	// report's config echo).
-	Config json.RawMessage `json:"config,omitempty"`
-	// Objective is the run's final quality measure.
-	Objective float64 `json:"objective,omitempty"`
-	// PhaseSeconds maps phase name to wall seconds.
-	PhaseSeconds map[string]float64 `json:"phase_seconds,omitempty"`
-	// Counters holds the deterministic hot-path work counters.
-	Counters obs.Snapshot `json:"counters"`
-	// Quality holds external evaluation indices (ari, nmi, purity) when
-	// the producing CLI computed them against ground-truth labels.
-	Quality map[string]float64 `json:"quality,omitempty"`
-}
-
-// Run bundles one completed run's artifacts for SaveRun. Report,
-// Series and Quality are optional.
-type Run struct {
-	Algorithm string
-	Seed      uint64
-	// Config is the JSON-safe effective configuration echo.
-	Config any
-	// CreatedAt stamps the entry; the zero value means time.Now().
-	CreatedAt time.Time
-	// GitRev is the recording revision; use GitRev() for best effort.
-	GitRev    string
-	Objective float64
-	Phases    map[string]float64
-	Counters  obs.Snapshot
-	Report    *obs.RunReport
-	Series    series.StoreSnapshot
-	Quality   map[string]float64
-}
-
-// FromReport builds a Run from a finished run report, the common case
-// for the CLIs: algorithm, seed, config echo, phases, counters and
-// series all come from the report itself.
-func FromReport(rep *obs.RunReport) Run {
-	r := Run{
-		Algorithm: rep.Algorithm,
-		Seed:      rep.Seed,
-		Config:    rep.Config,
-		Objective: rep.Objective,
-		Counters:  rep.Counters,
-		Report:    rep,
-		Series:    rep.Series,
-	}
-	if len(rep.Phases) > 0 {
-		r.Phases = make(map[string]float64, len(rep.Phases))
-		for _, p := range rep.Phases {
-			r.Phases[p.Name] += p.Seconds
-		}
-	}
-	return r
+	// Report is the run's report. Required.
+	Report *obs.RunReport `json:"report"`
 }
 
 // Options configures a store.
@@ -180,62 +117,41 @@ func (s *Store) newRunID(at time.Time, slug string) string {
 	}
 }
 
-// SaveRun archives one completed run and returns its run ID. The entry
-// is staged in a temporary directory and renamed into place, so a crash
-// mid-save leaves no half-written entry under a run ID.
-func (s *Store) SaveRun(run Run) (string, error) {
-	at := run.CreatedAt
-	if at.IsZero() {
-		at = time.Now()
+// Save archives one completed run and returns its run ID. The store
+// stamps Schema and RunID. The entry is staged in a temporary directory
+// and renamed into place, so a crash mid-save leaves no half-written
+// entry under a run ID, and an ID collision fails instead of
+// overwriting.
+func (s *Store) Save(e Entry) (string, error) {
+	if e.Report == nil {
+		return "", fmt.Errorf("archive: entry has no report")
 	}
-	m := Manifest{
-		Schema:       SchemaVersion,
-		Algorithm:    run.Algorithm,
-		CreatedAt:    at.UTC(),
-		GitRev:       run.GitRev,
-		Seed:         run.Seed,
-		Objective:    run.Objective,
-		PhaseSeconds: run.Phases,
-		Counters:     run.Counters,
-		Quality:      run.Quality,
+	if e.CreatedAt.IsZero() {
+		e.CreatedAt = time.Now()
 	}
-	if run.Config != nil {
-		raw, err := json.Marshal(run.Config)
-		if err != nil {
-			return "", fmt.Errorf("archive: encoding config echo: %w", err)
-		}
-		m.Config = raw
-	}
-	files := map[string]any{}
-	if run.Report != nil {
-		files[reportFile] = run.Report
-	}
-	if len(run.Series) > 0 {
-		files[seriesFile] = run.Series
-	}
+	e.CreatedAt = e.CreatedAt.UTC()
+	e.Schema = SchemaVersion
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m.RunID = s.newRunID(m.CreatedAt, run.Algorithm)
+	e.RunID = s.newRunID(e.CreatedAt, e.Report.Algorithm)
 
+	data, err := json.MarshalIndent(&e, "", "  ")
+	if err != nil {
+		return "", fmt.Errorf("archive: encoding run %s: %w", e.RunID, err)
+	}
 	tmp, err := os.MkdirTemp(s.dir, ".tmp-*")
 	if err != nil {
 		return "", err
 	}
 	defer os.RemoveAll(tmp)
-	files[manifestFile] = &m
-	for name, doc := range files {
-		if err := writeJSON(filepath.Join(tmp, name), doc); err != nil {
-			return "", err
-		}
-	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, m.RunID)); err != nil {
+	if err := os.WriteFile(filepath.Join(tmp, entryFile), append(data, '\n'), 0o644); err != nil {
 		return "", err
 	}
-	if err := s.gcLocked(); err != nil {
+	if err := os.Rename(tmp, filepath.Join(s.dir, e.RunID)); err != nil {
 		return "", err
 	}
-	return m.RunID, s.writeIndexLocked()
+	return e.RunID, s.gcLocked()
 }
 
 // Problem reports one archive entry that could not be loaded.
@@ -244,110 +160,63 @@ type Problem struct {
 	Err   string `json:"error"`
 }
 
-// List scans the archive directory and returns every readable manifest
+// List scans the archive directory and returns every readable entry
 // sorted by (creation time, run ID), plus a Problem per unreadable
-// entry. The directory scan — not the index file — is authoritative, so
-// a corrupt or missing index never hides valid entries.
-func (s *Store) List() ([]Manifest, []Problem, error) {
+// entry.
+func (s *Store) List() ([]Entry, []Problem, error) {
 	dirents, err := os.ReadDir(s.dir)
 	if err != nil {
 		return nil, nil, err
 	}
-	var ms []Manifest
+	var es []Entry
 	var probs []Problem
 	for _, de := range dirents {
 		if !de.IsDir() || strings.HasPrefix(de.Name(), ".") {
 			continue
 		}
-		m, err := readManifest(filepath.Join(s.dir, de.Name(), manifestFile))
+		e, err := readEntry(filepath.Join(s.dir, de.Name(), entryFile))
+		if err == nil && e.RunID != de.Name() {
+			err = fmt.Errorf("%s names run %q", entryFile, e.RunID)
+		}
 		if err != nil {
 			probs = append(probs, Problem{RunID: de.Name(), Err: err.Error()})
 			continue
 		}
-		if m.RunID != de.Name() {
-			probs = append(probs, Problem{RunID: de.Name(),
-				Err: fmt.Sprintf("manifest names run %q", m.RunID)})
-			continue
-		}
-		ms = append(ms, m)
+		es = append(es, e)
 	}
-	sortManifests(ms)
-	sort.Slice(probs, func(i, j int) bool { return probs[i].RunID < probs[j].RunID })
-	return ms, probs, nil
-}
-
-func sortManifests(ms []Manifest) {
-	sort.Slice(ms, func(i, j int) bool {
-		if !ms[i].CreatedAt.Equal(ms[j].CreatedAt) {
-			return ms[i].CreatedAt.Before(ms[j].CreatedAt)
+	sort.Slice(es, func(i, j int) bool {
+		if !es[i].CreatedAt.Equal(es[j].CreatedAt) {
+			return es[i].CreatedAt.Before(es[j].CreatedAt)
 		}
-		return ms[i].RunID < ms[j].RunID
+		return es[i].RunID < es[j].RunID
 	})
+	sort.Slice(probs, func(i, j int) bool { return probs[i].RunID < probs[j].RunID })
+	return es, probs, nil
 }
 
-func readManifest(path string) (Manifest, error) {
+func readEntry(path string) (Entry, error) {
 	data, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return Entry{}, fmt.Errorf("no %s: written before schema %d, or not an archive entry; re-record the run",
+			entryFile, SchemaVersion)
+	}
 	if err != nil {
-		return Manifest{}, err
+		return Entry{}, err
 	}
-	var m Manifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return Manifest{}, fmt.Errorf("%s: %w", path, err)
+	var e Entry
+	if err := json.Unmarshal(data, &e); err != nil {
+		return Entry{}, fmt.Errorf("%s: %w", path, err)
 	}
-	if m.Schema == 0 {
-		return Manifest{}, fmt.Errorf("%s: missing schema version", path)
+	switch {
+	case e.Schema == 0:
+		return Entry{}, fmt.Errorf("%s: missing schema version", path)
+	case e.Schema > SchemaVersion:
+		return Entry{}, fmt.Errorf("%s: schema v%d is newer than this tool (v%d)",
+			path, e.Schema, SchemaVersion)
+	case e.Report == nil:
+		return Entry{}, fmt.Errorf("%s: no report", path)
 	}
-	if m.Schema > SchemaVersion {
-		return Manifest{}, fmt.Errorf("%s: schema v%d is newer than this tool (v%d)",
-			path, m.Schema, SchemaVersion)
-	}
-	return m, nil
-}
-
-// Record is one fully loaded entry: the manifest plus whichever sibling
-// documents exist. Missing or unreadable optional files are reported in
-// Problems rather than failing the load.
-type Record struct {
-	Manifest Manifest             `json:"manifest"`
-	Report   *obs.RunReport       `json:"report,omitempty"`
-	Series   series.StoreSnapshot `json:"series,omitempty"`
-	Problems []string             `json:"problems,omitempty"`
-}
-
-// Load reads one entry by run ID. Only a missing or corrupt manifest is
-// fatal; other damage is reported in Record.Problems.
-func (s *Store) Load(id string) (*Record, error) {
-	if id != filepath.Base(id) || strings.HasPrefix(id, ".") {
-		return nil, fmt.Errorf("archive: invalid run ID %q", id)
-	}
-	dir := filepath.Join(s.dir, id)
-	m, err := readManifest(filepath.Join(dir, manifestFile))
-	if err != nil {
-		return nil, err
-	}
-	rec := &Record{Manifest: m}
-	load := func(name string, dst any, required bool) {
-		data, err := os.ReadFile(filepath.Join(dir, name))
-		if os.IsNotExist(err) {
-			if required {
-				rec.Problems = append(rec.Problems, name+": missing")
-			}
-			return
-		}
-		if err == nil {
-			err = json.Unmarshal(data, dst)
-		}
-		if err != nil {
-			rec.Problems = append(rec.Problems, fmt.Sprintf("%s: %v", name, err))
-		}
-	}
-	var rep obs.RunReport
-	load(reportFile, &rep, true)
-	if rep.Algorithm != "" {
-		rec.Report = &rep
-	}
-	load(seriesFile, &rec.Series, false)
-	return rec, nil
+	return e, nil
 }
 
 // gcLocked enforces the retention count: the oldest readable entries
@@ -357,95 +226,17 @@ func (s *Store) gcLocked() error {
 	if s.opts.Retain <= 0 {
 		return nil
 	}
-	ms, _, err := s.List()
+	es, _, err := s.List()
 	if err != nil {
 		return err
 	}
-	for len(ms) > s.opts.Retain {
-		if err := os.RemoveAll(filepath.Join(s.dir, ms[0].RunID)); err != nil {
+	for len(es) > s.opts.Retain {
+		if err := os.RemoveAll(filepath.Join(s.dir, es[0].RunID)); err != nil {
 			return err
 		}
-		ms = ms[1:]
+		es = es[1:]
 	}
 	return nil
-}
-
-// Index is the on-disk index document: a slim, deterministically
-// ordered listing regenerated after every save. Consumers inside this
-// repository scan the directory instead (List); the file exists for
-// external tooling and for at-a-glance inspection.
-type Index struct {
-	Schema int          `json:"schema"`
-	Runs   []IndexEntry `json:"runs"`
-}
-
-// IndexEntry is one index line.
-type IndexEntry struct {
-	RunID     string    `json:"run_id"`
-	Algorithm string    `json:"algorithm,omitempty"`
-	CreatedAt time.Time `json:"created_at"`
-	Seed      uint64    `json:"seed,omitempty"`
-	GitRev    string    `json:"git_rev,omitempty"`
-	Objective float64   `json:"objective,omitempty"`
-}
-
-func (s *Store) writeIndexLocked() error {
-	ms, _, err := s.List()
-	if err != nil {
-		return err
-	}
-	idx := Index{Schema: SchemaVersion, Runs: make([]IndexEntry, 0, len(ms))}
-	for _, m := range ms {
-		idx.Runs = append(idx.Runs, IndexEntry{
-			RunID: m.RunID, Algorithm: m.Algorithm,
-			CreatedAt: m.CreatedAt, Seed: m.Seed, GitRev: m.GitRev,
-			Objective: m.Objective,
-		})
-	}
-	// Atomic replace: external readers never observe a torn index.
-	tmp, err := os.CreateTemp(s.dir, ".index-*")
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(tmp)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(idx); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), filepath.Join(s.dir, indexFile))
-}
-
-// ReadIndex loads the on-disk index document.
-func ReadIndex(dir string) (*Index, error) {
-	data, err := os.ReadFile(filepath.Join(dir, indexFile))
-	if err != nil {
-		return nil, err
-	}
-	var idx Index
-	if err := json.Unmarshal(data, &idx); err != nil {
-		return nil, err
-	}
-	return &idx, nil
-}
-
-func writeJSON(path string, doc any) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // GitRev best-effort resolves the current checkout's short revision;

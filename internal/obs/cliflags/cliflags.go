@@ -51,7 +51,7 @@ type Flags struct {
 	// context (obtained via Session.Context) instead of only reporting.
 	StallCancel bool
 	// Archive is the -archive directory: an append-only run store that
-	// accumulates completed runs' manifests, reports and telemetry for
+	// accumulates completed runs' reports, one file per run, for
 	// cross-run analysis (runlens ls/diff/trend). Empty unless the
 	// owning CLI registered WithArchive.
 	Archive string
@@ -108,7 +108,7 @@ func Register(fs *flag.FlagSet, opts ...Option) *Flags {
 		fs.BoolVar(&f.StallCancel, "stall-cancel", false, "cancel the run on the first stall instead of only reporting it")
 	}
 	if o.archive {
-		fs.StringVar(&f.Archive, "archive", "", "append this run's report and telemetry to the run archive at this directory (inspect with runlens ls/diff/trend)")
+		fs.StringVar(&f.Archive, "archive", "", "append this run's report to the run archive at this directory (inspect with runlens ls/diff/trend)")
 		fs.IntVar(&f.ArchiveKeep, "archive-keep", 0, "retain only the newest N archive entries, deleting older ones after each save (0 keeps everything)")
 	}
 	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a CPU profile to this path")
@@ -233,17 +233,13 @@ func (s *Session) cancelInFlight() {
 }
 
 // ArchiveRun appends one completed run's report to the session's
-// archive, stamping the recording git revision and any quality indices
-// the CLI computed against ground-truth labels. Without -archive it is
+// archive, stamping the recording git revision. Without -archive it is
 // a no-op returning an empty ID, so CLIs call it unconditionally.
-func (s *Session) ArchiveRun(rep *obs.RunReport, quality map[string]float64) (string, error) {
+func (s *Session) ArchiveRun(rep *obs.RunReport) (string, error) {
 	if s == nil || s.Archive == nil || rep == nil {
 		return "", nil
 	}
-	run := archive.FromReport(rep)
-	run.GitRev = archive.GitRev()
-	run.Quality = quality
-	id, err := s.Archive.SaveRun(run)
+	id, err := s.Archive.Save(archive.Entry{GitRev: archive.GitRev(), Report: rep})
 	if err != nil {
 		return "", fmt.Errorf("archiving run: %w", err)
 	}

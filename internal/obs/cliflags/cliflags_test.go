@@ -205,21 +205,23 @@ func TestSessionArchive(t *testing.T) {
 		t.Fatal("-archive did not open a store")
 	}
 	rep := &obs.RunReport{Algorithm: "proclus", Seed: 7, Objective: 1.5,
-		Phases: []obs.PhaseReport{{Name: "iterate", Seconds: 0.1}}}
-	id, err := sess.ArchiveRun(rep, map[string]float64{"ari": 0.8})
+		Phases:  []obs.PhaseReport{{Name: "iterate", Seconds: 0.1}},
+		Quality: map[string]float64{"ari": 0.8}}
+	id, err := sess.ArchiveRun(rep)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if id == "" {
 		t.Fatal("ArchiveRun returned an empty ID with an archive attached")
 	}
-	rec, err := sess.Archive.Load(id)
-	if err != nil {
-		t.Fatal(err)
+	es, probs, err := sess.Archive.List()
+	if err != nil || len(probs) != 0 || len(es) != 1 || es[0].RunID != id {
+		t.Fatalf("archive lists %+v, problems %v (err %v), want only %s", es, probs, err, id)
 	}
-	if rec.Manifest.Seed != 7 || rec.Manifest.Quality["ari"] != 0.8 ||
-		rec.Manifest.PhaseSeconds["iterate"] != 0.1 {
-		t.Errorf("archived manifest = %+v", rec.Manifest)
+	got := es[0].Report
+	if got.Seed != 7 || got.Quality["ari"] != 0.8 ||
+		len(got.Phases) != 1 || got.Phases[0].Seconds != 0.1 {
+		t.Errorf("archived report = %+v", got)
 	}
 	// Without -archive the helper is a silent no-op.
 	plain, err := parse(t, nil).Start(io.Discard)
@@ -227,7 +229,7 @@ func TestSessionArchive(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer plain.Close()
-	if id, err := plain.ArchiveRun(rep, nil); id != "" || err != nil {
+	if id, err := plain.ArchiveRun(rep); id != "" || err != nil {
 		t.Errorf("ArchiveRun without -archive = (%q, %v), want no-op", id, err)
 	}
 }

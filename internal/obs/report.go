@@ -59,6 +59,10 @@ type RunReport struct {
 	Outliers int `json:"outliers,omitempty"`
 	// TotalSeconds sums the phase durations.
 	TotalSeconds float64 `json:"total_seconds"`
+	// Quality holds external evaluation indices (purity, ari, nmi,
+	// coverage) against ground-truth labels. Set by pcluster, which
+	// knows the labels; library reports leave it empty.
+	Quality map[string]float64 `json:"quality,omitempty"`
 }
 
 // DatasetInfo describes a report's input dataset.

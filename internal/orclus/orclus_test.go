@@ -597,6 +597,65 @@ func TestHandleOutliersOffKeepsEveryPoint(t *testing.T) {
 	}
 }
 
+// TestRunAllDuplicatePoints pins ORCLUS's documented result on points
+// that are all identical: every projected distance and every energy is
+// 0, so every tie goes to the lowest seed and every point lies on every
+// sphere of influence. Cluster 0 then holds every point, the other
+// clusters are empty, no point is an outlier and the total energy is 0,
+// with outlier handling off and on and for any worker count.
+func TestRunAllDuplicatePoints(t *testing.T) {
+	cases := []struct {
+		n, d, l int
+		seed    uint64
+		ks      []int
+	}{
+		{50, 3, 2, 8, []int{2}},
+		{300, 6, 3, 5, []int{1, 2, 3}},
+	}
+	for _, c := range cases {
+		ds := dataset.New(c.d)
+		pt := make([]float64, c.d)
+		for j := range pt {
+			pt[j] = 5
+		}
+		for i := 0; i < c.n; i++ {
+			ds.Append(pt)
+		}
+		for _, k := range c.ks {
+			for _, outliers := range []bool{false, true} {
+				for _, workers := range []int{1, 2} {
+					cfg := Config{K: k, L: c.l, Seed: c.seed, HandleOutliers: outliers, Workers: workers}
+					ctx := fmt.Sprintf("n=%d d=%d k=%d outliers=%v workers=%d", c.n, c.d, k, outliers, workers)
+					res, err := Run(ds, cfg)
+					if err != nil {
+						t.Fatalf("%s: %v", ctx, err)
+					}
+					if len(res.Clusters) != k {
+						t.Fatalf("%s: %d clusters", ctx, len(res.Clusters))
+					}
+					for i, cl := range res.Clusters {
+						want := 0
+						if i == 0 {
+							want = c.n
+						}
+						if len(cl.Members) != want {
+							t.Fatalf("%s: cluster %d holds %d points, want %d", ctx, i, len(cl.Members), want)
+						}
+					}
+					for i, a := range res.Assignments {
+						if a != 0 {
+							t.Fatalf("%s: point %d assigned to %d, want 0", ctx, i, a)
+						}
+					}
+					if res.TotalEnergy != 0 {
+						t.Fatalf("%s: total energy %v, want 0", ctx, res.TotalEnergy)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestTinyDataset(t *testing.T) {
 	ds, _ := dataset.FromRows([][]float64{
 		{0, 0}, {0.5, 0.5}, {10, 10}, {10.5, 10.5},

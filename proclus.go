@@ -202,38 +202,25 @@ func StartProfiles(cpuPath, memPath string) (stop func() error, err error) {
 }
 
 // RunArchive is the append-only on-disk run store: each saved run
-// becomes a directory holding a manifest plus the run's report and
-// series snapshot. Loading is corruption-tolerant and retention by
-// count garbage-collects the oldest entries. Inspect an archive with `runlens ls/diff/trend`.
+// becomes a directory holding one file, the run's report with its
+// provenance. Listing is corruption-tolerant and retention by count
+// garbage-collects the oldest entries. Inspect an archive with `runlens ls/diff/trend`.
 type RunArchive = archive.Store
 
 // RunArchiveOptions configures OpenRunArchive (retention by count).
 type RunArchiveOptions = archive.Options
 
-// ArchiveManifest is the always-present summary of one archived entry:
-// provenance (run ID, git revision, seed, config echo), deterministic
-// work counters, per-phase seconds and quality indices.
-type ArchiveManifest = archive.Manifest
-
-// ArchiveRecord is one loaded archive entry: its manifest plus
-// whichever sibling artifacts (report, series) were recorded
-// and still parse.
-type ArchiveRecord = archive.Record
-
-// ArchivedRun bundles one completed run's artifacts for
-// RunArchive.SaveRun; build one from a report with ArchiveFromReport.
-type ArchivedRun = archive.Run
+// ArchiveEntry is one archived run: the run report plus its provenance
+// (the schema and run ID the store stamps, the creation time and the
+// git revision). Save one with RunArchive.Save; RunArchive.List reads
+// them back.
+type ArchiveEntry = archive.Entry
 
 // OpenRunArchive opens (creating if needed) the run archive rooted at
 // dir.
 func OpenRunArchive(dir string, opts RunArchiveOptions) (*RunArchive, error) {
 	return archive.Open(dir, opts)
 }
-
-// ArchiveFromReport builds an ArchivedRun from a finished run report:
-// algorithm, seed, config echo, phases, counters and series all come
-// from the report itself.
-func ArchiveFromReport(rep *RunReport) ArchivedRun { return archive.FromReport(rep) }
 
 // Run executes PROCLUS on ds.
 func Run(ds *Dataset, cfg Config) (*Result, error) { return core.Run(ds, cfg) }

@@ -260,30 +260,28 @@ func TestPublicAPIRunArchive(t *testing.T) {
 		} else if res.Stats.Counters != firstCounters {
 			t.Fatal("identical-seed runs diverged")
 		}
-		run := proclus.ArchiveFromReport(res.Report())
-		if _, err := store.SaveRun(run); err != nil {
+		if _, err := store.Save(proclus.ArchiveEntry{Report: res.Report()}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	manifests, problems, err := store.List()
+	entries, problems, err := store.List()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(problems) != 0 {
 		t.Fatalf("problems loading a freshly written archive: %v", problems)
 	}
-	if len(manifests) != 2 {
-		t.Fatalf("archived runs: %d, want 2", len(manifests))
+	if len(entries) != 2 {
+		t.Fatalf("archived runs: %d, want 2", len(entries))
 	}
-	for _, m := range manifests {
-		if m.Algorithm != "proclus" || m.Seed != 7 {
-			t.Fatalf("manifest round-trip: %+v", m)
+	for _, e := range entries {
+		if e.Schema != 2 || e.RunID == "" || e.CreatedAt.IsZero() {
+			t.Fatalf("entry provenance: %+v", e)
 		}
-		rec, err := store.Load(m.RunID)
-		if err != nil {
-			t.Fatal(err)
+		if e.Report.Algorithm != "proclus" || e.Report.Seed != 7 {
+			t.Fatalf("report round-trip: %+v", e.Report)
 		}
-		if rec.Report == nil || rec.Report.Counters != firstCounters {
+		if e.Report.Counters != firstCounters {
 			t.Fatal("archived report lost the run's counters")
 		}
 	}
