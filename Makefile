@@ -31,11 +31,14 @@ vet:
 # 32-bit int. 386 binaries run on a linux/amd64 host, so it also tests
 # the packages whose code depends on the word size or the architecture:
 # internal/dataset (the binary header's point limit) and internal/dist
-# (the kernels' plain-Go twins). It needs no arm64 host.
+# (the kernels' plain-Go twins). The output digests and the streamed
+# equivalence suites then check that PROCLUS, CLIQUE and k-medoids give
+# the same bits on the twins as on the assembly. It needs no arm64 host.
 build-cross:
 	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./...
 	GOARCH=386 $(GO) build ./... && GOARCH=386 $(GO) vet ./...
 	GOARCH=386 $(GO) test ./internal/dataset/ ./internal/dist/
+	GOARCH=386 $(GO) test -run 'TestOutputDigests|TestStreamingInMemoryEquivalence' ./internal/core/ ./internal/clique/ ./internal/medoid/
 
 # staticcheck is optional locally (CI installs a pinned version); skip
 # with a notice rather than fail when the binary is absent.
@@ -66,7 +69,7 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Short coverage-guided fuzz runs over the binary reader, the block
-# scanner, the bounded distance kernels the benchmark ledger replays,
+# reader, the bounded distance kernels the benchmark ledger replays,
 # the batch distance kernels (assembly against their plain-Go twins)
 # and the confusion matrix. The checked-in corpora under */testdata/fuzz
 # replay on every plain `go test`; this target additionally mutates for

@@ -433,7 +433,7 @@ func (s *searcher) eachBlock(name string, fn func(b *dataset.Block) error) error
 		bs = s.series.blocks(name)
 	}
 	block := 0
-	return s.src.Blocks(s.ctx, func(b *dataset.Block) error {
+	return s.src.Pass(s.ctx, 1, nil, func(b *dataset.Block) error {
 		if s.stream {
 			s.counters.StreamBlocks.Add(1)
 			s.counters.StreamBytes.Add(b.Bytes())

@@ -19,10 +19,13 @@ type PointSource interface {
 	Len() int
 	// Dims returns the dimensionality of the points.
 	Dims() int
-	// Blocks calls fn for consecutive blocks covering the points in
-	// index order; the *dataset.Block passed to fn is only valid during
-	// the call. A non-nil ctx cancels the pass between blocks.
-	Blocks(ctx context.Context, fn func(*dataset.Block) error) error
+	// Pass sweeps the points once in contiguous blocks, as
+	// core.PointSource's Pass does: work, when non-nil, on up to workers
+	// goroutines, then fold on the calling goroutine in index order.
+	// CLIQUE's passes run fold alone, at one worker: each block is only
+	// valid during its fold, and a non-nil ctx cancels the pass between
+	// blocks.
+	Pass(ctx context.Context, workers int, work, fold func(*dataset.Block) error) error
 }
 
 var (

@@ -152,13 +152,13 @@ type cancelAfterBlocks struct {
 	seen   int
 }
 
-func (c *cancelAfterBlocks) Blocks(ctx context.Context, fn func(*dataset.Block) error) error {
-	return c.PointSource.Blocks(ctx, func(b *dataset.Block) error {
+func (c *cancelAfterBlocks) Pass(ctx context.Context, workers int, work, fold func(*dataset.Block) error) error {
+	return c.PointSource.Pass(ctx, workers, work, func(b *dataset.Block) error {
 		c.seen++
 		if c.seen == c.after {
 			c.cancel()
 		}
-		return fn(b)
+		return fold(b)
 	})
 }
 

@@ -140,9 +140,11 @@ func (r *runner) run() (*Result, error) {
 	r.stats.Counters = r.counters.Snapshot()
 	r.stats.Series = r.cfg.Series.Snapshot()
 	res.Stats = r.stats
-	r.emit(obs.Event{Type: obs.EvRunEnd, Objective: res.Objective,
-		Clusters: len(res.Clusters), Outliers: res.NumOutliers(),
-		Iteration: totalIterations, Seconds: time.Since(runStart).Seconds()})
+	if r.obs != nil { // NumOutliers scans every assignment
+		r.emit(obs.Event{Type: obs.EvRunEnd, Objective: res.Objective,
+			Clusters: len(res.Clusters), Outliers: res.NumOutliers(),
+			Iteration: totalIterations, Seconds: time.Since(runStart).Seconds()})
+	}
 	return res, nil
 }
 
@@ -738,24 +740,37 @@ func (r *runner) sphereRadii(medoidPoints [][]float64, dims [][]int) []float64 {
 // is folded into every point's running minimum and sphere test at once,
 // so each point still meets the medoids in order. The columns and the
 // running state live on the stack: the pass allocates nothing.
+//
+// The fold compares bits, as the assignment pass's argmin does: a
+// segmental distance between finite coordinates is +0, positive or
+// +Inf, and read as unsigned integers the bits of those order as their
+// values do, so b < best is v < best and b <= bits(Δ_m) is v <= Δ_m for
+// any radius that is +0, positive or +Inf. The integer compares
+// compile to conditional moves where the float compares' branches
+// mispredict.
 func refineRows(rows []float64, d int, medoids [][]float64, dims [][]int, delta []float64, out []int) {
-	var seg, best [assignTile]float64
+	var seg [assignTile]float64
+	var best [assignTile]uint64
 	var inside [assignTile]bool
 	for t0 := 0; t0 < len(out); t0 += assignTile {
 		t1 := min(t0+assignTile, len(out))
 		o, col := out[t0:t1], seg[:t1-t0]
 		for q := range o {
-			o[q], best[q], inside[q] = 0, math.Inf(1), false
+			o[q], best[q], inside[q] = 0, math.Float64bits(math.Inf(1)), false
 		}
 		for m, mp := range medoids {
 			dist.SegmentalRows(col, rows[t0*d:t1*d], d, nil, dims[m], mp)
+			radius := math.Float64bits(delta[m])
 			for q, v := range col {
-				if !inside[q] && v <= delta[m] {
-					inside[q] = true
+				b := math.Float64bits(v)
+				in, bq, oq := inside[q], best[q], o[q]
+				if b <= radius {
+					in = true
 				}
-				if v < best[q] {
-					o[q], best[q] = m, v
+				if b < bq {
+					bq, oq = b, m
 				}
+				inside[q], best[q], o[q] = in, bq, oq
 			}
 		}
 		for q := range o {
@@ -811,15 +826,22 @@ func (r *runner) packageResult(medoids []int, dims [][]int, assign []int) *Resul
 // assign gives cluster i, so each list is allocated once at its exact
 // length. An empty cluster keeps a nil list.
 func clusterMembers(assign, sizes []int) [][]int {
+	members := newMembers(sizes)
+	for p, a := range assign {
+		if a != OutlierID {
+			members[a] = append(members[a], p)
+		}
+	}
+	return members
+}
+
+// newMembers allocates each cluster's member list empty, at capacity
+// sizes[i]; an empty cluster keeps a nil list.
+func newMembers(sizes []int) [][]int {
 	members := make([][]int, len(sizes))
 	for i, size := range sizes {
 		if size > 0 {
 			members[i] = make([]int, 0, size)
-		}
-	}
-	for p, a := range assign {
-		if a != OutlierID {
-			members[a] = append(members[a], p)
 		}
 	}
 	return members

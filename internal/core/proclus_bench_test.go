@@ -55,10 +55,10 @@ func BenchmarkProclusRun(b *testing.B) {
 }
 
 // BenchmarkRunStream is a whole streamed PROCLUS fit over a FileSource
-// on a 200,000-point file of the case1 shape, at one and two workers:
-// the sample read, the hill climb on the sample and the two block
-// passes of refinement, with the file in the page cache after the
-// first fit.
+// on a 200,000-point file of the case1 shape, at one, two and four
+// workers: the sample read, the hill climb on the sample and the two
+// block passes of refinement, with the file in the page cache after
+// the first fit.
 //
 //	go test -run xxx -bench BenchmarkRunStream -benchtime 5x ./internal/core/
 func BenchmarkRunStream(b *testing.B) {
@@ -74,7 +74,7 @@ func BenchmarkRunStream(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, workers := range []int{1, 2} {
+	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("case1/workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

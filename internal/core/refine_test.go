@@ -73,6 +73,42 @@ func refineCase(rng *randx.Rand, n, d, k int) (rows []float64, medoids [][]float
 	return rows, medoids, dims, radii, grid
 }
 
+// edgeValues are coordinates whose segmental distances take the values
+// at the ends of the float64 range: equal coordinates give +0, the
+// subnormal steps give subnormal distances (or +0 once averaged over
+// several dimensions), and ±1e308 give +Inf, as their difference
+// overflows.
+var edgeValues = []float64{0, math.SmallestNonzeroFloat64, 3 * math.SmallestNonzeroFloat64, 1e-310, 1, 1e308, -1e308}
+
+// edgeCase is refineCase over edgeValues: rows, medoids among them,
+// random dimension sets, and the medoids' true spheres of influence,
+// which take the same edge values. grid draws each radius from +0, a
+// subnormal, 1 and +Inf.
+func edgeCase(rng *randx.Rand, n, d, k int) (rows []float64, medoids [][]float64, dims [][]int, radii, grid []float64) {
+	rows = make([]float64, n*d)
+	for i := range rows {
+		rows[i] = edgeValues[rng.Intn(len(edgeValues))]
+	}
+	medoids = make([][]float64, k)
+	dims = make([][]int, k)
+	for m := range medoids {
+		medoids[m] = rows[rng.Intn(n)*d:][:d]
+		dims[m] = rng.Perm(d)[:1+rng.Intn(d)]
+	}
+	radii = make([]float64, k)
+	grid = make([]float64, k)
+	for i := range radii {
+		radii[i] = math.Inf(1)
+		for j := range medoids {
+			if i != j {
+				radii[i] = math.Min(radii[i], dist.Segmental(medoids[i], medoids[j], dims[i]))
+			}
+		}
+		grid[i] = []float64{0, math.SmallestNonzeroFloat64, 1, math.Inf(1)}[rng.Intn(4)]
+	}
+	return rows, medoids, dims, radii, grid
+}
+
 // checkRefine refines rows whole and in uneven row ranges with each set
 // of radii, and compares every point with the two-step rule. It returns
 // the number of outliers the rule flagged.
@@ -109,9 +145,11 @@ func checkRefine(t *testing.T, rng *randx.Rand, name string, rows []float64, d i
 // radius; the radii are the medoids' true spheres of influence, values
 // drawn from the same grid, or +Inf, which flags no outlier. Each point
 // set is refined whole and in uneven row ranges, which must not change
-// a decision. The last cases run 2·assignTile + 37 points with up to 13
+// a decision. The tile cases run 2·assignTile + 37 points with up to 13
 // medoids, so the kernel's tiles end inside the points and the final
-// tile is partial.
+// tile is partial. The edge cases draw coordinates from edgeValues, so
+// distances are +0, subnormal or +Inf, with radii of +0, a subnormal,
+// 1, +Inf and the true spheres.
 func TestRefineRowsMatchesReference(t *testing.T) {
 	rng := randx.New(5)
 	outliers := 0
@@ -129,5 +167,34 @@ func TestRefineRowsMatchesReference(t *testing.T) {
 	}
 	if outliers == 0 {
 		t.Error("no point fell outside every sphere: the outlier rule went untested")
+	}
+
+	// Distances and radii at the ends of the range: refineRows compares
+	// the bits of each distance, which must order as the float compare
+	// does for +0, subnormal, normal and +Inf values alike.
+	seen := map[string]bool{}
+	for trial := 0; trial < 60; trial++ {
+		d, k := 1+rng.Intn(4), 1+rng.Intn(6)
+		rows, medoids, dims, radii, grid := edgeCase(rng, 2*assignTile+37, d, k)
+		for m := range medoids {
+			for p := 0; p < len(rows)/d; p++ {
+				switch v := dist.Segmental(rows[p*d:(p+1)*d], medoids[m], dims[m]); {
+				case v == 0:
+					seen["+0"] = true
+				case v < 0x1p-1022:
+					seen["subnormal"] = true
+				case math.IsInf(v, 1):
+					seen["+Inf"] = true
+				}
+			}
+		}
+		zero := make([]float64, k)
+		checkRefine(t, rng, fmt.Sprintf("edges %d d=%d k=%d", trial, d, k), rows, d, medoids, dims,
+			map[string][]float64{"radii": radii, "grid": grid, "zero": zero, "inf": infRadii(k)})
+	}
+	for _, kind := range []string{"+0", "subnormal", "+Inf"} {
+		if !seen[kind] {
+			t.Errorf("no %s distance arose: the edge cases went untested", kind)
+		}
 	}
 }

@@ -16,10 +16,10 @@ import (
 
 // RunStream executes PROCLUS against a PointSource in bounded memory:
 // only the A·K-point initialization sample plus the source's block
-// buffers are ever resident, never the full point matrix. This is the
-// paper's own execution model (§3: every full-data stage is a single
-// pass over disk-resident data, while the hill climb works on the
-// in-memory sample):
+// buffers (two per worker) are ever resident, never the full point
+// matrix. This is the paper's own execution model (§3: every full-data
+// stage is a single pass over disk-resident data, while the hill climb
+// works on the in-memory sample):
 //
 //  1. The random sample is read by position (PointSource.ReadPoints),
 //     not in a pass; greedy farthest-first thins it to the candidate
@@ -28,10 +28,12 @@ import (
 //     localities, dimension selection, assignment and objective are
 //     computed over sample points only.
 //  3. Refinement recomputes dimensions from the best sample clustering.
-//     Then two block passes sweep the source: the first assigns every
-//     point and flags outliers with the same rule as Run's refinement
-//     while accumulating cluster centroids, the second scores the final
-//     partition.
+//     Then two block passes sweep the source, each on all Workers: the
+//     first assigns every point and flags outliers with the same rule
+//     as Run's refinement while accumulating cluster centroids, the
+//     second scores the final partition. In both, the workers do the
+//     per-point work of whole blocks, and the floating-point sums are
+//     folded one block at a time in point order.
 //
 // The Result is a deterministic function of the point data and cfg
 // alone: any two sources presenting the same points — a MemorySource, a
@@ -42,9 +44,9 @@ import (
 // dataset, as do Assignments and Members.
 //
 // The context cancels before the sample read, between hill-climb
-// trials, between the blocks of both passes and, in the assign pass,
-// between chunks within a block. Stats gains stream counters (blocks,
-// bytes), in which the sample read counts as one block.
+// trials, and between the blocks of both passes. Stats gains stream
+// counters (blocks, bytes), in which the sample read counts as one
+// block.
 func RunStream(ctx context.Context, src PointSource, cfg Config) (*Result, error) {
 	if src == nil {
 		return nil, fmt.Errorf("proclus: nil point source")
@@ -75,25 +77,40 @@ type streamRunner struct {
 	sampleIdx   []int
 }
 
-// pass sweeps the source once under a pass name, crediting the stream
-// counters.
-// With an observer or series store attached, each block is also timed
-// and reported (EvBlock events, per-block latency/throughput series);
-// without either, the timing is skipped entirely.
-func (s *streamRunner) pass(name string, fn func(b *dataset.Block) error) error {
+// pass sweeps the source once under a pass name on the run's workers:
+// work runs on each block on one of them, and fold then runs on each
+// block on this goroutine, one block at a time in point order. The
+// stream counters are credited from fold. With an observer or series
+// store attached, each block is also reported from its fold, so in
+// block order (EvBlock events, per-block latency/throughput series),
+// timed as its work plus its fold; without either, the timing is
+// skipped entirely.
+func (s *streamRunner) pass(name string, work, fold func(b *dataset.Block) error) error {
+	workers := s.r.innerWorkers
 	instrumented := s.r.obs != nil || s.r.series != nil
 	bs := s.r.series.blocks(name)
 	block := 0
-	return s.src.Blocks(s.r.ctx, func(b *dataset.Block) error {
+	var workSecs []float64 // by slot
+	if instrumented {
+		workSecs = make([]float64, 2*workers)
+		untimed := work
+		work = func(b *dataset.Block) error {
+			start := time.Now()
+			err := untimed(b)
+			workSecs[b.Slot()] = time.Since(start).Seconds()
+			return err
+		}
+	}
+	return s.src.Pass(s.r.ctx, workers, work, func(b *dataset.Block) error {
 		s.r.counters.StreamBlocks.Add(1)
 		s.r.counters.StreamBytes.Add(b.Bytes())
 		if !instrumented {
-			return fn(b)
+			return fold(b)
 		}
 		block++
 		start := time.Now()
-		err := fn(b)
-		secs := time.Since(start).Seconds()
+		err := fold(b)
+		secs := workSecs[b.Slot()] + time.Since(start).Seconds()
 		bs.record(block, b.Len(), secs)
 		s.r.emit(obs.Event{Type: obs.EvBlock, Phase: name,
 			Block: block, Points: b.Len(), Seconds: secs})
@@ -163,9 +180,11 @@ func (s *streamRunner) run() (*Result, error) {
 	r.stats.Counters = r.counters.Snapshot()
 	r.stats.Series = r.cfg.Series.Snapshot()
 	res.Stats = r.stats
-	r.emit(obs.Event{Type: obs.EvRunEnd, Objective: res.Objective,
-		Clusters: len(res.Clusters), Outliers: res.NumOutliers(),
-		Iteration: totalIterations, Seconds: time.Since(runStart).Seconds()})
+	if r.obs != nil { // NumOutliers scans every assignment
+		r.emit(obs.Event{Type: obs.EvRunEnd, Objective: res.Objective,
+			Clusters: len(res.Clusters), Outliers: res.NumOutliers(),
+			Iteration: totalIterations, Seconds: time.Since(runStart).Seconds()})
+	}
 	return res, nil
 }
 
@@ -219,11 +238,14 @@ func (s *streamRunner) initialize() ([]int, error) {
 // pass assigning every point and flagging outliers while the cluster
 // centroids accumulate, and one more pass scoring the final partition.
 //
-// Worker- and block-size-invariance: within a block, the assignment and
-// outlier decisions are data-parallel integer writes to disjoint
-// assign slots; every floating-point accumulation (centroid sums,
-// deviations) runs serially in global point order, because blocks
-// arrive in order and the serial loops walk each block in order.
+// Worker- and block-size-invariance: the assignment and outlier
+// decisions, and each point's deviation term, depend on that point's
+// coordinates alone; the workers write them to disjoint slots. Every
+// floating-point sum (each centroid coordinate, each cluster's
+// deviations) runs in a pass's fold, which takes the blocks one at a
+// time in point order and walks each block in order, so each sum gets
+// the same terms in the same order for any source, block size and
+// worker count.
 func (s *streamRunner) refine(best *trialState) (*Result, error) {
 	r := s.r
 	k := len(best.medoids)
@@ -251,24 +273,14 @@ func (s *streamRunner) refine(best *trialState) (*Result, error) {
 	}
 	sizes := make([]int, k)
 
-	// Pass A: per-point nearest medoid and outlier flag (parallel within
-	// the block, in several chunks per worker so the block reader's
-	// goroutine cannot hold one worker's share back), then centroid
-	// accumulation (serial, in point order). The per-point decisions
-	// depend on coordinate values only, never on block or chunk
-	// boundaries, so assignments stay block-size and worker-count
-	// invariant.
+	// Pass A: each block's nearest medoids and outlier flags, on every
+	// worker, then the centroid sums, folded in point order.
 	err := s.pass("assign", func(b *dataset.Block) error {
-		bn := b.Len()
-		out := assign[b.Start() : b.Start()+bn]
-		err := parallel.ForContext(r.ctx, bn, r.innerWorkers, func(lo, hi int) {
-			refineRows(b.Rows(lo, hi), d, medoidPoints, dims, delta, out[lo:hi])
-			r.creditRefined(hi-lo, dims)
-		})
-		if err != nil {
-			return err
-		}
-		for i, a := range out {
+		refineRows(b.Rows(0, b.Len()), d, medoidPoints, dims, delta, assign[b.Start():b.Start()+b.Len()])
+		r.creditRefined(b.Len(), dims)
+		return nil
+	}, func(b *dataset.Block) error {
+		for i, a := range assign[b.Start() : b.Start()+b.Len()] {
 			if a == OutlierID {
 				continue
 			}
@@ -298,16 +310,34 @@ func (s *streamRunner) refine(best *trialState) (*Result, error) {
 		}
 	}
 
-	// Pass B: the final quality measure over the refined partition,
-	// accumulated per cluster in global point order.
+	// Pass B: the final quality measure over the refined partition. Each
+	// point's deviation term is computed on every worker into its
+	// block's slot of terms; the fold adds the terms to their cluster's
+	// sum in point order and lists the members.
 	devs := make([]float64, k)
+	members := newMembers(sizes)
+	terms := make([][]float64, 2*r.innerWorkers) // by block slot
 	err = s.pass("score", func(b *dataset.Block) error {
-		for i := 0; i < b.Len(); i++ {
-			if a := assign[b.Index(i)]; a != OutlierID {
-				devs[a] += dist.Segmental(b.Point(i), centroids[a], dims[a])
+		t := terms[b.Slot()]
+		if len(t) < b.Len() {
+			t = make([]float64, b.Len())
+			terms[b.Slot()] = t
+		}
+		for i, a := range assign[b.Start() : b.Start()+b.Len()] {
+			if a != OutlierID {
+				t[i] = dist.Segmental(b.Point(i), centroids[a], dims[a])
 			}
 		}
 		r.counters.PointsScanned.Add(int64(b.Len()))
+		return nil
+	}, func(b *dataset.Block) error {
+		t := terms[b.Slot()]
+		for i, a := range assign[b.Start() : b.Start()+b.Len()] {
+			if a != OutlierID {
+				devs[a] += t[i]
+				members[a] = append(members[a], b.Start()+i)
+			}
+		}
 		return nil
 	})
 	if err != nil {
@@ -323,7 +353,6 @@ func (s *streamRunner) refine(best *trialState) (*Result, error) {
 		objective = total / float64(points)
 	}
 
-	members := clusterMembers(assign, sizes)
 	res := &Result{
 		Clusters:    make([]Cluster, k),
 		Assignments: assign,

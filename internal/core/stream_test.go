@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"proclus/internal/dataset"
+	"proclus/internal/obs/obstest"
 	"proclus/internal/synth"
 )
 
@@ -78,7 +79,7 @@ func TestStreamingInMemoryEquivalence(t *testing.T) {
 		"naive-manhat": {K: 3, L: 4, Seed: 5},
 	}
 	blockSizes := []int{1, 19, 256, n}
-	workerCounts := []int{1, 4}
+	workerCounts := []int{1, 2, 4, 7}
 
 	for name, cfg := range configs {
 		t.Run(name, func(t *testing.T) {
@@ -167,42 +168,111 @@ type cancellingSource struct {
 	seen   int
 }
 
-func (c *cancellingSource) Blocks(ctx context.Context, fn func(*dataset.Block) error) error {
-	return c.PointSource.Blocks(ctx, func(b *dataset.Block) error {
+func (c *cancellingSource) Pass(ctx context.Context, workers int, work, fold func(*dataset.Block) error) error {
+	return c.PointSource.Pass(ctx, workers, work, func(b *dataset.Block) error {
 		c.seen++
 		if c.seen == c.after {
 			c.cancel()
 		}
-		return fn(b)
+		return fold(b)
 	})
 }
 
+// TestStreamCancellationMidPass cancels a streamed fit from the fold of
+// its third block, at one worker and at four: the fit must return
+// context.Canceled and no result, and no block reader may outlive it.
 func TestStreamCancellationMidPass(t *testing.T) {
 	ds := streamEquivalenceData(t)
 	path := streamTestFile(t, ds)
-	base := runtime.NumGoroutine()
-	fs, err := dataset.OpenFileSource(path, 64)
+	for _, workers := range []int{1, 4} {
+		base := obstest.Goroutines()
+		fs, err := dataset.OpenFileSource(path, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		src := &cancellingSource{PointSource: fs, after: 3, cancel: cancel}
+		res, err := RunStream(ctx, src, Config{K: 3, L: 3, Seed: 13, Workers: workers})
+		cancel()
+		if res != nil {
+			t.Fatalf("workers=%d: cancelled run returned a result", workers)
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: cancelled run returned %v, want context.Canceled", workers, err)
+		}
+		obstest.Settle(t, base)
+	}
+}
+
+// truncatingSource wraps a FileSource and cuts its file down to the
+// header and one point from the fold of the pass's first block, so the
+// block reads still ahead of the fold come up short.
+type truncatingSource struct {
+	*dataset.FileSource
+	t *testing.T
+}
+
+func (c *truncatingSource) Pass(ctx context.Context, workers int, work, fold func(*dataset.Block) error) error {
+	first := true
+	return c.FileSource.Pass(ctx, workers, work, func(b *dataset.Block) error {
+		if first {
+			first = false
+			const header = 21 // bytes before the data section
+			if err := os.Truncate(c.Path(), header+int64(c.Dims())*8); err != nil {
+				c.t.Error(err)
+			}
+		}
+		return fold(b)
+	})
+}
+
+// TestStreamTruncatedFileFails cuts the data file short after
+// OpenFileSource, once before the fit starts and once from inside its
+// first block pass. At every worker count the fit must return an
+// error, not hang, and leave no goroutine behind.
+func TestStreamTruncatedFileFails(t *testing.T) {
+	ds := streamEquivalenceData(t)
+	raw, err := os.ReadFile(streamTestFile(t, ds))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	src := &cancellingSource{PointSource: fs, after: 3, cancel: cancel}
-	res, err := RunStream(ctx, src, Config{K: 3, L: 3, Seed: 13})
-	if res != nil {
-		t.Fatal("cancelled run returned a result")
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
-	}
-	// The block reader goroutine must not outlive the aborted pass.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if g := runtime.NumGoroutine(); g > base {
-		buf := make([]byte, 1<<16)
-		t.Fatalf("goroutines never settled to %d (now %d):\n%s", base, g, buf[:runtime.Stack(buf, true)])
+	path := filepath.Join(t.TempDir(), "cut.bin")
+	for _, workers := range []int{1, 2, 7} {
+		for _, midPass := range []bool{false, true} {
+			base := obstest.Goroutines()
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			fs, err := dataset.OpenFileSource(path, 19)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var src PointSource = fs
+			if midPass {
+				src = &truncatingSource{FileSource: fs, t: t}
+			} else if err := os.Truncate(path, int64(len(raw))/2); err != nil {
+				t.Fatal(err)
+			}
+			type outcome struct {
+				res *Result
+				err error
+			}
+			done := make(chan outcome, 1)
+			go func() {
+				res, err := RunStream(context.Background(), src, Config{K: 3, L: 3, Seed: 13, Workers: workers})
+				done <- outcome{res, err}
+			}()
+			select {
+			case o := <-done:
+				if o.res != nil || o.err == nil {
+					t.Fatalf("workers=%d midPass=%v: fit over a truncated file returned (%v, %v), want an error",
+						workers, midPass, o.res, o.err)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatalf("workers=%d midPass=%v: fit over a truncated file did not return", workers, midPass)
+			}
+			obstest.Settle(t, base)
+		}
 	}
 }
 
@@ -253,34 +323,37 @@ func TestStreamResidencyBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	res, err := RunStream(context.Background(), src, Config{K: k, L: 5, Seed: 3, Workers: 1})
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, workers := range []int{1, 4} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		res, err := RunStream(context.Background(), src, Config{K: k, L: 5, Seed: 3, Workers: workers})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-	// Two passes sweep the file: assignment + outliers, final
-	// objective. The A·k-point sample (A = 30 by default) is read by
-	// position and counts as one block of its own bytes.
-	blocksPerPass := int64((n + blockPoints - 1) / blockPoints)
-	sampleBytes := int64(30*k) * dims * 8
-	if got := res.Stats.Counters.StreamBlocks; got != 2*blocksPerPass+1 {
-		t.Errorf("stream blocks = %d, want %d", got, 2*blocksPerPass+1)
-	}
-	if got, want := res.Stats.Counters.StreamBytes, 2*int64(n)*dims*8+sampleBytes; got != want {
-		t.Errorf("stream bytes = %d, want %d", got, want)
-	}
+		// Two passes sweep the file: assignment + outliers, final
+		// objective. The A·k-point sample (A = 30 by default) is read
+		// by position and counts as one block of its own bytes.
+		blocksPerPass := int64((n + blockPoints - 1) / blockPoints)
+		sampleBytes := int64(30*k) * dims * 8
+		if got := res.Stats.Counters.StreamBlocks; got != 2*blocksPerPass+1 {
+			t.Errorf("workers=%d: stream blocks = %d, want %d", workers, got, 2*blocksPerPass+1)
+		}
+		if got, want := res.Stats.Counters.StreamBytes, 2*int64(n)*dims*8+sampleBytes; got != want {
+			t.Errorf("workers=%d: stream bytes = %d, want %d", workers, got, want)
+		}
 
-	// Allocation bound: the run may allocate the O(n) assignment and
-	// member index vectors, the sample, and per-pass block buffers — but
-	// never anything near a resident copy of the n×dims float64 matrix.
-	matrixBytes := uint64(n) * dims * 8
-	if delta := after.TotalAlloc - before.TotalAlloc; delta > matrixBytes/2 {
-		t.Errorf("streamed run allocated %d bytes, want < %d (half the %d-byte matrix)",
-			delta, matrixBytes/2, matrixBytes)
+		// Allocation bound: the run may allocate the O(n) assignment
+		// and member index vectors, the sample, and per-pass block
+		// buffers, two per worker — but never anything near a resident
+		// copy of the n×dims float64 matrix.
+		matrixBytes := uint64(n) * dims * 8
+		if delta := after.TotalAlloc - before.TotalAlloc; delta > matrixBytes/2 {
+			t.Errorf("workers=%d: streamed run allocated %d bytes, want < %d (half the %d-byte matrix)",
+				workers, delta, matrixBytes/2, matrixBytes)
+		}
 	}
 }
 

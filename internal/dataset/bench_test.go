@@ -3,6 +3,7 @@ package dataset
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -93,19 +94,24 @@ func BenchmarkLoadFile(b *testing.B) {
 }
 
 // BenchmarkFileSourcePass times one no-op block pass over the file, the
-// floor under every streamed pass.
+// floor under every streamed pass, with the reads on one worker and on
+// two.
 func BenchmarkFileSourcePass(b *testing.B) {
 	path, size := benchFile(b)
 	src, err := OpenFileSource(path, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(size)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := src.Blocks(context.Background(), func(*Block) error { return nil }); err != nil {
-			b.Fatal(err)
-		}
+	nop := func(*Block) error { return nil }
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.SetBytes(size)
+			for i := 0; i < b.N; i++ {
+				if err := src.Pass(context.Background(), workers, nop, nop); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -3,7 +3,6 @@ package dataset
 import (
 	"context"
 	"fmt"
-	"io"
 	"os"
 	"sync"
 )
@@ -11,13 +10,13 @@ import (
 // Out-of-core block access. The PROCLUS paper's phases are deliberately
 // single passes over disk-resident data (§3; its experiments ran
 // against a SCSI drive), and CLIQUE's histogram and counting passes
-// share that structure. BlockScanner streams a binary dataset file in
-// contiguous multi-point blocks with one block of read-ahead, so a pass
-// holds at most two blocks resident while the reader goroutine overlaps
-// reading with the consumer's work. MemorySource and FileSource
-// present the same block-pass shape over an in-memory Dataset and a
-// file, which is what lets the algorithms run identically against
-// either (see core.PointSource).
+// share that structure. One block reader, blockPass, serves every such
+// pass: blocks of a fixed number of points are loaded and worked on by
+// several goroutines at once, each with a read-ahead of one block,
+// while the caller folds the blocks one at a time in point order.
+// MemorySource and FileSource present that pass over an in-memory
+// Dataset and a file, which is what lets the algorithms run
+// identically against either (see core.PointSource).
 
 // DefaultBlockPoints is the block granularity used when a caller passes
 // a non-positive block size: 4096 points keeps blocks around a few
@@ -27,7 +26,9 @@ const DefaultBlockPoints = 4096
 
 // maxBlockBytes caps one block buffer's allocation regardless of the
 // requested block size, so a header-declared dimensionality cannot
-// drive a huge up-front allocation (found by FuzzBlockScanner).
+// drive a huge up-front allocation (found by FuzzBlockScanner). A
+// file pass also caps its workers so that their buffers together never
+// exceed two blocks of this size.
 const maxBlockBytes = 64 << 20
 
 // clampBlockPoints resolves a requested block size against the dataset
@@ -50,12 +51,13 @@ func clampBlockPoints(blockPoints, dims, n int) int {
 }
 
 // Block is one contiguous run of points from a dataset, the unit
-// streamed passes consume. The backing data is owned by the producer
-// (scanner buffer or dataset storage) and valid only until the next
-// block is requested.
+// streamed passes consume. The backing data is owned by the pass (a
+// file buffer or the dataset's storage) and valid only until the
+// block's fold returns.
 type Block struct {
 	start int
 	dims  int
+	slot  int
 	data  []float64 // row-major, len = Len()*dims
 }
 
@@ -67,6 +69,12 @@ func (b *Block) Len() int { return len(b.data) / b.dims }
 
 // Dims returns the dimensionality of the block's points.
 func (b *Block) Dims() int { return b.dims }
+
+// Slot returns the block's place in a pass on W workers: a value in
+// [0, 2·W) that no other block holds from the start of this block's
+// work until its fold returns, so per-block scratch indexed by slot
+// carries a result from work to fold.
+func (b *Block) Slot() int { return b.slot }
 
 // Index returns the dataset index of the block's i-th point.
 func (b *Block) Index(i int) int { return b.start + i }
@@ -89,171 +97,92 @@ func (b *Block) Rows(lo, hi int) []float64 {
 // accounting.
 func (b *Block) Bytes() int64 { return int64(len(b.data)) * 8 }
 
-// BlockScanner streams the data section of a binary dataset file (the
-// format of Dataset.WriteBinary) block by block. A reader goroutine
-// reads one block ahead of the consumer (double buffering), so I/O and
-// consumption overlap; total resident buffering is two blocks. Each
-// block is read from the file straight into its buffer (readFloat64s):
-// one copy from the page cache, no staging buffer.
+// blockPass is the one block reader behind every Pass. It sweeps n
+// points of the given dimensionality in blocks of bp points on up to
+// workers goroutines. Worker w takes blocks w, w+W, … in turn, each into
+// one of its own two slots: fill loads the block's count points at
+// b.Start() into b, and work, when non-nil, runs on it. The calling
+// goroutine folds the blocks in block order and hands each slot back
+// to its worker after the fold, so a worker runs up to two blocks ahead
+// of the fold, and at one worker the load still overlaps the fold.
 //
-//	sc, err := dataset.OpenBlockScanner(path, 4096)
-//	...
-//	defer sc.Close()
-//	for {
-//		b, err := sc.Next(ctx)
-//		if err != nil { ... }
-//		if b == nil { break } // end of data
-//		...
-//	}
-//
-// The scanner is single-consumer: Next and Close must not be called
-// concurrently, and a Block is valid only until the following Next or
-// Close call.
-type BlockScanner struct {
-	dims        int
-	n           int
-	blockPoints int
-	labeled     bool
-
-	blocks chan *Block   // filled blocks, reader → consumer
-	free   chan *Block   // recycled buffers, consumer → reader
-	stop   chan struct{} // closed by Close to abort the reader
-	done   chan struct{} // closed when the reader has exited
-
-	cur       *Block
-	err       error // reader's terminal error; read only after blocks closes
-	closeOnce sync.Once
-}
-
-// OpenBlockScanner opens a binary dataset file for block streaming with
-// the given block granularity (points per block; non-positive selects
-// DefaultBlockPoints). The header is validated against the file's
-// actual size before any data buffer is allocated, so a corrupted or
-// adversarial header fails fast instead of demanding memory or reading
-// garbage.
-func OpenBlockScanner(path string, blockPoints int) (*BlockScanner, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("dataset: opening %s: %w", path, err)
-	}
-	dims, n, labeled, err := readBlockHeader(f)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if _, err := verifyDeclaredSize(f, dims, n, labeled); err != nil {
-		f.Close()
-		return nil, err
-	}
-	bp := clampBlockPoints(blockPoints, dims, n)
-	s := &BlockScanner{
-		dims:        dims,
-		n:           n,
-		blockPoints: bp,
-		labeled:     labeled,
-		blocks:      make(chan *Block),
-		free:        make(chan *Block, 2),
-		stop:        make(chan struct{}),
-		done:        make(chan struct{}),
-	}
-	// Two buffers total: the consumer works on one while the reader
-	// fills the next.
-	for i := 0; i < 2; i++ {
-		s.free <- &Block{dims: dims, data: make([]float64, bp*dims)}
-	}
-	go s.read(f)
-	return s, nil
-}
-
-// read is the reader goroutine: it fills recycled buffers from f, which
-// is positioned just past the header, and hands them to the consumer
-// until the data section ends, an error occurs, or Close aborts it.
-// s.err is published before blocks closes, so the consumer observes it
-// after the channel-closed signal.
-func (s *BlockScanner) read(f *os.File) {
-	defer close(s.done)
-	defer close(s.blocks)
-	defer f.Close()
-	for idx := 0; idx < s.n; {
-		var buf *Block
-		select {
-		case buf = <-s.free:
-		case <-s.stop:
-			return
+// The first error in block order, from fill, work or fold, ends the
+// pass, and so does a cancellation of a non-nil ctx, checked before
+// every fold. Every worker has exited when blockPass returns: a worker
+// waits only for a free slot, and ending the pass wakes it.
+func blockPass(ctx context.Context, n, dims, bp, workers int,
+	fill func(b *Block, count int) error, work, fold func(*Block) error) error {
+	blocks := (n + bp - 1) / bp
+	workers = max(1, min(workers, blocks))
+	slots := make([]Block, 2*workers)
+	errs := make([]error, 2*workers)
+	ready := make([]chan int, workers) // worked slots, worker → fold
+	free := make([]chan int, workers)  // folded slots, fold → worker
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		// Two slots per worker and room for both in each channel: no
+		// send below ever blocks.
+		ready[w], free[w] = make(chan int, 2), make(chan int, 2)
+		for _, s := range []int{2 * w, 2*w + 1} {
+			slots[s] = Block{dims: dims, slot: s}
+			free[w] <- s
 		}
-		count := s.blockPoints
-		if rest := s.n - idx; count > rest {
-			count = rest
-		}
-		buf.start = idx
-		buf.data = buf.data[:count*s.dims]
-		if err := readFloat64s(f, buf.data); err != nil {
-			s.err = fmt.Errorf("dataset: reading block at point %d: %w", idx, err)
-			return
-		}
-		select {
-		case s.blocks <- buf:
-		case <-s.stop:
-			return
-		}
-		idx += count
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < blocks; i += workers {
+				var s int
+				select {
+				case s = <-free[w]:
+				case <-stop:
+					return
+				}
+				b := &slots[s]
+				b.start = i * bp
+				err := fill(b, min(bp, n-b.start))
+				if err == nil && work != nil {
+					err = work(b)
+				}
+				errs[s] = err
+				ready[w] <- s
+				if err != nil {
+					return
+				}
+			}
+		}(w)
 	}
-}
-
-// Next returns the next block, or (nil, nil) at the end of the data
-// section. The previous block's buffer is recycled, so it must not be
-// used after this call. A non-nil ctx aborts the wait when cancelled;
-// the scanner itself stays usable until Close.
-func (s *BlockScanner) Next(ctx context.Context) (*Block, error) {
-	if s.cur != nil {
-		// Never blocks: only two buffers exist and the consumer holds at
-		// most this one.
-		s.free <- s.cur
-		s.cur = nil
-	}
-	var cancel <-chan struct{}
+	var done <-chan struct{}
 	if ctx != nil {
-		// Checked first so an already-cancelled context wins even when a
-		// decoded block is simultaneously ready.
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		default:
-		}
-		cancel = ctx.Done()
+		done = ctx.Done()
 	}
-	select {
-	case b, ok := <-s.blocks:
-		if !ok {
-			return nil, s.err
+	err := func() error {
+		for i := 0; i < blocks; i++ {
+			// Checked first, so that a cancelled context wins over a
+			// block that is already waiting.
+			if ctx != nil && ctx.Err() != nil {
+				return ctx.Err()
+			}
+			w := i % workers
+			var s int
+			select {
+			case s = <-ready[w]:
+			case <-done:
+				return ctx.Err()
+			}
+			if errs[s] != nil {
+				return errs[s]
+			}
+			if err := fold(&slots[s]); err != nil {
+				return err
+			}
+			free[w] <- s
 		}
-		s.cur = b
-		return b, nil
-	case <-cancel:
-		return nil, ctx.Err()
-	}
-}
-
-// Dims returns the dimensionality of the streamed points.
-func (s *BlockScanner) Dims() int { return s.dims }
-
-// Len returns the number of points the file header declares.
-func (s *BlockScanner) Len() int { return s.n }
-
-// Labeled reports whether the file carries ground-truth labels (stored
-// after the data section; see ScanLabels).
-func (s *BlockScanner) Labeled() bool { return s.labeled }
-
-// BlockPoints returns the effective block granularity after clamping.
-func (s *BlockScanner) BlockPoints() int { return s.blockPoints }
-
-// Close aborts the reader goroutine and waits for it to exit, releasing
-// the underlying file. It is idempotent and must be called exactly when
-// the consumer is done (no concurrent Next).
-func (s *BlockScanner) Close() error {
-	s.closeOnce.Do(func() { close(s.stop) })
-	<-s.done
-	return nil
+		return nil
+	}()
+	close(stop)
+	wg.Wait()
+	return err
 }
 
 // verifyDeclaredSize cross-checks the header's declared payload against
@@ -306,33 +235,20 @@ func (ms *MemorySource) BlockPoints() int { return ms.blockPoints }
 // Dims returns the dimensionality of the points.
 func (ms *MemorySource) Dims() int { return ms.ds.Dims() }
 
-// Blocks calls fn for consecutive blocks covering the dataset in point
-// order. The block passed to fn is reused between calls. Cancellation
-// of a non-nil ctx is checked between blocks.
-func (ms *MemorySource) Blocks(ctx context.Context, fn func(*Block) error) error {
-	n := ms.ds.Len()
-	dims := ms.ds.Dims()
-	bp := ms.blockPoints
-	blk := Block{dims: dims}
-	for start := 0; start < n; start += bp {
-		if ctx != nil {
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			default:
-			}
-		}
-		count := bp
-		if rest := n - start; count > rest {
-			count = rest
-		}
-		blk.start = start
-		blk.data = ms.ds.data[start*dims : (start+count)*dims]
-		if err := fn(&blk); err != nil {
-			return err
-		}
-	}
-	return nil
+// Pass sweeps the dataset once in blocks of BlockPoints points, each a
+// zero-copy view of the dataset's storage. work, when non-nil, runs on
+// each block exactly once, on one of up to workers goroutines; fold
+// then runs on each block on the calling goroutine, one block at a
+// time in point order. A nil work makes the pass a serial sweep of
+// fold. The first error in block order from work or fold, or a
+// cancellation of a non-nil ctx, checked before every fold, ends the
+// pass, and no goroutine outlives it.
+func (ms *MemorySource) Pass(ctx context.Context, workers int, work, fold func(*Block) error) error {
+	d := ms.ds.Dims()
+	return blockPass(ctx, ms.ds.Len(), d, ms.blockPoints, workers, func(b *Block, count int) error {
+		b.data = ms.ds.data[b.start*d : (b.start+count)*d]
+		return nil
+	}, work, fold)
 }
 
 // ReadPoints copies the points at the given indices into dst, row i
@@ -364,15 +280,19 @@ func checkReadPoints(idx []int, dst []float64, dims, n int) error {
 }
 
 // FileSource adapts a binary dataset file to block-pass consumption:
-// every Blocks call opens a fresh BlockScanner, so one FileSource
-// serves any number of sequential passes while holding no file handle
-// between them. The header is read (and size-verified) once at open.
+// every pass opens the file afresh and re-checks its header, so one
+// FileSource serves any number of passes while holding no file handle
+// between them. It keeps the block buffers of its last pass for the
+// next one. The header is read (and size-verified) once at open.
 type FileSource struct {
 	path        string
 	blockPoints int
 	dims        int
 	n           int
 	labeled     bool
+
+	mu   sync.Mutex
+	bufs [][]float64 // block buffers by slot, kept from one pass for the next
 }
 
 // OpenFileSource validates the binary dataset file at path and returns
@@ -411,73 +331,116 @@ func (fs *FileSource) Path() string { return fs.path }
 // passes (requests are clamped at construction).
 func (fs *FileSource) BlockPoints() int { return fs.blockPoints }
 
-// Blocks streams the file once, calling fn for consecutive blocks in
-// point order. The block passed to fn is reused between calls. A
-// non-nil ctx aborts the pass between blocks.
-func (fs *FileSource) Blocks(ctx context.Context, fn func(*Block) error) error {
-	sc, err := OpenBlockScanner(fs.path, fs.blockPoints)
+// Pass streams the file once in blocks of BlockPoints points. Up to
+// workers goroutines each read whole blocks by position into two
+// buffers of their own, and work, when non-nil, runs on each block
+// exactly once on the goroutine that read it; fold then runs on each
+// block on the calling goroutine, one block at a time in point order.
+// A nil work makes the pass a serial sweep of fold, whose reads still
+// run a block ahead of it. The workers are capped so that their
+// buffers never exceed two blocks of maxBlockBytes, and the buffers
+// are reused from the last pass. The header is
+// re-read and size-checked first, so a file truncated or reshaped
+// since OpenFileSource fails before any block is read; one cut short
+// mid-pass fails at the short read. The first error in block order
+// from a read, work or fold, or a cancellation of a non-nil ctx,
+// checked before every fold, ends the pass, and no goroutine outlives
+// it.
+func (fs *FileSource) Pass(ctx context.Context, workers int, work, fold func(*Block) error) error {
+	f, err := fs.open()
 	if err != nil {
 		return err
 	}
-	defer sc.Close()
-	if err := fs.checkShape(sc.Len(), sc.Dims()); err != nil {
-		return err
+	defer f.Close()
+	d, bp := fs.dims, fs.blockPoints
+	row := int64(d) * 8
+	workers = fileWorkers(workers, bp, d)
+	// The pass owns the buffers it takes, so a concurrent pass makes its
+	// own; each slot's buffer is made on its first use and kept for the
+	// next pass.
+	fs.mu.Lock()
+	bufs := fs.bufs
+	fs.bufs = nil
+	fs.mu.Unlock()
+	if len(bufs) < 2*workers {
+		bufs = append(bufs, make([][]float64, 2*workers-len(bufs))...)
 	}
-	for {
-		b, err := sc.Next(ctx)
-		if err != nil {
-			return err
+	defer func() {
+		fs.mu.Lock()
+		fs.bufs = bufs
+		fs.mu.Unlock()
+	}()
+	return blockPass(ctx, fs.n, d, bp, workers, func(b *Block, count int) error {
+		if bufs[b.slot] == nil {
+			bufs[b.slot] = make([]float64, bp*d)
 		}
-		if b == nil {
-			return nil
+		b.data = bufs[b.slot][:count*d]
+		if err := readFloat64sAt(f, binaryHeaderSize+int64(b.start)*row, b.data); err != nil {
+			return fmt.Errorf("dataset: reading block at point %d: %w", b.start, err)
 		}
-		if err := fn(b); err != nil {
-			return err
-		}
-	}
+		return nil
+	}, work, fold)
+}
+
+// fileWorkers caps a file pass's workers at the number whose two
+// buffers of bp points each fit in two blocks of maxBlockBytes: a pass
+// never holds more buffer memory than a serial pass over the largest
+// block could.
+func fileWorkers(workers, bp, dims int) int {
+	return min(workers, max(1, maxBlockBytes/(bp*dims*8)))
+}
+
+// Blocks is the serial pass: fn sweeps the blocks in point order, as
+// the fold of Pass at one worker with no work.
+func (fs *FileSource) Blocks(ctx context.Context, fn func(*Block) error) error {
+	return fs.Pass(ctx, 1, nil, fn)
 }
 
 // ReadPoints copies the points at the given indices into dst, row i
 // holding point idx[i], with one positioned read per index: a sample of
 // a few hundred points costs a few hundred small reads, not a pass.
-// Like Blocks it re-reads and size-checks the header, so a file
+// Like Pass it re-reads and size-checks the header, so a file
 // truncated or reshaped since OpenFileSource fails here. An index
 // outside [0, Len()) or a short read is an error.
 func (fs *FileSource) ReadPoints(idx []int, dst []float64) error {
-	f, err := os.Open(fs.path)
+	f, err := fs.open()
 	if err != nil {
-		return fmt.Errorf("dataset: opening %s: %w", fs.path, err)
+		return err
 	}
 	defer f.Close()
-	dims, n, labeled, err := readBlockHeader(f)
-	if err != nil {
+	d := fs.dims
+	if err := checkReadPoints(idx, dst, d, fs.n); err != nil {
 		return err
 	}
-	if _, err := verifyDeclaredSize(f, dims, n, labeled); err != nil {
-		return err
-	}
-	if err := fs.checkShape(n, dims); err != nil {
-		return err
-	}
-	if err := checkReadPoints(idx, dst, dims, n); err != nil {
-		return err
-	}
-	row := int64(dims) * 8
+	row := int64(d) * 8
 	for i, p := range idx {
-		at := io.NewSectionReader(f, binaryHeaderSize+int64(p)*row, row)
-		if err := readFloat64s(at, dst[i*dims:(i+1)*dims]); err != nil {
+		if err := readFloat64sAt(f, binaryHeaderSize+int64(p)*row, dst[i*d:(i+1)*d]); err != nil {
 			return fmt.Errorf("dataset: reading point %d: %w", p, err)
 		}
 	}
 	return nil
 }
 
-// checkShape reports a file whose header no longer declares the shape
-// OpenFileSource read.
-func (fs *FileSource) checkShape(n, dims int) error {
-	if dims != fs.dims || n != fs.n {
-		return fmt.Errorf("dataset: %s changed shape mid-run (%d×%d, was %d×%d)",
+// open opens the file for one pass or read, re-reading and
+// size-checking its header: a file whose header no longer declares the
+// shape OpenFileSource read, or that no longer holds what it declares,
+// is an error.
+func (fs *FileSource) open() (*os.File, error) {
+	f, err := os.Open(fs.path)
+	if err != nil {
+		return nil, fmt.Errorf("dataset: opening %s: %w", fs.path, err)
+	}
+	dims, n, labeled, err := readBlockHeader(f)
+	if err == nil {
+		_, err = verifyDeclaredSize(f, dims, n, labeled)
+	}
+	if err == nil && (dims != fs.dims || n != fs.n) {
+		err = fmt.Errorf("dataset: %s changed shape mid-run (%d×%d, was %d×%d)",
 			fs.path, n, dims, fs.n, fs.dims)
 	}
-	return nil
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return f, nil
 }

@@ -3,6 +3,8 @@ package dataset
 import (
 	"context"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -13,77 +15,123 @@ import (
 )
 
 // settleGoroutines delegates to the shared observability test helper:
-// the block reader must not outlive Close or a finished pass.
+// no block reader may outlive its pass.
 func settleGoroutines(t *testing.T, base int) {
 	t.Helper()
 	obstest.Settle(t, base)
 }
 
-func drainBlocks(t *testing.T, ctx context.Context, sc *BlockScanner, ds *Dataset) {
+// passer is the block pass both sources offer.
+type passer interface {
+	Pass(ctx context.Context, workers int, work, fold func(*Block) error) error
+}
+
+// checkPass runs one pass of src on the given workers and checks the
+// pass contract against ds: every block gets work exactly once and
+// then its fold, the folds run in point order and deliver ds's exact
+// bits, every slot lies in [0, 2·workers), and no two blocks hold one
+// slot at once.
+func checkPass(t *testing.T, ctx context.Context, src passer, ds *Dataset, workers int) {
 	t.Helper()
-	next := 0
-	for {
-		b, err := sc.Next(ctx)
+	if err := passContract(ctx, src, ds, workers); err != nil {
+		t.Fatalf("workers=%d: %v", workers, err)
+	}
+}
+
+// passContract is checkPass's check, returning the first breach.
+func passContract(ctx context.Context, src passer, ds *Dataset, workers int) error {
+	worked := make([]int, ds.Len()) // by block start; blocks never share one
+	held := make([]int, 2*max(1, workers))
+	slot := func(b *Block) (int, error) {
+		if s := b.Slot(); s >= 0 && s < len(held) {
+			return s, nil
+		}
+		return 0, fmt.Errorf("block at %d in slot %d, outside [0, %d)", b.Start(), b.Slot(), len(held))
+	}
+	work := func(b *Block) error {
+		s, err := slot(b)
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
-		if b == nil {
-			break
+		if held[s] != 0 {
+			return fmt.Errorf("block at %d worked in slot %d, still held by the block at %d", b.Start(), s, held[s]-1)
 		}
-		if b.Start() != next {
-			t.Fatalf("block starts at %d, want %d", b.Start(), next)
+		held[s] = b.Start() + 1
+		worked[b.Start()]++
+		return nil
+	}
+	next := 0
+	err := src.Pass(ctx, workers, work, func(b *Block) error {
+		s, err := slot(b)
+		if err != nil {
+			return err
 		}
-		if b.Dims() != ds.Dims() {
-			t.Fatalf("block dims %d, want %d", b.Dims(), ds.Dims())
+		if b.Start() != next || b.Dims() != ds.Dims() {
+			return fmt.Errorf("folded a %d-dim block at %d, want %d dims at %d", b.Dims(), b.Start(), ds.Dims(), next)
 		}
+		if worked[b.Start()] != 1 || held[s] != b.Start()+1 {
+			return fmt.Errorf("block at %d folded after %d works, slot %d held by %d", b.Start(), worked[b.Start()], s, held[s]-1)
+		}
+		held[s] = 0
 		for i := 0; i < b.Len(); i++ {
-			idx := b.Index(i)
-			p, want := b.Point(i), ds.Point(idx)
+			p, want := b.Point(i), ds.Point(b.Index(i))
 			for j := range p {
-				if p[j] != want[j] {
-					t.Fatalf("point %d dim %d: %v vs %v", idx, j, p[j], want[j])
+				if math.Float64bits(p[j]) != math.Float64bits(want[j]) {
+					return fmt.Errorf("point %d dim %d: %v, want %v", b.Index(i), j, p[j], want[j])
 				}
 			}
 		}
 		next += b.Len()
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	if next != ds.Len() {
-		t.Fatalf("streamed %d points, want %d", next, ds.Len())
+		return fmt.Errorf("folded %d points, want %d", next, ds.Len())
 	}
+	return nil
 }
 
+// TestBlockScannerStreamsAllPoints checks the file pass's contract at
+// every block size and worker count, including more workers than
+// blocks, and that no reader outlives a pass.
 func TestBlockScannerStreamsAllPoints(t *testing.T) {
 	ds := randomDataset(31, 137, 5, true)
 	path := writeTempBinary(t, ds)
 	for _, bp := range []int{1, 7, 64, 137, 1000, 0} {
 		base := runtime.NumGoroutine()
-		sc, err := OpenBlockScanner(path, bp)
+		src, err := OpenFileSource(path, bp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sc.Dims() != 5 || sc.Len() != 137 || !sc.Labeled() {
-			t.Fatalf("header: dims=%d len=%d labeled=%v", sc.Dims(), sc.Len(), sc.Labeled())
+		if src.Dims() != 5 || src.Len() != 137 || !src.Labeled() {
+			t.Fatalf("header: dims=%d len=%d labeled=%v", src.Dims(), src.Len(), src.Labeled())
 		}
-		drainBlocks(t, context.Background(), sc, ds)
-		// Next after exhaustion keeps returning (nil, nil).
-		if b, err := sc.Next(context.Background()); b != nil || err != nil {
-			t.Fatalf("Next after exhaustion: %v, %v", b, err)
+		for _, w := range []int{1, 2, 3, 7} {
+			checkPass(t, context.Background(), src, ds, w)
 		}
-		sc.Close()
 		settleGoroutines(t, base)
 	}
 }
 
 func TestBlockScannerNilContext(t *testing.T) {
 	ds := randomDataset(32, 10, 3, false)
-	sc, err := OpenBlockScanner(writeTempBinary(t, ds), 4)
+	src, err := OpenFileSource(writeTempBinary(t, ds), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sc.Close()
-	drainBlocks(t, nil, sc, ds)
+	for _, w := range []int{1, 3} {
+		checkPass(t, nil, src, ds, w)
+	}
 }
 
+// TestBlockScannerTruncatedFile cuts the data section short at three
+// moments: before OpenFileSource, which rejects the file by its
+// declared size; between opening and a pass, which the pass's own size
+// check rejects before it reads a block; and after the pass has folded
+// its first block, when the workers' reads come up short. Each must be
+// an error, at every worker count, with no reader left behind.
 func TestBlockScannerTruncatedFile(t *testing.T) {
 	ds := randomDataset(33, 50, 4, false)
 	path := writeTempBinary(t, ds)
@@ -91,16 +139,45 @@ func TestBlockScannerTruncatedFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Any truncation of the data section is caught at open by the
-	// declared-size check, before a single block is allocated.
 	for _, cut := range []int{1, 8, 100, len(raw) - binaryHeaderSize - 1} {
 		short := filepath.Join(t.TempDir(), "short.bin")
 		if err := os.WriteFile(short, raw[:len(raw)-cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := OpenBlockScanner(short, 16); err == nil {
+		if _, err := OpenFileSource(short, 16); err == nil {
 			t.Fatalf("cut=%d: opened truncated file without error", cut)
 		}
+	}
+	for _, w := range []int{1, 2, 7} {
+		base := runtime.NumGoroutine()
+		for _, midPass := range []bool{false, true} {
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			src, err := OpenFileSource(path, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			truncate := func() {
+				if err := os.Truncate(path, binaryHeaderSize+3*4*8); err != nil {
+					t.Error(err)
+				}
+			}
+			if !midPass {
+				truncate()
+			}
+			folded := 0
+			err = src.Pass(context.Background(), w, nil, func(*Block) error {
+				if folded++; folded == 1 && midPass {
+					truncate()
+				}
+				return nil
+			})
+			if err == nil {
+				t.Errorf("workers=%d midPass=%v: pass over a truncated file folded %d blocks without error", w, midPass, folded)
+			}
+		}
+		settleGoroutines(t, base)
 	}
 }
 
@@ -141,8 +218,7 @@ func headerLieFiles(t *testing.T) map[string]string {
 
 func TestBlockScannerHeaderLies(t *testing.T) {
 	for name, p := range headerLieFiles(t) {
-		if sc, err := OpenBlockScanner(p, 16); err == nil {
-			sc.Close()
+		if _, err := OpenFileSource(p, 16); err == nil {
 			t.Errorf("%s: opened without error", name)
 		}
 	}
@@ -180,7 +256,7 @@ func TestLoadFileHeaderLies(t *testing.T) {
 
 func TestBlockScannerRejectsBadFiles(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := OpenBlockScanner(filepath.Join(dir, "missing.bin"), 16); err == nil {
+	if _, err := OpenFileSource(filepath.Join(dir, "missing.bin"), 16); err == nil {
 		t.Fatal("missing file accepted")
 	}
 	raw, err := os.ReadFile(writeTempBinary(t, randomDataset(44, 3, 2, false)))
@@ -199,51 +275,71 @@ func TestBlockScannerRejectsBadFiles(t *testing.T) {
 		if err := os.WriteFile(p, content, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if sc, err := OpenBlockScanner(p, 16); err == nil {
-			sc.Close()
+		if _, err := OpenFileSource(p, 16); err == nil {
 			t.Errorf("%s: opened without error", name)
 		}
 	}
 }
 
+// TestBlockScannerCancellation cancels a file pass from its first fold
+// and a memory pass from its second: the pass must fold no further
+// block, return context.Canceled and leave no reader behind, at every
+// worker count.
 func TestBlockScannerCancellation(t *testing.T) {
 	ds := randomDataset(35, 300, 4, false)
-	path := writeTempBinary(t, ds)
-	base := runtime.NumGoroutine()
-	sc, err := OpenBlockScanner(path, 10)
+	fs, err := OpenFileSource(writeTempBinary(t, ds), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	if _, err := sc.Next(ctx); err != nil {
-		t.Fatal(err)
+	for _, w := range []int{1, 2, 7} {
+		base := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		folded := 0
+		err := fs.Pass(ctx, w, func(*Block) error { return nil }, func(*Block) error {
+			folded++
+			cancel()
+			return nil
+		})
+		if err != context.Canceled || folded != 1 {
+			t.Fatalf("workers=%d: Pass = %v after %d folds, want context.Canceled after 1", w, err, folded)
+		}
+		settleGoroutines(t, base)
 	}
-	cancel()
-	if _, err := sc.Next(ctx); err != context.Canceled {
-		t.Fatalf("Next after cancel: %v, want context.Canceled", err)
-	}
-	sc.Close()
-	settleGoroutines(t, base)
 }
 
+// TestBlockScannerCloseMidStream ends a pass from a worker with most of
+// the file unread: the work of the fifth block fails. Every earlier
+// block is folded, no later one is, the pass returns that error, and no
+// reader outlives it.
 func TestBlockScannerCloseMidStream(t *testing.T) {
 	ds := randomDataset(36, 500, 6, false)
-	path := writeTempBinary(t, ds)
-	base := runtime.NumGoroutine()
-	sc, err := OpenBlockScanner(path, 8)
+	fs, err := OpenFileSource(writeTempBinary(t, ds), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sc.Next(context.Background()); err != nil {
-		t.Fatal(err)
+	sentinel := errors.New("work failed")
+	for _, w := range []int{1, 2, 7} {
+		base := runtime.NumGoroutine()
+		folded := 0
+		err := fs.Pass(context.Background(), w, func(b *Block) error {
+			if b.Start() == 4*8 {
+				return sentinel
+			}
+			return nil
+		}, func(*Block) error {
+			folded++
+			return nil
+		})
+		if err != sentinel || folded != 4 {
+			t.Fatalf("workers=%d: Pass = %v after %d folds, want the work error after 4", w, err, folded)
+		}
+		settleGoroutines(t, base)
 	}
-	// Close with most of the file unread, twice (idempotent), then
-	// confirm the reader goroutine is gone.
-	sc.Close()
-	sc.Close()
-	settleGoroutines(t, base)
 }
 
+// TestBlockScannerClampsBlockSize checks the block and buffer caps: a
+// block never exceeds maxBlockBytes, and a file pass runs no more
+// workers than fit two blocks of that size.
 func TestBlockScannerClampsBlockSize(t *testing.T) {
 	// 1<<18 dims × 8 bytes = 2 MiB per point: the 64 MiB cap allows at
 	// most 32 points per block, whatever the caller asks for.
@@ -260,6 +356,16 @@ func TestBlockScannerClampsBlockSize(t *testing.T) {
 	if got := clampBlockPoints(7, 4, 0); got != 7 {
 		t.Fatalf("clamp(7, 4, 0): %d, want 7", got)
 	}
+	for _, c := range []struct{ workers, bp, dims, want int }{
+		{8, 32, dims, 1}, // one block is the whole cap
+		{8, 16, dims, 2}, // two half-cap blocks per worker
+		{8, 4096, 4, 8},  // small blocks: every worker reads
+		{1, 4096, 4, 1},  // one worker asked for
+	} {
+		if got := fileWorkers(c.workers, c.bp, c.dims); got != c.want {
+			t.Errorf("fileWorkers(%d, %d, %d) = %d, want %d", c.workers, c.bp, c.dims, got, c.want)
+		}
+	}
 }
 
 func TestMemorySourceCoversDataset(t *testing.T) {
@@ -269,27 +375,8 @@ func TestMemorySourceCoversDataset(t *testing.T) {
 		if src.Len() != 101 || src.Dims() != 3 {
 			t.Fatalf("shape %d×%d", src.Len(), src.Dims())
 		}
-		next := 0
-		err := src.Blocks(context.Background(), func(b *Block) error {
-			if b.Start() != next {
-				t.Fatalf("block starts at %d, want %d", b.Start(), next)
-			}
-			for i := 0; i < b.Len(); i++ {
-				p, want := b.Point(i), ds.Point(b.Index(i))
-				for j := range p {
-					if p[j] != want[j] {
-						t.Fatalf("point %d mismatch", b.Index(i))
-					}
-				}
-			}
-			next += b.Len()
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if next != 101 {
-			t.Fatalf("covered %d points, want 101", next)
+		for _, w := range []int{1, 3} {
+			checkPass(t, context.Background(), src, ds, w)
 		}
 	}
 }
@@ -297,20 +384,22 @@ func TestMemorySourceCoversDataset(t *testing.T) {
 func TestMemorySourceCancellation(t *testing.T) {
 	ds := randomDataset(38, 50, 2, false)
 	src := NewMemorySource(ds, 5)
-	ctx, cancel := context.WithCancel(context.Background())
-	seen := 0
-	err := src.Blocks(ctx, func(b *Block) error {
-		seen++
-		if seen == 2 {
-			cancel()
+	for _, w := range []int{1, 3} {
+		ctx, cancel := context.WithCancel(context.Background())
+		seen := 0
+		err := src.Pass(ctx, w, nil, func(b *Block) error {
+			seen++
+			if seen == 2 {
+				cancel()
+			}
+			return nil
+		})
+		if err != context.Canceled {
+			t.Fatalf("workers=%d: Pass after cancel: %v, want context.Canceled", w, err)
 		}
-		return nil
-	})
-	if err != context.Canceled {
-		t.Fatalf("Blocks after cancel: %v, want context.Canceled", err)
-	}
-	if seen != 2 {
-		t.Fatalf("saw %d blocks after cancel, want 2", seen)
+		if seen != 2 {
+			t.Fatalf("workers=%d: saw %d blocks after cancel, want 2", w, seen)
+		}
 	}
 }
 
@@ -326,27 +415,46 @@ func TestFileSourceRepeatedPasses(t *testing.T) {
 		t.Fatalf("shape %d×%d labeled=%v", src.Len(), src.Dims(), src.Labeled())
 	}
 	for pass := 0; pass < 3; pass++ {
-		total := 0
-		err := src.Blocks(context.Background(), func(b *Block) error {
-			for i := 0; i < b.Len(); i++ {
-				p, want := b.Point(i), ds.Point(b.Index(i))
-				for j := range p {
-					if p[j] != want[j] {
-						t.Fatalf("pass %d point %d mismatch", pass, b.Index(i))
-					}
-				}
-			}
-			total += b.Len()
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if total != 90 {
-			t.Fatalf("pass %d covered %d points", pass, total)
-		}
+		checkPass(t, context.Background(), src, ds, 2)
 	}
 	settleGoroutines(t, base)
+}
+
+// TestStreamPassReusesFileBuffers checks that a pass takes the block
+// buffers the last pass left instead of allocating its own, and that
+// passes running at once on one FileSource never share a buffer.
+func TestStreamPassReusesFileBuffers(t *testing.T) {
+	ds := randomDataset(45, 4000, 8, false)
+	src, err := OpenFileSource(writeTempBinary(t, ds), 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nop := func(*Block) error { return nil }
+	if err := src.Pass(context.Background(), 2, nop, nop); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	err = src.Pass(context.Background(), 2, nop, nop)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const blockBytes = 500 * 8 * 8
+	if grown := after.TotalAlloc - before.TotalAlloc; grown >= blockBytes {
+		t.Errorf("a repeated pass allocated %d bytes, at least one %d-byte block buffer", grown, blockBytes)
+	}
+
+	errs := make(chan error, 4)
+	for i := 0; i < cap(errs); i++ {
+		go func(workers int) { errs <- passContract(context.Background(), src, ds, workers) }(1 + i%3)
+	}
+	for i := 0; i < cap(errs); i++ {
+		if err := <-errs; err != nil {
+			t.Errorf("concurrent pass: %v", err)
+		}
+	}
 }
 
 func TestFileSourceCallbackError(t *testing.T) {
@@ -357,6 +465,11 @@ func TestFileSourceCallbackError(t *testing.T) {
 	}
 	base := runtime.NumGoroutine()
 	sentinel := os.ErrInvalid
+	for _, w := range []int{1, 2} {
+		if err := src.Pass(context.Background(), w, nil, func(*Block) error { return sentinel }); err != sentinel {
+			t.Fatalf("workers=%d: Pass: %v, want sentinel", w, err)
+		}
+	}
 	if err := src.Blocks(context.Background(), func(*Block) error { return sentinel }); err != sentinel {
 		t.Fatalf("Blocks: %v, want sentinel", err)
 	}
@@ -408,23 +521,21 @@ func TestBlockScannerExactFloats(t *testing.T) {
 	ds := New(2)
 	ds.Append([]float64{math.SmallestNonzeroFloat64, -0.0})
 	ds.Append([]float64{math.MaxFloat64, 1e-308})
-	path := writeTempBinary(t, ds)
-	sc, err := OpenBlockScanner(path, 1)
+	src, err := OpenFileSource(writeTempBinary(t, ds), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sc.Close()
-	drainBlocks(t, context.Background(), sc, ds)
+	for _, w := range []int{1, 2} {
+		checkPass(t, context.Background(), src, ds, w)
+	}
 }
 
-// blockRows collects a source's points as one Blocks pass delivers
-// them, row-major.
-func blockRows(t *testing.T, src interface {
-	Blocks(context.Context, func(*Block) error) error
-}) []float64 {
+// blockRows collects a source's points as one serial pass folds them,
+// row-major.
+func blockRows(t *testing.T, src passer) []float64 {
 	t.Helper()
 	var rows []float64
-	err := src.Blocks(context.Background(), func(b *Block) error {
+	err := src.Pass(context.Background(), 1, nil, func(b *Block) error {
 		rows = append(rows, b.Rows(0, b.Len())...)
 		return nil
 	})
@@ -436,8 +547,8 @@ func blockRows(t *testing.T, src interface {
 
 // TestReadPointsMatchesBlocks checks the read by position against a
 // block pass: for any index list, shuffled or repeated, row i of the
-// result is the point a Blocks pass delivers at idx[i], from memory and
-// from a labeled file alike.
+// result is the point a pass delivers at idx[i], from memory and from a
+// labeled file alike.
 func TestReadPointsMatchesBlocks(t *testing.T) {
 	const n, d = 97, 5
 	ds := randomDataset(41, n, d, true)
@@ -446,7 +557,7 @@ func TestReadPointsMatchesBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	sources := map[string]interface {
-		Blocks(context.Context, func(*Block) error) error
+		passer
 		ReadPoints([]int, []float64) error
 	}{
 		"memory": NewMemorySource(ds, 16),

@@ -70,11 +70,11 @@ func refDecode(input []byte) (dims int, data []float64, ok bool) {
 
 // FuzzBlockScanner feeds arbitrary bytes to the out-of-core block
 // reader as a file and differentially checks it against refDecode:
-// whenever the scanner opens the file, the oracle must accept it too and
-// the scanner must stream the identical bits; and the scanner must never
-// panic, leak its reader goroutine, or stream more points than the
-// header declares, no matter how the header lies (truncations, corrupt
-// magic/version, inflated n or dims).
+// whenever OpenFileSource opens the file, the oracle must accept it too
+// and a pass, serial or on three workers, must fold the identical bits
+// in point order; and the pass must never panic or fold more points
+// than the header declares, no matter how the header lies
+// (truncations, corrupt magic/version, inflated n or dims).
 func FuzzBlockScanner(f *testing.F) {
 	ds := New(3)
 	ds.AppendLabeled([]float64{1, 2, 3}, 0)
@@ -104,37 +104,38 @@ func FuzzBlockScanner(f *testing.F) {
 		if err := os.WriteFile(path, input, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		sc, err := OpenBlockScanner(path, blockPoints)
+		src, err := OpenFileSource(path, blockPoints)
 		if err != nil {
 			return
 		}
-		defer sc.Close()
 		dims, want, ok := refDecode(input)
-		if !ok || dims != sc.Dims() || len(want) != sc.Len()*dims {
-			t.Fatalf("scanner opened a %d×%d file the oracle reads as ok=%v, %d values of %d dims",
-				sc.Len(), sc.Dims(), ok, len(want), dims)
+		if !ok || dims != src.Dims() || len(want) != src.Len()*dims {
+			t.Fatalf("source opened a %d×%d file the oracle reads as ok=%v, %d values of %d dims",
+				src.Len(), src.Dims(), ok, len(want), dims)
 		}
-		streamed := 0
-		for {
-			b, err := sc.Next(context.Background())
+		for _, workers := range []int{1, 3} {
+			streamed := 0
+			err := src.Pass(context.Background(), workers, nil, func(b *Block) error {
+				if b.Start() != streamed {
+					t.Fatalf("workers=%d: block at %d folded after %d points", workers, b.Start(), streamed)
+				}
+				for i := 0; i < b.Len(); i++ {
+					p, w := b.Point(i), want[b.Index(i)*dims:]
+					for j := range p {
+						if math.Float64bits(p[j]) != math.Float64bits(w[j]) {
+							t.Fatalf("point %d dim %d: %v vs oracle %v", b.Index(i), j, p[j], w[j])
+						}
+					}
+				}
+				streamed += b.Len()
+				return nil
+			})
 			if err != nil {
 				return
 			}
-			if b == nil {
-				break
+			if streamed != src.Len() {
+				t.Fatalf("workers=%d: streamed %d points, header declares %d", workers, streamed, src.Len())
 			}
-			for i := 0; i < b.Len(); i++ {
-				p, w := b.Point(i), want[b.Index(i)*dims:]
-				for j := range p {
-					if math.Float64bits(p[j]) != math.Float64bits(w[j]) {
-						t.Fatalf("point %d dim %d: %v vs oracle %v", b.Index(i), j, p[j], w[j])
-					}
-				}
-			}
-			streamed += b.Len()
-		}
-		if streamed != sc.Len() {
-			t.Fatalf("streamed %d points, header declares %d", streamed, sc.Len())
 		}
 	})
 }

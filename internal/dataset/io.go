@@ -229,6 +229,27 @@ func readFloat64s(r io.Reader, dst []float64) error {
 	return nil
 }
 
+// readFloat64sAt is readFloat64s by position: it fills dst from the
+// little-endian float64s at byte offset off of r. A short read is
+// io.ErrUnexpectedEOF, as from readFloat64s. Positioned reads share no
+// file offset, so several goroutines may read one file at once.
+func readFloat64sAt(r io.ReaderAt, off int64, dst []float64) error {
+	if len(dst) == 0 {
+		return nil
+	}
+	raw := unsafe.Slice((*byte)(unsafe.Pointer(&dst[0])), 8*len(dst))
+	if n, err := r.ReadAt(raw, off); n < len(raw) {
+		if err == nil || err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return err
+	}
+	if !littleEndianHost {
+		swapFloat64s(dst)
+	}
+	return nil
+}
+
 // swapFloat64s reverses the byte order of every value in dst: on a
 // big-endian host it turns little-endian file bytes read into dst into
 // the values they encode.

@@ -93,8 +93,10 @@ func (s *Store) Dir() string { return s.dir }
 // nanoseconds, so lexical order equals chronological order.
 const runIDTime = "20060102T150405.000000000Z"
 
-// newRunID builds a unique, time-sortable entry name.
-func (s *Store) newRunID(at time.Time, slug string) string {
+// newRunID builds a unique, time-sortable entry name. A name that
+// cannot be stat'ed for any reason but absence (one too long for the
+// file system, say) is an error: no later suffix would fare better.
+func (s *Store) newRunID(at time.Time, slug string) (string, error) {
 	if slug == "" {
 		slug = "run"
 	}
@@ -110,8 +112,12 @@ func (s *Store) newRunID(at time.Time, slug string) string {
 	base := at.UTC().Format(runIDTime) + "-" + slug
 	id := base
 	for n := 2; ; n++ {
-		if _, err := os.Stat(filepath.Join(s.dir, id)); os.IsNotExist(err) {
-			return id
+		_, err := os.Stat(filepath.Join(s.dir, id))
+		if os.IsNotExist(err) {
+			return id, nil
+		}
+		if err != nil {
+			return "", fmt.Errorf("archive: naming run %s: %w", id, err)
 		}
 		id = fmt.Sprintf("%s-%d", base, n)
 	}
@@ -134,7 +140,11 @@ func (s *Store) Save(e Entry) (string, error) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e.RunID = s.newRunID(e.CreatedAt, e.Report.Algorithm)
+	id, err := s.newRunID(e.CreatedAt, e.Report.Algorithm)
+	if err != nil {
+		return "", err
+	}
+	e.RunID = id
 
 	data, err := json.MarshalIndent(&e, "", "  ")
 	if err != nil {

@@ -328,6 +328,34 @@ func TestSaveRequiresReport(t *testing.T) {
 	}
 }
 
+// TestSaveOverlongNameFails checks that a run ID the file system cannot
+// stat (a 300-character algorithm name makes the entry name too long)
+// fails Save with an error instead of probing suffixes forever while
+// holding the store's lock, and that the store still saves afterwards.
+func TestSaveOverlongNameFails(t *testing.T) {
+	st, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := st.Save(testEntry(1, strings.Repeat("a", 300)))
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("saved an entry whose name is too long for the file system")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Save of an over-long name did not return")
+	}
+	id := mustSave(t, st, testEntry(2, "proclus"))
+	if entries, problems, err := st.List(); err != nil || len(problems) != 0 || len(entries) != 1 || entries[0].RunID != id {
+		t.Fatalf("after the failed save: List = %v, %v, %v; want the one entry %s", entries, problems, err, id)
+	}
+}
+
 func TestOpenValidation(t *testing.T) {
 	if _, err := Open("", Options{}); err == nil {
 		t.Error("empty directory accepted")

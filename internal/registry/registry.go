@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"sort"
 
+	"proclus/internal/core"
 	"proclus/internal/dataset"
 	"proclus/internal/obs"
 	"proclus/internal/obs/series"
@@ -30,20 +31,10 @@ import (
 // PointSource is the out-of-core data abstraction shared by the
 // streaming-capable algorithms: a point set of known shape sweepable in
 // contiguous blocks any number of times, whose points can also be read
-// by position. It is structurally identical to core.PointSource and a
-// superset of clique.PointSource, which needs no reads by position, so
-// dataset.MemorySource and dataset.FileSource satisfy all three.
-type PointSource interface {
-	Len() int
-	Dims() int
-	Blocks(ctx context.Context, fn func(*dataset.Block) error) error
-	ReadPoints(idx []int, dst []float64) error
-}
-
-var (
-	_ PointSource = (*dataset.MemorySource)(nil)
-	_ PointSource = (*dataset.FileSource)(nil)
-)
+// by position. It is core.PointSource, a superset of
+// clique.PointSource, which needs no reads by position, so
+// dataset.MemorySource and dataset.FileSource satisfy both.
+type PointSource = core.PointSource
 
 // Source is the data an algorithm fits: exactly one of Dataset (fully
 // in-memory) or Stream (out-of-core block source) must be set. Stream

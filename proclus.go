@@ -242,7 +242,8 @@ type PointSource = core.PointSource
 type MemorySource = dataset.MemorySource
 
 // FileSource is a disk-resident PointSource over the binary dataset
-// format; every Blocks pass re-scans the file in bounded memory.
+// format; every pass re-scans the file in bounded memory, two block
+// buffers per worker.
 type FileSource = dataset.FileSource
 
 // NewMemorySource wraps ds as a PointSource with the given block
